@@ -7,9 +7,11 @@ first benchmark that needs a sweep pays for it — and is the one whose
 wall-clock measurement is meaningful — and its sibling figure renders the
 other column from the cached rows.
 
-Rendered tables are printed and also written under ``benchmarks/results/``
-so the bench run leaves the full figure reproduction on disk;
-EXPERIMENTS.md is assembled from those files.
+Rendered tables are always printed.  They are written under
+``benchmarks/results/`` only when ``REPRO_BENCH_RECORD=1`` is set, so an
+ordinary test run leaves the tracked result files untouched; set it to
+refresh the figure reproduction on disk (EXPERIMENTS.md is assembled
+from those files).
 """
 
 import os
@@ -53,13 +55,18 @@ def _memo(key, factory):
 
 
 def record(name, text):
-    """Print a rendered table and persist it under benchmarks/results/."""
+    """Print a rendered table; under ``REPRO_BENCH_RECORD=1`` also save it.
+
+    Returns the written path, or ``None`` when nothing was written.
+    """
+    print()
+    print(text)
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return None
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, name + ".txt")
     with open(path, "w") as handle:
         handle.write(text + "\n")
-    print()
-    print(text)
     return path
 
 

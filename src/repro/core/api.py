@@ -23,6 +23,7 @@ open themselves and amortise the pool across queries.
 """
 
 from repro.core.bottomup import bu_dccs
+from repro.core.dcc import validate_search_params
 from repro.core.greedy import gd_dccs
 from repro.core.topdown import td_dccs
 from repro.graph.backend import resolve_search_graph
@@ -31,6 +32,32 @@ from repro.utils.errors import ParameterError
 from repro.utils.timer import Timer
 
 _METHODS = ("auto", "greedy", "bottom-up", "top-down")
+
+# The full option vocabulary per method, with defaults.  A parallel
+# query (:class:`repro.parallel.plan.Query`) always carries every option
+# of its method explicitly, so two queries that resolve to the same
+# search are equal no matter which defaults the caller spelled out.
+METHOD_OPTIONS = {
+    "greedy": {
+        "use_vertex_deletion": True,
+    },
+    "bottom-up": {
+        "use_vertex_deletion": True,
+        "use_layer_sorting": True,
+        "use_init_topk": True,
+        "use_order_pruning": True,
+        "use_layer_pruning": True,
+    },
+    "top-down": {
+        "use_vertex_deletion": True,
+        "use_layer_sorting": True,
+        "use_init_topk": True,
+        "use_order_pruning": True,
+        "use_potential_pruning": True,
+        "use_index": True,
+        "seed": None,
+    },
+}
 
 
 def choose_method(num_layers, s):
@@ -58,6 +85,24 @@ def resolve_method(num_layers, method, s, options):
     if method != "top-down":
         options.pop("seed", None)
     return method
+
+
+def check_options(method, options):
+    """Reject any option the resolved ``method`` does not take.
+
+    Every entry path calls this, so an unknown option raises the same
+    :class:`~repro.utils.errors.ParameterError` whether the search runs
+    sequentially or through an engine.  ``stats`` is not a search option:
+    callers that accept it take it out first.
+    """
+    valid = METHOD_OPTIONS[method]
+    for name in options:
+        if name not in valid:
+            raise ParameterError(
+                "unknown option {!r} for method {!r} (valid: {})".format(
+                    name, method, tuple(sorted(valid))
+                )
+            )
 
 
 def _engine_one_shot(graph, d, s, k, method, backend, jobs, kernel,
@@ -138,7 +183,9 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         ``backend="dict"``.
     options:
         Forwarded to the chosen algorithm (preprocessing and pruning
-        switches, ``seed`` for top-down, ``stats``).
+        switches, ``seed`` for top-down, ``stats``); a name the method
+        does not take raises :class:`ParameterError` (see
+        :func:`check_options`).
 
     Returns
     -------
@@ -173,11 +220,15 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     # graph, so repeated searches pay it once) and the final id-to-label
     # translation are charged to the result's elapsed time: reported
     # timings must not get faster by moving work outside the clock.
+    # The engine path above applies the same checks in the same order.
+    validate_search_params(graph, d, s, k)
+    method = resolve_method(graph.num_layers, method, s, options)
+    check_options(method, {name: value for name, value in options.items()
+                           if name != "stats"})
     with Timer() as overhead:
         search_graph, translate = resolve_search_graph(graph, backend)
         if kernel != "auto" and search_graph.is_frozen:
             search_graph.set_kernel(kernel)
-    method = resolve_method(search_graph.num_layers, method, s, options)
     if method == "greedy":
         result = gd_dccs(search_graph, d, s, k, **options)
     elif method == "bottom-up":

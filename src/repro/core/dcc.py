@@ -26,6 +26,7 @@ compute every Lemma 1 intersection bound in one pass over the vertices.
 """
 
 from itertools import combinations
+from numbers import Integral
 
 from repro.core.dcore import layer_core
 from repro.utils.errors import LayerIndexError, ParameterError
@@ -48,7 +49,15 @@ def validate_search_params(graph, d, s, k):
     The shared entry check of every search implementation — the three
     sequential algorithms and the parallel orchestrators all enforce the
     same contract, so it lives once, here with the core primitives.
+    Each of ``d``, ``s`` and ``k`` must be an integer
+    (:class:`numbers.Integral`, numpy integers included); a bool or a
+    float is rejected even when it is integral-valued.
     """
+    for name, value in (("d", d), ("s", s), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParameterError(
+                "{} must be an integer, got {!r}".format(name, value)
+            )
     if d < 0:
         raise ParameterError("d must be non-negative, got {}".format(d))
     if not 1 <= s <= graph.num_layers:

@@ -16,9 +16,14 @@ Lemma 8 then bounds any d-CC w.r.t. ``L'`` inside
 reachable by a level-ascending chain of index edges from a vertex ``w``
 with ``L' ⊆ L(w)``.  :meth:`CoreHierarchyIndex.reachable_scope` implements
 both filters.
+
+The build asks a maintainer (:func:`~repro.core.maintain.core_maintainer`)
+for each batch and its labels; on a frozen graph's numpy kernel tier the
+batches are numpy cascades and the index edges come from CSR row
+gathers (:func:`~repro.graph.kernels.np_union_adjacency`).
 """
 
-from repro.core.maintain import MultiLayerCoreMaintainer
+from repro.core.maintain import core_maintainer
 
 
 class CoreHierarchyIndex:
@@ -58,8 +63,34 @@ class CoreHierarchyIndex:
         # The index edges of Section V-C: one union-adjacency set per
         # indexed vertex ("we add an edge between u and v in the index if
         # (u, v) is an edge on a layer of G").
-        self.union_adj = {}
-        indexed = self.level_of
+        self.union_adj = self._union_adjacency()
+
+    def _build(self, within, stats):
+        maintainer = core_maintainer(self.graph, self.d, within=within,
+                                     stats=stats)
+        level_index = 0
+        for threshold in range(1, self.graph.num_layers + 1):
+            while len(maintainer):
+                batch = maintainer.below(threshold + 1)
+                if not len(batch):
+                    break
+                labels = maintainer.labels_of(batch)
+                self.label.update(labels)
+                self.level_of.update(dict.fromkeys(labels, level_index))
+                self.threshold_of.update(dict.fromkeys(labels, threshold))
+                self.levels.append((threshold, list(labels)))
+                maintainer.remove(batch)
+                level_index += 1
+            if not len(maintainer):
+                break
+
+    def _union_adjacency(self):
+        graph, indexed = self.graph, self.level_of
+        if graph.is_frozen and graph.kernel == "numpy":
+            from repro.graph.kernels import np_union_adjacency
+
+            return np_union_adjacency(graph, indexed)
+        union_adj = {}
         for vertex in indexed:
             neighbors = set()
             for layer in graph.layers():
@@ -67,31 +98,8 @@ class CoreHierarchyIndex:
                 neighbors.update(graph.neighbors(layer, vertex))
             neighbors &= indexed.keys()
             neighbors.discard(vertex)
-            self.union_adj[vertex] = neighbors
-
-    def _build(self, within, stats):
-        maintainer = MultiLayerCoreMaintainer(
-            self.graph, self.d, within=within, stats=stats
-        )
-        num_layers = self.graph.num_layers
-        level_index = 0
-        for threshold in range(1, num_layers + 1):
-            while maintainer.alive:
-                batch = [
-                    v for v in maintainer.alive
-                    if maintainer.support.get(v, 0) <= threshold
-                ]
-                if not batch:
-                    break
-                for vertex in batch:
-                    self.level_of[vertex] = level_index
-                    self.threshold_of[vertex] = threshold
-                    self.label[vertex] = maintainer.layers_containing(vertex)
-                self.levels.append((threshold, batch))
-                maintainer.remove(batch)
-                level_index += 1
-            if not maintainer.alive:
-                break
+            union_adj[vertex] = neighbors
+        return union_adj
 
     # ------------------------------------------------------------------
 

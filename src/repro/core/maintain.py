@@ -9,15 +9,71 @@ deletion, cascade peeling from the deleted vertices gives the same result
 — peeling is confluent, so the order of removals does not matter — for a
 total of ``O(l (n + m))`` over the whole deletion sequence.
 
-:class:`MultiLayerCoreMaintainer` packages that: it owns the per-layer
-core sets, their internal degree counters, and the support counters
-``Num(v)`` (the number of layers whose core contains ``v``).  It speaks
-only the backend protocol — ``induced_degrees``, ``neighbor_row`` and
-the dispatching :func:`~repro.core.dcore.layer_core` — so both the dict
-and the frozen CSR backend are maintained by the same code.
+A maintainer owns the per-layer cores, their within-core degrees and the
+support counters ``Num(v)`` (the number of layers whose core contains
+``v``).  Two implementations share one interface — :meth:`below`,
+:meth:`labels_of`, :meth:`remove`, :meth:`snapshot` and ``len()`` — so
+their callers never touch the representation:
+
+* :class:`MultiLayerCoreMaintainer` keeps Python sets and dicts and
+  speaks only the backend protocol.  It serves the dict backend, the
+  frozen graph's python kernel tier and interpreters without numpy, and
+  is the reference the numpy tier is tested against.
+* :class:`ArrayCoreMaintainer` keeps an alive mask, one core mask and
+  one within-core degree vector per layer, and an int support vector.
+  A removal is one whole-frontier cascade per layer through the numpy
+  kernels' row gather and degree scatter (:mod:`repro.graph.kernels`).
+
+:func:`core_maintainer` picks the array form exactly when the graph is
+frozen and runs the numpy kernel tier.  Both reach the same unique fixed
+points and charge the same ``dcc_calls``.
 """
 
 from repro.core.dcore import layer_core
+from repro.graph.kernels import (
+    _below_threshold,
+    _induced_degree_arrays,
+    _member_state,
+    _peel_rounds,
+)
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    np = None
+
+# Layers per int64 label word in ArrayCoreMaintainer.labels_of.
+_WORD_LAYERS = 63
+
+
+def core_maintainer(graph, d, within=None, stats=None, seed_cores=None):
+    """The maintainer for ``graph``'s backend and kernel tier."""
+    if graph.is_frozen and graph.kernel == "numpy":
+        return ArrayCoreMaintainer(graph, d, within=within, stats=stats,
+                                   seed_cores=seed_cores)
+    return MultiLayerCoreMaintainer(graph, d, within=within, stats=stats,
+                                    seed_cores=seed_cores)
+
+
+def _check_state(graph, d, alive, cores, support):
+    """Compare a maintainer's snapshot with cores recomputed from scratch."""
+    for layer in graph.layers():
+        expected = layer_core(graph, layer, d, within=alive)
+        if expected != cores[layer]:
+            raise AssertionError(
+                "layer {} core drifted: {} vs {}".format(
+                    layer, sorted(cores[layer]), sorted(expected)
+                )
+            )
+    for vertex in alive:
+        true_support = sum(1 for core in cores if vertex in core)
+        if support.get(vertex, 0) != true_support:
+            raise AssertionError(
+                "support[{!r}] = {} but should be {}".format(
+                    vertex, support.get(vertex), true_support
+                )
+            )
+    return True
 
 
 class MultiLayerCoreMaintainer:
@@ -31,6 +87,12 @@ class MultiLayerCoreMaintainer:
         The degree threshold.
     within:
         Optional initial vertex restriction.
+    stats:
+        Optional :class:`~repro.core.stats.SearchStats`; each initial
+        layer core is charged to ``dcc_calls``.
+    seed_cores:
+        Optional ``{layer: full-graph d-core}``; seeded layers are not
+        re-peeled.
 
     Attributes
     ----------
@@ -45,7 +107,10 @@ class MultiLayerCoreMaintainer:
     def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
         self.graph = graph
         self.d = d
-        self.alive = graph.vertices() if within is None else set(within)
+        if within is None:
+            self.alive = graph.vertices()
+        else:
+            self.alive = {v for v in within if graph.has_vertex(v)}
         self.cores = []
         self._degrees = []
         for layer in graph.layers():
@@ -57,7 +122,9 @@ class MultiLayerCoreMaintainer:
                 # bitwise-equal counters.
                 core = set(seed_cores[layer])
             else:
-                core = layer_core(graph, layer, d, within=self.alive)
+                core = layer_core(graph, layer, d,
+                                  within=None if within is None
+                                  else self.alive)
             if stats is not None:
                 stats.dcc_calls += 1
             self.cores.append(core)
@@ -67,11 +134,31 @@ class MultiLayerCoreMaintainer:
             for vertex in core:
                 self.support[vertex] += 1
 
+    def __len__(self):
+        """The number of alive vertices."""
+        return len(self.alive)
+
+    def below(self, threshold):
+        """The alive vertices whose support is below ``threshold``."""
+        support = self.support
+        return [v for v in self.alive if support.get(v, 0) < threshold]
+
     def layers_containing(self, vertex):
         """The label ``L(v)``: layers whose current d-core contains ``v``."""
         return frozenset(
             layer for layer, core in enumerate(self.cores) if vertex in core
         )
+
+    def labels_of(self, batch):
+        """``{v: L(v)}`` for the vertices of ``batch``, in batch order."""
+        return {vertex: self.layers_containing(vertex) for vertex in batch}
+
+    def snapshot(self):
+        """``(alive, cores, support)`` as a set, a list of sets and a dict.
+
+        These are the maintainer's own containers, not copies.
+        """
+        return self.alive, self.cores, self.support
 
     def remove(self, vertices):
         """Delete ``vertices`` from the graph view; cascade all cores.
@@ -115,24 +202,125 @@ class MultiLayerCoreMaintainer:
 
     def check_consistency(self):
         """Recompute cores/support from scratch and compare (test hook)."""
-        for layer in self.graph.layers():
-            expected = layer_core(
-                self.graph, layer, self.d, within=self.alive
-            )
-            if expected != self.cores[layer]:
+        return _check_state(self.graph, self.d, *self.snapshot())
+
+
+class ArrayCoreMaintainer:
+    """The numpy-tier maintainer over a frozen graph's CSR arrays.
+
+    Same constructor, interface and fixed points as
+    :class:`MultiLayerCoreMaintainer`.  Batches travel as sorted int64
+    id arrays: :meth:`below` returns one, and :meth:`labels_of` and
+    :meth:`remove` take one as it is.  Sets and dicts appear only in
+    :meth:`snapshot` and :meth:`labels_of`.
+    """
+
+    def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
+        self.graph = graph
+        self.d = d
+        n = graph.num_vertices
+        self._alive, members, _ = _member_state(graph, within)
+        self._cores = []
+        self._degrees = []
+        self._support = np.zeros(n, dtype=np.int64)
+        for layer in graph.layers():
+            seed = None if seed_cores is None else seed_cores.get(layer)
+            if seed is not None:
+                core = np.zeros(n, dtype=np.bool_)
+                core[np.fromiter(seed, dtype=np.int64, count=len(seed))] = True
+                degrees = self._core_degrees(layer, core)
+            else:
+                core, degrees = self._peel_layer(layer, members,
+                                                 full=within is None)
+            if stats is not None:
+                stats.dcc_calls += 1
+            self._cores.append(core)
+            self._degrees.append(degrees)
+            self._support += core
+
+    def _peel_layer(self, layer, members, full):
+        """The layer's d-core mask within ``alive`` and its degrees."""
+        core = self._alive.copy()
+        degrees = _induced_degree_arrays(self.graph, (layer,), core,
+                                         members, full)
+        frontier = _below_threshold(members, degrees, self.d)
+        _peel_rounds(self.graph, (layer,), self.d, core, frontier, degrees)
+        return core, degrees[0]
+
+    def _core_degrees(self, layer, core):
+        """Each core vertex's degree inside ``core`` on ``layer``."""
+        (degrees,) = _induced_degree_arrays(
+            self.graph, (layer,), core, np.flatnonzero(core), full=False
+        )
+        return degrees
+
+    def __len__(self):
+        """The number of alive vertices."""
+        return int(np.count_nonzero(self._alive))
+
+    def below(self, threshold):
+        """The alive vertices whose support is below ``threshold``."""
+        return np.flatnonzero(self._alive & (self._support < threshold))
+
+    def labels_of(self, batch):
+        """``{v: L(v)}`` for an id array from :meth:`below`, in its order."""
+        # Each int64 word carries the bits of up to 63 layers, never the
+        # sign bit; the words of a graph with more layers are joined as
+        # Python ints, which have no width limit.
+        masks = None
+        for start in range(0, len(self._cores), _WORD_LAYERS):
+            cores = self._cores[start:start + _WORD_LAYERS]
+            word = np.zeros(batch.size, dtype=np.int64)
+            for bit, core in enumerate(cores):
+                word |= core[batch].astype(np.int64) << bit
+            word = word.tolist()
+            masks = word if masks is None else [
+                mask | high << start for mask, high in zip(masks, word)
+            ]
+        layers = range(len(self._cores))
+        names = {
+            mask: frozenset(layer for layer in layers if mask >> layer & 1)
+            for mask in set(masks)
+        }
+        return dict(zip(batch.tolist(), map(names.__getitem__, masks)))
+
+    def snapshot(self):
+        """``(alive, cores, support)`` materialised as a set, sets, a dict."""
+        alive = np.flatnonzero(self._alive)
+        members = alive.tolist()
+        cores = [set(np.flatnonzero(core).tolist()) for core in self._cores]
+        support = dict(zip(members, self._support[alive].tolist()))
+        return set(members), cores, support
+
+    def remove(self, batch):
+        """Delete the ids of ``batch``; cascade every core; the removed ids.
+
+        ``batch`` is an id array as :meth:`below` returns: distinct
+        in-range ids; dead ones are skipped.  Each layer runs one
+        round-based cascade from the removed vertices in its core.  A
+        vertex leaving a core loses one support there; the removed
+        vertices' own support is never read again.
+        """
+        doomed = batch[self._alive[batch]]
+        self._alive[doomed] = False
+        for layer, (core, degrees) in enumerate(zip(self._cores,
+                                                    self._degrees)):
+            removed = []
+            _peel_rounds(self.graph, (layer,), self.d, core,
+                         doomed[core[doomed]], [degrees], removed)
+            if removed:
+                self._support[np.concatenate(removed)] -= 1
+        return doomed
+
+    def check_consistency(self):
+        """Recompute cores, support and core degrees; compare (test hook)."""
+        _check_state(self.graph, self.d, *self.snapshot())
+        for layer, (core, degrees) in enumerate(zip(self._cores,
+                                                    self._degrees)):
+            members = np.flatnonzero(core)
+            expected = self._core_degrees(layer, core)
+            if not np.array_equal(degrees[members], expected[members]):
                 raise AssertionError(
-                    "layer {} core drifted: {} vs {}".format(
-                        layer, sorted(self.cores[layer]), sorted(expected)
-                    )
-                )
-        for vertex in self.alive:
-            true_support = sum(
-                1 for core in self.cores if vertex in core
-            )
-            if self.support.get(vertex, 0) != true_support:
-                raise AssertionError(
-                    "support[{!r}] = {} but should be {}".format(
-                        vertex, self.support.get(vertex), true_support
-                    )
+                    "layer {} core degrees drifted".format(layer)
                 )
         return True

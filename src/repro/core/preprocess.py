@@ -12,15 +12,17 @@ disable them one at a time:
 * **result initialisation** — seed the temporary top-k set greedily
   (:mod:`repro.core.initk`) so Eq. (1) pruning applies from the start.
 
-All three run against the graph backend protocol: the vertex-deletion
-fixed point goes through :class:`MultiLayerCoreMaintainer`, which peels
-dict and frozen CSR graphs with the same code.
+The vertex-deletion fixed point runs on the maintainer that
+:func:`~repro.core.maintain.core_maintainer` picks for the graph: whole
+batches as numpy masks on a frozen graph's numpy kernel tier, Python
+sets everywhere else.  It only asks the maintainer for the vertices
+below the support threshold and for the final state, so the sets and
+dicts of :class:`PreprocessResult` are built once, at the end.
 """
 
 from dataclasses import dataclass, field
 
-from repro.core.dcore import d_core
-from repro.core.maintain import MultiLayerCoreMaintainer
+from repro.core.maintain import core_maintainer
 from repro.utils.errors import ParameterError
 
 
@@ -76,32 +78,21 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None, seed_cores=None):
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
         )
-    maintainer = MultiLayerCoreMaintainer(graph, d, stats=stats,
-                                          seed_cores=seed_cores)
-    result = PreprocessResult(
-        alive=maintainer.alive,
-        cores=maintainer.cores,
-        support=maintainer.support,
-    )
-    if not enabled:
-        return result
-
-    while True:
-        result.rounds += 1
-        doomed = [
-            v for v in maintainer.alive
-            if maintainer.support.get(v, 0) < s
-        ]
-        if not doomed:
+    maintainer = core_maintainer(graph, d, stats=stats,
+                                 seed_cores=seed_cores)
+    deleted = rounds = 0
+    while enabled:
+        rounds += 1
+        doomed = maintainer.below(s)
+        if not len(doomed):
             break
         maintainer.remove(doomed)
-        result.deleted += len(doomed)
+        deleted += len(doomed)
         if stats is not None:
             stats.vertices_deleted += len(doomed)
-    result.alive = maintainer.alive
-    result.cores = maintainer.cores
-    result.support = maintainer.support
-    return result
+    alive, cores, support = maintainer.snapshot()
+    return PreprocessResult(alive=alive, cores=cores, support=support,
+                            deleted=deleted, rounds=rounds)
 
 
 def order_layers(cores, descending=True, enabled=True):

@@ -24,6 +24,7 @@ selection compares cardinalities only.  ``tests/test_parallel.py`` and
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from repro.core.api import METHOD_OPTIONS, check_options
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core, validate_search_params
 from repro.core.index import CoreHierarchyIndex
@@ -36,41 +37,15 @@ from repro.utils.errors import ParameterError
 # overhead stays negligible.  Chunk boundaries never affect results.
 CHUNKS_PER_WORKER = 4
 
-# The full option vocabulary per method, with defaults.  A Query always
-# carries every option of its method explicitly, so two queries that
-# resolve to the same search are equal (and hit the same worker-side
-# context cache entry) no matter which defaults the caller spelled out.
-METHOD_OPTIONS = {
-    "greedy": {
-        "use_vertex_deletion": True,
-    },
-    "bottom-up": {
-        "use_vertex_deletion": True,
-        "use_layer_sorting": True,
-        "use_init_topk": True,
-        "use_order_pruning": True,
-        "use_layer_pruning": True,
-    },
-    "top-down": {
-        "use_vertex_deletion": True,
-        "use_layer_sorting": True,
-        "use_init_topk": True,
-        "use_order_pruning": True,
-        "use_potential_pruning": True,
-        "use_index": True,
-        "seed": None,
-    },
-}
-
-
 @dataclass(frozen=True)
 class Query:
     """One d-CC search, fully specified and cheap to ship.
 
     ``options`` is a sorted tuple of ``(name, value)`` pairs with every
-    method option present (defaults filled by :func:`make_query`), which
-    makes a Query hashable — it doubles as the worker-side context cache
-    key — and picklable at a few dozen bytes.
+    method option of :data:`repro.core.api.METHOD_OPTIONS` present
+    (defaults filled by :func:`make_query`), which makes a Query
+    hashable — it doubles as the worker-side context cache key — and
+    picklable at a few dozen bytes.
     """
 
     method: str
@@ -84,23 +59,20 @@ class Query:
 
 
 def make_query(method, d, s, k, **options):
-    """Build a :class:`Query`, validating and defaulting its options."""
-    try:
-        defaults = dict(METHOD_OPTIONS[method])
-    except KeyError:
+    """Build a :class:`Query`, validating and defaulting its options.
+
+    Callers take ``stats`` out of ``options`` first (the engine merges
+    it after the search); a Query carries search options only.
+    """
+    if method not in METHOD_OPTIONS:
         raise ParameterError(
             "method must be one of {}, got {!r}".format(
                 tuple(METHOD_OPTIONS), method
             )
-        ) from None
-    for name, value in options.items():
-        if name not in defaults:
-            raise ParameterError(
-                "unknown option {!r} for method {!r} (valid: {})".format(
-                    name, method, tuple(sorted(defaults))
-                )
-            )
-        defaults[name] = value
+        )
+    check_options(method, options)
+    defaults = dict(METHOD_OPTIONS[method])
+    defaults.update(options)
     return Query(method, d, s, k, tuple(sorted(defaults.items())))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import choose_method, search_dccs
+from repro.core.api import check_options, choose_method, search_dccs
 from repro.core.dcc import is_coherent_dense
 from repro.core.stats import SearchStats
 from repro.graph import paper_figure1_graph
@@ -54,6 +54,56 @@ class TestDispatch:
         result = search_dccs(paper_figure1_graph(), 3, 2, 2)
         assert result.params == (3, 2, 2)
         assert result.elapsed >= 0.0
+
+
+class TestInputContract:
+    """Both execution modes reject the same bad input the same way."""
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    @pytest.mark.parametrize("d, s, k", [
+        (3.5, 2, 2), (3.0, 2, 2), (True, 2, 2), (3, True, 2),
+        (3, 2.0, 2), (3, 2, 2.0), (3, 2, False), ("3", 2, 2),
+    ])
+    def test_non_integer_parameters_rejected(self, jobs, d, s, k):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            search_dccs(paper_figure1_graph(), d, s, k, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_any_integral_accepted(self, jobs):
+        numpy = pytest.importorskip("numpy")
+        graph = paper_figure1_graph()
+        plain = search_dccs(graph, 3, 2, 2, method="greedy", jobs=jobs)
+        wide = search_dccs(graph, numpy.int64(3), numpy.int32(2),
+                           numpy.int64(2), method="greedy", jobs=jobs)
+        assert wide.sets == plain.sets
+        assert wide.labels == plain.labels
+        assert wide.stats.as_dict() == plain.stats.as_dict()
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_unknown_option_one_error(self, jobs):
+        with pytest.raises(ParameterError,
+                           match="unknown option 'use_index'"):
+            search_dccs(paper_figure1_graph(), 3, 2, 2, method="greedy",
+                        use_index=False, jobs=jobs)
+
+    def test_check_options_is_strict(self):
+        check_options("bottom-up", {"use_layer_pruning": False})
+        with pytest.raises(ParameterError, match="'seed'"):
+            check_options("greedy", {"seed": 1})
+        with pytest.raises(ParameterError, match="'stats'"):
+            check_options("bottom-up", {"stats": SearchStats()})
+
+    def test_make_query_rejects_stats(self):
+        from repro.parallel import make_query
+
+        with pytest.raises(ParameterError, match="unknown option 'stats'"):
+            make_query("greedy", 3, 2, 2, stats=SearchStats())
+
+    def test_sequential_search_takes_stats(self):
+        stats = SearchStats()
+        result = search_dccs(paper_figure1_graph(), 3, 2, 2,
+                             method="bottom-up", stats=stats)
+        assert result.stats is stats
 
 
 class TestCrossAlgorithmConsistency:

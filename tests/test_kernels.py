@@ -21,6 +21,7 @@ tests prove the pure-Python path is what ``"auto"`` serves.
 """
 
 import asyncio
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,12 @@ import repro.graph.kernels as kernels_module
 from repro.aio import AsyncDCCHost
 from repro.core import search_dccs
 from repro.core.dcore import core_decomposition, layer_core_decomposition
+from repro.core.index import CoreHierarchyIndex
+from repro.core.preprocess import vertex_deletion
 from repro.core.stats import SearchStats
 from repro.datasets import synthetic_multilayer
 from repro.engine import DCCEngine
-from repro.graph import paper_figure1_graph
+from repro.graph import MultiLayerGraph, paper_figure1_graph
 from repro.graph.frozen import frozen_coherent_core, frozen_layer_core
 from repro.graph.kernels import (
     KERNELS,
@@ -159,6 +162,64 @@ class TestPrimitiveEquivalence:
             )
         assert outputs["python"] == outputs["numpy"]
 
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_ids(self, n, data):
+        import numpy as np
+
+        ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 max_size=3 * n))
+        got = kernels_module._distinct(np.array(ids, dtype=np.int64), n)
+        assert got.tolist() == sorted(set(ids))
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_vertex_deletion_identical(self, graph, data):
+        frozen = graph.freeze()
+        d = data.draw(st.integers(min_value=0, max_value=4))
+        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        enabled = data.draw(st.booleans())
+        seeded = data.draw(st.sets(st.sampled_from(range(frozen.num_layers))))
+        seeds = {
+            layer: frozen_layer_core(frozen, layer, d) for layer in seeded
+        } or None
+        outputs = {}
+        for kernel in ("python", "numpy"):
+            frozen.set_kernel(kernel)
+            stats = SearchStats()
+            prep = vertex_deletion(frozen, d, s, enabled=enabled,
+                                   stats=stats, seed_cores=seeds)
+            outputs[kernel] = (
+                prep.alive, prep.cores, prep.support, prep.deleted,
+                prep.rounds, stats.dcc_calls, stats.vertices_deleted,
+            )
+        assert outputs["python"] == outputs["numpy"]
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_hierarchy_index_identical(self, graph, data):
+        frozen = graph.freeze()
+        d = data.draw(st.integers(min_value=0, max_value=4))
+        within = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(min_value=-1,
+                                 max_value=frozen.num_vertices),
+                     max_size=frozen.num_vertices + 2),
+        ))
+        outputs = {}
+        for kernel in ("python", "numpy"):
+            frozen.set_kernel(kernel)
+            stats = SearchStats()
+            index = CoreHierarchyIndex(frozen, d, within=within, stats=stats)
+            outputs[kernel] = (
+                index.level_of, index.threshold_of, index.label,
+                index.union_adj,
+                [(threshold, set(batch)) for threshold, batch in
+                 index.levels],
+                stats.dcc_calls,
+            )
+        assert outputs["python"] == outputs["numpy"]
+
     @given(multilayer_graphs(max_vertices=9, max_layers=2))
     @settings(max_examples=15, deadline=None)
     def test_core_decomposition_matches_dict_reference(self, graph):
@@ -183,6 +244,16 @@ def _snapshot(result):
     )
 
 
+def _wide_graph(num_layers):
+    """Two 5-cliques, each on every layer but one or two."""
+    graph = MultiLayerGraph(num_layers, vertices=range(10))
+    for clique, missing in ((range(0, 5), {3, 63}), (range(5, 10), {66})):
+        for layer in set(range(num_layers)) - missing:
+            for u, v in combinations(clique, 2):
+                graph.add_edge(layer, u, v)
+    return graph
+
+
 @needs_numpy
 class TestSearchEquivalence:
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
@@ -202,6 +273,37 @@ class TestSearchEquivalence:
             for kernel in ("python", "numpy")
         }
         assert runs["python"] == runs["numpy"]
+
+    def test_top_down_identical_on_seventy_layers(self):
+        """Layers past 63 survive the numpy tier's label words.
+
+        The index's labels gate top-down's reachable scopes, so a layer
+        missing from them loses real d-CCs at every ``s`` near ``l``.
+        """
+        graph = _wide_graph(70)
+        frozen = graph.freeze()
+        indexes = {}
+        for kernel in ("python", "numpy"):
+            frozen.set_kernel(kernel)
+            index = CoreHierarchyIndex(frozen, 3)
+            indexes[kernel] = (
+                index.level_of, index.threshold_of, index.label,
+                index.union_adj,
+                [(threshold, set(batch)) for threshold, batch in
+                 index.levels],
+            )
+        assert indexes["python"] == indexes["numpy"]
+        assert any(max(label, default=0) >= 64
+                   for label in indexes["numpy"][2].values())
+        runs = {
+            kernel: _snapshot(search_dccs(
+                graph, 3, 68, 2, method="top-down", backend="frozen",
+                kernel=kernel, seed=0,
+            ))
+            for kernel in ("python", "numpy")
+        }
+        assert runs["python"] == runs["numpy"]
+        assert runs["numpy"][2] == 10
 
     @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_jobs_identical_across_tiers(self, jobs):

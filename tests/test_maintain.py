@@ -1,12 +1,18 @@
 """Tests for the incremental multi-layer core maintainer."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dcore import d_core, layer_core
-from repro.core.maintain import MultiLayerCoreMaintainer
+from repro.core.maintain import (
+    ArrayCoreMaintainer,
+    MultiLayerCoreMaintainer,
+    core_maintainer,
+)
 from repro.core.stats import SearchStats
 from repro.graph import MultiLayerGraph
+from repro.graph.kernels import numpy_available
 from tests.strategies import multilayer_graphs
 
 
@@ -20,6 +26,29 @@ def ladder_graph():
             for v in tri[i + 1:]:
                 g.add_edge(1, u, v)
     return g
+
+
+def numpy_tier(graph):
+    """``graph`` frozen, on the numpy kernel tier."""
+    frozen = graph.freeze()
+    frozen.set_kernel("numpy")
+    return frozen
+
+
+def tiers(graph):
+    """``graph`` itself, then its numpy-tier form when numpy imports."""
+    yield graph
+    if numpy_available():
+        yield numpy_tier(graph)
+
+
+def as_batch(maintainer, vertices):
+    """``vertices`` as ``maintainer.remove`` takes them."""
+    if isinstance(maintainer, ArrayCoreMaintainer):
+        import numpy as np
+
+        return np.array(vertices, dtype=np.int64)
+    return vertices
 
 
 class TestMaintainer:
@@ -98,23 +127,25 @@ class TestMaintainer:
         The engine's selective artifact cache hands surviving per-layer
         cores back to the maintainer after a delta; the seeded maintainer
         must be indistinguishable from a cold one — same cores, alive set,
-        support table, and (by contract) the same ``dcc_calls`` charge.
+        support table, and (by contract) the same ``dcc_calls`` charge —
+        and so must every cascade after it.
         """
-        seeds = {
-            layer: layer_core(graph, layer, d)
-            for layer in graph.layers()
-        }
-        cold_stats, seeded_stats = SearchStats(), SearchStats()
-        cold = MultiLayerCoreMaintainer(graph, d, stats=cold_stats)
-        seeded = MultiLayerCoreMaintainer(
-            graph, d, stats=seeded_stats, seed_cores=seeds
-        )
-        assert seeded.alive == cold.alive
-        assert seeded.support == cold.support
-        for layer in graph.layers():
-            assert seeded.cores[layer] == cold.cores[layer]
-        assert seeded_stats.dcc_calls == cold_stats.dcc_calls
-        seeded.check_consistency()
+        for graph in tiers(graph):
+            seeds = {
+                layer: layer_core(graph, layer, d)
+                for layer in graph.layers()
+            }
+            cold_stats, seeded_stats = SearchStats(), SearchStats()
+            cold = core_maintainer(graph, d, stats=cold_stats)
+            seeded = core_maintainer(graph, d, stats=seeded_stats,
+                                     seed_cores=seeds)
+            assert seeded.snapshot() == cold.snapshot()
+            assert seeded_stats.dcc_calls == cold_stats.dcc_calls
+            victims = sorted(graph.vertices())[::2]
+            seeded.remove(as_batch(seeded, victims))
+            cold.remove(as_batch(cold, victims))
+            assert seeded.snapshot() == cold.snapshot()
+            seeded.check_consistency()
 
     @given(
         multilayer_graphs(max_vertices=9, max_layers=3),
@@ -124,27 +155,81 @@ class TestMaintainer:
     @settings(max_examples=40, deadline=None)
     def test_removal_stream_consistent_each_step(self, graph, d, removals):
         """check_consistency() holds after *every* step of a removal stream."""
-        m = MultiLayerCoreMaintainer(graph, d)
-        vertices = sorted(graph.vertices())
-        for index in removals:
-            if not vertices:
-                break
-            victim = vertices[index % len(vertices)]
-            m.remove([victim])
-            vertices.remove(victim)
-            assert victim not in m.alive
-            m.check_consistency()
+        for graph in tiers(graph):
+            m = core_maintainer(graph, d)
+            vertices = sorted(graph.vertices())
+            for index in removals:
+                if not vertices:
+                    break
+                victim = vertices.pop(index % len(vertices))
+                m.remove(as_batch(m, [victim]))
+                assert victim not in m.snapshot()[0]
+                m.check_consistency()
 
     @given(multilayer_graphs(max_vertices=9, max_layers=3))
     @settings(max_examples=40, deadline=None)
     def test_batch_removal_equals_sequential(self, graph):
-        vertices = sorted(graph.vertices())
-        batch = vertices[::2]
-        together = MultiLayerCoreMaintainer(graph, 2)
-        together.remove(batch)
-        one_by_one = MultiLayerCoreMaintainer(graph, 2)
-        for vertex in batch:
-            one_by_one.remove([vertex])
-        assert together.alive == one_by_one.alive
-        for layer in graph.layers():
-            assert together.cores[layer] == one_by_one.cores[layer]
+        for graph in tiers(graph):
+            batch = sorted(graph.vertices())[::2]
+            together = core_maintainer(graph, 2)
+            together.remove(as_batch(together, batch))
+            one_by_one = core_maintainer(graph, 2)
+            for vertex in batch:
+                one_by_one.remove(as_batch(one_by_one, [vertex]))
+            assert together.snapshot() == one_by_one.snapshot()
+            together.check_consistency()
+
+
+@pytest.mark.skipif(not numpy_available(),
+                    reason="numpy kernel tier not importable")
+class TestArrayMaintainer:
+    """The numpy-tier maintainer against the pure-Python reference."""
+
+    def test_factory_picks_by_tier(self):
+        graph = ladder_graph()
+        frozen = numpy_tier(graph)
+        assert isinstance(core_maintainer(frozen, 2), ArrayCoreMaintainer)
+        frozen.set_kernel("python")
+        assert type(core_maintainer(frozen, 2)) is MultiLayerCoreMaintainer
+        assert type(core_maintainer(graph, 2)) is MultiLayerCoreMaintainer
+
+    def test_interface_matches_reference(self):
+        import numpy as np
+
+        frozen = numpy_tier(ladder_graph())
+        array = core_maintainer(frozen, 2)
+        reference = MultiLayerCoreMaintainer(frozen, 2)
+        assert len(array) == len(reference) == 6
+        assert array.labels_of(np.array([0, 3])) == \
+            reference.labels_of([0, 3])
+        assert array.remove(np.array([4])).tolist() == [4]
+        # A dead vertex is skipped.
+        assert array.remove(np.array([3, 4])).tolist() == [3]
+        reference.remove([4, 3])
+        assert array.snapshot() == reference.snapshot()
+        assert set(array.below(1).tolist()) == set(reference.below(1))
+        array.check_consistency()
+
+    @given(
+        multilayer_graphs(max_vertices=9, max_layers=3),
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=8), max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_each_step(self, graph, d, removals):
+        frozen = numpy_tier(graph)
+        m = core_maintainer(frozen, d)
+        reference = MultiLayerCoreMaintainer(frozen, d)
+        vertices = list(range(frozen.num_vertices))
+        for index in removals:
+            if not vertices:
+                break
+            victim = vertices.pop(index % len(vertices))
+            m.remove(as_batch(m, [victim]))
+            reference.remove([victim])
+            assert m.snapshot() == reference.snapshot()
+            for threshold in range(frozen.num_layers + 2):
+                batch = m.below(threshold)
+                assert set(batch.tolist()) == set(reference.below(threshold))
+                assert m.labels_of(batch) == \
+                    reference.labels_of(batch.tolist())
