@@ -26,7 +26,7 @@ from repro.core.bottomup import bu_dccs
 from repro.core.dcc import validate_search_params
 from repro.core.greedy import gd_dccs
 from repro.core.topdown import td_dccs
-from repro.graph.backend import resolve_search_graph
+from repro.graph.backend import check_graph, resolve_search_graph
 from repro.graph.kernels import resolve_kernel
 from repro.utils.errors import ParameterError
 from repro.utils.timer import Timer
@@ -198,6 +198,7 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     >>> result.cover_size    # the union of C_{1,3} and C_{2,4}
     13
     """
+    check_graph(graph)
     if method not in _METHODS:
         raise ParameterError(
             "method must be one of {}, got {!r}".format(_METHODS, method)

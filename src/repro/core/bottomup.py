@@ -54,10 +54,9 @@ def bu_dccs(graph, d, s, k,
         )
         topk = DiversifiedTopK(k)
         if use_init_topk:
-            init_topk(
-                graph, d, s, k, prep.cores,
-                topk=topk, within=prep.alive, stats=stats,
-            )
+            cores, alive = prep.kernel_view()
+            init_topk(graph, d, s, k, cores, topk=topk, within=alive,
+                      stats=stats)
         order = order_layers(prep.cores, descending=True,
                              enabled=use_layer_sorting)
         search = _BottomUpSearch(

@@ -20,15 +20,22 @@ Both entry points run on either graph backend (see
 :mod:`repro.graph.backend`): :func:`coherent_core` dispatches to the
 flat-array kernel of :mod:`repro.graph.frozen` when the graph is frozen,
 and :func:`coherent_core_binsort` is written against the protocol
-(``induced_degrees`` + ``neighbors``) directly.  :func:`enumerate_candidates`
-additionally uses bitmask layer-signature grouping on the frozen backend to
-compute every Lemma 1 intersection bound in one pass over the vertices.
+(``induced_degrees`` + ``neighbors``) directly.
+
+:func:`enumerate_candidates` forms each Lemma 1 intersection bound in the
+form its per-layer cores come in.  On the numpy kernel tier,
+preprocessing hands over the cores as vertex masks, so every bound is an
+AND of masks and reaches :func:`coherent_core` as a mask, never as a
+Python set.  Set cores on a frozen graph (the python tier) are grouped by
+bitmask layer signature, which yields every bound in one pass over the
+vertices; the dict backend intersects sets.
 """
 
 from itertools import combinations
 from numbers import Integral
 
 from repro.core.dcore import layer_core
+from repro.graph.kernels import is_mask, vertex_mask
 from repro.utils.errors import LayerIndexError, ParameterError
 
 
@@ -82,7 +89,11 @@ def coherent_core(graph, layers, d, within=None, stats=None):
     within:
         Optional vertex subset to restrict the computation to (callers pass
         the Lemma 1 intersection bound here, so the d-CC is found on the
-        small induced subgraph instead of on all of ``G``).
+        small induced subgraph instead of on all of ``G``).  An iterable
+        of vertices, or on a frozen graph a vertex mask: a length-``n``
+        bool ndarray naming the vertices where it is True.  A mask of
+        another length, or on another backend, raises
+        :class:`ParameterError`.
     stats:
         Optional :class:`~repro.core.stats.SearchStats` to increment.
 
@@ -92,6 +103,8 @@ def coherent_core(graph, layers, d, within=None, stats=None):
     layer_tuple = _normalize_layers(graph, layers)
     if d < 0:
         raise ParameterError("d must be non-negative, got {}".format(d))
+    # A bad mask fails here on every backend, before any counter moves.
+    vertex_mask(graph, within)
     if stats is not None:
         stats.dcc_calls += 1
     if getattr(graph, "is_sharded", False):
@@ -263,12 +276,14 @@ def layer_signature_groups(cores):
 
 
 def subset_bound(cores, layer_subset, groups=None):
-    """The Lemma 1 intersection bound ``∩_{i in L} C^d(G_i)`` as a set.
+    """The Lemma 1 intersection bound ``∩_{i in L} C^d(G_i)``.
 
-    With ``groups`` (from :func:`layer_signature_groups`) the bound is
-    assembled in one sweep over the signature groups — the frozen-backend
-    fast path; otherwise it is the plain running intersection of the
-    per-layer cores with an early exit on empty.
+    Mask cores give a mask, the AND of the subset's core masks (for a
+    single layer, that layer's own mask: callers must not write to it).
+    Set cores give a fresh set: with ``groups`` (from
+    :func:`layer_signature_groups`) it is assembled in one sweep over the
+    signature groups, otherwise it is the plain running intersection of
+    the per-layer cores with an early exit on empty.
     """
     if groups is not None:
         want = 0
@@ -279,7 +294,12 @@ def subset_bound(cores, layer_subset, groups=None):
             if mask & want == want:
                 bound.update(members)
         return bound
-    bound = set(cores[layer_subset[0]])
+    bound = cores[layer_subset[0]]
+    if is_mask(bound):
+        for layer in layer_subset[1:]:
+            bound = bound & cores[layer]
+        return bound
+    bound = set(bound)
     for layer in layer_subset[1:]:
         bound &= cores[layer]
         if not bound:
@@ -287,19 +307,33 @@ def subset_bound(cores, layer_subset, groups=None):
     return bound
 
 
+def bound_groups(graph, cores):
+    """The signature groups :func:`subset_bound` sweeps, or ``None``.
+
+    Only set cores on a frozen graph are grouped; mask cores are ANDed
+    and dict-backend cores intersected directly.  The sequential
+    enumeration and the parallel greedy shards both decide here, so they
+    form every bound the same way.
+    """
+    if graph.is_frozen and not is_mask(cores[0]):
+        return layer_signature_groups(cores)
+    return None
+
+
 def candidate_for_subset(graph, d, layer_subset, cores, groups=None,
-                         within_set=None, stats=None):
+                         within=None, stats=None):
     """``C^d_L(G)`` for one layer subset via the Lemma 1 bound.
 
     The per-subset body of :func:`enumerate_candidates`, exposed so the
     parallel subsystem's greedy shards do byte-for-byte the same work
     (same bound, same restricted peel, same counter increments) as the
-    sequential enumeration they partition.
+    sequential enumeration they partition.  ``within`` is in the form of
+    ``cores``: a mask with mask cores, a set with set cores.
     """
     bound = subset_bound(cores, layer_subset, groups)
-    if within_set is not None:
-        bound &= within_set
-    if bound:
+    if within is not None:
+        bound = bound & within
+    if bound.any() if is_mask(bound) else bound:
         return coherent_core(graph, layer_subset, d, within=bound,
                              stats=stats)
     # Lemma 1: empty intersection bound, hence empty d-CC.
@@ -311,7 +345,10 @@ def enumerate_candidates(graph, d, s, within=None, cores=None, stats=None):
 
     This materialises the candidate family ``F_{d,s}(G)`` used by the
     greedy algorithm and the exact solver.  ``cores`` may carry
-    precomputed per-layer d-cores to share work across calls.
+    precomputed per-layer d-cores to share work across calls: sets, or
+    on a frozen graph the core masks of a numpy-tier
+    :class:`~repro.core.preprocess.PreprocessResult`, in which case
+    ``within`` (if given) must be a mask as well.
     """
     if not 1 <= s <= graph.num_layers:
         raise ParameterError(
@@ -319,10 +356,11 @@ def enumerate_candidates(graph, d, s, within=None, cores=None, stats=None):
         )
     if cores is None:
         cores = per_layer_cores(graph, d, within=within, stats=stats)
-    within_set = None if within is None else set(within)
-    groups = layer_signature_groups(cores) if graph.is_frozen else None
+    if within is not None and not is_mask(within):
+        within = set(within)
+    groups = bound_groups(graph, cores)
     for layer_subset in combinations(range(graph.num_layers), s):
         yield layer_subset, candidate_for_subset(
             graph, d, layer_subset, cores, groups=groups,
-            within_set=within_set, stats=stats,
+            within=within, stats=stats,
         )

@@ -57,12 +57,13 @@ def _generate_candidates(graph, d, s, prep, stats):
     """Lines 4–7 of Fig. 2: one d-CC per size-``s`` layer subset.
 
     Delegates to :func:`~repro.core.dcc.enumerate_candidates` (sharing the
-    preprocessed per-layer cores), which applies the Lemma 1 intersection
-    bound and — on the frozen backend — the bitmask signature fast path.
+    preprocessed per-layer cores, as masks on the numpy tier), which
+    applies the Lemma 1 intersection bound.
     """
+    cores, _ = prep.kernel_view()
     candidates = []
     for layer_subset, core in enumerate_candidates(
-        graph, d, s, cores=prep.cores, stats=stats
+        graph, d, s, cores=cores, stats=stats
     ):
         stats.candidates_generated += 1
         candidates.append((layer_subset, core))

@@ -10,10 +10,21 @@ only fire once ``|R| = k``.  Each seed is built by
    intersection largest,
 3. peeling the intersection down to the exact d-CC of the chosen layer
    subset and offering it to ``Update``.
+
+The same code runs on sets and, on the numpy kernel tier, on the core
+masks preprocessing leaves behind: sizes are ``len`` or
+``count_nonzero``, intersections ``&`` either way, and the chosen
+intersection reaches the peel as a mask.
 """
 
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core
+from repro.graph.kernels import is_mask
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    np = None
 
 
 def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
@@ -22,46 +33,43 @@ def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
     Parameters
     ----------
     cores:
-        Per-layer d-cores (from preprocessing) — ``cores[i] = C^d(G_i)``.
+        Per-layer d-cores (from preprocessing) — ``cores[i] = C^d(G_i)``:
+        sets, or on a frozen graph vertex masks
+        (:meth:`~repro.core.preprocess.PreprocessResult.kernel_view`).
     topk:
         An existing result holder to fill; a fresh one is created if absent.
     within:
-        Optional vertex restriction (the preprocessing ``alive`` set).
+        Optional vertex restriction (the preprocessing ``alive`` set), in
+        the form of ``cores``.
 
-    Returns the (possibly new) :class:`DiversifiedTopK`.
+    Every choice compares sizes and breaks ties towards the lowest layer
+    id.  Returns the (possibly new) :class:`DiversifiedTopK`.
     """
     if topk is None:
         topk = DiversifiedTopK(k)
-    num_layers = graph.num_layers
+    masks = is_mask(cores[0])
+    size = np.count_nonzero if masks else len
+    sizes = [size(core) for core in cores]
+    layers = range(graph.num_layers)
     for _ in range(k):
         covered = topk.cover()
-        best_layer = None
-        best_gain = -1
-        for layer in range(num_layers):
-            gain = len(cores[layer] - covered)
-            if gain > best_gain:
-                best_gain = gain
-                best_layer = layer
-        chosen = {best_layer}
-        candidate = set(cores[best_layer])
-        if within is not None:
-            candidate &= within
+        if masks:
+            ids = np.fromiter(covered, dtype=np.int64, count=len(covered))
+            covered = np.zeros(graph.num_vertices, dtype=np.bool_)
+            covered[ids] = True
+        # The layer whose core adds the most uncovered vertices.
+        best = max(layers, key=lambda layer:
+                   sizes[layer] - size(cores[layer] & covered))
+        chosen = [best]
+        candidate = cores[best] if within is None else cores[best] & within
         for _ in range(s - 1):
-            best_layer = None
-            best_size = -1
-            for layer in range(num_layers):
-                if layer in chosen:
-                    continue
-                size = len(candidate & cores[layer])
-                if size > best_size:
-                    best_size = size
-                    best_layer = layer
-            chosen.add(best_layer)
-            candidate &= cores[best_layer]
-        core = coherent_core(
-            graph, sorted(chosen), d, within=candidate, stats=stats
-        )
-        accepted = topk.try_update(core, label=tuple(sorted(chosen)))
+            best = max((layer for layer in layers if layer not in chosen),
+                       key=lambda layer: size(candidate & cores[layer]))
+            chosen.append(best)
+            candidate = candidate & cores[best]
+        label = tuple(sorted(chosen))
+        core = coherent_core(graph, label, d, within=candidate, stats=stats)
+        accepted = topk.try_update(core, label=label)
         if stats is not None and accepted:
             stats.updates_accepted += 1
     return topk

@@ -23,11 +23,15 @@ their callers never touch the representation:
   one within-core degree vector per layer, and an int support vector.
   A removal is one whole-frontier cascade per layer through the numpy
   kernels' row gather and degree scatter (:mod:`repro.graph.kernels`).
+  Its :attr:`~ArrayCoreMaintainer.masks` hand the final state on as
+  arrays; the set maintainer's ``masks`` is ``None``.
 
 :func:`core_maintainer` picks the array form exactly when the graph is
 frozen and runs the numpy kernel tier.  Both reach the same unique fixed
 points and charge the same ``dcc_calls``.
 """
+
+from collections import namedtuple
 
 from repro.core.dcore import layer_core
 from repro.graph.kernels import (
@@ -53,6 +57,27 @@ def core_maintainer(graph, d, within=None, stats=None, seed_cores=None):
                                    seed_cores=seed_cores)
     return MultiLayerCoreMaintainer(graph, d, within=within, stats=stats,
                                     seed_cores=seed_cores)
+
+
+class CoreMasks(namedtuple("CoreMasks", "alive cores support")):
+    """An array maintainer's state: the alive mask, a list of per-layer
+    core masks and the int support vector, each of length ``n``.
+
+    The three methods build the set forms of
+    :meth:`ArrayCoreMaintainer.snapshot`, each from its own arrays.
+    """
+
+    __slots__ = ()
+
+    def alive_set(self):
+        return set(np.flatnonzero(self.alive).tolist())
+
+    def core_sets(self):
+        return [set(np.flatnonzero(core).tolist()) for core in self.cores]
+
+    def support_dict(self):
+        alive = np.flatnonzero(self.alive)
+        return dict(zip(alive.tolist(), self.support[alive].tolist()))
 
 
 def _check_state(graph, d, alive, cores, support):
@@ -103,6 +128,9 @@ class MultiLayerCoreMaintainer:
     support:
         ``Num(v)`` for every alive vertex (0 when in no core).
     """
+
+    # The state lives in sets; there is no mask form to hand on.
+    masks = None
 
     def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
         self.graph = graph
@@ -212,14 +240,15 @@ class ArrayCoreMaintainer:
     :class:`MultiLayerCoreMaintainer`.  Batches travel as sorted int64
     id arrays: :meth:`below` returns one, and :meth:`labels_of` and
     :meth:`remove` take one as it is.  Sets and dicts appear only in
-    :meth:`snapshot` and :meth:`labels_of`.
+    :meth:`snapshot` and :meth:`labels_of`; :attr:`masks` exposes the
+    arrays themselves.
     """
 
     def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
         self.graph = graph
         self.d = d
         n = graph.num_vertices
-        self._alive, members, _ = _member_state(graph, within)
+        self._alive, members = _member_state(graph, within)
         self._cores = []
         self._degrees = []
         self._support = np.zeros(n, dtype=np.int64)
@@ -284,13 +313,15 @@ class ArrayCoreMaintainer:
         }
         return dict(zip(batch.tolist(), map(names.__getitem__, masks)))
 
+    @property
+    def masks(self):
+        """The state as :class:`CoreMasks` of the maintainer's own arrays."""
+        return CoreMasks(self._alive, self._cores, self._support)
+
     def snapshot(self):
         """``(alive, cores, support)`` materialised as a set, sets, a dict."""
-        alive = np.flatnonzero(self._alive)
-        members = alive.tolist()
-        cores = [set(np.flatnonzero(core).tolist()) for core in self._cores]
-        support = dict(zip(members, self._support[alive].tolist()))
-        return set(members), cores, support
+        masks = self.masks
+        return masks.alive_set(), masks.core_sets(), masks.support_dict()
 
     def remove(self, batch):
         """Delete the ids of ``batch``; cascade every core; the removed ids.

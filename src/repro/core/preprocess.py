@@ -16,17 +16,19 @@ The vertex-deletion fixed point runs on the maintainer that
 :func:`~repro.core.maintain.core_maintainer` picks for the graph: whole
 batches as numpy masks on a frozen graph's numpy kernel tier, Python
 sets everywhere else.  It only asks the maintainer for the vertices
-below the support threshold and for the final state, so the sets and
-dicts of :class:`PreprocessResult` are built once, at the end.
+below the support threshold and for the final state.  On the numpy tier
+that state stays in the maintainer's arrays (:attr:`PreprocessResult.masks`),
+which the Lemma 1 bounds, InitTopK and the peels consume directly; the
+sets and dict of :class:`PreprocessResult` are built only for the
+consumers that read them.
 """
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.maintain import core_maintainer
 from repro.utils.errors import ParameterError
 
 
-@dataclass
 class PreprocessResult:
     """Outcome of the vertex-deletion fixed point.
 
@@ -39,18 +41,52 @@ class PreprocessResult:
     support:
         ``Num(v)`` — for each surviving vertex, the number of layers whose
         d-core contains it.
+    masks:
+        On the numpy kernel tier, the same state as arrays: a
+        :class:`~repro.core.maintain.CoreMasks` of the alive mask, the
+        per-layer core masks and the support vector (read-only);
+        ``None`` elsewhere.  With masks, each of ``alive``, ``cores`` and
+        ``support`` is built from them on its first read, once.
+        Assigning one (the engine's artifact cache swaps in frozensets)
+        replaces that view only, so it must keep describing the same
+        vertices.
     deleted:
         Number of vertices removed.
     rounds:
         Number of recomputation rounds until the fixed point.
     """
 
-    alive: set
-    cores: list
-    support: dict
-    deleted: int = 0
-    rounds: int = 0
-    extra: dict = field(default_factory=dict)
+    def __init__(self, alive=None, cores=None, support=None, deleted=0,
+                 rounds=0, masks=None):
+        self.masks = masks
+        if masks is None:
+            self.alive, self.cores, self.support = alive, cores, support
+        self.deleted = deleted
+        self.rounds = rounds
+
+    @cached_property
+    def alive(self):
+        return self.masks.alive_set()
+
+    @cached_property
+    def cores(self):
+        return self.masks.core_sets()
+
+    @cached_property
+    def support(self):
+        return self.masks.support_dict()
+
+    def kernel_view(self):
+        """``(cores, alive)`` in the form the kernels compute on.
+
+        The masks on the numpy tier, the sets elsewhere; either pair
+        feeds :func:`~repro.core.dcc.enumerate_candidates`,
+        :func:`~repro.core.initk.init_topk` and ``coherent_core``'s
+        ``within`` alike.
+        """
+        if self.masks is None:
+            return self.cores, self.alive
+        return self.masks.cores, self.masks.alive
 
 
 def compute_support(cores):
@@ -90,9 +126,15 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None, seed_cores=None):
         deleted += len(doomed)
         if stats is not None:
             stats.vertices_deleted += len(doomed)
-    alive, cores, support = maintainer.snapshot()
-    return PreprocessResult(alive=alive, cores=cores, support=support,
-                            deleted=deleted, rounds=rounds)
+    masks = maintainer.masks
+    if masks is None:
+        alive, cores, support = maintainer.snapshot()
+        return PreprocessResult(alive=alive, cores=cores, support=support,
+                                deleted=deleted, rounds=rounds)
+    # Preps are shared (the engine caches them): nobody may write.
+    for array in (masks.alive, masks.support, *masks.cores):
+        array.flags.writeable = False
+    return PreprocessResult(masks=masks, deleted=deleted, rounds=rounds)
 
 
 def order_layers(cores, descending=True, enabled=True):

@@ -61,12 +61,11 @@ def td_dccs(graph, d, s, k,
         prep = vertex_deletion(
             graph, d, s, enabled=use_vertex_deletion, stats=stats
         )
+        cores, alive = prep.kernel_view()
         topk = DiversifiedTopK(k)
         if use_init_topk:
-            init_topk(
-                graph, d, s, k, prep.cores,
-                topk=topk, within=prep.alive, stats=stats,
-            )
+            init_topk(graph, d, s, k, cores, topk=topk, within=alive,
+                      stats=stats)
         # Ascending core size: small-core layers get large positions, so
         # the canonical top-down tree sheds them first (Section V-D).
         order = order_layers(prep.cores, descending=False,
@@ -90,7 +89,7 @@ def td_dccs(graph, d, s, k,
         )
         root_positions = frozenset(range(graph.num_layers))
         root_core = coherent_core(
-            graph, graph.layers(), d, within=prep.alive, stats=stats
+            graph, graph.layers(), d, within=alive, stats=stats
         )
         if s == graph.num_layers:
             # The root is the only candidate.

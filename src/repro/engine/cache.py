@@ -241,8 +241,9 @@ class ArtifactCache:
     def init_sets(self, d, s, k, vd_enabled, prep):
         """The InitTopK seeds as replayable ``(label, frozenset)`` pairs."""
         def build(delta):
-            topk = init_topk(self.graph, d, s, k, prep.cores,
-                             within=prep.alive, stats=delta)
+            cores, alive = prep.kernel_view()
+            topk = init_topk(self.graph, d, s, k, cores, within=alive,
+                             stats=delta)
             return tuple(
                 (label, frozenset(members))
                 for label, members in topk.labelled_sets()
@@ -267,8 +268,8 @@ class ArtifactCache:
         """The all-layers d-CC the top-down search starts from."""
         def build(delta):
             return frozenset(coherent_core(
-                self.graph, self.graph.layers(), d, within=prep.alive,
-                stats=delta,
+                self.graph, self.graph.layers(), d,
+                within=prep.kernel_view()[1], stats=delta,
             ))
 
         return self._get(("root-core", d, s, vd_enabled), build)

@@ -45,7 +45,11 @@ from repro.core.api import resolve_method
 from repro.core.dcc import validate_search_params
 from repro.core.stats import SearchStats
 from repro.engine.cache import ArtifactCache
-from repro.graph.backend import check_backend, resolve_search_graph
+from repro.graph.backend import (
+    check_backend,
+    check_graph,
+    resolve_search_graph,
+)
 from repro.graph.frozen import ScratchArena
 from repro.graph.kernels import numpy_available, resolve_kernel
 from repro.parallel.executor import WorkerPool, check_jobs
@@ -110,6 +114,7 @@ class DCCEngine:
 
     def __init__(self, graph, backend="auto", jobs=0, cache_artifacts=True,
                  cache_max_entries=None, cache_ttl=None, kernel="auto"):
+        check_graph(graph)
         check_backend(backend)
         check_jobs(jobs)
         # Resolve up front: an explicit "numpy" request must fail at

@@ -87,6 +87,27 @@ def check_backend(backend):
     return backend
 
 
+def check_graph(graph):
+    """Reject anything but a graph backend, returning ``graph`` unchanged.
+
+    Duck-typed like the protocol: ``is_frozen`` and ``num_layers`` must
+    exist.  The :class:`ParameterError` names the type received, and an
+    object that merely wraps a graph (a
+    :class:`~repro.datasets.synthetic.Dataset`) is pointed to its
+    ``.graph``.
+    """
+    if hasattr(graph, "is_frozen") and hasattr(graph, "num_layers"):
+        return graph
+    hint = ""
+    if hasattr(getattr(graph, "graph", None), "num_layers"):
+        hint = "; pass its .graph"
+    raise ParameterError(
+        "expected a multi-layer graph, got {}{}".format(
+            type(graph).__name__, hint
+        )
+    )
+
+
 def should_freeze(graph):
     """Whether auto mode should pay the O(n + m) freeze for ``graph``."""
     return graph.num_vertices >= FREEZE_VERTEX_THRESHOLD

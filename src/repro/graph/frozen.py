@@ -32,7 +32,7 @@ from collections import OrderedDict
 import sys
 import threading as _threading
 
-from repro.graph.kernels import buffer_nbytes, resolve_kernel
+from repro.graph.kernels import buffer_nbytes, resolve_kernel, vertex_mask
 from repro.utils.errors import (
     FrozenGraphError,
     LayerIndexError,
@@ -523,14 +523,7 @@ class FrozenMultiLayerGraph:
         if within is None:
             degrees = self._degree_list(layer)
             return {v: degrees[v] for v in range(self.num_vertices)}
-        n = self.num_vertices
-        alive = bytearray(n)
-        members = []
-        for v in within:
-            v = self._vertex_id(v)
-            if v is not None and not alive[v]:
-                alive[v] = 1
-                members.append(v)
+        alive, members = _alive_members(self, within)
         # Same two-strategy kernel as the peels; the flag-walk sparse
         # branch keeps this cold path from materialising the per-layer
         # neighbour-set cache.
@@ -888,12 +881,20 @@ def active_scratch():
 
 
 def _alive_members(graph, within, arena=None):
-    """``(alive bytearray, member sequence)`` for an optional vertex subset."""
+    """``(alive bytearray, member sequence)`` for an optional vertex subset.
+
+    ``within`` is an iterable of vertex ids, or a vertex mask (see
+    :func:`repro.graph.kernels.vertex_mask`), whose members come out in
+    ascending order.
+    """
     n = graph.num_vertices
     if within is None:
         if arena is not None:
             return arena.flags("alive", n, fill=1), range(n)
         return bytearray(b"\x01") * n, range(n)
+    mask = vertex_mask(graph, within)
+    if mask is not None:
+        return bytearray(mask.tobytes()), mask.nonzero()[0].tolist()
     if not isinstance(within, (set, frozenset, list, tuple, range, dict)):
         # One-shot iterators must be materialised: the TypeError
         # fallback below re-iterates from the start.

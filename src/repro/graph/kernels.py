@@ -122,25 +122,59 @@ def buffer_nbytes(buffer):
 # ----------------------------------------------------------------------
 
 
-def _member_state(graph, within):
-    """``(alive bool array, member id array, member sequence)``.
+def is_mask(value):
+    """Whether ``value`` is a numpy bool array, i.e. a vertex mask."""
+    return _np is not None and isinstance(value, _np.ndarray) \
+        and value.dtype == _np.bool_
 
-    Member *coercion* (deduplication, aliasing of objects hash-equal to
-    in-range ints, silent dropping of everything else) is delegated to
-    the python kernels' :func:`repro.graph.frozen._alive_members` so the
-    two tiers can never disagree on who participates; only the bulk
-    arithmetic after that point is vectorised.
+
+def vertex_mask(graph, within):
+    """``within`` when it is a vertex mask of ``graph``, else ``None``.
+
+    A vertex mask is a length-``n`` bool array naming the vertices where
+    it is True, so it only has a meaning over a frozen graph's dense
+    ids.  Both frozen kernel tiers read ``within`` through this check;
+    a mask of the wrong shape, or one handed to any other backend,
+    raises :class:`ParameterError` instead of being iterated as ids.
+    """
+    if not is_mask(within):
+        return None
+    if not graph.is_frozen:
+        raise ParameterError(
+            "a boolean vertex mask needs a frozen graph; got one for a "
+            "{}".format(type(graph).__name__)
+        )
+    if within.shape != (graph.num_vertices,):
+        raise ParameterError(
+            "a vertex mask must have shape ({},), got {}".format(
+                graph.num_vertices, within.shape
+            )
+        )
+    return within
+
+
+def _member_state(graph, within):
+    """``(alive bool array, member id array)`` for an optional subset.
+
+    A vertex mask costs one copy and one ``flatnonzero``.  Any other
+    subset is *coerced* (deduplication, aliasing of objects hash-equal
+    to in-range ints, silent dropping of everything else) by the python
+    kernels' :func:`repro.graph.frozen._alive_members`, so the two tiers
+    can never disagree on who participates; member ids keep the
+    subset's first-seen order.
     """
     n = graph.num_vertices
     if within is None:
-        return (_np.ones(n, dtype=_np.bool_),
-                _np.arange(n, dtype=_np.int64), range(n))
+        return _np.ones(n, dtype=_np.bool_), _np.arange(n, dtype=_np.int64)
+    mask = vertex_mask(graph, within)
+    if mask is not None:
+        return mask.copy(), _np.flatnonzero(mask)
     from repro.graph.frozen import _alive_members
 
     alive_bytes, members = _alive_members(graph, within)
     alive = _np.frombuffer(alive_bytes, dtype=_np.uint8).astype(_np.bool_)
     member_arr = _np.fromiter(members, dtype=_np.int64, count=len(members))
-    return alive, member_arr, members
+    return alive, member_arr
 
 
 def _gather_rows(indptr, indices, rows):
@@ -306,18 +340,18 @@ def np_induced_degrees(graph, layer, within=None):
     if within is None:
         degrees = graph._np_degrees(layer)
         return dict(zip(range(graph.num_vertices), degrees.tolist()))
-    alive, member_arr, members = _member_state(graph, within)
+    alive, member_arr = _member_state(graph, within)
     (degrees,) = _induced_degree_arrays(
         graph, (layer,), alive, member_arr, full=False
     )
-    return dict(zip(members, degrees[member_arr].tolist()))
+    return dict(zip(member_arr.tolist(), degrees[member_arr].tolist()))
 
 
 def np_layer_core(graph, layer, d, within=None):
     """Numpy tier of :func:`repro.graph.frozen.frozen_layer_core`."""
-    alive, member_arr, members = _member_state(graph, within)
+    alive, member_arr = _member_state(graph, within)
     if d == 0:
-        return set(members)
+        return set(member_arr.tolist())
     degree_arrays = _induced_degree_arrays(
         graph, (layer,), alive, member_arr, full=within is None
     )
@@ -333,9 +367,9 @@ def np_coherent_core(graph, layer_tuple, d, within=None, stats=None):
     vertices — exactly the python tier's per-dequeue count, because a
     vertex is dequeued precisely once per removal in either tier.
     """
-    alive, member_arr, members = _member_state(graph, within)
+    alive, member_arr = _member_state(graph, within)
     if d == 0:
-        return frozenset(members)
+        return frozenset(member_arr.tolist())
     degree_arrays = _induced_degree_arrays(
         graph, layer_tuple, alive, member_arr, full=within is None
     )
@@ -357,7 +391,7 @@ def np_core_decomposition(graph, layer, within=None):
     ``{vertex: core number}`` equal to
     :func:`repro.core.dcore.core_decomposition` on the layer's adjacency.
     """
-    alive, member_arr, members = _member_state(graph, within)
+    alive, member_arr = _member_state(graph, within)
     degree_arrays = _induced_degree_arrays(
         graph, (layer,), alive, member_arr, full=within is None
     )
@@ -372,7 +406,7 @@ def np_core_decomposition(graph, layer, within=None):
             core[remaining[~survivors]] = d - 1
             remaining = remaining[survivors]
         d += 1
-    return dict(zip(members, core[member_arr].tolist()))
+    return dict(zip(member_arr.tolist(), core[member_arr].tolist()))
 
 
 def np_union_adjacency(graph, vertices):

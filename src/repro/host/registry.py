@@ -44,7 +44,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 
 from repro.engine import DCCEngine
-from repro.graph.backend import check_backend
+from repro.graph.backend import check_backend, check_graph
 from repro.graph.kernels import resolve_kernel
 from repro.parallel.executor import check_jobs
 from repro.utils.errors import (
@@ -208,9 +208,10 @@ class DCCHost:
                 "a graph named {!r} is already attached; detach it "
                 "first".format(name)
             )
-        # Validate overrides now, not at admission: a poison
-        # registration discovered mid-eviction would already have
+        # Validate the graph and overrides now, not at admission: a
+        # poison registration discovered mid-eviction would already have
         # closed the LRU victim's warm pool for nothing.
+        check_graph(graph)
         if backend is not None:
             check_backend(backend)
         if jobs is not None:

@@ -107,8 +107,8 @@ def _context(method, d, s, k, cores, alive, order, init_sets, flags,
         "d": d,
         "s": s,
         "k": k,
-        "cores": [frozenset(core) for core in cores],
-        "alive": frozenset(alive),
+        "cores": cores,
+        "alive": alive,
         "order": tuple(order) if order is not None else None,
         "init_sets": init_sets,
         "flags": flags,
@@ -116,6 +116,11 @@ def _context(method, d, s, k, cores, alive, order, init_sets, flags,
     }
     context.update(extras)
     return context
+
+
+def _frozen_sets(prep):
+    """``(cores, alive)`` of ``prep`` as frozensets, for tree shards."""
+    return [frozenset(core) for core in prep.cores], frozenset(prep.alive)
 
 
 def _seeded(topk):
@@ -140,8 +145,8 @@ def _init_sets(graph, d, s, k, vd_enabled, prep, stats, artifacts):
         if stats is not None:
             stats.merge(delta)
         return init_sets
-    topk = init_topk(graph, d, s, k, prep.cores, within=prep.alive,
-                     stats=stats)
+    cores, alive = prep.kernel_view()
+    topk = init_topk(graph, d, s, k, cores, within=alive, stats=stats)
     return _seeded(topk)
 
 
@@ -174,7 +179,9 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
     prep = _preprocess(graph, d, s, vd, stats, artifacts)
 
     if query.method == "greedy":
-        context = _context("greedy", d, s, k, prep.cores, prep.alive,
+        # Greedy shards only bound and peel, so they take the cores in
+        # the form the kernels compute on: masks on the numpy tier.
+        context = _context("greedy", d, s, k, *prep.kernel_view(),
                            None, [], {})
         subsets = list(combinations(range(graph.num_layers), s))
         chunks = _chunked(subsets, CHUNKS_PER_WORKER * max(1, workers))
@@ -192,7 +199,7 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
         order = order_layers(prep.cores, descending=True,
                              enabled=options["use_layer_sorting"])
         context = _context(
-            "bottom-up", d, s, k, prep.cores, prep.alive, order, init_sets,
+            "bottom-up", d, s, k, *_frozen_sets(prep), order, init_sets,
             {
                 "use_order_pruning": options["use_order_pruning"],
                 "use_layer_pruning": options["use_layer_pruning"],
@@ -224,14 +231,15 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
             stats.merge(delta)
     else:
         root_core = coherent_core(
-            graph, graph.layers(), d, within=prep.alive, stats=stats
+            graph, graph.layers(), d, within=prep.kernel_view()[1],
+            stats=stats,
         )
     if s == graph.num_layers:
         # The root is the only candidate; nothing to shard.
         return QueryPlan(query, {}, [], topk=topk, index=index,
                          root_core=frozenset(root_core), root_only=True)
     context = _context(
-        "top-down", d, s, k, prep.cores, prep.alive, order, init_sets,
+        "top-down", d, s, k, *_frozen_sets(prep), order, init_sets,
         {
             "use_order_pruning": options["use_order_pruning"],
             "use_potential_pruning": options["use_potential_pruning"],

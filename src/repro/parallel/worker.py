@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 from repro.core.bottomup import _BottomUpSearch
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import candidate_for_subset, layer_signature_groups
+from repro.core.dcc import bound_groups, candidate_for_subset
 from repro.core.index import CoreHierarchyIndex
 from repro.core.stats import SearchStats
 from repro.core.topdown import _TopDownSearch
@@ -95,6 +95,8 @@ class ShardRunner:
         :func:`repro.parallel.plan.plan_query` (keys: ``method``, ``d``,
         ``s``, ``k``, ``cores``, ``alive``, ``order``, ``init_sets``,
         ``flags``, plus ``root_core``/``seed`` for the top-down method).
+        ``cores``/``alive`` are frozensets for the tree methods and the
+        prep's kernel view, masks on the numpy tier, for greedy.
     index:
         An optional pre-built :class:`CoreHierarchyIndex` for top-down
         shards.  The inline path passes the orchestrator's; pooled
@@ -133,8 +135,8 @@ class ShardRunner:
         """One chunk of the candidate family: ``(L, C^d_L)`` per subset.
 
         Byte-for-byte the per-subset work of the sequential
-        ``enumerate_candidates`` loop (same Lemma 1 bound, same frozen
-        signature fast path, same counter increments), so summed shard
+        ``enumerate_candidates`` loop (same Lemma 1 bound from the same
+        mask or set cores, same counter increments), so summed shard
         stats equal the sequential run's.
         """
         context = self.context
@@ -211,10 +213,9 @@ class ShardRunner:
         return topk
 
     def _signature_groups(self):
-        """Frozen-backend signature groups for greedy chunks (cached)."""
+        """The greedy chunks' :func:`bound_groups` (cached)."""
         if not self._groups_ready:
-            if self.graph.is_frozen:
-                self._groups = layer_signature_groups(self.context["cores"])
+            self._groups = bound_groups(self.graph, self.context["cores"])
             self._groups_ready = True
         return self._groups
 

@@ -99,6 +99,34 @@ class TestInputContract:
         with pytest.raises(ParameterError, match="unknown option 'stats'"):
             make_query("greedy", 3, 2, 2, stats=SearchStats())
 
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_bad_graph_one_typed_error(self, jobs):
+        from repro.datasets import load
+
+        dataset = load("english", scale=0.05)
+        for graph, name in ((None, "NoneType"), (dataset, "Dataset"),
+                            ("english", "str")):
+            with pytest.raises(ParameterError, match=name) as caught:
+                search_dccs(graph, 2, 2, 2, jobs=jobs)
+            assert (".graph" in str(caught.value)) == (graph is dataset)
+
+    def test_bad_graph_rejected_by_engine_and_host(self):
+        from repro.datasets import load
+        from repro.engine import DCCEngine
+        from repro.host import DCCHost
+
+        dataset = load("english", scale=0.05)
+        for graph, name in ((None, "NoneType"), (dataset, "Dataset"),
+                            ("english", "str")):
+            with pytest.raises(ParameterError, match=name):
+                DCCEngine(graph, jobs=1)
+            with DCCHost() as host:
+                with pytest.raises(ParameterError, match=name):
+                    host.attach("g", graph)
+                assert not host.is_attached("g")
+        with pytest.raises(ParameterError, match="pass its .graph"):
+            DCCEngine(dataset, jobs=1)
+
     def test_sequential_search_takes_stats(self):
         stats = SearchStats()
         result = search_dccs(paper_figure1_graph(), 3, 2, 2,

@@ -21,7 +21,9 @@ tests prove the pure-Python path is what ``"auto"`` serves.
 """
 
 import asyncio
+import contextlib
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,15 @@ import repro.datasets.synthetic as synthetic_module
 import repro.graph.kernels as kernels_module
 from repro.aio import AsyncDCCHost
 from repro.core import search_dccs
+from repro.core.dcc import (
+    candidate_for_subset,
+    coherent_core,
+    enumerate_candidates,
+)
 from repro.core.dcore import core_decomposition, layer_core_decomposition
 from repro.core.index import CoreHierarchyIndex
+from repro.core.initk import init_topk
+from repro.core.maintain import CoreMasks, core_maintainer
 from repro.core.preprocess import vertex_deletion
 from repro.core.stats import SearchStats
 from repro.datasets import synthetic_multilayer
@@ -371,6 +380,244 @@ class TestSearchEquivalence:
         rebuilt = payload_graph(payload)
         assert rebuilt.kernel == "python"
         assert frozen_coherent_core(rebuilt, (0, 1), 3) == expected
+
+
+# ----------------------------------------------------------------------
+# the mask path: preprocessing's arrays feed bounds, InitTopK and peels
+# ----------------------------------------------------------------------
+
+
+def _mask(n, ids):
+    import numpy as np
+
+    mask = np.zeros(n, dtype=np.bool_)
+    mask[list(ids)] = True
+    return mask
+
+
+def _numpy_prep(frozen, d, s, enabled=True):
+    frozen.set_kernel("numpy")
+    prep = vertex_deletion(frozen, d, s, enabled=enabled)
+    assert prep.masks is not None
+    return prep
+
+
+@needs_numpy
+class TestVertexMasks:
+    """``within=`` takes a length-n bool array as "where it is True"."""
+
+    def test_mask_is_the_vertex_set_on_both_tiers(self):
+        frozen = paper_figure1_graph().freeze()
+        mask = _mask(frozen.num_vertices, range(6))
+        before = mask.copy()
+        for kernel in ("python", "numpy"):
+            frozen.set_kernel(kernel)
+            stats, by_ids = SearchStats(), SearchStats()
+            got = coherent_core(frozen, [0], 1, within=mask, stats=stats)
+            want = coherent_core(frozen, [0], 1, within=range(6),
+                                 stats=by_ids)
+            assert got == want
+            assert got != frozenset({0, 1})
+            assert stats.as_dict() == by_ids.as_dict()
+            assert frozen_layer_core(frozen, 0, 1, within=mask) == \
+                frozen_layer_core(frozen, 0, 1, within=range(6))
+            assert coherent_core(frozen, [0, 1], 0, within=mask) == \
+                frozenset(range(6))
+        assert (mask == before).all()
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_wrong_length_mask_rejected(self, kernel):
+        frozen = paper_figure1_graph().freeze()
+        frozen.set_kernel(kernel)
+        for length in (frozen.num_vertices - 1, frozen.num_vertices + 1):
+            stats = SearchStats()
+            with pytest.raises(ParameterError, match="shape"):
+                coherent_core(frozen, [0], 1, within=_mask(length, [0]),
+                              stats=stats)
+            assert stats.dcc_calls == 0
+
+    def test_any_mask_rejected_on_dict_backend(self):
+        graph = paper_figure1_graph()
+        for length in (6, graph.num_vertices):
+            with pytest.raises(ParameterError, match="frozen graph"):
+                coherent_core(graph, [0], 1, within=_mask(length, range(6)))
+
+
+@needs_numpy
+class TestMaskPathEquivalence:
+    """Mask cores give the set path's candidates, seeds and counters."""
+
+    @given(multilayer_graphs(max_vertices=8, max_layers=8), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_candidates_identical(self, graph, data):
+        frozen = graph.freeze()
+        n = frozen.num_vertices
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        prep = _numpy_prep(frozen, d, s, enabled=data.draw(st.booleans()))
+        within = data.draw(st.one_of(
+            st.none(), st.sets(st.integers(min_value=0, max_value=n - 1)),
+        ))
+        within_mask = None if within is None else _mask(n, within)
+        runs = []
+        for kernel, cores, bound in (
+            ("numpy", prep.masks.cores, within_mask),
+            ("numpy", prep.cores, within),
+            ("python", prep.cores, within),
+        ):
+            frozen.set_kernel(kernel)
+            stats = SearchStats()
+            runs.append((
+                list(enumerate_candidates(frozen, d, s, within=bound,
+                                          cores=cores, stats=stats)),
+                stats.as_dict(),
+            ))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_empty_bound_is_empty_without_a_peel(self, kernel):
+        graph = MultiLayerGraph(2, vertices=range(8))
+        for layer, block in ((0, range(0, 4)), (1, range(4, 8))):
+            for u, v in combinations(block, 2):
+                graph.add_edge(layer, u, v)
+        frozen = graph.freeze()
+        prep = _numpy_prep(frozen, 3, 1)
+        frozen.set_kernel(kernel)
+        for cores in (prep.masks.cores, prep.cores):
+            stats = SearchStats()
+            assert candidate_for_subset(frozen, 3, (0, 1), cores,
+                                        stats=stats) == frozenset()
+            assert stats.dcc_calls == stats.peel_operations == 0
+
+    @given(multilayer_graphs(max_vertices=8, max_layers=8), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_init_topk_identical(self, graph, data):
+        frozen = graph.freeze()
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        prep = _numpy_prep(frozen, d, s, enabled=data.draw(st.booleans()))
+        runs = []
+        for kernel, (cores, alive) in (
+            ("numpy", prep.kernel_view()),
+            ("numpy", (prep.cores, prep.alive)),
+            ("python", (prep.cores, prep.alive)),
+        ):
+            frozen.set_kernel(kernel)
+            stats = SearchStats()
+            topk = init_topk(frozen, d, s, k, cores, within=alive,
+                             stats=stats)
+            runs.append((topk.labelled_sets(), topk.cover_size,
+                         stats.as_dict()))
+        assert runs[0] == runs[1] == runs[2]
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_lazy_sets_equal_the_maintainer_snapshot(self, graph, data):
+        frozen = graph.freeze()
+        frozen.set_kernel("numpy")
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(core_maintainer(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch("repro.core.preprocess.core_maintainer",
+                        recording):
+            prep = vertex_deletion(frozen, d, s)
+        assert not {"alive", "cores", "support"} & set(vars(prep))
+        assert (prep.alive, prep.cores, prep.support) == \
+            made[0].snapshot()
+        assert prep.alive is prep.alive and prep.cores is prep.cores \
+            and prep.support is prep.support
+
+    def test_lazy_sets_are_built_once(self):
+        frozen = synthetic_multilayer(600, num_layers=3, num_communities=4,
+                                      community_size=30, d=3, span=2,
+                                      seed=5).graph
+        prep = _numpy_prep(frozen, 3, 2)
+        builds = []
+        with contextlib.ExitStack() as stack:
+            for name in ("alive_set", "core_sets", "support_dict"):
+                build = getattr(CoreMasks, name)
+
+                def counting(masks, build=build, name=name):
+                    builds.append(name)
+                    return build(masks)
+
+                stack.enter_context(
+                    mock.patch.object(CoreMasks, name, counting)
+                )
+            for _ in range(3):
+                prep.alive, prep.cores, prep.support
+        assert sorted(builds) == ["alive_set", "core_sets", "support_dict"]
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_reassigned_prep_drives_tree_searches_identically(self, graph,
+                                                              data):
+        """The artifact cache swaps the lazy sets for frozensets."""
+        frozen = graph.freeze()
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        method = data.draw(st.sampled_from(("bottom-up", "top-down")))
+        frozen.set_kernel("numpy")
+        charged = SearchStats()
+        prep = vertex_deletion(frozen, d, s, stats=charged)
+        prep.alive = frozenset(prep.alive)
+        prep.cores = [frozenset(core) for core in prep.cores]
+
+        def cached(graph, d, s, enabled=True, stats=None):
+            stats.merge(charged)
+            return prep
+
+        module = "repro.core.{}".format(method.replace("-", ""))
+        runs = []
+        for kernel, patched in (("numpy", True), ("numpy", False),
+                                ("python", False)):
+            frozen.set_kernel(kernel)
+            search = mock.patch(module + ".vertex_deletion", cached) \
+                if patched else contextlib.nullcontext()
+            with search:
+                runs.append(_snapshot(search_dccs(
+                    frozen, d, s, k, method=method, seed=0,
+                )))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_greedy_equals_sequential(self, jobs):
+        graph = synthetic_multilayer(600, num_layers=4, num_communities=4,
+                                     community_size=30, d=3, span=2,
+                                     seed=5).graph
+        runs = [
+            _snapshot(search_dccs(graph, 3, 2, 3, method="greedy",
+                                  backend="frozen", kernel="numpy",
+                                  jobs=each))
+            for each in (None, jobs)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_greedy_and_init_topk_on_seventy_layers(self):
+        """Mask bounds and signature groups agree past 63 layers."""
+        frozen = _wide_graph(70).freeze()
+        prep = _numpy_prep(frozen, 3, 68)
+        runs = {}
+        for kernel in ("python", "numpy"):
+            frozen.set_kernel(kernel)
+            cores, alive = prep.kernel_view() if kernel == "numpy" \
+                else (prep.cores, prep.alive)
+            stats = SearchStats()
+            topk = init_topk(frozen, 3, 68, 2, cores, within=alive,
+                             stats=stats)
+            runs[kernel] = (
+                topk.labelled_sets(), stats.as_dict(),
+                _snapshot(search_dccs(frozen, 3, 68, 2, method="greedy")),
+            )
+        assert runs["python"] == runs["numpy"]
+        assert runs["numpy"][2][2] == 10
 
 
 # ----------------------------------------------------------------------
