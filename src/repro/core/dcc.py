@@ -36,7 +36,7 @@ from numbers import Integral
 
 from repro.core.dcore import layer_core
 from repro.graph.kernels import is_mask, vertex_mask
-from repro.utils.errors import LayerIndexError, ParameterError
+from repro.utils.errors import LayerIndexError, ParameterError, check_degree
 
 
 def _normalize_layers(graph, layers):
@@ -58,15 +58,16 @@ def validate_search_params(graph, d, s, k):
     same contract, so it lives once, here with the core primitives.
     Each of ``d``, ``s`` and ``k`` must be an integer
     (:class:`numbers.Integral`, numpy integers included); a bool or a
-    float is rejected even when it is integral-valued.
+    float is rejected even when it is integral-valued.  ``d`` goes
+    through :func:`~repro.utils.errors.check_degree`, the check every
+    core primitive shares.
     """
-    for name, value in (("d", d), ("s", s), ("k", k)):
+    check_degree(d)
+    for name, value in (("s", s), ("k", k)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ParameterError(
                 "{} must be an integer, got {!r}".format(name, value)
             )
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
     if not 1 <= s <= graph.num_layers:
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
@@ -101,8 +102,7 @@ def coherent_core(graph, layers, d, within=None, stats=None):
     restricted subgraph, matching the paper's Appendix B analysis.
     """
     layer_tuple = _normalize_layers(graph, layers)
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
+    check_degree(d)
     # A bad mask fails here on every backend, before any counter moves.
     vertex_mask(graph, within)
     if stats is not None:
@@ -171,8 +171,7 @@ def coherent_core_binsort(graph, layers, d, within=None, stats=None):
     ``neighbors``), so it runs unchanged on both backends.
     """
     layer_tuple = _normalize_layers(graph, layers)
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
+    check_degree(d)
     if stats is not None:
         stats.dcc_calls += 1
     if within is None:

@@ -20,7 +20,7 @@ Three entry points:
   result, flat-array cost.
 """
 
-from repro.utils.errors import ParameterError
+from repro.utils.errors import check_degree
 
 
 def layer_core(graph, layer, d, within=None):
@@ -30,6 +30,7 @@ def layer_core(graph, layer, d, within=None):
     the dict peel otherwise; both return the same set (of the graph's own
     vertex vocabulary).
     """
+    check_degree(d)
     if getattr(graph, "is_sharded", False):
         # The sharded coordinator validates its own arguments (this
         # dispatch runs before any frozen-path checks would).
@@ -58,8 +59,7 @@ def d_core(adjacency, d, within=None):
     deletes any vertex whose remaining degree drops below ``d``; a FIFO of
     violating vertices makes each edge be touched O(1) times.
     """
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
+    check_degree(d)
     if within is None:
         alive = set(adjacency)
         degree = {v: len(neighbors) for v, neighbors in adjacency.items()}
@@ -152,6 +152,7 @@ def layer_core_decomposition(graph, layer, within=None):
     if graph.is_frozen and graph.kernel == "numpy":
         from repro.graph.kernels import np_core_decomposition
 
+        graph._check_layer(layer)
         return np_core_decomposition(graph, layer, within=within)
     return core_decomposition(graph.adjacency(layer), within=within)
 

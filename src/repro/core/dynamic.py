@@ -23,7 +23,7 @@ valid elimination order certifies the result.
 """
 
 from repro.core.dcc import _normalize_layers, coherent_core
-from repro.utils.errors import ParameterError
+from repro.utils.errors import check_degree
 
 
 class CoherentCoreTracker:
@@ -55,8 +55,7 @@ class CoherentCoreTracker:
     """
 
     def __init__(self, graph, layers, d):
-        if d < 0:
-            raise ParameterError("d must be non-negative")
+        check_degree(d)
         self._layers = _normalize_layers(graph, layers)
         self._tracked = frozenset(self._layers)
         self._d = d

@@ -23,6 +23,9 @@ their callers never touch the representation:
   one within-core degree vector per layer, and an int support vector.
   A removal is one whole-frontier cascade per layer through the numpy
   kernels' row gather and degree scatter (:mod:`repro.graph.kernels`).
+  Over the whole graph, each layer's initial core comes from the
+  kernels' direction-optimising peel, which recounts the survivors
+  instead while the frontier's rows outweigh theirs.
   Its :attr:`~ArrayCoreMaintainer.masks` hand the final state on as
   arrays; the set maintainer's ``masks`` is ``None``.
 
@@ -36,10 +39,12 @@ from collections import namedtuple
 from repro.core.dcore import layer_core
 from repro.graph.kernels import (
     _below_threshold,
+    _full_layer_core,
     _induced_degree_arrays,
     _member_state,
     _peel_rounds,
 )
+from repro.utils.errors import check_degree
 
 try:
     import numpy as np
@@ -134,7 +139,7 @@ class MultiLayerCoreMaintainer:
 
     def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
         self.graph = graph
-        self.d = d
+        self.d = check_degree(d)
         if within is None:
             self.alive = graph.vertices()
         else:
@@ -246,7 +251,7 @@ class ArrayCoreMaintainer:
 
     def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
         self.graph = graph
-        self.d = d
+        self.d = check_degree(d)
         n = graph.num_vertices
         self._alive, members = _member_state(graph, within)
         self._cores = []
@@ -269,9 +274,11 @@ class ArrayCoreMaintainer:
 
     def _peel_layer(self, layer, members, full):
         """The layer's d-core mask within ``alive`` and its degrees."""
+        if full:
+            return _full_layer_core(self.graph, layer, self.d)
         core = self._alive.copy()
         degrees = _induced_degree_arrays(self.graph, (layer,), core,
-                                         members, full)
+                                         members, full=False)
         frontier = _below_threshold(members, degrees, self.d)
         _peel_rounds(self.graph, (layer,), self.d, core, frontier, degrees)
         return core, degrees[0]

@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.graph.generators import planted_communities
+from repro.graph.kernels import _distinct
 from repro.utils.errors import ParameterError
 from repro.utils.rng import make_rng
 
@@ -155,15 +156,18 @@ def _assemble_csr(num_vertices, pairs):
     entries (every undirected edge appears in both directions, possibly
     with duplicates — noise sampling redraws collide freely).  The
     output is the *sorted, deduplicated* adjacency, which is what makes
-    the two assembly paths below interchangeable: the numpy path
-    (``np.unique`` over ``src * n + dst`` codes, then ``bincount`` +
-    ``cumsum``) and the pure-Python path (a sorted set of pairs) produce
-    byte-for-byte the same CSR content, so a given seed yields the same
-    graph whether or not numpy is installed.
+    the two assembly paths below interchangeable: the numpy path (the
+    distinct ``src * n + dst`` codes, then ``bincount`` + ``cumsum``) and
+    the pure-Python path (a sorted set of pairs) produce byte-for-byte
+    the same CSR content, so a given seed yields the same graph whether
+    or not numpy is installed.  The codes are deduplicated by the
+    kernels' sort (or flag scan), not ``np.unique``, whose hashing path
+    is most of a large build.
     """
     if _np is not None:
         flat = _np.frombuffer(pairs, dtype=_np.int32).astype(_np.int64)
-        codes = _np.unique(flat[0::2] * num_vertices + flat[1::2])
+        codes = _distinct(flat[0::2] * num_vertices + flat[1::2],
+                          num_vertices * num_vertices)
         src = (codes // num_vertices).astype(_np.int32)
         dst = (codes % num_vertices).astype(_np.int32)
         counts = _np.bincount(src, minlength=num_vertices)

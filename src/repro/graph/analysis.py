@@ -7,7 +7,7 @@ support is distributed (which predicts what vertex-deletion will prune).
 """
 
 from repro.core.dcore import layer_core, layer_core_sizes, d_core
-from repro.utils.errors import ParameterError
+from repro.utils.errors import ParameterError, check_degree
 
 
 def layer_statistics(graph):
@@ -66,8 +66,7 @@ def support_histogram(graph, d):
     The mass below a candidate ``s`` is exactly what the vertex-deletion
     preprocessing will remove; use this to pick ``s`` with open eyes.
     """
-    if d < 0:
-        raise ParameterError("d must be non-negative")
+    check_degree(d)
     support = {v: 0 for v in graph.vertices()}
     for layer in graph.layers():
         for vertex in layer_core(graph, layer, d):

@@ -36,8 +36,8 @@ from repro.graph.kernels import buffer_nbytes, resolve_kernel, vertex_mask
 from repro.utils.errors import (
     FrozenGraphError,
     LayerIndexError,
-    ParameterError,
     VertexError,
+    check_degree,
 )
 
 # Per-layer cap on the lazy neighbour-set cache (entries = vertices with
@@ -996,8 +996,7 @@ def frozen_layer_core(graph, layer, d, within=None, arena=None):
     ``arena`` recycles the python tier's O(n) scratch state (defaults to
     the ambient :func:`active_scratch`); it never affects the result.
     """
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
+    check_degree(d)
     graph._check_layer(layer)
     if graph.kernel == "numpy":
         from repro.graph.kernels import np_layer_core
@@ -1045,8 +1044,7 @@ def frozen_coherent_core(graph, layer_tuple, d, within=None, stats=None,
     recycles the python tier's O(n) scratch state (defaults to the
     ambient :func:`active_scratch`); it never affects the result.
     """
-    if d < 0:
-        raise ParameterError("d must be non-negative, got {}".format(d))
+    check_degree(d)
     for layer in layer_tuple:
         graph._check_layer(layer)
     if graph.kernel == "numpy":

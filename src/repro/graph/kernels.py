@@ -12,6 +12,14 @@ decomposition:
   ``indptr``/``indices`` buffers (boolean alive masks, ``np.add.at`` /
   ``bincount`` degree scatters, frontier queues as index arrays).
 
+A round *pushes*: it gathers the frontier's rows and decrements the
+live neighbours' degrees.  A layer's d-core over the whole graph (vertex
+deletion's layer peels, the engine's per-layer cores) chooses each
+round's direction instead (:func:`_full_layer_core`): while the
+frontier's rows hold more CSR entries than the survivors' rows, the
+round *pulls*, recounting the survivors' live neighbours.  Peels within
+a subset, maintainer removals and multi-layer coherent cores push.
+
 Both kernels compute the same unique fixed point and count the same
 number of peel operations (one per removed vertex, an order-independent
 quantity), so results — sets, labels, cover, ``SearchStats`` — are
@@ -236,37 +244,41 @@ def _distinct(ids, n):
     return ids[keep]
 
 
+def _count_live(flat, bounds, alive):
+    """How many entries of each row are alive.
+
+    Row ``r`` is ``flat[bounds[r]:bounds[r + 1]]``, as
+    :func:`_gather_rows` returns them (a layer's whole CSR is the rows
+    ``indices`` with bounds ``indptr``).  One cumsum over the alive
+    flags of all entries, read at the row bounds.
+    """
+    sums = _np.zeros(flat.size + 1, dtype=_np.int64)
+    _np.cumsum(alive[flat], out=sums[1:])
+    return sums[bounds[1:]] - sums[bounds[:-1]]
+
+
 def _induced_degree_arrays(graph, layer_tuple, alive, member_arr, full):
     """Per-layer int64 degree arrays restricted to the alive mask.
 
     The numpy analogue of the python tier's two-strategy
     ``_induced_degree_lists``: the full-graph case copies the cached
-    degree vector; a large subset counts alive neighbours with one
-    cumsum over each layer's whole CSR; a small subset gathers only the
-    member rows, on all layers at once (:func:`_gather_layer_rows`).
-    Entries for dead vertices are garbage either way — the peel loops
-    never read them.
+    degree vector; a large subset counts alive neighbours over each
+    layer's whole CSR; a small subset gathers only the member rows, on
+    all layers at once (:func:`_gather_layer_rows`).  Both counts are
+    :func:`_count_live`.  Entries for dead vertices are garbage either
+    way — the peel loops never read them.
     """
     # An empty layer tuple has no degrees to count, and nothing to gather.
     if full or not layer_tuple:
         return [graph._np_degrees(layer).copy() for layer in layer_tuple]
     n = graph.num_vertices
     if 2 * member_arr.size > n:
-        degree_arrays = []
-        for layer in layer_tuple:
-            indptr, indices = graph._np_csr(layer)
-            contrib = _np.zeros(len(indices) + 1, dtype=_np.int64)
-            _np.cumsum(alive[indices], out=contrib[1:])
-            ptr = indptr.astype(_np.int64)
-            degree_arrays.append(contrib[ptr[1:]] - contrib[ptr[:-1]])
-        return degree_arrays
+        return [_count_live(indices, indptr, alive)
+                for indptr, indices in map(graph._np_csr, layer_tuple)]
     flat, bounds = _gather_layer_rows(graph, layer_tuple, member_arr)
-    sums = _np.zeros(len(flat) + 1, dtype=_np.int64)
-    _np.cumsum(alive[flat], out=sums[1:])
     degrees = _np.zeros((len(layer_tuple), n), dtype=_np.int64)
     positions = _np.arange(len(layer_tuple))[:, None] * n + member_arr
-    degrees.reshape(-1)[positions.ravel()] = sums[bounds[1:]] \
-        - sums[bounds[:-1]]
+    degrees.reshape(-1)[positions.ravel()] = _count_live(flat, bounds, alive)
     return list(degrees)
 
 
@@ -288,13 +300,13 @@ def _peel_rounds(graph, layer_tuple, d, alive, frontier, degree_arrays,
                  removed=None):
     """Run the cascade to its fixed point; the number of peeled vertices.
 
-    Round-based: the whole frontier is marked dead, then every layer's
-    frontier rows are gathered at once and the surviving neighbours'
-    degrees are decremented by scatter (``bincount`` for fat frontiers,
-    ``np.subtract.at`` for thin ones).  The next frontier is the set of
-    touched, still-alive vertices now below ``d`` on some layer — the
-    same unique fixed point, and the same removed-vertex count, as the
-    python tier's sequential FIFO.  ``frontier`` must hold distinct
+    Round-based pushes: the whole frontier is marked dead, then every
+    layer's frontier rows are gathered at once and the surviving
+    neighbours' degrees are decremented by scatter (``bincount`` for fat
+    frontiers, ``np.subtract.at`` for thin ones).  The next frontier is
+    the set of touched, still-alive vertices now below ``d`` on some
+    layer — the same unique fixed point, and the same removed-vertex
+    count, as the python tier's sequential FIFO.  ``frontier`` must hold distinct
     alive vertices; when ``removed`` is a list, every frontier is
     appended to it.
     """
@@ -330,6 +342,45 @@ def _peel_rounds(graph, layer_tuple, d, alive, frontier, degree_arrays,
     return peeled
 
 
+def _full_layer_core(graph, layer, d):
+    """``layer``'s d-core over the whole graph: ``(core mask, degrees)``.
+
+    ``degrees[v]`` is ``v``'s degree inside the core for every core
+    vertex ``v``; other entries are garbage.  The cascade chooses each
+    round's direction, as direction-optimising BFS does: while the
+    frontier's rows hold more CSR entries than the survivors' rows, the
+    round *pulls* — the frontier dies, and the survivors' rows are
+    gathered and their live neighbours recounted (:func:`_count_live`).
+    From the first round where they do not, it *pushes* the frontier
+    through :func:`_peel_rounds`.  Row lengths are the cached degree
+    vector, so choosing costs one gather of the frontier's degrees.
+    Either direction reaches the same unique fixed point.
+    """
+    indptr, indices = graph._np_csr(layer)
+    lengths = graph._np_degrees(layer)
+    degrees = lengths.copy()
+    core = _np.ones(graph.num_vertices, dtype=_np.bool_)
+    below = lengths < d
+    frontier = _np.flatnonzero(below)
+    survivors = _np.flatnonzero(~below)
+    # CSR entries in the rows of the survivors and the frontier.
+    entries = indices.size
+    while frontier.size:
+        dying = lengths[frontier].sum()
+        entries -= dying
+        if dying <= entries:
+            break
+        core[frontier] = False
+        flat, bounds = _gather_rows(indptr, indices, survivors)
+        counts = _count_live(flat, bounds, core)
+        degrees[survivors] = counts
+        below = counts < d
+        frontier = survivors[below]
+        survivors = survivors[~below]
+    _peel_rounds(graph, (layer,), d, core, frontier, [degrees])
+    return core, degrees
+
+
 # ----------------------------------------------------------------------
 # the numpy kernels
 # ----------------------------------------------------------------------
@@ -349,11 +400,14 @@ def np_induced_degrees(graph, layer, within=None):
 
 def np_layer_core(graph, layer, d, within=None):
     """Numpy tier of :func:`repro.graph.frozen.frozen_layer_core`."""
+    if within is None:
+        core, _ = _full_layer_core(graph, layer, d)
+        return set(_np.flatnonzero(core).tolist())
     alive, member_arr = _member_state(graph, within)
-    if d == 0:
+    if d == 0 or not member_arr.size:
         return set(member_arr.tolist())
     degree_arrays = _induced_degree_arrays(
-        graph, (layer,), alive, member_arr, full=within is None
+        graph, (layer,), alive, member_arr, full=False
     )
     frontier = _below_threshold(member_arr, degree_arrays, d)
     _peel_rounds(graph, (layer,), d, alive, frontier, degree_arrays)
@@ -368,7 +422,7 @@ def np_coherent_core(graph, layer_tuple, d, within=None, stats=None):
     vertex is dequeued precisely once per removal in either tier.
     """
     alive, member_arr = _member_state(graph, within)
-    if d == 0:
+    if d == 0 or not member_arr.size:
         return frozenset(member_arr.tolist())
     degree_arrays = _induced_degree_arrays(
         graph, layer_tuple, alive, member_arr, full=within is None

@@ -43,7 +43,7 @@ from bisect import bisect_right
 
 from repro.shard.executor import ShardExecutor
 from repro.shard.partition import Partitioner
-from repro.utils.errors import LayerIndexError, ParameterError, VertexError
+from repro.utils.errors import LayerIndexError, VertexError, check_degree
 
 
 class ShardedGraph:
@@ -510,10 +510,7 @@ class ShardedGraph:
 
     def layer_core(self, layer, d, within=None):
         """Single-layer d-core (a set of ids), distributed peel."""
-        if d < 0:
-            raise ParameterError(
-                "d must be non-negative, got {}".format(d)
-            )
+        check_degree(d)
         self._check_layer(layer)
         if d == 0:
             _, members = self._alive_members(within)
@@ -528,10 +525,7 @@ class ShardedGraph:
         normalisation and the ``dcc_calls`` increment, mirroring the
         frozen kernel's position in that pipeline.
         """
-        if d < 0:
-            raise ParameterError(
-                "d must be non-negative, got {}".format(d)
-            )
+        check_degree(d)
         for layer in layer_tuple:
             self._check_layer(layer)
         if d == 0:

@@ -3,8 +3,11 @@
 All errors raised by the library derive from :class:`GraphError` so callers
 can catch a single base class.  The subclasses distinguish the ways a call
 can go wrong: a bad vertex, a bad layer index, a bad algorithm parameter,
-or a mutation attempted on a frozen graph.
+or a mutation attempted on a frozen graph.  :func:`check_degree` is the
+one check of the degree threshold ``d``.
 """
+
+from numbers import Integral
 
 
 class GraphError(Exception):
@@ -59,6 +62,27 @@ class LayerIndexError(GraphError, IndexError):
 
 class ParameterError(GraphError, ValueError):
     """Raised when an algorithm parameter (d, s, k, gamma, ...) is invalid."""
+
+
+def check_degree(d):
+    """Validate a degree threshold ``d``, returning it unchanged.
+
+    The one check behind every entry point that takes ``d`` — the search
+    parameters, the layer-core and coherent-core primitives on every
+    backend and tier, and both core maintainers — so a bad ``d`` raises
+    the same :class:`ParameterError` wherever it enters.  ``d`` must be
+    a non-negative integer (:class:`numbers.Integral`, numpy integers
+    included); a bool or a float is rejected even when it is
+    integral-valued.
+    """
+    # Plain ints skip the isinstance checks, which cost a microsecond
+    # against an ABC; every peel entry point runs this.
+    if type(d) is not int and (isinstance(d, bool)
+                               or not isinstance(d, Integral)):
+        raise ParameterError("d must be an integer, got {!r}".format(d))
+    if d < 0:
+        raise ParameterError("d must be non-negative, got {}".format(d))
+    return d
 
 
 class FrozenGraphError(GraphError, TypeError):

@@ -1,6 +1,6 @@
 """The kernel-tier contract: numpy peel kernels are invisible.
 
-Three layers of guarantees, all enforced here:
+Four layers of guarantees, all enforced here:
 
 * **flag semantics** — ``kernel=auto|python|numpy`` validation, the
   auto-resolution rule (numpy exactly when importable), the hard error
@@ -10,7 +10,10 @@ Three layers of guarantees, all enforced here:
   (induced degrees, layer core, coherent core, core decomposition) and
   for full ``search_dccs`` runs across methods, jobs counts and warm
   caches, the two tiers return identical values, labels, cover sizes
-  and ``SearchStats`` counters;
+  and ``SearchStats`` counters; the full-graph layer peel, which picks
+  a push or a pull for each round, equals the push-only cascade;
+* **one input contract** — a bad ``d`` or layer raises the same typed
+  error on the dict backend and on both frozen tiers;
 * **bookkeeping honesty** — ``memory_bytes`` counts numpy-backed CSR
   storage and lazily-built degree vectors, and the synthetic generator
   builds the same graph with or without numpy installed.
@@ -36,15 +39,22 @@ from repro.core import search_dccs
 from repro.core.dcc import (
     candidate_for_subset,
     coherent_core,
+    coherent_core_binsort,
     enumerate_candidates,
+    validate_search_params,
 )
-from repro.core.dcore import core_decomposition, layer_core_decomposition
+from repro.core.dcore import (
+    core_decomposition,
+    layer_core,
+    layer_core_decomposition,
+    layer_core_sizes,
+)
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
 from repro.core.maintain import CoreMasks, core_maintainer
 from repro.core.preprocess import vertex_deletion
 from repro.core.stats import SearchStats
-from repro.datasets import synthetic_multilayer
+from repro.datasets import load, synthetic_multilayer
 from repro.engine import DCCEngine
 from repro.graph import MultiLayerGraph, paper_figure1_graph
 from repro.graph.frozen import frozen_coherent_core, frozen_layer_core
@@ -58,9 +68,15 @@ from repro.graph.kernels import (
     resolve_kernel,
 )
 from repro.parallel.serialize import graph_payload, payload_graph
-from repro.utils.errors import ParameterError
+from repro.utils.errors import LayerIndexError, ParameterError
 
-from tests.strategies import multilayer_graphs
+from tests.strategies import (
+    hub_graphs,
+    multilayer_graphs,
+    one_layer_graph,
+    pull_then_push_graph,
+    star_cascade_graph,
+)
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy kernel tier not importable"
@@ -237,6 +253,216 @@ class TestPrimitiveEquivalence:
         assert layer_core_decomposition(frozen, 0) == core_decomposition(
             graph.adjacency(0)
         )
+
+
+# ----------------------------------------------------------------------
+# the full-graph layer peel: a push or a pull per round
+# ----------------------------------------------------------------------
+
+
+def _push_layer_core(frozen, layer, d):
+    """The push-only full-graph cascade: ``(core mask, degrees)``."""
+    import numpy as np
+
+    alive = np.ones(frozen.num_vertices, dtype=np.bool_)
+    members = np.arange(frozen.num_vertices)
+    degrees = kernels_module._induced_degree_arrays(
+        frozen, (layer,), alive, members, full=True
+    )
+    frontier = kernels_module._below_threshold(members, degrees, d)
+    kernels_module._peel_rounds(frozen, (layer,), d, alive, frontier,
+                                degrees)
+    return alive, degrees[0]
+
+
+def _round_entries(frozen, d):
+    """``(frontier, survivor)`` CSR entries of each round of the peel.
+
+    Counted from scratch over layer 0's rows: every round, the frontier
+    is the alive vertices below ``d`` and the survivors the rest.
+    """
+    n = frozen.num_vertices
+    length = [frozen.degree(0, v) for v in range(n)]
+    live = list(length)
+    alive = set(range(n))
+    frontier = {v for v in alive if live[v] < d}
+    rounds = []
+    while frontier:
+        alive -= frontier
+        rounds.append((sum(length[v] for v in frontier),
+                       sum(length[v] for v in alive)))
+        for v in frontier:
+            for u in frozen.neighbors(0, v):
+                live[u] -= 1
+        frontier = {v for v in alive if live[v] < d}
+    return rounds
+
+
+# (graph, d, (frontier, survivor) entries per round, pull rounds, the
+# frontier the push starts from, core).  A round pulls while its
+# frontier holds more entries than its survivors; a tie pushes.
+ROUTES = {
+    "push only": (
+        lambda: one_layer_graph(6, [*combinations(range(5), 2), (0, 5)]),
+        2, [(1, 21)], 0, [5], range(5),
+    ),
+    "a tie pushes": (
+        lambda: one_layer_graph(9, [*combinations(range(3), 2), (3, 4),
+                                    (5, 6), (7, 8)]),
+        2, [(6, 6)], 0, [3, 4, 5, 6, 7, 8], range(3),
+    ),
+    "one pull, then push": (
+        pull_then_push_graph, 3, [(19, 17), (3, 14)], 1, [4], range(4),
+    ),
+    "three pulls": (
+        star_cascade_graph, 2, [(29, 27), (14, 13), (7, 6)], 3, [],
+        range(3),
+    ),
+    "pulls to an empty core": (
+        lambda: star_cascade_graph(with_core=False),
+        2, [(29, 21), (14, 7), (7, 0)], 3, [], (),
+    ),
+    "edgeless layer": (
+        lambda: one_layer_graph(5, []), 1, [(0, 0)], 0, [0, 1, 2, 3, 4],
+        (),
+    ),
+    "d=0": (pull_then_push_graph, 0, [], 0, [], range(15)),
+}
+
+
+@needs_numpy
+class TestFullLayerCore:
+    """The full-graph layer peel reads the smaller side of each round."""
+
+    @given(hub_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_push_path_and_python_tier(self, graph):
+        import numpy as np
+
+        frozen = graph.freeze()
+        for layer in frozen.layers():
+            top = max(frozen.degree(layer, v) for v in frozen.vertices())
+            for d in range(top + 2):
+                frozen.set_kernel("numpy")
+                core, degrees = kernels_module._full_layer_core(
+                    frozen, layer, d
+                )
+                pushed, push_degrees = _push_layer_core(frozen, layer, d)
+                assert core.tolist() == pushed.tolist()
+                assert degrees[core].tolist() == push_degrees[core].tolist()
+                frozen.set_kernel("python")
+                assert set(np.flatnonzero(core).tolist()) == \
+                    frozen_layer_core(frozen, layer, d)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_rule_routes_each_round(self, route):
+        import numpy as np
+
+        build, d, entries, pulls, pushed, expected = ROUTES[route]
+        frozen = build()
+        frozen.set_kernel("numpy")
+        assert _round_entries(frozen, d) == entries
+        calls = []
+        count_live = kernels_module._count_live
+        peel_rounds = kernels_module._peel_rounds
+
+        def counting(*args):
+            calls.append("pull")
+            return count_live(*args)
+
+        def recording(graph, layers, d, alive, frontier, *rest):
+            calls.append(sorted(frontier.tolist()))
+            return peel_rounds(graph, layers, d, alive, frontier, *rest)
+
+        with mock.patch.object(kernels_module, "_count_live", counting), \
+                mock.patch.object(kernels_module, "_peel_rounds", recording):
+            core, degrees = kernels_module._full_layer_core(frozen, 0, d)
+        assert calls == ["pull"] * pulls + [pushed]
+        assert np.flatnonzero(core).tolist() == list(expected)
+        pushed_core, push_degrees = _push_layer_core(frozen, 0, d)
+        assert core.tolist() == pushed_core.tolist()
+        assert degrees[core].tolist() == push_degrees[core].tolist()
+
+    def test_np_layer_core_takes_the_full_path(self):
+        frozen = star_cascade_graph()
+        frozen.set_kernel("numpy")
+        with mock.patch.object(kernels_module, "_full_layer_core",
+                               wraps=kernels_module._full_layer_core) as full:
+            assert frozen_layer_core(frozen, 0, 2) == {0, 1, 2}
+            assert frozen_layer_core(frozen, 0, 2, within=range(40)) == \
+                {0, 1, 2}
+        assert full.call_count == 1
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_empty_within_returns_before_any_work(self, kernel):
+        frozen = paper_figure1_graph().freeze()
+        frozen.set_kernel(kernel)
+        empty = _mask(frozen.num_vertices, [])
+        with mock.patch.object(kernels_module, "_induced_degree_arrays",
+                               side_effect=AssertionError("work of size n")):
+            for within in (set(), [-1], empty):
+                stats = SearchStats()
+                assert coherent_core(frozen, [0, 1], 3, within=within,
+                                     stats=stats) == frozenset()
+                assert (stats.dcc_calls, stats.peel_operations) == (1, 0)
+                assert frozen_layer_core(frozen, 0, 3, within=within) == set()
+
+
+# ----------------------------------------------------------------------
+# one input contract for the core primitives
+# ----------------------------------------------------------------------
+
+
+TIERS = ["dict", "python", pytest.param("numpy", marks=needs_numpy)]
+
+
+def _tier_graph(tier):
+    """The english stand-in at scale 0.1 (15 layers) on ``tier``."""
+    graph = load("english", scale=0.1).graph
+    if tier == "dict":
+        return graph
+    frozen = graph.freeze()
+    frozen.set_kernel(tier)
+    return frozen
+
+
+class TestCoreInputChecks:
+    """A bad ``d`` or layer raises one typed error on every tier."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("d", [-1, 2.5, 3.0, True, "3", None])
+    def test_bad_degree_one_error(self, tier, d):
+        graph = _tier_graph(tier)
+        seeds = {layer: set() for layer in graph.layers()}
+        calls = [
+            lambda: validate_search_params(graph, d, 2, 2),
+            lambda: layer_core(graph, 0, d),
+            lambda: coherent_core(graph, [0, 1], d),
+            lambda: coherent_core_binsort(graph, [0, 1], d),
+            lambda: vertex_deletion(graph, d, 1),
+            lambda: CoreHierarchyIndex(graph, d),
+            lambda: core_maintainer(graph, d),
+            lambda: core_maintainer(graph, d, seed_cores=seeds),
+        ]
+        if graph.is_frozen:
+            calls += [
+                lambda: frozen_layer_core(graph, 0, d),
+                lambda: frozen_coherent_core(graph, (0, 1), d),
+            ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="^d must be"):
+                call()
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("layer", [-1, 15])
+    def test_bad_layer_one_error(self, tier, layer):
+        graph = _tier_graph(tier)
+        assert graph.num_layers == 15
+        for call in (layer_core_decomposition, layer_core_sizes):
+            with pytest.raises(LayerIndexError):
+                call(graph, layer)
+        with pytest.raises(LayerIndexError):
+            layer_core(graph, layer, 2)
 
 
 # ----------------------------------------------------------------------
@@ -659,12 +885,19 @@ class TestSyntheticGenerator:
         assert a.communities == b.communities
 
     def test_identical_with_and_without_numpy(self, monkeypatch):
-        with_numpy = synthetic_multilayer(800, num_communities=3,
-                                          community_size=30, seed=2)
+        cases = [
+            dict(num_vertices=800, num_communities=3, community_size=30),
+            # 2,400 noise draws per layer over 1,770 vertex pairs, most
+            # of them on a few hubs: duplicates outnumber distinct edges.
+            dict(num_vertices=60, num_communities=1, community_size=10,
+                 noise_degree=80.0),
+        ]
+        with_numpy = [synthetic_multilayer(seed=2, **case) for case in cases]
         monkeypatch.setattr(synthetic_module, "_np", None)
-        without = synthetic_multilayer(800, num_communities=3,
-                                       community_size=30, seed=2)
-        assert with_numpy.graph == without.graph
+        without = [synthetic_multilayer(seed=2, **case) for case in cases]
+        assert [dataset.graph for dataset in with_numpy] == \
+            [dataset.graph for dataset in without]
+        assert without[1].graph.num_edges(0) < 2400 / 2
 
     def test_planted_degree_guarantee(self):
         d = 5

@@ -1,9 +1,12 @@
 """Tests for the incremental multi-layer core maintainer."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.kernels as kernels_module
 from repro.core.dcore import d_core, layer_core
 from repro.core.maintain import (
     ArrayCoreMaintainer,
@@ -13,7 +16,12 @@ from repro.core.maintain import (
 from repro.core.stats import SearchStats
 from repro.graph import MultiLayerGraph
 from repro.graph.kernels import numpy_available
-from tests.strategies import multilayer_graphs
+from tests.strategies import (
+    hub_graphs,
+    multilayer_graphs,
+    pull_then_push_graph,
+    star_cascade_graph,
+)
 
 
 def ladder_graph():
@@ -40,6 +48,20 @@ def tiers(graph):
     yield graph
     if numpy_available():
         yield numpy_tier(graph)
+
+
+def pulled_rounds(build):
+    """``build()``'s result and the number of pull rounds it ran."""
+    calls = []
+    count_live = kernels_module._count_live
+
+    def counting(*args):
+        calls.append(args)
+        return count_live(*args)
+
+    with mock.patch.object(kernels_module, "_count_live", counting):
+        built = build()
+    return built, len(calls)
 
 
 def as_batch(maintainer, vertices):
@@ -233,3 +255,23 @@ class TestArrayMaintainer:
                 assert set(batch.tolist()) == set(reference.below(threshold))
                 assert m.labels_of(batch) == \
                     reference.labels_of(batch.tolist())
+
+    @pytest.mark.parametrize("build, d, pulls", [
+        (pull_then_push_graph, 3, 1),
+        (star_cascade_graph, 2, 3),
+        (lambda: star_cascade_graph(with_core=False), 2, 3),
+    ])
+    def test_consistent_right_after_a_pulling_build(self, build, d, pulls):
+        frozen = numpy_tier(build())
+        m, pulled = pulled_rounds(lambda: core_maintainer(frozen, d))
+        assert pulled == pulls
+        m.check_consistency()
+        assert m.snapshot() == MultiLayerCoreMaintainer(frozen, d).snapshot()
+
+    @given(hub_graphs(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_consistent_right_after_build_on_hub_graphs(self, graph, d):
+        frozen = numpy_tier(graph)
+        m = core_maintainer(frozen, d)
+        m.check_consistency()
+        assert m.snapshot() == MultiLayerCoreMaintainer(frozen, d).snapshot()
