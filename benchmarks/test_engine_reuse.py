@@ -17,10 +17,6 @@ Two assertions always hold, on any machine:
   safe to enforce even on a single-CPU host: the engine *removes* 15
   pool spawns and 16 preprocessing passes rather than betting on
   physical parallelism, and the margin is typically far above 2x.
-
-A second report records the scratch-arena effect on the frozen peel
-kernels in isolation (``peel_scratch.txt``): the same d-CC peel with
-per-call allocation vs engine-owned buffer reuse.
 """
 
 from time import perf_counter
@@ -28,7 +24,6 @@ from time import perf_counter
 from repro.core.api import search_dccs
 from repro.engine import DCCEngine
 from repro.graph import paper_figure1_graph
-from repro.graph.frozen import ScratchArena, frozen_coherent_core
 
 from benchmarks._shared import record
 
@@ -139,73 +134,3 @@ def test_engine_reuse_report(benchmark):
         )
     )
 
-
-def test_peel_scratch_report(benchmark):
-    # A 100k-vertex synthetic graph: the original english stand-in (525
-    # vertices) was too small for the arena's O(n) buffer recycling to
-    # rise above timer noise (the old report read 1.00x).  The arena is
-    # a python-tier mechanism — the numpy kernels never touch it — so
-    # the tier is pinned to keep the comparison about buffer reuse.
-    from repro.datasets import synthetic_multilayer
-
-    graph = synthetic_multilayer(
-        100_000, num_layers=3, num_communities=40, community_size=80,
-        d=4, span=2, seed=11, name="peel-scratch",
-    ).graph
-    graph.set_kernel("python")
-    layers = tuple(range(min(3, graph.num_layers)))
-    rounds = 10
-
-    def alloc_per_call():
-        for _ in range(rounds):
-            frozen_coherent_core(graph, layers, 3)
-
-    def arena_reuse():
-        arena = ScratchArena()
-        with arena:
-            for _ in range(rounds):
-                frozen_coherent_core(graph, layers, 3)
-        return arena
-
-    def run_both():
-        timings = {}
-        for name, fn in (("alloc", alloc_per_call), ("arena", arena_reuse)):
-            best = None
-            for _ in range(2):
-                start = perf_counter()
-                fn()
-                elapsed = perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            timings[name] = best
-        return timings
-
-    timings = benchmark.pedantic(run_both, rounds=1, iterations=1)
-
-    base = frozen_coherent_core(graph, layers, 3)
-    arena = ScratchArena()
-    with arena:
-        assert frozen_coherent_core(graph, layers, 3) == base
-    assert arena.reuses == 0  # first call populates, later calls reuse
-
-    lines = [
-        "Frozen peel scratch reuse — {} x frozen_coherent_core on a "
-        "synthetic planted-d-CC graph ({} vertices, layers {}, d=3, "
-        "python kernel tier pinned — the arena is a python-tier "
-        "mechanism)".format(rounds, graph.num_vertices, list(layers)),
-        "",
-        "{:<22s}  {:>10s}  {:>12s}".format("variant", "time_s",
-                                           "per-call ms"),
-        "{:<22s}  {:>10.3f}  {:>12.3f}".format(
-            "allocate per call", timings["alloc"],
-            1000 * timings["alloc"] / rounds),
-        "{:<22s}  {:>10.3f}  {:>12.3f}".format(
-            "engine scratch arena", timings["arena"],
-            1000 * timings["arena"] / rounds),
-        "",
-        "speedup from buffer reuse: {:.2f}x "
-        "(results identical; the arena recycles the O(n) alive/queued "
-        "flags and per-layer degree rows)".format(
-            timings["alloc"] / timings["arena"]
-        ),
-    ]
-    record("peel_scratch", "\n".join(lines))

@@ -95,6 +95,7 @@ from repro.aio.result_cache import (
     DEFAULT_RESULT_CACHE_ENTRIES,
     ResultCache,
 )
+from repro.core.api import check_stats
 from repro.host import DCCHost
 from repro.utils.errors import (
     FrozenGraphError,
@@ -318,6 +319,7 @@ class AsyncDCCHost:
         ``StaleResultError``, parameter errors) otherwise.
         """
         self._ensure_serving(name)
+        check_stats(options.get("stats"))
         loop = asyncio.get_running_loop()
         started = self._clock()
         # The result cache sits *above* the coalescer: a finished

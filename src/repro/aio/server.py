@@ -151,14 +151,6 @@ def serving_stats(host, server=None):
                 for name, status in info["host"]["engines"].items()
             },
         },
-        # Per-graph shard picture (resident sharded sessions only):
-        # shard count, per-shard sizes/halo widths and merge counters,
-        # so shard skew is observable from the wire.
-        "shards": {
-            name: status["shards"]
-            for name, status in info["host"]["engines"].items()
-            if "shards" in status
-        },
     }
     if server is not None:
         payload["server"] = server.counters()

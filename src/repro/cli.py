@@ -133,28 +133,6 @@ def _cmd_info(args):
     print("engine_cache_invalidations_dropped: {}".format(
         status["cache_invalidations_dropped"]
     ))
-    if args.shards is not None and args.shards > 1:
-        # The shard picture a `--shards N` session over this graph would
-        # serve with: per-shard sizes and halo widths (shard skew), and
-        # the per-shard admission charge versus the honest total.
-        from repro.shard import ShardedEngine
-
-        with ShardedEngine(graph, shards=args.shards, jobs=0) as sharded:
-            shard_status = sharded.info()["shards"]
-        print("shards: {}".format(shard_status["shards"]))
-        print("shards_strategy: {}".format(shard_status["strategy"]))
-        print("shards_budget_bytes: {}".format(
-            shard_status["budget_bytes"]
-        ))
-        for entry in shard_status["per_shard"]:
-            print(
-                "shard[{}]: {} vertices, {} halo, {} bytes, layers "
-                "{}".format(
-                    entry["index"], entry["vertices"],
-                    entry["halo_vertices"], entry["memory_bytes"],
-                    ",".join(str(layer) for layer in entry["layers"]),
-                )
-            )
     # The hosting layer a `repro host` run would place this graph in:
     # admit one (cheap — the pool stays unspawned) and report the
     # admission-control picture.
@@ -208,11 +186,8 @@ def _cmd_search(args):
     result = search_dccs(
         graph, args.d, args.s, args.k, method=args.method,
         backend=args.backend, seed=args.seed, jobs=args.jobs,
-        kernel=args.kernel, shards=args.shards,
+        kernel=args.kernel,
     )
-    if args.shards is not None and args.shards > 1:
-        print("sharded: {} vertex-range shards (results identical to "
-              "--shards 1)".format(args.shards))
     if args.jobs is not None:
         from repro.parallel import effective_jobs
 
@@ -259,16 +234,8 @@ def _cmd_batch(args):
             return 2
     try:
         with Timer() as total:
-            if args.shards is not None and args.shards > 1:
-                from repro.shard import ShardedEngine
-
-                session = ShardedEngine(graph, shards=args.shards,
-                                        backend=args.backend,
-                                        jobs=args.jobs, kernel=args.kernel)
-            else:
-                session = DCCEngine(graph, backend=args.backend,
-                                    jobs=args.jobs, kernel=args.kernel)
-            with session as engine:
+            with DCCEngine(graph, backend=args.backend, jobs=args.jobs,
+                           kernel=args.kernel) as engine:
                 engine.warm()
                 results = engine.search_many(queries)
                 status = engine.info()
@@ -292,16 +259,6 @@ def _cmd_batch(args):
             status["cache_hits"] + status["cache_misses"],
         )
     )
-    if "shards" in status:
-        shard_status = status["shards"]
-        print(
-            "shards: {} ({}) | merges {} | peel rounds {} | largest "
-            "shard {} bytes".format(
-                shard_status["shards"], shard_status["strategy"],
-                shard_status["merges"], shard_status["peel_rounds"],
-                shard_status["budget_bytes"],
-            )
-        )
     return 0
 
 
@@ -325,16 +282,12 @@ def _cmd_host(args):
         else settings.get("memory_budget_bytes")
     kernel = args.kernel if args.kernel != "auto" \
         else settings.get("kernel", "auto")
-    shards = args.shards if args.shards is not None \
-        else settings.get("shards")
     host_options = {"jobs": args.jobs, "backend": args.backend,
                     "kernel": kernel}
     if max_engines is not None:
         host_options["max_engines"] = max_engines
     if budget is not None:
         host_options["memory_budget_bytes"] = budget
-    if shards is not None:
-        host_options["shards"] = shards
     try:
         with Timer() as total:
             with DCCHost(**host_options) as host:
@@ -410,10 +363,6 @@ def _serve_host_options(args, settings):
         else settings.get("kernel", "auto")
     host_options = {"jobs": args.jobs, "backend": args.backend,
                     "kernel": kernel}
-    shards = args.shards if args.shards is not None \
-        else settings.get("shards")
-    if shards is not None:
-        host_options["shards"] = shards
     max_engines = args.max_engines if args.max_engines is not None \
         else settings.get("max_engines")
     if max_engines is not None:
@@ -853,10 +802,6 @@ def build_parser():
                       choices=("auto", "python", "numpy"),
                       help="peel-kernel tier to report on (auto = numpy "
                            "when available)")
-    info.add_argument("--shards", type=int, default=None,
-                      help="also report the shard layout a --shards N "
-                           "session would use (per-shard sizes, halo "
-                           "widths, admission charge)")
     info.set_defaults(fn=_cmd_info)
 
     search = sub.add_parser("search", parents=[common], help="run DCCS")
@@ -870,7 +815,7 @@ def build_parser():
                         choices=("auto", "dict", "frozen"),
                         help="graph backend (auto freezes when profitable)")
     search.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sharded parallel "
+                        help="worker processes for the parallel "
                              "search: 0 = one per CPU, N = exactly N "
                              "(default: classic single-process search)")
     search.add_argument("--kernel", default="auto",
@@ -878,10 +823,6 @@ def build_parser():
                         help="peel-kernel tier for the frozen backend "
                              "(auto = numpy when available; results are "
                              "bitwise identical either way)")
-    search.add_argument("--shards", type=int, default=None,
-                        help="partition the graph into N vertex-range "
-                             "shards and run the distributed peel over "
-                             "them (results identical to unsharded)")
     search.set_defaults(fn=_cmd_search)
 
     batch = sub.add_parser(
@@ -904,10 +845,6 @@ def build_parser():
                        choices=("auto", "python", "numpy"),
                        help="peel-kernel tier for the session's frozen "
                             "backend (auto = numpy when available)")
-    batch.add_argument("--shards", type=int, default=None,
-                       help="serve the batch from a sharded session: "
-                            "the graph cut into N vertex-range blocks "
-                            "(results identical to unsharded)")
     batch.set_defaults(fn=_cmd_batch)
 
     host = sub.add_parser(
@@ -937,11 +874,6 @@ def build_parser():
                       choices=("auto", "python", "numpy"),
                       help="peel-kernel tier default for every engine "
                            "(overrides the spec file)")
-    host.add_argument("--shards", type=int, default=None,
-                      help="shard count default for every attached graph "
-                           "(overrides the spec's \"shards\" setting; "
-                           "N > 1 budgets each graph by its largest "
-                           "shard)")
     host.set_defaults(fn=_cmd_host)
 
     serve = sub.add_parser(
@@ -986,10 +918,6 @@ def build_parser():
                        choices=("auto", "python", "numpy"),
                        help="peel-kernel tier default for every engine "
                             "(overrides the spec file)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="shard count default for every attached "
-                            "graph (overrides the spec's \"shards\" "
-                            "setting)")
     serve.set_defaults(fn=_cmd_serve)
 
     datasets = sub.add_parser("datasets", parents=[common],

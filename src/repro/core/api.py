@@ -15,16 +15,23 @@ backends, bit for bit, only the wall clock differs.
 Finally it hides the *execution mode*: ``jobs=None`` (default) runs the
 classic single-process algorithms, while any other value wraps a
 short-lived :class:`repro.engine.DCCEngine` session around the call —
-the sharded parallel search of :mod:`repro.parallel` over one shared
-graph.  Parallel results are bitwise identical for every worker count
-(and, for the greedy method, identical to the sequential run as well);
-callers issuing many searches over one graph should hold a ``DCCEngine``
-open themselves and amortise the pool across queries.
+the parallel search of :mod:`repro.parallel` over one shared graph.
+Parallel results are bitwise identical for every worker count (and, for
+the greedy method, identical to the sequential run as well); callers
+issuing many searches over one graph should hold a ``DCCEngine`` open
+themselves and amortise the pool across queries.
+
+Every entry path — both execution modes here, the engine, the hosts and
+the socket server — checks a search's option names and values with
+:func:`check_options` and its ``stats`` with :func:`check_stats`, so a
+bad spec raises the same :class:`~repro.utils.errors.ParameterError`
+wherever it enters.
 """
 
 from repro.core.bottomup import bu_dccs
 from repro.core.dcc import validate_search_params
 from repro.core.greedy import gd_dccs
+from repro.core.stats import SearchStats
 from repro.core.topdown import td_dccs
 from repro.graph.backend import check_graph, resolve_search_graph
 from repro.graph.kernels import resolve_kernel
@@ -73,8 +80,9 @@ def resolve_method(num_layers, method, s, options):
     agree on them exactly, or their bitwise-equality contract breaks:
     ``"auto"`` resolves via :func:`choose_method`, and a ``seed`` is
     dropped for every method but top-down (only the Lemma 7 shortcut is
-    randomised; the other methods silently ignore a seed so callers can
-    sweep methods with uniform arguments).
+    randomised; the other methods ignore a seed so callers can sweep
+    methods with uniform arguments).  The seed's value is checked before
+    it is dropped, so a bad one fails on every method.
     """
     if method not in _METHODS:
         raise ParameterError(
@@ -82,49 +90,76 @@ def resolve_method(num_layers, method, s, options):
         )
     if method == "auto":
         method = choose_method(num_layers, s)
-    if method != "top-down":
-        options.pop("seed", None)
+    if method != "top-down" and "seed" in options:
+        _check_option_value("seed", options.pop("seed"))
     return method
+
+
+def _check_option_value(name, value):
+    """Reject a known option's value: switches are bools, a seed an int."""
+    if name == "seed":
+        valid = value is None or (isinstance(value, int)
+                                  and not isinstance(value, bool))
+        expected = "None or an integer"
+    else:
+        valid = isinstance(value, bool)
+        expected = "a bool"
+    if not valid:
+        raise ParameterError(
+            "option {!r} must be {}, got {!r}".format(name, expected, value)
+        )
 
 
 def check_options(method, options):
     """Reject any option the resolved ``method`` does not take.
 
-    Every entry path calls this, so an unknown option raises the same
-    :class:`~repro.utils.errors.ParameterError` whether the search runs
-    sequentially or through an engine.  ``stats`` is not a search option:
-    callers that accept it take it out first.
+    Every entry path calls this, so an unknown option, a ``use_*``
+    switch that is not a bool, or a ``seed`` that is neither ``None``
+    nor an int raises the same :class:`~repro.utils.errors.ParameterError`
+    whether the search runs sequentially or through an engine.  ``stats``
+    is not a search option: callers that accept it take it out first and
+    check it with :func:`check_stats`.
     """
     valid = METHOD_OPTIONS[method]
-    for name in options:
+    for name, value in options.items():
         if name not in valid:
             raise ParameterError(
                 "unknown option {!r} for method {!r} (valid: {})".format(
                     name, method, tuple(sorted(valid))
                 )
             )
+        _check_option_value(name, value)
+
+
+def check_stats(stats):
+    """Reject a ``stats`` accumulator that is not a :class:`SearchStats`.
+
+    Every entry path that takes ``stats`` out of a search's options calls
+    this before any work, so a bad one raises
+    :class:`~repro.utils.errors.ParameterError` up front instead of an
+    ``AttributeError`` once the search has run.  ``None`` means no
+    accumulator.
+    """
+    if stats is not None and not isinstance(stats, SearchStats):
+        raise ParameterError(
+            "stats must be None or a SearchStats, got {}".format(
+                type(stats).__name__
+            )
+        )
+    return stats
 
 
 def _engine_one_shot(graph, d, s, k, method, backend, jobs, kernel,
-                     shards, options):
+                     options):
     """Route one search through a short-lived :class:`DCCEngine`.
 
     ``search_dccs(..., jobs=N)`` *is* an engine session of length one:
-    the engine resolves the backend, spawns the pool, runs the sharded
+    the engine resolves the backend, spawns the pool, runs the parallel
     search and translates the results, and is closed before returning —
     which is exactly what makes its output bitwise identical to a warm
-    engine serving the same query.  ``shards=N`` (``N > 1``) selects a
-    :class:`~repro.shard.engine.ShardedEngine` — the graph partitioned
-    into N blocks, results still bitwise identical.  Imported lazily:
-    the engine pulls in multiprocessing plumbing that purely sequential
-    callers never need.
+    engine serving the same query.  Imported lazily: the engine pulls in
+    multiprocessing plumbing that purely sequential callers never need.
     """
-    if shards is not None and shards > 1:
-        from repro.shard.engine import ShardedEngine
-
-        with ShardedEngine(graph, shards=shards, backend=backend,
-                           jobs=jobs, kernel=kernel) as engine:
-            return engine.search(d, s, k, method=method, **options)
     from repro.engine import DCCEngine
 
     with DCCEngine(graph, backend=backend, jobs=jobs,
@@ -133,7 +168,7 @@ def _engine_one_shot(graph, d, s, k, method, backend, jobs, kernel,
 
 
 def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
-                kernel="auto", shards=None, **options):
+                kernel="auto", **options):
     """Find the top-k diversified d-CCs of ``graph`` on ``s`` layers.
 
     Parameters
@@ -160,7 +195,7 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         shards across one worker process per CPU, a positive integer
         across exactly that many.  For a fixed ``seed``, results are
         bitwise identical — sets, labels and aggregated counters — for
-        every ``jobs`` value (``jobs=1`` executes the same sharded
+        every ``jobs`` value (``jobs=1`` executes the same parallel
         search inline).  The greedy method additionally matches the
         sequential run exactly; the tree searches are documented shard
         variants (see :mod:`repro.parallel.search`).
@@ -171,21 +206,12 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         the wall clock differs; a non-``"auto"`` choice is remembered on
         the resolved frozen graph for subsequent searches over it.  The
         dict backend has one implementation and ignores the flag.
-    shards:
-        ``None`` (default) serves the graph whole.  ``N > 1``
-        partitions the frozen graph into ``N`` vertex-range blocks and
-        runs the distributed scatter/gather peel over them (see
-        :mod:`repro.shard`) — results are bitwise identical to the
-        unsharded run for every ``N``.  Any non-``None`` value implies
-        an engine session (``1`` is an unsharded engine, the baseline
-        the sharded runs are bitwise equal to), so ``jobs=None`` is
-        treated as ``jobs=1``; ``N > 1`` is incompatible with
-        ``backend="dict"``.
     options:
         Forwarded to the chosen algorithm (preprocessing and pruning
         switches, ``seed`` for top-down, ``stats``); a name the method
-        does not take raises :class:`ParameterError` (see
-        :func:`check_options`).
+        does not take, or a value of the wrong type, raises
+        :class:`ParameterError` (see :func:`check_options` and
+        :func:`check_stats`).
 
     Returns
     -------
@@ -206,17 +232,13 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     # Validate eagerly (and fail an explicit "numpy" request in a
     # numpy-less interpreter) no matter which backend ends up serving.
     resolve_kernel(kernel)
-    if shards is not None:
-        from repro.shard.partition import check_shards
-
-        check_shards(shards)
-    if jobs is not None or shards is not None:
+    check_stats(options.get("stats"))
+    if jobs is not None:
         from repro.parallel import check_jobs
 
         check_jobs(jobs)
-        return _engine_one_shot(graph, d, s, k, method, backend,
-                                1 if jobs is None else jobs,
-                                kernel, shards, options)
+        return _engine_one_shot(graph, d, s, k, method, backend, jobs,
+                                kernel, options)
     # Backend resolution (a possible O(n + m) freeze — cached on the
     # graph, so repeated searches pay it once) and the final id-to-label
     # translation are charged to the result's elapsed time: reported

@@ -107,12 +107,6 @@ def coherent_core(graph, layers, d, within=None, stats=None):
     vertex_mask(graph, within)
     if stats is not None:
         stats.dcc_calls += 1
-    if getattr(graph, "is_sharded", False):
-        # Scatter/gather peel across the shard executors; same unique
-        # fixed point and the same per-removal peel count as the
-        # single-engine kernels below (see repro.shard.graph).
-        return graph.coherent_core(layer_tuple, d, within=within,
-                                   stats=stats)
     if graph.is_frozen:
         from repro.graph.frozen import frozen_coherent_core
 

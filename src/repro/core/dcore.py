@@ -31,10 +31,6 @@ def layer_core(graph, layer, d, within=None):
     vertex vocabulary).
     """
     check_degree(d)
-    if getattr(graph, "is_sharded", False):
-        # The sharded coordinator validates its own arguments (this
-        # dispatch runs before any frozen-path checks would).
-        return graph.layer_core(layer, d, within=within)
     if graph.is_frozen:
         from repro.graph.frozen import frozen_layer_core
 

@@ -5,7 +5,7 @@ everything a one-shot search throws away — the frozen conversion, the
 worker pool (processes keep the deserialized graph between queries), the
 per-graph artifact cache (d-core decompositions, InitTopK seeds, the
 hierarchy index, with stats-delta replay so warm results stay bitwise
-identical to cold ones), and the peel kernels' scratch buffers.
+identical to cold ones).
 
 This is the substrate the serving roadmap builds on: batching lives here
 (``engine.search_many``), and multi-graph hosting sits directly on the
@@ -18,10 +18,8 @@ contract.
 
 from repro.engine.cache import ArtifactCache
 from repro.engine.session import DCCEngine
-from repro.graph.frozen import ScratchArena
 
 __all__ = [
     "DCCEngine",
     "ArtifactCache",
-    "ScratchArena",
 ]

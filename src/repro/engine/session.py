@@ -5,16 +5,15 @@
 lifetime and keeps everything a repeated search would otherwise rebuild —
 the resolved backend (one freeze, ever), a persistent worker pool whose
 processes hold the deserialized graph between queries
-(:class:`~repro.parallel.executor.WorkerPool`), a per-graph artifact
-cache with counter replay (:class:`~repro.engine.cache.ArtifactCache`),
-and a scratch arena the frozen peel kernels recycle buffers from
-(:class:`~repro.graph.frozen.ScratchArena`).
+(:class:`~repro.parallel.executor.WorkerPool`) and a per-graph artifact
+cache with counter replay (:class:`~repro.engine.cache.ArtifactCache`).
 
 **Result contract.** ``engine.search(...)`` is bitwise identical — sets,
 labels and aggregated counters — to ``search_dccs(..., jobs=N)`` for any
 ``N``, warm or cold, on either backend (property-tested in
-``tests/test_engine.py``).  The engine always runs the sharded execution
-path; the classic sequential algorithms remain reachable through
+``tests/test_engine.py``).  The engine searches exactly one graph object
+and always runs the parallel execution path of :mod:`repro.parallel`;
+the classic sequential algorithms remain reachable through
 ``search_dccs(..., jobs=None)``.
 
 **Invalidation contract.** The engine snapshots its source graph's
@@ -34,14 +33,14 @@ rebound, so retrying the call is safe — rather than deliver either
 attempt.  A stale answer is never returned; the cost of mutation is a
 cold next query.
 
-Engines are not thread-safe (one ambient scratch arena, one pool); share
+Engines are not thread-safe (one pool, one artifact cache); share
 the *graph* across engines, not an engine across threads.  The
 collect-time re-check defends against a *writer* thread mutating the
 graph while a single serving thread searches — the one cross-thread
 interaction the session boundary has to tolerate.
 """
 
-from repro.core.api import resolve_method
+from repro.core.api import check_stats, resolve_method
 from repro.core.dcc import validate_search_params
 from repro.core.stats import SearchStats
 from repro.engine.cache import ArtifactCache
@@ -50,7 +49,6 @@ from repro.graph.backend import (
     check_graph,
     resolve_search_graph,
 )
-from repro.graph.frozen import ScratchArena
 from repro.graph.kernels import numpy_available, resolve_kernel
 from repro.parallel.executor import WorkerPool, check_jobs
 from repro.parallel.plan import make_query
@@ -85,7 +83,7 @@ class DCCEngine:
     jobs:
         Persistent pool size with the usual semantics (``0`` = one
         worker per CPU, default); ``None`` is accepted as an alias for
-        ``1``, i.e. inline sharded execution with no worker processes.
+        ``1``, i.e. inline parallel execution with no worker processes.
         The pool spawns lazily; call :meth:`warm` to pay the spawn cost
         up front.
     cache_artifacts:
@@ -172,12 +170,6 @@ class DCCEngine:
             self._graph, max_entries=self._cache_max_entries,
             ttl=self._cache_ttl,
         ) if self._cache_enabled else None
-        self._arena = ScratchArena()
-
-    # Subclasses that rebuild fundamentally different per-graph state
-    # (the sharded engine re-partitions on every bind) opt out of the
-    # incremental path and always rebind fully.
-    _supports_delta_rebind = True
 
     def _rebind_if_stale(self):
         """Rebind when the source graph mutated; whether a rebind happened.
@@ -209,11 +201,9 @@ class DCCEngine:
         Requires the source to produce a non-structural delta covering
         the versions since the last bind (vertex-set changes shift the
         frozen dense-id assignment, so they always rebuild).  The worker
-        pool and scratch arena survive; the artifact cache keeps every
-        entry whose layer signature avoids the delta.
+        pool survives; the artifact cache keeps every entry whose layer
+        signature avoids the delta.
         """
-        if not self._supports_delta_rebind:
-            return False
         delta_since = getattr(self._source, "delta_since", None)
         if delta_since is None:
             return False
@@ -306,7 +296,7 @@ class DCCEngine:
         submission order (the pipelining contract of the pool).
         """
         self._ensure_current()
-        user_stats = options.pop("stats", None)
+        user_stats = check_stats(options.pop("stats", None))
         return SearchHandle(self, (d, s, k, method, options),
                             self._start(d, s, k, method, options),
                             user_stats, self._version)
@@ -317,9 +307,8 @@ class DCCEngine:
         if self._active_kernel is not None and \
                 self._graph.kernel != self._active_kernel:
             self._graph.set_kernel(self._active_kernel)
-        with self._arena:
-            return start_query(self._graph, query, self._pool,
-                               stats=SearchStats(), artifacts=self._cache)
+        return start_query(self._graph, query, self._pool,
+                           stats=SearchStats(), artifacts=self._cache)
 
     def search_many(self, queries):
         """Pipeline a batch of query specs through the warm pool.
@@ -345,7 +334,7 @@ class DCCEngine:
                     )
                 ) from None
             method = entry.pop("method", "auto")
-            entry.pop("stats", None)
+            check_stats(entry.pop("stats", None))
             parsed.append((d, s, k, method, entry))
         for _ in range(2):
             # Validate (and re-validate after a rebind) before any query
@@ -358,10 +347,8 @@ class DCCEngine:
             if self._active_kernel is not None and \
                     self._graph.kernel != self._active_kernel:
                 self._graph.set_kernel(self._active_kernel)
-            with self._arena:
-                results = execute_query_batch(self._graph, specs,
-                                              self._pool,
-                                              artifacts=self._cache)
+            results = execute_query_batch(self._graph, specs, self._pool,
+                                          artifacts=self._cache)
             # On a mid-batch mutation every result of this batch came
             # from the stale snapshot, so the whole batch retries.
             if not self._rebind_if_stale():
@@ -378,16 +365,6 @@ class DCCEngine:
         to the session.
         """
         return self._graph.memory_bytes()
-
-    def budget_bytes(self):
-        """What admission control charges this session against the budget.
-
-        Equal to :meth:`memory_bytes` for an unsharded engine; a
-        :class:`~repro.shard.engine.ShardedEngine` overrides it to its
-        largest single shard, because sharding exists precisely so no
-        one engine holds the whole graph at once.
-        """
-        return self.memory_bytes()
 
     def info(self):
         """Pool and cache status for monitoring (and ``repro info``)."""
@@ -421,7 +398,6 @@ class DCCEngine:
             "cache_invalidations_dropped":
                 cache_stats["invalidations_dropped"],
             "memory_bytes": self.memory_bytes(),
-            "scratch_reuses": self._arena.reuses,
             "invalidations": self.invalidations,
             "rebinds_patched": self.rebinds_patched,
             "rebinds_full": self.rebinds_full,
@@ -527,8 +503,7 @@ class SearchHandle:
             if engine._closed:
                 raise EngineClosedError()
             if engine._version == bound:
-                with engine._arena:
-                    result = pending.finish(engine._pool)
+                result = pending.finish(engine._pool)
                 # Deliver only if the source never mutated while this
                 # attempt ran: the engine must still be on the attempt's
                 # bind *and* that bind must still match the source.

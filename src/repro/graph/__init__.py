@@ -65,7 +65,6 @@ from repro.graph.backend import (
 )
 from repro.graph.frozen import (
     FrozenMultiLayerGraph,
-    ScratchArena,
     frozen_coherent_core,
     frozen_layer_core,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "numpy_version",
     "frozen_layer_core",
     "frozen_coherent_core",
-    "ScratchArena",
     "LayerView",
     "layer_statistics",
     "layer_edge_jaccard",

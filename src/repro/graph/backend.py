@@ -3,17 +3,13 @@
 The d-CC search stack in :mod:`repro.core` runs against a *narrow,
 duck-typed protocol* rather than against one concrete graph class, so the
 readable dict-of-sets reference backend and the flat-array CSR backend
-execute the same search code.  Two implementations exist today:
+execute the same search code.  Two implementations exist:
 
 * :class:`repro.graph.multilayer.MultiLayerGraph` — mutable dict-of-sets
   adjacency, arbitrary hashable vertices (``is_frozen == False``);
 * :class:`repro.graph.frozen.FrozenMultiLayerGraph` — immutable CSR over
   dense integer ids (``is_frozen == True``), built by ``freeze()`` and
-  convertible back by ``thaw()``;
-* :class:`repro.shard.graph.ShardedGraph` — the same frozen data cut
-  into N independently shippable blocks, served scatter/gather behind
-  this protocol (``is_frozen == False`` — no whole-graph CSR arrays
-  exist — with ``is_sharded == True`` as its dispatch marker).
+  convertible back by ``thaw()``.
 
 Protocol
 --------
@@ -23,10 +19,6 @@ A backend must provide:
 ``is_frozen``                   ``True`` for the CSR backend; algorithm
                                 modules use it to select flat-array fast
                                 paths (never for correctness decisions).
-``is_sharded`` (optional)       ``True`` only on the sharded coordinator;
-                                routes ``layer_core``/``coherent_core``
-                                to the distributed peel.  Absent on the
-                                other backends (read via ``getattr``).
 ``num_layers`` / ``layers()``   layer count and ``range`` of layer ids.
 ``num_vertices`` / ``vertices()``  vertex count / a fresh vertex set.
 ``vertex_set()``                a cached frozenset of all vertices

@@ -30,7 +30,6 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 import sys
-import threading as _threading
 
 from repro.graph.kernels import buffer_nbytes, resolve_kernel, vertex_mask
 from repro.utils.errors import (
@@ -762,125 +761,11 @@ class FrozenMultiLayerGraph:
 
 
 # ----------------------------------------------------------------------
-# scratch buffer reuse for the peeling kernels
-# ----------------------------------------------------------------------
-
-
-class ScratchArena:
-    """Reusable scratch buffers for the frozen peel kernels.
-
-    Every peel allocates O(n) working state — alive/queued flag
-    bytearrays and one degree list per layer.  Under a query-serving
-    session those allocations repeat with identical shapes thousands of
-    times, so the arena keeps one buffer per *role* (``"alive"``,
-    ``"queued"``, ``("deg", i)``) and resets it with a C-speed slice
-    copy from a cached template instead of reallocating.
-
-    Safety rests on two facts the kernels guarantee: no buffer outlives
-    its kernel invocation (results are materialised into fresh
-    sets/dicts before return), and no two live usages share a role —
-    kernels run to completion without re-entering one another.  The
-    arena is therefore single-threaded by construction; activate at most
-    one per thread of execution.
-
-    Activate ambiently with ``with arena: ...`` (the kernels pick it up
-    via :func:`active_scratch`), or pass ``arena=`` explicitly.  An
-    engine owns one arena per orchestrator and one per pooled worker
-    process.
-    """
-
-    __slots__ = ("_n", "_byte_zero", "_byte_one", "_int_zero",
-                 "_flag_bufs", "_int_bufs", "_previous", "reuses")
-
-    def __init__(self):
-        self._n = -1
-        self._byte_zero = b""
-        self._byte_one = b""
-        self._int_zero = []
-        self._flag_bufs = {}
-        self._int_bufs = {}
-        self._previous = None
-        self.reuses = 0
-
-    def _fit(self, n):
-        """(Re)build the reset templates when the vertex count changes."""
-        if n != self._n:
-            self._n = n
-            self._byte_zero = bytes(n)
-            self._byte_one = b"\x01" * n
-            self._int_zero = [0] * n
-            self._flag_bufs.clear()
-            self._int_bufs.clear()
-
-    def flags(self, role, n, fill=0):
-        """A length-``n`` bytearray for ``role``, every byte ``fill``."""
-        self._fit(n)
-        template = self._byte_one if fill else self._byte_zero
-        buf = self._flag_bufs.get(role)
-        if buf is None:
-            buf = bytearray(template)
-            self._flag_bufs[role] = buf
-        else:
-            buf[:] = template
-            self.reuses += 1
-        return buf
-
-    def int_row(self, role, n):
-        """A length-``n`` list of zeros for ``role``."""
-        return self._int_fill(role, self._int_zero, n)
-
-    def int_copy(self, role, source):
-        """A list holding a copy of ``source`` (replaces ``list(source)``)."""
-        return self._int_fill(role, source, len(source))
-
-    def _int_fill(self, role, template, n):
-        self._fit(n)
-        buf = self._int_bufs.get(role)
-        if buf is None:
-            buf = list(template)
-            self._int_bufs[role] = buf
-        else:
-            buf[:] = template
-            self.reuses += 1
-        return buf
-
-    def __enter__(self):
-        self._previous = activate_scratch(self)
-        return self
-
-    def __exit__(self, *exc):
-        activate_scratch(self._previous)
-        self._previous = None
-        return False
-
-
-_ACTIVE_ARENA = _threading.local()
-
-
-def activate_scratch(arena):
-    """Install ``arena`` as the ambient scratch arena; returns the old one.
-
-    The ambient slot is **per thread**: the async serving layer collects
-    searches of different engines on different executor threads, and a
-    process-wide slot would hand one engine's buffers to another
-    mid-peel.  Each thread sees only the arena it activated.
-    """
-    previous = getattr(_ACTIVE_ARENA, "arena", None)
-    _ACTIVE_ARENA.arena = arena
-    return previous
-
-
-def active_scratch():
-    """The calling thread's ambient :class:`ScratchArena`, or ``None``."""
-    return getattr(_ACTIVE_ARENA, "arena", None)
-
-
-# ----------------------------------------------------------------------
 # flat-array peeling kernels (the frozen fast paths of repro.core)
 # ----------------------------------------------------------------------
 
 
-def _alive_members(graph, within, arena=None):
+def _alive_members(graph, within):
     """``(alive bytearray, member sequence)`` for an optional vertex subset.
 
     ``within`` is an iterable of vertex ids, or a vertex mask (see
@@ -889,8 +774,6 @@ def _alive_members(graph, within, arena=None):
     """
     n = graph.num_vertices
     if within is None:
-        if arena is not None:
-            return arena.flags("alive", n, fill=1), range(n)
         return bytearray(b"\x01") * n, range(n)
     mask = vertex_mask(graph, within)
     if mask is not None:
@@ -899,7 +782,7 @@ def _alive_members(graph, within, arena=None):
         # One-shot iterators must be materialised: the TypeError
         # fallback below re-iterates from the start.
         within = list(within)
-    alive = arena.flags("alive", n) if arena is not None else bytearray(n)
+    alive = bytearray(n)
     members = []
     append = members.append
     try:
@@ -912,8 +795,7 @@ def _alive_members(graph, within, arena=None):
         # anything hash-equal to an in-range int aliases that vertex,
         # everything else is silently dropped.  Restart with the
         # coercing loop since the fast pass may have stopped midway.
-        alive = arena.flags("alive", n) if arena is not None \
-            else bytearray(n)
+        alive = bytearray(n)
         members = []
         for v in within:
             v = graph._vertex_id(v)
@@ -923,15 +805,8 @@ def _alive_members(graph, within, arena=None):
     return alive, members
 
 
-def _degree_row(arena, role, source):
-    """A mutable copy of ``source``, arena-recycled when one is active."""
-    if arena is not None:
-        return arena.int_copy(role, source)
-    return list(source)
-
-
 def _induced_degree_lists(graph, layer_tuple, alive, members, full,
-                          use_set_cache=True, arena=None):
+                          use_set_cache=True):
     """Per-layer degree lists restricted to the alive flags.
 
     Strategies with the same result: when most of the graph is alive
@@ -944,19 +819,15 @@ def _induced_degree_lists(graph, layer_tuple, alive, members, full,
     vertices are garbage either way; the peel kernels never read them.
     """
     if full:
-        return [
-            _degree_row(arena, ("deg", i), graph._degree_list(layer))
-            for i, layer in enumerate(layer_tuple)
-        ]
+        return [list(graph._degree_list(layer)) for layer in layer_tuple]
     n = graph.num_vertices
     degree_lists = []
     if 2 * len(members) > n:
         dead = [v for v in range(n) if not alive[v]]
-        for i, layer in enumerate(layer_tuple):
+        for layer in layer_tuple:
             indptr = graph._indptr_list(layer)
             nbrs = graph._neighbor_list(layer)
-            degrees = _degree_row(arena, ("deg", i),
-                                  graph._degree_list(layer))
+            degrees = list(graph._degree_list(layer))
             for w in dead:
                 for u in nbrs[indptr[w]:indptr[w + 1]]:
                     degrees[u] -= 1
@@ -964,27 +835,25 @@ def _induced_degree_lists(graph, layer_tuple, alive, members, full,
         return degree_lists
     if use_set_cache:
         member_set = set(members)
-        for i, layer in enumerate(layer_tuple):
+        for layer in layer_tuple:
             neighbor_sets = graph._neighbor_sets(layer)
-            degrees = arena.int_row(("deg", i), n) if arena is not None \
-                else [0] * n
+            degrees = [0] * n
             for v in members:
                 degrees[v] = len(neighbor_sets[v] & member_set)
             degree_lists.append(degrees)
         return degree_lists
     flag = alive.__getitem__
-    for i, layer in enumerate(layer_tuple):
+    for layer in layer_tuple:
         indptr = graph._indptr_list(layer)
         nbrs = graph._neighbor_list(layer)
-        degrees = arena.int_row(("deg", i), n) if arena is not None \
-            else [0] * n
+        degrees = [0] * n
         for v in members:
             degrees[v] = sum(map(flag, nbrs[indptr[v]:indptr[v + 1]]))
         degree_lists.append(degrees)
     return degree_lists
 
 
-def frozen_layer_core(graph, layer, d, within=None, arena=None):
+def frozen_layer_core(graph, layer, d, within=None):
     """Single-layer d-core on the CSR representation; a set of ids.
 
     Dispatches on the graph's kernel tier: the numpy gather/scatter
@@ -993,8 +862,6 @@ def frozen_layer_core(graph, layer, d, within=None, arena=None):
     mirrors :func:`repro.core.dcore.d_core` exactly with ``bytearray``
     flags in place of the ``alive`` and ``in_queue`` sets and flat lists
     in place of the degree dict.  Both tiers return the same set.
-    ``arena`` recycles the python tier's O(n) scratch state (defaults to
-    the ambient :func:`active_scratch`); it never affects the result.
     """
     check_degree(d)
     graph._check_layer(layer)
@@ -1002,13 +869,11 @@ def frozen_layer_core(graph, layer, d, within=None, arena=None):
         from repro.graph.kernels import np_layer_core
 
         return np_layer_core(graph, layer, d, within=within)
-    if arena is None:
-        arena = active_scratch()
-    alive, members = _alive_members(graph, within, arena=arena)
+    alive, members = _alive_members(graph, within)
     if d == 0:
         return set(members)
     (degrees,) = _induced_degree_lists(
-        graph, (layer,), alive, members, full=within is None, arena=arena
+        graph, (layer,), alive, members, full=within is None
     )
     indptr = graph._indptr_list(layer)
     nbrs = graph._neighbor_list(layer)
@@ -1032,17 +897,14 @@ def frozen_layer_core(graph, layer, d, within=None, arena=None):
     return {v for v in members if alive[v]}
 
 
-def frozen_coherent_core(graph, layer_tuple, d, within=None, stats=None,
-                         arena=None):
+def frozen_coherent_core(graph, layer_tuple, d, within=None, stats=None):
     """Multi-layer cascade peel on the CSR representation; a frozenset.
 
     Mirrors :func:`repro.core.dcc.coherent_core` (same peel counters,
     same unique fixed point, same validation) with flat-array state.
     Dispatches to :func:`repro.graph.kernels.np_coherent_core` when the
     graph's numpy kernel tier is active — same fixed point, same
-    ``peel_operations`` count (one per removed vertex).  ``arena``
-    recycles the python tier's O(n) scratch state (defaults to the
-    ambient :func:`active_scratch`); it never affects the result.
+    ``peel_operations`` count (one per removed vertex).
     """
     check_degree(d)
     for layer in layer_tuple:
@@ -1052,21 +914,18 @@ def frozen_coherent_core(graph, layer_tuple, d, within=None, stats=None,
 
         return np_coherent_core(graph, layer_tuple, d, within=within,
                                 stats=stats)
-    if arena is None:
-        arena = active_scratch()
-    alive, members = _alive_members(graph, within, arena=arena)
+    alive, members = _alive_members(graph, within)
     if d == 0:
         return frozenset(members)
     degree_lists = _induced_degree_lists(
-        graph, layer_tuple, alive, members, full=within is None, arena=arena
+        graph, layer_tuple, alive, members, full=within is None
     )
     per_layer = [
         (graph._indptr_list(layer), graph._neighbor_list(layer), degrees)
         for layer, degrees in zip(layer_tuple, degree_lists)
     ]
     queue = []
-    queued = arena.flags("queued", graph.num_vertices) \
-        if arena is not None else bytearray(graph.num_vertices)
+    queued = bytearray(graph.num_vertices)
     for v in members:
         for degrees in degree_lists:
             if degrees[v] < d:

@@ -3,7 +3,7 @@
 :class:`DCCHost` is the layer above :class:`repro.engine.DCCEngine` the
 ROADMAP's serving track calls for: one process serving d-CC queries over
 *many* graphs.  Each attached graph gets a named registration; an engine
-session (backend resolution, worker pool, artifact cache, scratch arena)
+session (backend resolution, worker pool, artifact cache)
 is **admitted** lazily on first use and stays resident until admission
 control pushes it out.
 
@@ -65,42 +65,17 @@ DEFAULT_MAX_ENGINES = 4
 DEFAULT_CACHE_MAX_ENTRIES = 256
 
 
-def _check_host_shards(shards, backend):
-    """Normalise a host/attach ``shards`` setting (``None`` = unsharded).
-
-    Validation is shared with the shard subsystem (positive int, capped)
-    but imported lazily so an unsharded host never touches that layer.
-    A dict-backend registration cannot shard — shards are CSR slices —
-    and the conflict is reported here, at registration time, not at
-    admission with an eviction already paid.
-    """
-    if shards is None:
-        return None
-    from repro.shard.partition import check_shards
-
-    check_shards(shards)
-    if shards > 1 and backend == "dict":
-        raise ParameterError(
-            "shards={} requires the frozen backend; backend='dict' "
-            "cannot be partitioned".format(shards)
-        )
-    return shards
-
-
 class _Registration:
     """One attached graph plus its per-graph engine overrides."""
 
-    __slots__ = ("graph", "backend", "jobs", "cache_artifacts", "kernel",
-                 "shards")
+    __slots__ = ("graph", "backend", "jobs", "cache_artifacts", "kernel")
 
-    def __init__(self, graph, backend, jobs, cache_artifacts, kernel,
-                 shards):
+    def __init__(self, graph, backend, jobs, cache_artifacts, kernel):
         self.graph = graph
         self.backend = backend
         self.jobs = jobs
         self.cache_artifacts = cache_artifacts
         self.kernel = kernel
-        self.shards = shards
 
 
 class DCCHost:
@@ -115,13 +90,11 @@ class DCCHost:
         Optional global cap on summed resident ``memory_bytes()``; LRU
         sessions are evicted while the total exceeds it (the session
         being admitted is never the victim).
-    backend / jobs / cache_artifacts / kernel / shards:
+    backend / jobs / cache_artifacts / kernel:
         Host-wide engine defaults, overridable per graph at
         :meth:`attach` time (``kernel`` picks the frozen backend's peel
         tier — ``"auto"`` / ``"python"`` / ``"numpy"``; results are
-        bitwise identical between tiers; ``shards=N`` with ``N > 1``
-        admits graphs as sharded sessions budgeted per shard — see
-        :meth:`attach`).
+        bitwise identical between tiers).
     cache_max_entries / cache_ttl:
         Artifact-cache bounds every host-owned engine runs with
         (default: :data:`DEFAULT_CACHE_MAX_ENTRIES` entries, no TTL).
@@ -143,7 +116,7 @@ class DCCHost:
                  memory_budget_bytes=None, backend="auto", jobs=0,
                  cache_artifacts=True,
                  cache_max_entries=DEFAULT_CACHE_MAX_ENTRIES,
-                 cache_ttl=None, kernel="auto", shards=None):
+                 cache_ttl=None, kernel="auto"):
         if isinstance(max_engines, bool) or not isinstance(max_engines, int) \
                 or max_engines < 1:
             raise ParameterError(
@@ -162,13 +135,11 @@ class DCCHost:
         check_backend(backend)
         check_jobs(jobs)
         resolve_kernel(kernel)
-        shards = _check_host_shards(shards, backend)
         self.max_engines = max_engines
         self.memory_budget_bytes = memory_budget_bytes
         self._backend = backend
         self._kernel = kernel
         self._jobs = jobs
-        self._shards = shards
         self._cache_artifacts = cache_artifacts
         self._cache_max_entries = cache_max_entries
         self._cache_ttl = cache_ttl
@@ -185,18 +156,12 @@ class DCCHost:
     # ------------------------------------------------------------------
 
     def attach(self, name, graph, backend=None, jobs=None,
-               cache_artifacts=None, kernel=None, shards=None):
+               cache_artifacts=None, kernel=None):
         """Register ``graph`` under ``name``; no session is admitted yet.
 
         Engine overrides left as ``None`` inherit the host-wide
-        defaults.  ``shards=N`` (with ``N > 1``) admits the graph as a
-        :class:`~repro.shard.engine.ShardedEngine` — the graph is cut
-        into ``N`` vertex-range blocks and admission control charges the
-        session for its largest single shard instead of the whole graph
-        (see :meth:`budget_bytes`); results stay bitwise identical to
-        the unsharded session.  Names are unique — re-attaching a live
-        name raises (detach first, which also closes any resident
-        session).
+        defaults.  Names are unique — re-attaching a live name raises
+        (detach first, which also closes any resident session).
         """
         self._check_open()
         if not isinstance(name, str) or not name:
@@ -218,18 +183,13 @@ class DCCHost:
             check_jobs(jobs)
         if kernel is not None:
             resolve_kernel(kernel)
-        effective_backend = self._backend if backend is None else backend
-        effective_shards = _check_host_shards(
-            self._shards if shards is None else shards, effective_backend
-        )
         self._registry[name] = _Registration(
             graph,
-            effective_backend,
+            self._backend if backend is None else backend,
             self._jobs if jobs is None else jobs,
             self._cache_artifacts if cache_artifacts is None
             else cache_artifacts,
             self._kernel if kernel is None else kernel,
-            effective_shards,
         )
         return self
 
@@ -296,29 +256,15 @@ class DCCHost:
             if victim is None:
                 break
             self._evict(victim)
-        if registration.shards is not None and registration.shards > 1:
-            from repro.shard.engine import ShardedEngine
-
-            engine = ShardedEngine(
-                registration.graph,
-                shards=registration.shards,
-                backend=registration.backend,
-                jobs=registration.jobs,
-                cache_artifacts=registration.cache_artifacts,
-                cache_max_entries=self._cache_max_entries,
-                cache_ttl=self._cache_ttl,
-                kernel=registration.kernel,
-            )
-        else:
-            engine = DCCEngine(
-                registration.graph,
-                backend=registration.backend,
-                jobs=registration.jobs,
-                cache_artifacts=registration.cache_artifacts,
-                cache_max_entries=self._cache_max_entries,
-                cache_ttl=self._cache_ttl,
-                kernel=registration.kernel,
-            )
+        engine = DCCEngine(
+            registration.graph,
+            backend=registration.backend,
+            jobs=registration.jobs,
+            cache_artifacts=registration.cache_artifacts,
+            cache_max_entries=self._cache_max_entries,
+            cache_ttl=self._cache_ttl,
+            kernel=registration.kernel,
+        )
         self._resident[name] = engine
         self.admissions += 1
         self._enforce_budget(keep=name)
@@ -344,19 +290,17 @@ class DCCHost:
     def _enforce_budget(self, keep):
         """Evict LRU sessions while over the global memory budget.
 
-        The budget compares against :meth:`budget_bytes` — identical to
-        :meth:`memory_bytes` for unsharded sessions, but a sharded
-        session is charged only its largest single shard, which is what
-        lets a graph *bigger than the whole budget* serve under it.
-        ``keep`` (the session just admitted or touched) is never the
-        victim: evicting the engine about to serve would thrash.  With
+        The budget compares against :meth:`memory_bytes`, the summed
+        resident bytes of every admitted session.  ``keep`` (the session
+        just admitted or touched) is never the victim: evicting the
+        engine about to serve would thrash.  With
         only ``keep`` (or only pinned sessions) left the loop stops —
         the budget is best-effort for a single oversized graph.
         """
         if self.memory_budget_bytes is None:
             return
         while len(self._resident) > 1 and \
-                self.budget_bytes() > self.memory_budget_bytes:
+                self.memory_bytes() > self.memory_budget_bytes:
             victim = self._eviction_candidate(keep=keep)
             if victim is None:
                 break
@@ -429,18 +373,6 @@ class DCCHost:
         """Summed resident bytes of every admitted session's graph."""
         return sum(
             engine.memory_bytes() for engine in self._resident.values()
-        )
-
-    def budget_bytes(self):
-        """What the resident sessions cost against the memory budget.
-
-        Equal to :meth:`memory_bytes` when nothing is sharded; sharded
-        sessions are charged their largest single shard (see
-        :meth:`DCCEngine.budget_bytes
-        <repro.engine.session.DCCEngine.budget_bytes>`).
-        """
-        return sum(
-            engine.budget_bytes() for engine in self._resident.values()
         )
 
     # ------------------------------------------------------------------
@@ -551,10 +483,6 @@ class DCCHost:
                 "freeze_patches": status["freeze_patches"],
                 "freeze_rebuilds": status["freeze_rebuilds"],
             }
-            if "shards" in status:
-                # Sharded sessions: per-shard sizes, halo widths and
-                # merge counts, so shard skew is observable.
-                engines[name]["shards"] = status["shards"]
         return {
             "attached": len(self._registry),
             "attached_names": tuple(self._registry),
@@ -563,7 +491,6 @@ class DCCHost:
             "max_engines": self.max_engines,
             "memory_budget_bytes": self.memory_budget_bytes,
             "memory_bytes": self.memory_bytes(),
-            "budget_bytes": self.budget_bytes(),
             "admissions": self.admissions,
             "evictions": self.evictions,
             "searches_served": self.searches_served,

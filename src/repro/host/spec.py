@@ -23,8 +23,8 @@ mutation — ``{"op": "update", "graph": ..., "add": [[layer, u, v],
 ...], "remove": [...]}`` — applied at its position in the sequence, so
 every later query answers against the mutated graph.  Optional top-level settings
 (:data:`SETTINGS_KEYS`) feed admission control, the async layer's
-backpressure, its cross-time result cache, the peel-kernel tier and the
-per-graph shard count; command-line flags override them.  Any *other*
+backpressure, its cross-time result cache and the peel-kernel tier;
+command-line flags override them.  Any *other*
 top-level key is rejected by name — a typo like ``"kernal"`` must fail
 loudly, not silently configure nothing.
 ``repro serve`` reuses the same document shape with ``queries``
@@ -47,7 +47,6 @@ SETTINGS_KEYS = (
     "result_cache_entries",
     "result_cache_ttl",
     "kernel",
-    "shards",
 )
 
 # Top-level keys that are structure, not settings.

@@ -255,71 +255,3 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
     return QueryPlan(query, context, tasks, topk=topk, index=index,
                      root_core=frozenset(root_core))
 
-
-# ----------------------------------------------------------------------
-# shard planning (the plan stage of plan → execute → merge)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's slice of a sharded execution: who serves what.
-
-    ``shard`` is the canonical shard index (= merge order), ``lo``/``hi``
-    the owned vertex range, ``layers`` the layer ids whose rows the
-    shard holds for that range.
-    """
-
-    shard: int
-    lo: int
-    hi: int
-    layers: tuple
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The routing table one query's peels execute against.
-
-    Maps a query spec to per-shard tasks and answers the coordinator's
-    one planning question — *which executors participate in a peel on
-    layer L* — via :meth:`shards_for`.  Built per query by
-    :func:`plan_shard_tasks` (and once at graph construction as the
-    default plan, so execution always flows through a plan).  Purely a
-    function of the partitioning, so every process that rebuilds the
-    sharded graph derives the identical plan.
-    """
-
-    spec: tuple
-    strategy: str
-    tasks: tuple
-
-    def shards_for(self, layer):
-        """Canonical-order indices of the shards serving ``layer``."""
-        return tuple(
-            task.shard for task in self.tasks if layer in task.layers
-        )
-
-    def executors_for(self, graph, layer):
-        """The live executors this plan routes ``layer``'s work to."""
-        executors = graph.executors
-        return [
-            executors[task.shard] for task in self.tasks
-            if layer in task.layers
-        ]
-
-
-def plan_shard_tasks(graph, spec=None):
-    """Build the :class:`ShardPlan` for one query over a sharded graph.
-
-    ``graph`` is duck-typed: anything with ``shards`` (objects carrying
-    ``index``/``lo``/``hi``/``layers``) and a ``strategy`` — i.e. a
-    :class:`repro.shard.graph.ShardedGraph`.  ``spec`` tags the plan
-    with the query tuple it was built for (``None`` for the default
-    all-shards plan installed at construction).
-    """
-    return ShardPlan(
-        spec, graph.strategy,
-        tuple(
-            ShardTask(shard.index, shard.lo, shard.hi, tuple(shard.layers))
-            for shard in graph.shards
-        ),
-    )

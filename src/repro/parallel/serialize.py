@@ -56,13 +56,6 @@ def graph_payload(graph):
             list(graph._layer_masks),
             graph.kernel,
         )
-    if getattr(graph, "is_sharded", False):
-        # Checked before the dict fallback: a sharded graph is not
-        # frozen (no whole-graph CSR arrays) but is nothing like the
-        # dict backend either.  Workers rebuild the full sharded view —
-        # same shards, same canonical order — so worker-side peels
-        # route exactly as the orchestrator's do.
-        return graph.payload()
     vertices = list(graph.vertices())
     try:
         vertices.sort()
@@ -84,12 +77,6 @@ def payload_graph(payload):
             labels, indptr, indices, edge_counts, layer_masks, name=name,
             kernel=coerce_kernel(kernel),
         )
-    if kind == "sharded":
-        # Imported lazily: the parallel subsystem must not depend on the
-        # shard layer unless a sharded payload actually arrives.
-        from repro.shard.graph import ShardedGraph
-
-        return ShardedGraph.from_payload(payload)
     if kind == "dict":
         _, name, num_layers, vertices, edges = payload
         graph = MultiLayerGraph(num_layers, vertices=vertices, name=name)

@@ -288,18 +288,13 @@ def init_persistent_worker(payload, epoch=0):
     """Pool initializer: deserialize the graph once per worker process.
 
     Everything else a query needs is derived (and cached) lazily per
-    query signature by :func:`run_query_shard`; the peel kernels
-    additionally get a process-local scratch arena, the worker-side half
-    of the engine's buffer reuse.  ``epoch`` stamps which state of a
-    *mutable* source graph the payload captured — see
+    query signature by :func:`run_query_shard`.  ``epoch`` stamps which
+    state of a *mutable* source graph the payload captured — see
     :func:`_sync_to_epoch`.
     """
     global _RUNNERS, _EPOCH
-    from repro.graph.frozen import ScratchArena, activate_scratch
-
     _RUNNERS = QueryRunnerCache(payload_graph(payload))
     _EPOCH = epoch
-    activate_scratch(ScratchArena())
 
 
 def ping_worker():

@@ -1,13 +1,25 @@
 """Tests for the unified search API and cross-algorithm consistency."""
 
+import asyncio
+import json
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import check_options, choose_method, search_dccs
+from repro.aio import AsyncDCCHost, DCCServer, format_response
+from repro.core.api import (
+    METHOD_OPTIONS,
+    check_options,
+    choose_method,
+    search_dccs,
+)
 from repro.core.dcc import is_coherent_dense
 from repro.core.stats import SearchStats
-from repro.graph import paper_figure1_graph
+from repro.engine import DCCEngine
+from repro.graph import MultiLayerGraph, paper_figure1_graph
+from repro.host import DCCHost
 from repro.utils.errors import ParameterError
 from tests.strategies import multilayer_graphs
 
@@ -132,6 +144,202 @@ class TestInputContract:
         result = search_dccs(paper_figure1_graph(), 3, 2, 2,
                              method="bottom-up", stats=stats)
         assert result.stats is stats
+
+
+# ----------------------------------------------------------------------
+# one spec through every entry path
+# ----------------------------------------------------------------------
+
+# Every example searches one mutable graph of this shape, rewired to the
+# drawn edges, so the engine, hosts and server stay open across examples.
+PATH_LAYERS = 3
+PATH_VERTICES = 9
+PATH_SLOTS = tuple(
+    (layer, u, v) for layer in range(PATH_LAYERS)
+    for u, v in combinations(range(PATH_VERTICES), 2)
+)
+
+# Per field, values every entry path must reject with ParameterError.
+# All are JSON-encodable, so the socket sees exactly the same spec.
+BAD_VALUES = {
+    "d": (-1, 2.5, True, "3", None),
+    "s": (0, PATH_LAYERS + 1, 1.5, True),
+    "k": (0, -2, 2.0, False),
+    "method": ("magic", "GREEDY", None),
+    "switch": ("false", "true", 0, 1, None),
+    "seed": ("x", "7", 1.5, True, [1]),
+    "stats": (1, "x", {}, []),
+}
+UNKNOWN_OPTIONS = ("use_magic", "timeout", "use_index", "use_layer_pruning",
+                   "use_potential_pruning")
+
+
+@st.composite
+def entry_path_cases(draw):
+    """``(edges, spec, bad)``: a graph's edges and a search spec.
+
+    ``spec`` holds ``d``, ``s``, ``k``, ``method``, ``options`` and
+    ``stats`` (``"absent"``, ``None``, ``"fresh"`` for a new
+    :class:`SearchStats` per path, or a bad value).  ``bad`` names the
+    one field given a bad value, or is ``None`` for a valid spec.
+    """
+    keep = draw(st.lists(st.booleans(), min_size=len(PATH_SLOTS),
+                         max_size=len(PATH_SLOTS)))
+    edges = {slot for slot, kept in zip(PATH_SLOTS, keep) if kept}
+    spec = {
+        "d": draw(st.integers(min_value=0, max_value=3)),
+        "s": draw(st.integers(min_value=1, max_value=PATH_LAYERS)),
+        "k": draw(st.integers(min_value=1, max_value=3)),
+        "method": draw(st.sampled_from(
+            ("auto", "greedy", "bottom-up", "top-down"))),
+        "stats": draw(st.sampled_from(("absent", None, "fresh"))),
+    }
+    method = spec["method"]
+    if method == "auto":
+        method = choose_method(PATH_LAYERS, spec["s"])
+    switches = sorted(name for name in METHOD_OPTIONS[method]
+                      if name != "seed")
+    options = draw(st.dictionaries(st.sampled_from(switches),
+                                   st.booleans()))
+    if draw(st.booleans()):
+        # Every method takes a seed; only top-down uses it.
+        options["seed"] = draw(st.one_of(
+            st.none(), st.integers(min_value=0, max_value=99)))
+    spec["options"] = options
+    bad = draw(st.sampled_from((None, "unknown") + tuple(BAD_VALUES)))
+    if bad in ("d", "s", "k", "stats"):
+        spec[bad] = draw(st.sampled_from(BAD_VALUES[bad]))
+    elif bad == "method":
+        spec["method"] = draw(st.sampled_from(BAD_VALUES["method"]))
+        spec["options"] = {}
+    elif bad == "switch":
+        options[draw(st.sampled_from(switches))] = draw(
+            st.sampled_from(BAD_VALUES["switch"]))
+    elif bad == "seed":
+        options["seed"] = draw(st.sampled_from(BAD_VALUES["seed"]))
+    elif bad == "unknown":
+        options[draw(st.sampled_from([
+            name for name in UNKNOWN_OPTIONS
+            if name not in METHOD_OPTIONS[method]
+        ]))] = True
+    return edges, spec, bad
+
+
+def rewire(graph, edges):
+    """Mutate ``graph`` (fixed vertex set) to hold exactly ``edges``."""
+    current = {
+        (layer, min(u, v), max(u, v))
+        for layer in graph.layers() for u, v in graph.edges(layer)
+    }
+    graph.apply_delta(add=sorted(edges - current),
+                      remove=sorted(current - edges))
+
+
+def outcome(call):
+    """A path's comparable outcome: its wire payload or its error type."""
+    try:
+        result = call()
+    except Exception as error:  # the test compares error types
+        return "error", type(error).__name__
+    payload = format_response(0, None, result=result)
+    del payload["seq"], payload["elapsed_s"]
+    return "ok", payload
+
+
+@pytest.mark.network
+class TestEveryEntryPath:
+    """One drawn spec, six entry paths, one outcome."""
+
+    def test_one_spec_through_every_entry_path(self):
+        graph = MultiLayerGraph(PATH_LAYERS, vertices=range(PATH_VERTICES))
+        loop = asyncio.new_event_loop()
+
+        async def open_serving():
+            ahost = AsyncDCCHost(jobs=1)
+            ahost.attach("g", graph)
+            server = DCCServer(ahost, port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            return ahost, server, reader, writer
+
+        async def over_socket(request):
+            writer.write((json.dumps(request) + "\n").encode("utf-8"))
+            await writer.drain()
+            response = json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=60))
+            if not response["ok"]:
+                return "error", response["error_type"]
+            del response["seq"], response["elapsed_s"]
+            return "ok", response
+
+        async def close_serving():
+            writer.close()
+            await server.aclose()
+            await ahost.aclose()
+
+        ahost, server, reader, writer = loop.run_until_complete(
+            open_serving())
+        try:
+            with DCCEngine(graph, jobs=1) as engine, \
+                    DCCHost(jobs=1) as host:
+                host.attach("g", graph)
+
+                @given(entry_path_cases())
+                @settings(max_examples=100, deadline=None)
+                def check(case):
+                    edges, spec, bad = case
+                    rewire(graph, edges)
+                    d, s, k = spec["d"], spec["s"], spec["k"]
+                    method = spec["method"]
+
+                    def options():
+                        # A fresh accumulator per path: a shared one
+                        # would carry one path's counters into the next.
+                        extra = dict(spec["options"])
+                        if spec["stats"] == "fresh":
+                            extra["stats"] = SearchStats()
+                        elif spec["stats"] != "absent":
+                            extra["stats"] = spec["stats"]
+                        return extra
+
+                    outcomes = {
+                        "jobs=None": outcome(lambda: search_dccs(
+                            graph, d, s, k, method=method, **options())),
+                        "jobs=1": outcome(lambda: search_dccs(
+                            graph, d, s, k, method=method, jobs=1,
+                            **options())),
+                        "engine": outcome(lambda: engine.search(
+                            d, s, k, method=method, **options())),
+                        "host": outcome(lambda: host.search(
+                            "g", d, s, k, method=method, **options())),
+                        "async": outcome(lambda: loop.run_until_complete(
+                            ahost.search("g", d, s, k, method=method,
+                                         **options()))),
+                    }
+                    if spec["stats"] != "fresh":
+                        # A SearchStats cannot cross the wire.
+                        outcomes["socket"] = loop.run_until_complete(
+                            over_socket(dict(options(), graph="g", d=d, s=s,
+                                             k=k, method=method)))
+                    if bad is not None:
+                        for path, seen in outcomes.items():
+                            assert seen == ("error", "ParameterError"), \
+                                (bad, path, seen)
+                        return
+                    sequential = outcomes.pop("jobs=None")
+                    assert sequential[0] == "ok", sequential
+                    first = outcomes["jobs=1"]
+                    assert first[0] == "ok", first
+                    for path, seen in outcomes.items():
+                        assert seen == first, path
+                    if method == "greedy":
+                        assert sequential == first
+
+                check()
+        finally:
+            loop.run_until_complete(close_serving())
+            loop.close()
 
 
 class TestCrossAlgorithmConsistency:

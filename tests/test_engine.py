@@ -9,10 +9,7 @@ The contract under test, in order of importance:
    cache replays captured stats deltas instead of skipping charges);
 2. **invalidation** — mutating the underlying ``MultiLayerGraph`` after
    engine construction rebinds the session (frozen graph, cache, pool);
-   a stale result is never returned;
-3. **scratch safety** — the frozen peel kernels return identical results
-   with and without an active :class:`ScratchArena`, including across
-   graphs of different sizes sharing one arena.
+   a stale result is never returned.
 """
 
 import pytest
@@ -24,12 +21,6 @@ from repro.core import search_dccs
 from repro.engine import ArtifactCache, DCCEngine
 from repro.experiments.runner import measure_point, sweep
 from repro.graph import MultiLayerGraph, paper_figure1_graph
-from repro.graph.frozen import (
-    ScratchArena,
-    active_scratch,
-    frozen_coherent_core,
-    frozen_layer_core,
-)
 from repro.utils.errors import EngineClosedError, ParameterError
 from tests.strategies import multilayer_graphs, search_parameters
 
@@ -605,68 +596,7 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# 5. scratch arena safety
-# ----------------------------------------------------------------------
-
-
-class TestScratchArena:
-    @given(st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_kernels_identical_with_and_without_arena(self, data):
-        graph = data.draw(multilayer_graphs(max_vertices=10, max_layers=3))
-        d, s, _ = data.draw(search_parameters(graph))
-        frozen = graph.freeze()
-        layers = tuple(range(s))
-        subset = set(range(0, frozen.num_vertices, 2))
-        arena = ScratchArena()
-        with arena:
-            core_full = frozen_coherent_core(frozen, layers, d)
-            core_sub = frozen_coherent_core(frozen, layers, d,
-                                            within=subset)
-            layer0 = frozen_layer_core(frozen, 0, d)
-        assert core_full == frozen_coherent_core(frozen, layers, d)
-        assert core_sub == frozen_coherent_core(frozen, layers, d,
-                                                within=subset)
-        assert layer0 == frozen_layer_core(frozen, 0, d)
-
-    def test_arena_survives_graph_size_changes(self):
-        arena = ScratchArena()
-        small = paper_figure1_graph().freeze()
-        big = MultiLayerGraph(1, vertices=range(40))
-        for i in range(39):
-            big.add_edge(0, i, i + 1)
-        big_frozen = big.freeze()
-        with arena:
-            first = frozen_layer_core(small, 0, 2)
-            second = frozen_layer_core(big_frozen, 0, 1)
-            third = frozen_layer_core(small, 0, 2)
-        assert first == third == frozen_layer_core(small, 0, 2)
-        assert second == frozen_layer_core(big_frozen, 0, 1)
-
-    def test_activation_nests_and_restores(self):
-        outer, inner = ScratchArena(), ScratchArena()
-        assert active_scratch() is None
-        with outer:
-            assert active_scratch() is outer
-            with inner:
-                assert active_scratch() is inner
-            assert active_scratch() is outer
-        assert active_scratch() is None
-
-    def test_arena_actually_reuses_buffers(self):
-        # The scratch arena is a python-tier mechanism; the numpy kernel
-        # never touches it, so pin the tier the test is about.
-        frozen = paper_figure1_graph().freeze()
-        frozen.set_kernel("python")
-        arena = ScratchArena()
-        with arena:
-            frozen_coherent_core(frozen, (0, 1), 3)
-            frozen_coherent_core(frozen, (0, 1), 3)
-        assert arena.reuses > 0
-
-
-# ----------------------------------------------------------------------
-# 6. harness and CLI plumbing
+# 5. harness and CLI plumbing
 # ----------------------------------------------------------------------
 
 

@@ -174,32 +174,6 @@ class TestEngineCrash:
         assert_identical(recovered, baseline)
 
 
-class TestShardedEngineCrash:
-    def test_sharded_engine_surfaces_error_then_recovers(self):
-        # Same crash contract as the unsharded engine: pooled workers
-        # serve a *sharded* graph rebuilt from its payload, a SIGKILLed
-        # worker surfaces the typed error on the affected query only,
-        # and the respawned pool returns results bitwise identical to
-        # an unsharded healthy run.
-        from repro.shard import ShardedEngine
-
-        graph = paper_figure1_graph()
-        with ShardedEngine(graph, shards=2, jobs=2) as engine:
-            assert engine.warm() is True
-            healthy = engine.search(3, 2, 2, method="greedy")
-            kill_one_worker(engine._pool)
-            with pytest.raises(WorkerCrashError):
-                engine.search(3, 2, 2, method="greedy")
-            recovered = engine.search(3, 2, 2, method="greedy")
-            assert engine._pool.crashes == 1
-            assert engine.info()["pool_spawned"] is True
-        assert_identical(recovered, healthy)
-        assert_identical(
-            recovered,
-            search_dccs(graph, 3, 2, 2, method="greedy", jobs=1),
-        )
-
-
 class TestHostCrash:
     def test_host_session_survives_a_crash(self):
         graphs = {"fig": paper_figure1_graph()}

@@ -315,14 +315,6 @@ class TestHostSpec:
         assert len(queries) == 2 and queries[0]["graph"] == "a"
         assert settings == {"max_engines": 1}
 
-    def test_settings_include_shards(self):
-        _, _, settings = parse_host_spec({
-            "graphs": {"a": "figure1"},
-            "shards": 2,
-            "queries": [{"graph": "a", "d": 3, "s": 2, "k": 2}],
-        })
-        assert settings == {"shards": 2}
-
     def test_unknown_top_level_key_is_named_in_the_error(self):
         # A typo'd settings knob must fail loudly, naming both the bad
         # key and the accepted vocabulary — never silently configure
@@ -356,6 +348,8 @@ class TestHostSpec:
          "queries": [{"graph": "a", "d": 1, "s": 1}]},  # missing k
         {"graphs": {"a": 7},
          "queries": [{"graph": "a", "d": 1, "s": 1, "k": 1}]},  # bad source
+        {"graphs": {"a": "figure1"}, 'shards': 2,
+         "queries": [{"graph": "a", "d": 1, "s": 1, "k": 1}]},  # retired key
     ])
     def test_rejects_malformed_specs(self, payload):
         with pytest.raises(ParameterError):

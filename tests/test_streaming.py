@@ -7,8 +7,8 @@ The contract under test, in order of importance:
    engine yields, for every query, results and counters bitwise
    identical to a fresh engine built from scratch over an identically
    mutated graph: cold and warm (repeats replay through the artifact
-   cache), across backends, kernels, worker pools and sharded
-   execution, and through the async host and the socket protocol;
+   cache), across backends, kernels and worker pools, and through the
+   async host and the socket protocol;
 2. **delta bookkeeping** — a mutation batch ticks ``mutation_version``
    exactly once, records the *net* delta (adds cancel queued removes),
    rejects invalid batches atomically, and ``delta_since`` replays any
@@ -36,7 +36,6 @@ from repro.graph import MultiLayerGraph
 from repro.graph.delta import GraphDelta, merge_entries
 from repro.graph.frozen import FrozenMultiLayerGraph
 from repro.host import DCCHost, parse_host_spec
-from repro.shard import ShardedEngine
 from repro.utils.errors import (
     EdgeError,
     FrozenGraphError,
@@ -379,8 +378,6 @@ def engine_configs():
                      id="frozen-auto"),
         pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=2),
                      id="frozen-pooled"),
-        pytest.param(lambda g: ShardedEngine(g, shards=2, jobs=1),
-                     id="sharded"),
     ]
 
 
