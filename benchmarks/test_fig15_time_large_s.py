@@ -7,7 +7,7 @@ fastest in this regime.
 
 from repro.experiments import format_series
 
-from benchmarks._shared import large_s_rows, record, series_lines
+from benchmarks._shared import large_s_rows, median_times, record, series_lines
 
 
 def test_fig15_time_vs_large_s(benchmark):
@@ -35,8 +35,15 @@ def test_fig15_time_vs_large_s(benchmark):
         assert lines["greedy"][last] < lines["greedy"][first]
         # Paper observation 3: TD-DCCS beats GD-DCCS decisively where the
         # candidate family is still large (the left edge, s = l - 4 — the
-        # paper's "50X faster" point).
-        assert lines["top-down"][first] < 0.5 * lines["greedy"][first]
+        # paper's "50X faster" point); on medians of re-timed searches.
+        # Three runs each, not five: one greedy search on stack at
+        # s = l - 4 takes seconds.
+        (row,) = [row for row in rows if row["dataset"] == name
+                  and row["algorithm"] == "top-down" and row["s"] == first]
+        points = {method: (method, row["d"], first, row["k"])
+                  for method in ("top-down", "greedy")}
+        times = median_times(name, list(points.values()), repeats=3)
+        assert times[points["top-down"]] < 0.5 * times[points["greedy"]]
         # Paper observation 2: BU loses its edge at the far right — at
         # s = l it is no longer meaningfully faster than greedy.
         assert lines["bottom-up"][last] > 0.5 * lines["greedy"][last]

@@ -7,8 +7,9 @@
   result sets containing ``v`` (so ``|Cov(R)| = len(M)``);
 * ``H`` — a hash table keyed by the exclusive-coverage count
   ``|Δ(R, C')|``, from which the weakest member ``C*(R)`` (the one that
-  exclusively covers the fewest vertices) is retrieved in O(1) expected
-  time.
+  exclusively covers the fewest vertices) is retrieved from the bucket
+  of the smallest count a held set has — a minimum over at most ``k``
+  counts, however many buckets the sets passed through.
 
 The two update rules of Section IV-A:
 
@@ -21,9 +22,19 @@ The threshold test is done in integer arithmetic (``size * k >= (k + 1) *
 cover``) to avoid any floating-point edge cases.
 
 ``try_update`` runs in ``O(max(|C|, |C*|))`` as shown in Appendix C.
+
+On the numpy kernel tier, top-down's potential sets are vertex masks,
+and :meth:`DiversifiedTopK.gain_size` sizes one against a mask of the
+vertices a candidate can gain, rebuilt at most once per accepted update.
 """
 
+from repro.graph.kernels import is_mask
 from repro.utils.errors import ParameterError
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    np = None
 
 
 class DiversifiedTopK:
@@ -55,6 +66,7 @@ class DiversifiedTopK:
         self._coverers = {}
         self._by_delta = {}
         self._next_id = 0
+        self._gainable = None
 
     # ------------------------------------------------------------------
     # read access
@@ -96,7 +108,11 @@ class DiversifiedTopK:
         """``(id, |Δ(R, C*)|)`` of the weakest member; requires non-empty R."""
         if not self._members:
             raise ParameterError("the result set is empty")
-        min_delta = min(value for value in self._by_delta if self._by_delta[value])
+        # The non-empty buckets are those of the held sets' deltas: at
+        # most k of the keys, however many deltas the sets passed
+        # through.  Emptied buckets stay, since a bucket's set object
+        # decides its iteration order and with it the tie broken here.
+        min_delta = min(self._delta.values())
         set_id = next(iter(self._by_delta[min_delta]))
         return set_id, min_delta
 
@@ -120,7 +136,17 @@ class DiversifiedTopK:
         Decomposes the target cover into the three disjoint parts of the
         appendix: vertices of the candidate outside ``Cov(R)``, candidate
         vertices exclusively covered by ``C*``, and ``Cov(R − {C*})``.
+        The candidate is a vertex collection or, over dense ids, a vertex
+        mask; a mask's first two parts are one count against
+        :meth:`_gainable_mask`.
         """
+        if is_mask(candidate):
+            if not self._members:
+                return int(np.count_nonzero(candidate))
+            gained = int(np.count_nonzero(
+                candidate & self._gainable_mask(candidate.size)
+            ))
+            return gained + self.cover_size - self.weakest()[1]
         if not self._members:
             return len(set(candidate))
         weakest_id, weakest_delta = self.weakest()
@@ -175,7 +201,29 @@ class DiversifiedTopK:
     # internals
     # ------------------------------------------------------------------
 
+    def _gainable_mask(self, n):
+        """The length-``n`` mask of the vertices a candidate can gain.
+
+        A vertex is gainable when no held set covers it or only
+        ``C*(R)`` does.  Built on first use after each accepted update
+        and reused until the next one.
+        """
+        gainable = self._gainable
+        if gainable is None or gainable.size != n:
+            weakest_id = self.weakest()[0]
+            coverers = self._coverers
+            gainable = np.ones(n, dtype=np.bool_)
+            gainable[np.fromiter(coverers, dtype=np.int64,
+                                 count=len(coverers))] = False
+            exclusive = [vertex for vertex in self._members[weakest_id]
+                         if len(coverers[vertex]) == 1]
+            gainable[np.fromiter(exclusive, dtype=np.int64,
+                                 count=len(exclusive))] = True
+            self._gainable = gainable
+        return gainable
+
     def _insert(self, candidate, label):
+        self._gainable = None
         set_id = self._next_id
         self._next_id += 1
         self._members[set_id] = candidate
@@ -196,6 +244,7 @@ class DiversifiedTopK:
         self._by_delta.setdefault(delta, set()).add(set_id)
 
     def _delete_weakest(self):
+        self._gainable = None
         set_id, delta = self.weakest()
         self._by_delta[delta].discard(set_id)
         members = self._members.pop(set_id)
@@ -251,6 +300,14 @@ class DiversifiedTopK:
                 )
             if set_id not in self._by_delta.get(self._delta[set_id], ()):
                 raise AssertionError("H bucket missing set {}".format(set_id))
+        # weakest() reads the bucket of the smallest held delta, so no
+        # bucket may hold a set that left R or moved to another delta.
+        for delta, bucket in self._by_delta.items():
+            for set_id in bucket:
+                if self._delta.get(set_id) != delta:
+                    raise AssertionError(
+                        "H bucket {} holds stale set {}".format(delta, set_id)
+                    )
         return True
 
     def __repr__(self):

@@ -43,6 +43,7 @@ from repro.graph.kernels import (
     _induced_degree_arrays,
     _member_state,
     _peel_rounds,
+    bit_rows,
 )
 from repro.utils.errors import check_degree
 
@@ -50,9 +51,6 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
     np = None
-
-# Layers per int64 label word in ArrayCoreMaintainer.labels_of.
-_WORD_LAYERS = 63
 
 
 def core_maintainer(graph, d, within=None, stats=None, seed_cores=None):
@@ -300,19 +298,7 @@ class ArrayCoreMaintainer:
 
     def labels_of(self, batch):
         """``{v: L(v)}`` for an id array from :meth:`below`, in its order."""
-        # Each int64 word carries the bits of up to 63 layers, never the
-        # sign bit; the words of a graph with more layers are joined as
-        # Python ints, which have no width limit.
-        masks = None
-        for start in range(0, len(self._cores), _WORD_LAYERS):
-            cores = self._cores[start:start + _WORD_LAYERS]
-            word = np.zeros(batch.size, dtype=np.int64)
-            for bit, core in enumerate(cores):
-                word |= core[batch].astype(np.int64) << bit
-            word = word.tolist()
-            masks = word if masks is None else [
-                mask | high << start for mask, high in zip(masks, word)
-            ]
+        masks = bit_rows([core[batch] for core in self._cores])
         layers = range(len(self._cores))
         names = {
             mask: frozenset(layer for layer in layers if mask >> layer & 1)

@@ -26,6 +26,7 @@ consumers that read them.
 from functools import cached_property
 
 from repro.core.maintain import core_maintainer
+from repro.graph.kernels import vertex_count
 from repro.utils.errors import ParameterError
 
 
@@ -81,8 +82,8 @@ class PreprocessResult:
 
         The masks on the numpy tier, the sets elsewhere; either pair
         feeds :func:`~repro.core.dcc.enumerate_candidates`,
-        :func:`~repro.core.initk.init_topk` and ``coherent_core``'s
-        ``within`` alike.
+        :func:`~repro.core.initk.init_topk`, ``coherent_core``'s
+        ``within`` and the top-down search alike.
         """
         if self.masks is None:
             return self.cores, self.alive
@@ -144,10 +145,11 @@ def order_layers(cores, descending=True, enabled=True):
     (``descending=True``); the top-down algorithm removes layers from the
     tail of the order, so it sorts ascending to shed small-core layers
     first.  With ``enabled=False`` (the No-SL ablation) the natural order
-    is returned.
+    is returned.  ``cores`` are sets or vertex masks.
     """
     layer_ids = list(range(len(cores)))
     if not enabled:
         return layer_ids
-    layer_ids.sort(key=lambda layer: len(cores[layer]), reverse=descending)
+    layer_ids.sort(key=lambda layer: vertex_count(cores[layer]),
+                   reverse=descending)
     return layer_ids

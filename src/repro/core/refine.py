@@ -10,7 +10,11 @@ fixed point:
   ``>= d`` inside ``U``; this is exactly a coherent-core peel on those
   layers;
 * **Method 2** — every surviving vertex must belong to the d-cores of at
-  least ``s − |Class 1|`` of the Class-2 layers.
+  least ``s − |Class 1|`` of the Class-2 layers: a count, per vertex, of
+  the free layers' cores that contain it.
+
+Potential sets are vertex sets, or vertex masks on the numpy kernel
+tier; each function returns its result in the form it was given.
 
 ``refine_core`` plays the role of RefineC (Fig. 10): it computes the exact
 ``C^d_{L'}`` inside a potential set.  It applies the index filters of
@@ -28,6 +32,12 @@ procedure.
 """
 
 from repro.core.dcc import coherent_core
+from repro.graph.kernels import is_mask
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    np = None
 
 
 def split_layer_classes(positions, num_positions):
@@ -55,7 +65,8 @@ def refine_potential(graph, d, s, potential, positions, order, cores,
     Parameters
     ----------
     potential:
-        ``U_L`` of the parent node (an iterable of vertices).
+        ``U_L`` of the parent node: an iterable of vertices, or a vertex
+        mask with ``cores`` masks too.  Never modified.
     positions:
         The child's layer-position set ``L'``.
     order:
@@ -67,6 +78,9 @@ def refine_potential(graph, d, s, potential, positions, order, cores,
     locked_layers = tuple(sorted(order[p] for p in locked))
     free_layers = [order[p] for p in free]
     needed = s - len(locked)
+    if is_mask(potential):
+        return _refine_mask(graph, d, potential, locked_layers, free_layers,
+                            needed, cores, stats)
 
     current = set(potential)
     if not current:
@@ -94,13 +108,36 @@ def refine_potential(graph, d, s, potential, positions, order, cores,
     return current
 
 
+def _refine_mask(graph, d, potential, locked_layers, free_layers, needed,
+                 cores, stats):
+    """:func:`refine_potential`'s two methods on vertex masks."""
+    if not potential.any():
+        return potential
+    current = potential
+    if needed > 0:
+        # Method 2: a vertex stays if at least `needed` free layers' cores
+        # hold it.  int32 counts cannot overflow at any layer count.
+        held = np.zeros(potential.size, dtype=np.int32)
+        for layer in free_layers:
+            held += cores[layer]
+        current = current & (held >= needed)
+    if locked_layers and current.any():
+        core = coherent_core(graph, locked_layers, d, within=current,
+                             stats=stats)
+        current = np.zeros(potential.size, dtype=np.bool_)
+        current[np.fromiter(core, dtype=np.int64, count=len(core))] = True
+    return current
+
+
 def refine_core(graph, d, positions, potential, order, index, stats=None):
     """Compute the exact ``C^d_{L'}`` inside ``potential`` using the index.
 
     Steps: Lemma 8 scope cut, Lemma 9 reachability cut, then an exact
     cascade peel (the degree/CascadeD part of Fig. 10) on the survivors.
-    ``index=None`` falls back to the plain dCC procedure — that is the
-    No-index ablation of DESIGN.md.
+    ``potential`` is a vertex set or mask, and the result a frozenset
+    either way.  ``index=None`` falls back to the plain dCC procedure —
+    the ``No-Index`` variant of
+    :func:`repro.experiments.ablation.pruning_ablation`.
     """
     layers = tuple(sorted(order[p] for p in positions))
     if index is None:

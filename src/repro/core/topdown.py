@@ -20,10 +20,20 @@ recovered inside it by RefineC over the hierarchical index.  Pruning:
 
 TD-DCCS attains the 1/4 approximation ratio of Theorem 4.
 
-Like BU-DCCS, the recursion works with plain vertex sets through the
-primitives of :mod:`repro.core.dcc`/:mod:`repro.core.refine` and the
-hierarchical index, all of which speak the graph backend protocol — a
-frozen CSR graph drops in transparently.
+The recursion runs on the primitives of
+:mod:`repro.core.dcc`/:mod:`repro.core.refine` and the hierarchical
+index, all of which speak the graph backend protocol, and it keeps the
+potential sets in the form preprocessing's kernel view hands on: vertex
+sets, or vertex masks on a frozen graph's numpy kernel tier.  There
+:func:`td_dccs` also moves to the *survivor subgraph* once vertex
+deletion has removed a vertex: the frozen graph induced by the
+survivors (:func:`~repro.graph.kernels.np_induced_subgraph`), whose
+dense ids follow the input ids in ascending order.  InitTopK, the layer
+order, the index, the root d-CC and the recursion all run on it, so no
+kernel call pays for the deleted vertices, and the ``k`` result sets
+are translated back at the end.  Every peel stays within the survivors
+either way, so sets, labels and counters are those of a search on the
+input graph.
 """
 
 from repro.core.coverage import DiversifiedTopK
@@ -34,8 +44,14 @@ from repro.core.preprocess import order_layers, vertex_deletion
 from repro.core.refine import refine_core, refine_potential
 from repro.core.result import result_from_topk
 from repro.core.stats import SearchStats
+from repro.graph.kernels import np_induced_subgraph, vertex_count
 from repro.utils.rng import make_rng
 from repro.utils.timer import Timer
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    np = None
 
 
 def td_dccs(graph, d, s, k,
@@ -61,25 +77,25 @@ def td_dccs(graph, d, s, k,
         prep = vertex_deletion(
             graph, d, s, enabled=use_vertex_deletion, stats=stats
         )
-        cores, alive = prep.kernel_view()
+        search_graph, cores, alive = _search_space(graph, prep)
         topk = DiversifiedTopK(k)
         if use_init_topk:
-            init_topk(graph, d, s, k, cores, topk=topk, within=alive,
+            init_topk(search_graph, d, s, k, cores, topk=topk, within=alive,
                       stats=stats)
         # Ascending core size: small-core layers get large positions, so
         # the canonical top-down tree sheds them first (Section V-D).
-        order = order_layers(prep.cores, descending=False,
+        order = order_layers(cores, descending=False,
                              enabled=use_layer_sorting)
         index = None
         if use_index:
-            index = CoreHierarchyIndex(graph, d, within=prep.alive,
+            index = CoreHierarchyIndex(search_graph, d, within=alive,
                                        stats=stats)
         search = _TopDownSearch(
-            graph=graph,
+            graph=search_graph,
             d=d,
             s=s,
             order=order,
-            cores=prep.cores,
+            cores=cores,
             topk=topk,
             index=index,
             rng=rng,
@@ -89,7 +105,7 @@ def td_dccs(graph, d, s, k,
         )
         root_positions = frozenset(range(graph.num_layers))
         root_core = coherent_core(
-            graph, graph.layers(), d, within=alive, stats=stats
+            search_graph, graph.layers(), d, within=alive, stats=stats
         )
         if s == graph.num_layers:
             # The root is the only candidate.
@@ -97,8 +113,29 @@ def td_dccs(graph, d, s, k,
             if topk.try_update(root_core, label=tuple(graph.layers())):
                 stats.updates_accepted += 1
         else:
-            search.generate(root_positions, root_core, frozenset(prep.alive))
-    return result_from_topk(topk, "top-down", (d, s, k), stats, timer.elapsed)
+            search.generate(root_positions, root_core, alive)
+        result = result_from_topk(topk, "top-down", (d, s, k), stats, 0.0)
+        if search_graph is not graph:
+            # Built in ascending id order, as the kernels build theirs.
+            result.sets = [search_graph.labels_for(sorted(members))
+                           for members in result.sets]
+    result.elapsed = timer.elapsed
+    return result
+
+
+def _search_space(graph, prep):
+    """``(graph, cores, alive)`` for the search after vertex deletion.
+
+    The prep's kernel view over ``graph``; on the numpy tier, once a
+    vertex was deleted, the survivor subgraph with the core masks
+    indexed by the survivors and an all-true alive mask.
+    """
+    cores, alive = prep.kernel_view()
+    if prep.masks is None or not prep.deleted:
+        return graph, cores, alive
+    survivors = np_induced_subgraph(graph, alive)
+    return (survivors, [core[alive] for core in cores],
+            np.ones(survivors.num_vertices, dtype=np.bool_))
 
 
 class _TopDownSearch:
@@ -220,14 +257,14 @@ class _TopDownSearch:
                     self.generate(child_positions, child_core, child_potential)
             return
 
-        children.sort(key=lambda child: len(child[1]), reverse=True)
+        children.sort(key=lambda child: vertex_count(child[1]), reverse=True)
         for rank, (child_positions, child_potential, child_core) in enumerate(children):
             threshold = (
                 self.topk.cover_size + self.topk.k * self.topk.min_exclusive()
             )
             if (
                 self.use_order_pruning
-                and len(child_potential) * self.topk.k < threshold
+                and vertex_count(child_potential) * self.topk.k < threshold
             ):
                 # Lemma 6: this child and all later (smaller-U) ones are out.
                 self.stats.candidates_pruned += len(children) - rank
@@ -244,7 +281,7 @@ class _TopDownSearch:
             if (
                 self.use_potential_pruning
                 and self.topk.satisfies_replacement(child_core)
-                and self._satisfies_eq2(len(child_potential))
+                and self._satisfies_eq2(vertex_count(child_potential))
             ):
                 descendant = self._random_descendant(child_positions)
                 if descendant is not None:

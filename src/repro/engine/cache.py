@@ -259,7 +259,8 @@ class ArtifactCache:
         values are themselves pure functions of the index.
         """
         def build(delta):
-            return CoreHierarchyIndex(self.graph, d, within=prep.alive,
+            return CoreHierarchyIndex(self.graph, d,
+                                      within=prep.kernel_view()[1],
                                       stats=delta)
 
         return self._get(("index", d, s, vd_enabled), build)

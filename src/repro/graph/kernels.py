@@ -29,6 +29,9 @@ flag threaded through :class:`FrozenMultiLayerGraph`, ``search_dccs``,
 the engine/host/serving stack and the CLI; ``"auto"`` resolves to
 ``"numpy"`` exactly when numpy imports, so environments without the
 ``fast`` extra transparently fall back to the pure-Python tier.
+
+One helper has no python-tier twin: :func:`np_induced_subgraph`, the
+survivor subgraph the numpy tier's top-down search runs on.
 """
 
 from repro.utils.errors import ParameterError
@@ -134,6 +137,13 @@ def is_mask(value):
     """Whether ``value`` is a numpy bool array, i.e. a vertex mask."""
     return _np is not None and isinstance(value, _np.ndarray) \
         and value.dtype == _np.bool_
+
+
+def vertex_count(vertices):
+    """How many vertices a vertex mask or a vertex collection names."""
+    if is_mask(vertices):
+        return int(_np.count_nonzero(vertices))
+    return len(vertices)
 
 
 def vertex_mask(graph, within):
@@ -463,28 +473,60 @@ def np_core_decomposition(graph, layer, within=None):
     return dict(zip(member_arr.tolist(), core[member_arr].tolist()))
 
 
-def np_union_adjacency(graph, vertices):
-    """``{v: set(neighbours of v on any layer) ∩ vertices}``.
+# Flags per int64 word in bit_rows: the sign bit stays clear.
+_WORD_BITS = 63
 
-    The top-down index's edge sets, built from one gather over all
-    layers instead of one ``neighbors()`` call per vertex and layer.
-    ``vertices`` must be distinct in-range ids; keys follow its order.
+
+def bit_rows(flags):
+    """One Python int per vertex: bit ``i`` of entry ``v`` is ``flags[i][v]``.
+
+    ``flags`` is a non-empty list of equal-length bool arrays.  Each int64
+    word carries the bits of up to 63 arrays, never the sign bit; the
+    words of a longer list are joined as Python ints, which have no
+    width limit.
     """
-    members = _np.fromiter(vertices, dtype=_np.int64, count=len(vertices))
-    inside = _np.zeros(graph.num_vertices, dtype=_np.bool_)
-    inside[members] = True
-    flat, bounds = _gather_layer_rows(graph, graph.layers(), members)
-    owner = _np.repeat(_np.tile(_np.arange(members.size), graph.num_layers),
-                       _np.diff(bounds))
-    keep = inside[flat]
-    owner = owner[keep]
-    # Each layer's block is already grouped by owner, so the stable sort
-    # only merges one sorted run per layer.
-    order = _np.argsort(owner, kind="stable")
-    target = flat[keep][order].tolist()
-    bounds = _np.searchsorted(owner[order], _np.arange(members.size + 1))
-    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
-    return {
-        vertex: set(target[start:end])
-        for vertex, start, end in zip(members.tolist(), starts, ends)
-    }
+    rows = None
+    for start in range(0, len(flags), _WORD_BITS):
+        word = _np.zeros(flags[0].size, dtype=_np.int64)
+        for bit, flag in enumerate(flags[start:start + _WORD_BITS]):
+            word |= flag.astype(_np.int64) << bit
+        word = word.tolist()
+        rows = word if rows is None else [
+            row | high << start for row, high in zip(rows, word)
+        ]
+    return rows
+
+
+def np_induced_subgraph(graph, mask):
+    """The frozen graph induced by the vertices of a vertex mask.
+
+    The kept vertices get dense ids in ascending order of their ids in
+    ``graph``, and each one's label is that id, so the subgraph's
+    ``labels_for`` translates its results back.  The relabelling is
+    monotone, so every CSR row stays sorted; one gather of the kept
+    rows per layer builds it.  The kernel tier carries over.
+    """
+    from repro.graph.frozen import FrozenMultiLayerGraph
+
+    members = _np.flatnonzero(mask)
+    # The new id of every kept vertex, -1 for the others.
+    new_id = _np.full(graph.num_vertices, -1, dtype=_np.int32)
+    new_id[members] = _np.arange(members.size, dtype=_np.int32)
+    indptrs, indices, edge_counts, nonempty = [], [], [], []
+    for layer in graph.layers():
+        flat, bounds = _gather_rows(*graph._np_csr(layer), members)
+        targets = new_id[flat]
+        kept = targets >= 0
+        # Kept entries before each row bound: the new row offsets.
+        sums = _np.zeros(flat.size + 1, dtype=_np.int64)
+        _np.cumsum(kept, out=sums[1:])
+        indptr = sums[bounds].astype(_np.int32)
+        indptrs.append(indptr)
+        indices.append(targets[kept])
+        edge_counts.append(int(indptr[-1]) // 2)
+        nonempty.append(indptr[1:] > indptr[:-1])
+    return FrozenMultiLayerGraph(
+        members.tolist(), indptrs, indices, edge_counts, bit_rows(nonempty),
+        name=graph.name, neighbor_set_cap=graph._nbr_set_cap,
+        kernel=graph.kernel,
+    )

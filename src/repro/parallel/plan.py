@@ -119,7 +119,7 @@ def _context(method, d, s, k, cores, alive, order, init_sets, flags,
 
 
 def _frozen_sets(prep):
-    """``(cores, alive)`` of ``prep`` as frozensets, for tree shards."""
+    """``(cores, alive)`` of ``prep`` as frozensets, for bottom-up shards."""
     return [frozenset(core) for core in prep.cores], frozenset(prep.alive)
 
 
@@ -213,8 +213,10 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
         ]
         return QueryPlan(query, context, tasks, topk=topk)
 
-    # top-down
-    order = order_layers(prep.cores, descending=False,
+    # top-down: its shards keep the potential sets in the kernel view's
+    # form, masks on the numpy tier.
+    cores, alive = prep.kernel_view()
+    order = order_layers(cores, descending=False,
                          enabled=options["use_layer_sorting"])
     index = None
     if options["use_index"]:
@@ -223,23 +225,20 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
             if stats is not None:
                 stats.merge(delta)
         else:
-            index = CoreHierarchyIndex(graph, d, within=prep.alive,
-                                       stats=stats)
+            index = CoreHierarchyIndex(graph, d, within=alive, stats=stats)
     if artifacts is not None:
         root_core, delta = artifacts.root_core(d, s, vd, prep)
         if stats is not None:
             stats.merge(delta)
     else:
-        root_core = coherent_core(
-            graph, graph.layers(), d, within=prep.kernel_view()[1],
-            stats=stats,
-        )
+        root_core = coherent_core(graph, graph.layers(), d, within=alive,
+                                  stats=stats)
     if s == graph.num_layers:
         # The root is the only candidate; nothing to shard.
         return QueryPlan(query, {}, [], topk=topk, index=index,
                          root_core=frozenset(root_core), root_only=True)
     context = _context(
-        "top-down", d, s, k, *_frozen_sets(prep), order, init_sets,
+        "top-down", d, s, k, cores, alive, order, init_sets,
         {
             "use_order_pruning": options["use_order_pruning"],
             "use_potential_pruning": options["use_potential_pruning"],

@@ -95,8 +95,8 @@ class ShardRunner:
         :func:`repro.parallel.plan.plan_query` (keys: ``method``, ``d``,
         ``s``, ``k``, ``cores``, ``alive``, ``order``, ``init_sets``,
         ``flags``, plus ``root_core``/``seed`` for the top-down method).
-        ``cores``/``alive`` are frozensets for the tree methods and the
-        prep's kernel view, masks on the numpy tier, for greedy.
+        ``cores``/``alive`` are frozensets for bottom-up and the prep's
+        kernel view, masks on the numpy tier, for greedy and top-down.
     index:
         An optional pre-built :class:`CoreHierarchyIndex` for top-down
         shards.  The inline path passes the orchestrator's; pooled
@@ -187,10 +187,10 @@ class ShardRunner:
             use_order_pruning=flags["use_order_pruning"],
             use_potential_pruning=flags["use_potential_pruning"],
         )
+        # The root potential is the whole alive set, in its own form.
         root_positions = frozenset(range(self.graph.num_layers))
         search.generate_shard(
-            root_positions, context["root_core"], frozenset(context["alive"]),
-            drop,
+            root_positions, context["root_core"], context["alive"], drop,
         )
         return topk.accepted
 

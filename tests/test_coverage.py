@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coverage import DiversifiedTopK
+from repro.graph.kernels import numpy_available
 from repro.metrics.cover import exclusive_counts
 from repro.utils.errors import ParameterError
 
@@ -170,4 +171,67 @@ class TestInvariants:
                 if accepted and before:
                     assert top.cover_size * k >= (k + 1) * before
             else:
+                top.try_update(candidate)
+
+
+class TestWeakest:
+    @given(update_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_weakest_is_the_first_of_the_lowest_held_bucket(self, payload):
+        """The held deltas give the answer a scan of every bucket gives,
+        tie-break included: the bucket's own first member."""
+        k, sets = payload
+        top = DiversifiedTopK(k)
+        for candidate in sets:
+            top.try_update(candidate)
+            if len(top):
+                lowest = min(delta for delta, bucket in top._by_delta.items()
+                             if bucket)
+                assert top.weakest() == (
+                    next(iter(top._by_delta[lowest])), lowest
+                )
+
+    def test_emptied_buckets_are_not_scanned(self):
+        top = DiversifiedTopK(2)
+        top.try_update(frozenset(range(40)))
+        top.try_update(frozenset(range(0, 40, 2)))
+        # The first set's delta walked 40 -> 20 through every value.
+        assert len(top._by_delta) > 20
+
+        class Untouchable(set):
+            def __len__(self):
+                raise AssertionError("an emptied bucket was scanned")
+
+        for delta in top._by_delta:
+            if delta not in (20, 0):
+                top._by_delta[delta] = Untouchable()
+        assert top.weakest() == (1, 0)
+
+    def test_consistency_check_catches_a_stale_bucket_member(self):
+        top = DiversifiedTopK(2)
+        top.try_update({1, 2, 3})
+        top._by_delta.setdefault(1, set()).add(0)
+        with pytest.raises(AssertionError, match="stale set 0"):
+            top.check_consistency()
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+class TestMaskGain:
+    @given(update_sequences(), st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=15)), max_size=6,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_gain_size_of_a_mask_equals_the_set(self, payload, probes):
+        """Sizing a vertex mask, over ids 0..15, agrees with sizing the
+        same vertices as a set after every update."""
+        import numpy as np
+
+        k, sets = payload
+        top = DiversifiedTopK(k)
+        for candidate in sets + [None]:
+            for probe in probes:
+                mask = np.zeros(16, dtype=np.bool_)
+                mask[list(probe)] = True
+                assert top.gain_size(mask) == top.gain_size(probe)
+            if candidate is not None:
                 top.try_update(candidate)

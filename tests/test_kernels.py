@@ -51,9 +51,15 @@ from repro.core.dcore import (
 )
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
-from repro.core.maintain import CoreMasks, core_maintainer
+from repro.core.maintain import (
+    CoreMasks,
+    MultiLayerCoreMaintainer,
+    core_maintainer,
+)
 from repro.core.preprocess import vertex_deletion
+from repro.core.refine import refine_potential
 from repro.core.stats import SearchStats
+from repro.core.topdown import td_dccs
 from repro.datasets import load, synthetic_multilayer
 from repro.engine import DCCEngine
 from repro.graph import MultiLayerGraph, paper_figure1_graph
@@ -63,6 +69,7 @@ from repro.graph.kernels import (
     buffer_nbytes,
     check_kernel,
     coerce_kernel,
+    np_induced_subgraph,
     numpy_available,
     numpy_version,
     resolve_kernel,
@@ -236,13 +243,7 @@ class TestPrimitiveEquivalence:
             frozen.set_kernel(kernel)
             stats = SearchStats()
             index = CoreHierarchyIndex(frozen, d, within=within, stats=stats)
-            outputs[kernel] = (
-                index.level_of, index.threshold_of, index.label,
-                index.union_adj,
-                [(threshold, set(batch)) for threshold, batch in
-                 index.levels],
-                stats.dcc_calls,
-            )
+            outputs[kernel] = _index_view(index) + (stats.dcc_calls,)
         assert outputs["python"] == outputs["numpy"]
 
     @given(multilayer_graphs(max_vertices=9, max_layers=2))
@@ -253,6 +254,28 @@ class TestPrimitiveEquivalence:
         assert layer_core_decomposition(frozen, 0) == core_decomposition(
             graph.adjacency(0)
         )
+
+
+def _index_view(index):
+    """Per-vertex level, threshold, label and union neighbours as dicts,
+    and the level batches as sets, from either form of the index."""
+    batches = [(threshold, set(batch)) for threshold, batch in index.levels]
+    if not index.is_array:
+        return (index.level_of, index.threshold_of, index.label,
+                index.union_adj, batches)
+    indexed = [v for v, level in enumerate(index.level.tolist())
+               if level >= 0]
+    indptr = index.union_indptr.tolist()
+    return (
+        {v: int(index.level[v]) for v in indexed},
+        {v: int(index.threshold[v]) for v in indexed},
+        {v: frozenset(layer for layer, mask in enumerate(index.label_masks)
+                      if mask[v])
+         for v in indexed},
+        {v: set(index.union_indices[indptr[v]:indptr[v + 1]].tolist())
+         for v in indexed},
+        batches,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +533,7 @@ class TestSearchEquivalence:
         assert runs["python"] == runs["numpy"]
 
     def test_top_down_identical_on_seventy_layers(self):
-        """Layers past 63 survive the numpy tier's label words.
+        """Layers past 63 survive the numpy tier's index labels.
 
         The index's labels gate top-down's reachable scopes, so a layer
         missing from them loses real d-CCs at every ``s`` near ``l``.
@@ -521,12 +544,7 @@ class TestSearchEquivalence:
         for kernel in ("python", "numpy"):
             frozen.set_kernel(kernel)
             index = CoreHierarchyIndex(frozen, 3)
-            indexes[kernel] = (
-                index.level_of, index.threshold_of, index.label,
-                index.union_adj,
-                [(threshold, set(batch)) for threshold, batch in
-                 index.levels],
-            )
+            indexes[kernel] = _index_view(index)
         assert indexes["python"] == indexes["numpy"]
         assert any(max(label, default=0) >= 64
                    for label in indexes["numpy"][2].values())
@@ -539,6 +557,26 @@ class TestSearchEquivalence:
         }
         assert runs["python"] == runs["numpy"]
         assert runs["numpy"][2] == 10
+
+    def test_labels_on_seventy_layers(self):
+        """Layers past 63 survive the maintainer's label words and the
+        survivor subgraph's layer masks (both built by ``bit_rows``)."""
+        import numpy as np
+
+        frozen = _wide_graph(70).freeze()
+        frozen.set_kernel("numpy")
+        batch = np.arange(frozen.num_vertices)
+        labels = core_maintainer(frozen, 3).labels_of(batch)
+        assert labels == MultiLayerCoreMaintainer(frozen, 3).labels_of(
+            batch.tolist()
+        )
+        assert labels[5] == frozenset(range(70)) - {66}
+        sub = np_induced_subgraph(frozen, _mask(10, range(1, 10)))
+        for v in range(sub.num_vertices):
+            assert sub.layers_of(v) == frozenset(
+                layer for layer in sub.layers() if sub.degree(layer, v)
+            )
+        assert sub.layers_of(0) == frozenset(range(70)) - {3, 63}
 
     @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_jobs_identical_across_tiers(self, jobs):
@@ -849,6 +887,113 @@ class TestMaskPathEquivalence:
 # ----------------------------------------------------------------------
 # bookkeeping
 # ----------------------------------------------------------------------
+
+
+@needs_numpy
+class TestTopDownArrays:
+    """Top-down's array forms: the survivor subgraph, mask potentials and
+    the index's arrays give the set forms' results and counters."""
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_survivor_subgraph_is_the_induced_graph(self, graph, data):
+        frozen = graph.freeze()
+        frozen.set_kernel("numpy")
+        n = frozen.num_vertices
+        kept = data.draw(st.one_of(
+            st.just(set()), st.just(set(range(n))),
+            st.sets(st.integers(min_value=0, max_value=n - 1)),
+        ))
+        mask = _mask(n, kept)
+        sub = np_induced_subgraph(frozen, mask)
+        assert list(sub.labels) == sorted(kept)
+        assert sub.kernel == "numpy"
+        for layer in frozen.layers():
+            induced = {(u, v) for u, v in frozen.edges(layer)
+                       if u in kept and v in kept}
+            assert {(sub.labels[u], sub.labels[v])
+                    for u, v in sub.edges(layer)} == induced
+            assert sub.num_edges(layer) == len(induced)
+            for v in range(sub.num_vertices):
+                row = list(sub.neighbor_row(layer)(v))
+                assert row == sorted(row)
+        for v in range(sub.num_vertices):
+            assert sub.layers_of(v) == frozenset(
+                layer for layer in sub.layers() if sub.degree(layer, v)
+            )
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        for size in range(1, frozen.num_layers + 1):
+            for layers in combinations(frozen.layers(), size):
+                want_stats, got_stats = SearchStats(), SearchStats()
+                want = coherent_core(frozen, layers, d, within=mask,
+                                     stats=want_stats)
+                got = coherent_core(sub, layers, d, stats=got_stats)
+                assert sub.labels_for(got) == want
+                assert got_stats.as_dict() == want_stats.as_dict()
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_scope_and_refine_potential_on_masks(self, graph, data):
+        import numpy as np
+
+        frozen = graph.freeze()
+        n, num_layers = frozen.num_vertices, frozen.num_layers
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        s = data.draw(st.integers(min_value=1, max_value=num_layers))
+        order = data.draw(st.permutations(range(num_layers)))
+        candidates = data.draw(st.sets(
+            st.integers(min_value=0, max_value=n - 1)
+        ))
+        prep = _numpy_prep(frozen, d, s)
+        forms = {
+            "python": (set(candidates), prep.cores),
+            "numpy": (_mask(n, candidates), prep.masks.cores),
+        }
+        indexes = {}
+        for kernel in forms:
+            frozen.set_kernel(kernel)
+            indexes[kernel] = CoreHierarchyIndex(frozen, d)
+        assert not indexes["python"].is_array
+        assert indexes["numpy"].is_array
+        for size in range(1, num_layers + 1):
+            for positions in combinations(range(num_layers), size):
+                layers = [order[p] for p in positions]
+                outputs = {}
+                for kernel, (potential, cores) in forms.items():
+                    frozen.set_kernel(kernel)
+                    stats = SearchStats()
+                    scope = indexes[kernel].reachable_scope(layers,
+                                                            potential)
+                    refined = refine_potential(
+                        frozen, d, s, potential, frozenset(positions),
+                        order, cores, stats=stats,
+                    )
+                    outputs[kernel] = (scope, refined, stats.as_dict())
+                want_scope, want_refined, want_counters = outputs["python"]
+                scope, refined, counters = outputs["numpy"]
+                assert set(np.flatnonzero(scope).tolist()) == want_scope
+                assert set(np.flatnonzero(refined).tolist()) == want_refined
+                assert counters == want_counters
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_top_down_identical_on_synthetic(self, d):
+        """Python tier (sets) vs numpy tier (survivor subgraph, masks),
+        sets, labels, cover and every counter, at each s."""
+        graph = synthetic_multilayer(
+            3_000, num_layers=6, num_communities=12, community_size=32,
+            d=4, span=4, seed=3,
+        ).graph
+        survivors = set()
+        for s in range(2, graph.num_layers + 1):
+            runs = {}
+            for kernel in ("python", "numpy"):
+                graph.set_kernel(kernel)
+                runs[kernel] = _snapshot(td_dccs(graph, d, s, 8, seed=0))
+            assert runs["python"] == runs["numpy"]
+            survivors.add(graph.num_vertices - runs["numpy"][3][
+                "vertices_deleted"])
+        # The subgraph path runs: some vertices are deleted at every s.
+        assert graph.num_vertices not in survivors
 
 
 class TestMemoryAccounting:
