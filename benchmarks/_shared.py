@@ -10,8 +10,8 @@ other column from the cached rows.
 Rendered tables are always printed.  They are written under
 ``benchmarks/results/`` only when ``REPRO_BENCH_RECORD=1`` is set, so an
 ordinary test run leaves the tracked result files untouched; set it to
-refresh the figure reproduction on disk (EXPERIMENTS.md is assembled
-from those files).
+refresh the figure reproduction on disk (docs/experiments.md maps each
+figure to its file).
 """
 
 import os

@@ -28,8 +28,9 @@ def test_fig19_time_vs_d_large_s(benchmark):
         ])
         # At s = l - 2 the candidate family is only binom(l, 2), so at
         # stand-in scale GD's per-candidate cost no longer dominates and
-        # TD's fixed index cost shows (see EXPERIMENTS.md); the robust
-        # claims here are the d-trend and that TD stays competitive.
+        # TD's fixed index cost shows (see "Substitutions" in
+        # docs/experiments.md); the robust claims here are the d-trend
+        # and that TD stays competitive.
         totals = {method: sum(time for point, time in times.items()
                               if point[0] == method)
                   for method in ("top-down", "greedy")}

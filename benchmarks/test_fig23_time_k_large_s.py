@@ -32,7 +32,8 @@ def test_fig23_time_vs_k_large_s(benchmark):
                     if point[0] == "top-down"]
         assert max(td_times) < 2.5 * min(td_times)
         # TD stays within a small constant of GD at s = l - 2, where the
-        # candidate family is tiny at stand-in scale (see EXPERIMENTS.md).
+        # candidate family is tiny at stand-in scale (see "Substitutions"
+        # in docs/experiments.md).
         totals = {method: sum(time for point, time in times.items()
                               if point[0] == method)
                   for method in ("top-down", "greedy")}

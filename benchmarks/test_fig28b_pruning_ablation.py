@@ -1,8 +1,8 @@
-"""Extra ablation (DESIGN.md §4) — pruning lemmas and the RefineC index.
+"""Extra ablation (Fig. 28b) — pruning lemmas and the RefineC index.
 
-Not a paper figure: DESIGN.md calls for ablating the order-based pruning
-(Lemmas 3/6), the potential-set shortcut (Lemma 7) and the hierarchical
-index, to show each design choice pulls its weight.
+Not a paper figure (see docs/experiments.md): it ablates the order-based
+pruning (Lemmas 3/6), the potential-set shortcut (Lemma 7) and the
+hierarchical index, to show each design choice pulls its weight.
 """
 
 from repro.experiments import format_table

@@ -1,158 +1,22 @@
-"""Kernel-tier benchmark: python vs numpy peel kernels at 100k–1M vertices.
+"""The million-vertex proving ground for the numpy peel kernels.
 
-The proving ground ROADMAP item 3 asked for.  The synthetic generator
-(:func:`repro.datasets.synthetic_multilayer`) plants circulant d-CC
-communities in power-law noise and assembles the frozen CSR directly, so
-graph sizes the dict backend could never reach (10^5–10^6 vertices) are
-cheap to build; on those graphs the two kernel tiers run the same
-induced-degree/peel primitives and this module records the honest ratio
-to ``benchmarks/results/kernel_speedup.txt``.
-
-Two always-on assertions (whenever numpy is importable — without it the
-whole module skips, and the rest of the suite proves the fallback):
-
-* both tiers return bitwise-identical values for every primitive, on
-  the same graph in the same run;
-* the numpy tier is at least :data:`SPEEDUP_TARGET` (3x) faster on the
-  combined induced-degree/peel microbench at 100k vertices.
-
-The full-graph ``induced_degrees`` row is reported but excluded from the
-target: its cost is building a 100k-entry python dict, which both tiers
-pay identically — the ratio there measures dict construction, not kernel
-arithmetic.
-
-A separate test proves the million-vertex acceptance end to end: the
-seeded 1M-vertex build stays in bounded memory and ``search_dccs``
-recovers every planted community through the numpy tier.
+The synthetic generator (:func:`repro.datasets.synthetic_multilayer`)
+plants circulant d-CC communities in power-law noise and assembles the
+frozen CSR directly, so graph sizes the dict backend could never reach
+(10^5–10^6 vertices) are cheap to build.  This module proves the
+million-vertex acceptance end to end: the seeded 1M-vertex build stays
+in bounded memory and ``search_dccs`` recovers every planted community,
+recorded to ``benchmarks/results/kernel_million.txt``.
 """
 
 from time import perf_counter
 
-import pytest
-
 from repro.core.api import search_dccs
-from repro.core.dcore import layer_core_decomposition
 from repro.datasets import synthetic_multilayer
-from repro.graph.frozen import frozen_coherent_core, frozen_layer_core
 
 from benchmarks._shared import record
 
-pytest.importorskip(
-    "numpy", reason="kernel speedup needs the numpy tier; the no-numpy "
-    "leg proves the fallback elsewhere"
-)
-
-SPEEDUP_TARGET = 3.0
-SIZES = (100_000, 500_000)
 D = 4
-
-
-def _graph_for(num_vertices):
-    return synthetic_multilayer(
-        num_vertices,
-        num_layers=3,
-        num_communities=num_vertices // 2500,
-        community_size=80,
-        d=D,
-        span=2,
-        noise_degree=2.0,
-        seed=11,
-        name="kernel-bench-{}".format(num_vertices),
-    ).graph
-
-
-def _primitives(graph):
-    """The microbench: label -> (callable, counts toward the target?)."""
-    n = graph.num_vertices
-    subset = list(range(0, n, 2))
-    return [
-        ("induced_degrees full", lambda: graph.induced_degrees(0, None),
-         False),
-        ("induced_degrees n/2", lambda: graph.induced_degrees(0, subset),
-         True),
-        ("layer_core", lambda: frozen_layer_core(graph, 0, D), True),
-        ("coherent_core", lambda: frozen_coherent_core(graph, (0, 1), D),
-         True),
-        ("core_decomposition", lambda: layer_core_decomposition(graph, 0),
-         True),
-    ]
-
-
-def _bench(fn, reps=2):
-    best, out = None, None
-    for _ in range(reps):
-        start = perf_counter()
-        out = fn()
-        elapsed = perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, out
-
-
-def test_kernel_speedup_report(benchmark):
-    tables = {}
-
-    def run_all():
-        for size in SIZES:
-            graph = _graph_for(size)
-            rows = []
-            for label, fn, counted in _primitives(graph):
-                graph.set_kernel("numpy")
-                numpy_s, numpy_out = _bench(fn)
-                graph.set_kernel("python")
-                python_s, python_out = _bench(fn)
-                # Bitwise equality asserted in the same run, on the same
-                # graph, for every primitive — the numbers below are
-                # only comparable because the outputs are identical.
-                assert numpy_out == python_out, label
-                rows.append((label, python_s, numpy_s, counted))
-            tables[size] = rows
-        return tables
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    lines = [
-        "Kernel tier — pure-Python vs numpy peel kernels on the "
-        "synthetic planted-d-CC graph (3 layers, d={}, span 2, "
-        "power-law noise, seed 11)".format(D),
-        "microbench: induced degrees (full graph and an n/2 subset), "
-        "d-core peel, (d,2)-coherent core, full core decomposition",
-        "",
-    ]
-    ratios = {}
-    for size, rows in tables.items():
-        lines.append("{:,} vertices:".format(size))
-        lines.append("{:<22s}  {:>11s}  {:>11s}  {:>8s}".format(
-            "primitive", "python (s)", "numpy (s)", "speedup"))
-        counted_python = counted_numpy = 0.0
-        for label, python_s, numpy_s, counted in rows:
-            lines.append("{:<22s}  {:>11.4f}  {:>11.4f}  {:>7.1f}x{}".format(
-                label, python_s, numpy_s, python_s / numpy_s,
-                "" if counted else "  (dict-bound, informational)",
-            ))
-            if counted:
-                counted_python += python_s
-                counted_numpy += numpy_s
-        ratios[size] = counted_python / counted_numpy
-        lines.append("{:<22s}  {:>11.4f}  {:>11.4f}  {:>7.1f}x".format(
-            "combined (counted)", counted_python, counted_numpy,
-            ratios[size]))
-        lines.append("")
-    lines.append(
-        "bitwise-identical outputs asserted per primitive in this run: yes"
-    )
-    lines.append(
-        "speedup target >= {}x at 100,000 vertices: {} ({:.1f}x)".format(
-            SPEEDUP_TARGET,
-            "met" if ratios[100_000] >= SPEEDUP_TARGET else "MISSED",
-            ratios[100_000],
-        )
-    )
-    record("kernel_speedup", "\n".join(lines))
-
-    assert ratios[100_000] >= SPEEDUP_TARGET, (
-        "numpy kernel speedup {:.2f}x below the {}x target at 100k "
-        "vertices".format(ratios[100_000], SPEEDUP_TARGET)
-    )
 
 
 def test_million_vertex_recovery(benchmark):

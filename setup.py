@@ -1,16 +1,9 @@
 """Packaging metadata for the reproduction.
 
-The project is stdlib-only by design (DESIGN.md): a bare checkout with
-``PYTHONPATH=src`` runs every algorithm, the CLI and the serving tier
-with no dependencies.  The one optional extra is the numpy kernel tier:
-
-    pip install repro-dccs[fast]
-
-which enables ``kernel="numpy"`` (and makes ``kernel="auto"`` pick it)
-for the array-native peel kernels over the frozen CSR backend.  Without
-the extra the same call sites run the pure-Python reference kernels and
-produce bitwise-identical results — numpy is a speedup, never a
-behaviour change (see ``tests/test_kernels.py``).
+numpy is the one runtime dependency: the frozen CSR backend runs its
+peel kernels as numpy passes over the CSR arrays
+(``src/repro/graph/kernels.py``).  The rest of the package needs only
+the standard library.
 """
 
 from setuptools import find_packages, setup
@@ -25,8 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.8",
-    install_requires=[],
-    extras_require={
-        "fast": ["numpy"],
-    },
+    install_requires=["numpy"],
 )

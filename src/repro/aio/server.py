@@ -133,25 +133,10 @@ def serving_stats(host, server=None):
     ``host`` is the :class:`AsyncDCCHost`; ``server`` the optional
     :class:`DCCServer` wrapping it (the stdio loop has none).  The
     ``serving`` section is exactly ``host.info()`` — the agreement
-    ``repro info`` is tested against — plus a ``kernels`` section
-    (numpy availability/version and each resident engine's active peel
-    tier) and a ``server`` section of connection-level counters when a
-    socket server is in front.
+    ``repro info`` is tested against — plus a ``server`` section of
+    connection-level counters when a socket server is in front.
     """
-    from repro.graph.kernels import numpy_available, numpy_version
-
-    info = host.info()
-    payload = {
-        "serving": info,
-        "kernels": {
-            "numpy_available": numpy_available(),
-            "numpy_version": numpy_version(),
-            "engines": {
-                name: status.get("kernel")
-                for name, status in info["host"]["engines"].items()
-            },
-        },
-    }
+    payload = {"serving": host.info()}
     if server is not None:
         payload["server"] = server.counters()
     return payload

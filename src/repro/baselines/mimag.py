@@ -4,8 +4,8 @@ The paper compares its algorithms against MiMAG (Boden et al., KDD 2012),
 closed-source C++ research code that mines vertex sets which are
 γ-quasi-cliques on at least ``s`` layers of a multi-layer graph and then
 reports a diversified (low-redundancy) subset of them.  This module is the
-substitution documented in DESIGN.md: a faithful-in-behaviour miner built
-on set-enumeration branch-and-bound.
+substitution documented in docs/experiments.md ("Substitutions"): a
+faithful-in-behaviour miner built on set-enumeration branch-and-bound.
 
 Key properties mirrored from the original:
 

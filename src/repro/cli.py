@@ -58,6 +58,7 @@ from repro.experiments import (
     vary_small_s,
 )
 from repro.graph.io import read_edge_list, read_json
+from repro.utils.errors import GraphError
 
 
 def _load_graph(source, scale, seed):
@@ -77,22 +78,14 @@ def _cmd_info(args):
     graph = _load_graph(args.graph, args.scale, args.seed)
     if args.backend == "frozen":
         graph = graph.freeze()
-        if args.kernel != "auto":
-            graph.set_kernel(args.kernel)
     summary = graph.summary()
     for key, value in summary.items():
         print("{}: {}".format(key, value))
     print("representation: {}".format(
         "frozen-csr" if graph.is_frozen else "dict-of-sets"
     ))
-    # The peel-kernel picture: which tier this invocation would execute
-    # with, and whether the numpy tier is available at all (install the
-    # "fast" extra to light it up).
-    from repro.graph import numpy_available, numpy_version, resolve_kernel
+    from repro.graph.kernels import numpy_version
 
-    print("kernel_requested: {}".format(args.kernel))
-    print("kernel_resolved: {}".format(resolve_kernel(args.kernel)))
-    print("numpy_available: {}".format(numpy_available()))
     print("numpy_version: {}".format(numpy_version()))
     print("memory_estimate_bytes: {}".format(graph.memory_bytes()))
     print("per_layer_edges: {}".format(", ".join(
@@ -113,10 +106,8 @@ def _cmd_info(args):
 
     with DCCEngine(
         graph, backend="frozen" if graph.is_frozen else "dict", jobs=0,
-        kernel=args.kernel,
     ) as engine:
         status = engine.info()
-    print("engine_kernel: {}".format(status["kernel"]))
     print("engine_workers: {}".format(status["workers"]))
     print("engine_pool_spawned: {}".format(status["pool_spawned"]))
     print("engine_cache_enabled: {}".format(status["cache_enabled"]))
@@ -186,7 +177,6 @@ def _cmd_search(args):
     result = search_dccs(
         graph, args.d, args.s, args.k, method=args.method,
         backend=args.backend, seed=args.seed, jobs=args.jobs,
-        kernel=args.kernel,
     )
     if args.jobs is not None:
         from repro.parallel import effective_jobs
@@ -214,7 +204,6 @@ def _cmd_search(args):
 def _cmd_batch(args):
     """Serve a JSON batch of queries from one persistent engine."""
     from repro.engine import DCCEngine
-    from repro.utils.errors import GraphError
     from repro.utils.timer import Timer
 
     graph = _load_graph(args.graph, args.scale, args.seed)
@@ -232,16 +221,12 @@ def _cmd_batch(args):
             print("{}: query {} is not a JSON object: {!r}".format(
                 args.queries, number, entry), file=sys.stderr)
             return 2
-    try:
-        with Timer() as total:
-            with DCCEngine(graph, backend=args.backend, jobs=args.jobs,
-                           kernel=args.kernel) as engine:
-                engine.warm()
-                results = engine.search_many(queries)
-                status = engine.info()
-    except GraphError as error:
-        print("batch failed: {}".format(error), file=sys.stderr)
-        return 2
+    with Timer() as total:
+        with DCCEngine(graph, backend=args.backend,
+                       jobs=args.jobs) as engine:
+            engine.warm()
+            results = engine.search_many(queries)
+            status = engine.info()
     for number, (spec, result) in enumerate(zip(queries, results), 1):
         print(
             "[{}] {}: d={} s={} k={} -> {} d-CCs, cover {} vertices, "
@@ -265,64 +250,52 @@ def _cmd_batch(args):
 def _cmd_host(args):
     """Serve a multi-graph JSON batch spec from one DCCHost."""
     from repro.host import DCCHost, parse_host_spec
-    from repro.utils.errors import GraphError
     from repro.utils.timer import Timer
 
     with open(args.spec) as handle:
         payload = json.load(handle)
-    try:
-        graphs, queries, settings = parse_host_spec(payload)
-    except GraphError as error:
-        print("{}: {}".format(args.spec, error), file=sys.stderr)
-        return 2
+    graphs, queries, settings = parse_host_spec(payload)
     # Command-line flags beat spec-file settings beat host defaults.
     max_engines = args.max_engines if args.max_engines is not None \
         else settings.get("max_engines")
     budget = args.memory_budget if args.memory_budget is not None \
         else settings.get("memory_budget_bytes")
-    kernel = args.kernel if args.kernel != "auto" \
-        else settings.get("kernel", "auto")
-    host_options = {"jobs": args.jobs, "backend": args.backend,
-                    "kernel": kernel}
+    host_options = {"jobs": args.jobs, "backend": args.backend}
     if max_engines is not None:
         host_options["max_engines"] = max_engines
     if budget is not None:
         host_options["memory_budget_bytes"] = budget
-    try:
-        with Timer() as total:
-            with DCCHost(**host_options) as host:
-                for name, source in graphs.items():
-                    host.attach(
-                        name, _load_graph(source, args.scale, args.seed)
-                    )
-                # Updates are sequence barriers: searches up to each one
-                # run as one pipelined search_many segment against the
-                # pre-update graph, then the mutation applies atomically
-                # and the next segment sees the new version.
-                results = []
-                segment = []
+    with Timer() as total:
+        with DCCHost(**host_options) as host:
+            for name, source in graphs.items():
+                host.attach(
+                    name, _load_graph(source, args.scale, args.seed)
+                )
+            # Updates are sequence barriers: searches up to each one
+            # run as one pipelined search_many segment against the
+            # pre-update graph, then the mutation applies atomically
+            # and the next segment sees the new version.
+            results = []
+            segment = []
 
-                def flush():
-                    if segment:
-                        results.extend(host.search_many(segment))
-                        del segment[:]
+            def flush():
+                if segment:
+                    results.extend(host.search_many(segment))
+                    del segment[:]
 
-                for entry in queries:
-                    if entry.get("op") != "update":
-                        segment.append(entry)
-                        continue
-                    flush()
-                    target = host.graph(entry["graph"])
-                    delta = target.apply_delta(
-                        add=entry.get("add") or (),
-                        remove=entry.get("remove") or (),
-                    )
-                    results.append((delta, target.mutation_version))
+            for entry in queries:
+                if entry.get("op") != "update":
+                    segment.append(entry)
+                    continue
                 flush()
-                status = host.info()
-    except GraphError as error:
-        print("host run failed: {}".format(error), file=sys.stderr)
-        return 2
+                target = host.graph(entry["graph"])
+                delta = target.apply_delta(
+                    add=entry.get("add") or (),
+                    remove=entry.get("remove") or (),
+                )
+                results.append((delta, target.mutation_version))
+            flush()
+            status = host.info()
     for number, (spec, result) in enumerate(zip(queries, results), 1):
         if spec.get("op") == "update":
             delta, version = result
@@ -359,10 +332,7 @@ def _cmd_host(args):
 
 def _serve_host_options(args, settings):
     """Resolve serve-mode host/async options (flags beat spec settings)."""
-    kernel = args.kernel if args.kernel != "auto" \
-        else settings.get("kernel", "auto")
-    host_options = {"jobs": args.jobs, "backend": args.backend,
-                    "kernel": kernel}
+    host_options = {"jobs": args.jobs, "backend": args.backend}
     max_engines = args.max_engines if args.max_engines is not None \
         else settings.get("max_engines")
     if max_engines is not None:
@@ -414,16 +384,11 @@ def _cmd_serve(args):
 
     from repro.aio import AsyncDCCHost, format_response, serving_stats
     from repro.host import parse_host_spec
-    from repro.utils.errors import GraphError
 
     with open(args.spec) as handle:
         payload = json.load(handle)
-    try:
-        graphs, preload, settings = parse_host_spec(payload,
-                                                    require_queries=False)
-    except GraphError as error:
-        print("{}: {}".format(args.spec, error), file=sys.stderr)
-        return 2
+    graphs, preload, settings = parse_host_spec(payload,
+                                                require_queries=False)
     host_options, async_options = _serve_host_options(args, settings)
 
     async def serve_socket():
@@ -798,10 +763,6 @@ def build_parser():
     info.add_argument("--backend", default="dict",
                       choices=("dict", "frozen"),
                       help="representation to report on (default dict)")
-    info.add_argument("--kernel", default="auto",
-                      choices=("auto", "python", "numpy"),
-                      help="peel-kernel tier to report on (auto = numpy "
-                           "when available)")
     info.set_defaults(fn=_cmd_info)
 
     search = sub.add_parser("search", parents=[common], help="run DCCS")
@@ -818,11 +779,6 @@ def build_parser():
                         help="worker processes for the parallel "
                              "search: 0 = one per CPU, N = exactly N "
                              "(default: classic single-process search)")
-    search.add_argument("--kernel", default="auto",
-                        choices=("auto", "python", "numpy"),
-                        help="peel-kernel tier for the frozen backend "
-                             "(auto = numpy when available; results are "
-                             "bitwise identical either way)")
     search.set_defaults(fn=_cmd_search)
 
     batch = sub.add_parser(
@@ -841,10 +797,6 @@ def build_parser():
     batch.add_argument("--jobs", type=int, default=0,
                        help="persistent pool size: 0 = one worker per "
                             "CPU (default), N = exactly N")
-    batch.add_argument("--kernel", default="auto",
-                       choices=("auto", "python", "numpy"),
-                       help="peel-kernel tier for the session's frozen "
-                            "backend (auto = numpy when available)")
     batch.set_defaults(fn=_cmd_batch)
 
     host = sub.add_parser(
@@ -869,10 +821,6 @@ def build_parser():
                            "their pools closed)")
     host.add_argument("--memory-budget", type=int, default=None,
                       help="global resident-memory budget in bytes "
-                           "(overrides the spec file)")
-    host.add_argument("--kernel", default="auto",
-                      choices=("auto", "python", "numpy"),
-                      help="peel-kernel tier default for every engine "
                            "(overrides the spec file)")
     host.set_defaults(fn=_cmd_host)
 
@@ -914,10 +862,6 @@ def build_parser():
     serve.add_argument("--result-cache-ttl", type=float, default=None,
                        help="result-cache TTL in seconds (overrides the "
                             "spec; default: entries never expire)")
-    serve.add_argument("--kernel", default="auto",
-                       choices=("auto", "python", "numpy"),
-                       help="peel-kernel tier default for every engine "
-                            "(overrides the spec file)")
     serve.set_defaults(fn=_cmd_serve)
 
     datasets = sub.add_parser("datasets", parents=[common],
@@ -932,10 +876,19 @@ def build_parser():
 
 
 def main(argv=None):
-    """CLI entry point."""
+    """CLI entry point.
+
+    A :class:`~repro.utils.errors.GraphError` — a bad parameter, spec or
+    query — is reported on stderr and exits 2, like argparse's own
+    usage errors.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GraphError as error:
+        print("{} failed: {}".format(args.command, error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from repro.core.greedy import gd_dccs
 from repro.core.stats import SearchStats
 from repro.core.topdown import td_dccs
 from repro.graph.backend import check_graph, resolve_search_graph
-from repro.graph.kernels import resolve_kernel
 from repro.utils.errors import ParameterError
 from repro.utils.timer import Timer
 
@@ -149,8 +148,7 @@ def check_stats(stats):
     return stats
 
 
-def _engine_one_shot(graph, d, s, k, method, backend, jobs, kernel,
-                     options):
+def _engine_one_shot(graph, d, s, k, method, backend, jobs, options):
     """Route one search through a short-lived :class:`DCCEngine`.
 
     ``search_dccs(..., jobs=N)`` *is* an engine session of length one:
@@ -162,13 +160,12 @@ def _engine_one_shot(graph, d, s, k, method, backend, jobs, kernel,
     """
     from repro.engine import DCCEngine
 
-    with DCCEngine(graph, backend=backend, jobs=jobs,
-                   kernel=kernel) as engine:
+    with DCCEngine(graph, backend=backend, jobs=jobs) as engine:
         return engine.search(d, s, k, method=method, **options)
 
 
 def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
-                kernel="auto", **options):
+                **options):
     """Find the top-k diversified d-CCs of ``graph`` on ``s`` layers.
 
     Parameters
@@ -199,13 +196,6 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         search inline).  The greedy method additionally matches the
         sequential run exactly; the tree searches are documented shard
         variants (see :mod:`repro.parallel.search`).
-    kernel:
-        Peel-kernel tier for the frozen backend: ``"auto"`` (default —
-        numpy when importable, pure Python otherwise), ``"python"`` or
-        ``"numpy"``.  Results are bitwise identical between tiers, only
-        the wall clock differs; a non-``"auto"`` choice is remembered on
-        the resolved frozen graph for subsequent searches over it.  The
-        dict backend has one implementation and ignores the flag.
     options:
         Forwarded to the chosen algorithm (preprocessing and pruning
         switches, ``seed`` for top-down, ``stats``); a name the method
@@ -229,16 +219,13 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         raise ParameterError(
             "method must be one of {}, got {!r}".format(_METHODS, method)
         )
-    # Validate eagerly (and fail an explicit "numpy" request in a
-    # numpy-less interpreter) no matter which backend ends up serving.
-    resolve_kernel(kernel)
     check_stats(options.get("stats"))
     if jobs is not None:
         from repro.parallel import check_jobs
 
         check_jobs(jobs)
         return _engine_one_shot(graph, d, s, k, method, backend, jobs,
-                                kernel, options)
+                                options)
     # Backend resolution (a possible O(n + m) freeze — cached on the
     # graph, so repeated searches pay it once) and the final id-to-label
     # translation are charged to the result's elapsed time: reported
@@ -250,8 +237,6 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
                            if name != "stats"})
     with Timer() as overhead:
         search_graph, translate = resolve_search_graph(graph, backend)
-        if kernel != "auto" and search_graph.is_frozen:
-            search_graph.set_kernel(kernel)
     if method == "greedy":
         result = gd_dccs(search_graph, d, s, k, **options)
     elif method == "bottom-up":

@@ -43,7 +43,8 @@ def bu_dccs(graph, d, s, k,
 
     The three ``use_*`` preprocessing flags correspond to the paper's
     No-VD / No-SL / No-IR ablations (Fig. 28); the two pruning flags expose
-    Lemma 3 and Lemma 4 for the extra ablation benches in DESIGN.md.
+    Lemma 3 and Lemma 4 for the extra ablation of Fig. 28b (see
+    docs/experiments.md).
     """
     validate_search_params(graph, d, s, k)
     if stats is None:

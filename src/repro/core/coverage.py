@@ -23,18 +23,15 @@ cover``) to avoid any floating-point edge cases.
 
 ``try_update`` runs in ``O(max(|C|, |C*|))`` as shown in Appendix C.
 
-On the numpy kernel tier, top-down's potential sets are vertex masks,
+On a frozen graph, top-down's potential sets are vertex masks,
 and :meth:`DiversifiedTopK.gain_size` sizes one against a mask of the
 vertices a candidate can gain, rebuilt at most once per accepted update.
 """
 
+import numpy as np
+
 from repro.graph.kernels import is_mask
 from repro.utils.errors import ParameterError
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
 
 
 class DiversifiedTopK:

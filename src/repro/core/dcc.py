@@ -18,17 +18,15 @@ doubles as the reference for the RefineC correctness tests.
 
 Both entry points run on either graph backend (see
 :mod:`repro.graph.backend`): :func:`coherent_core` dispatches to the
-flat-array kernel of :mod:`repro.graph.frozen` when the graph is frozen,
+numpy kernel of :mod:`repro.graph.kernels` when the graph is frozen,
 and :func:`coherent_core_binsort` is written against the protocol
 (``induced_degrees`` + ``neighbors``) directly.
 
 :func:`enumerate_candidates` forms each Lemma 1 intersection bound in the
-form its per-layer cores come in.  On the numpy kernel tier,
-preprocessing hands over the cores as vertex masks, so every bound is an
-AND of masks and reaches :func:`coherent_core` as a mask, never as a
-Python set.  Set cores on a frozen graph (the python tier) are grouped by
-bitmask layer signature, which yields every bound in one pass over the
-vertices; the dict backend intersects sets.
+form its per-layer cores come in.  On a frozen graph, preprocessing
+hands over the cores as vertex masks, so every bound is an AND of masks
+and reaches :func:`coherent_core` as a mask, never as a Python set; set
+cores are intersected as sets.
 """
 
 from itertools import combinations
@@ -108,11 +106,11 @@ def coherent_core(graph, layers, d, within=None, stats=None):
     if stats is not None:
         stats.dcc_calls += 1
     if graph.is_frozen:
-        from repro.graph.frozen import frozen_coherent_core
+        # Looked up at call time, so tracers can wrap the kernel.
+        from repro.graph.kernels import np_coherent_core
 
-        return frozen_coherent_core(
-            graph, layer_tuple, d, within=within, stats=stats
-        )
+        return np_coherent_core(graph, layer_tuple, d, within=within,
+                                stats=stats)
     adjacencies = [graph.adjacency(layer) for layer in layer_tuple]
     if within is None:
         alive = graph.vertices()
@@ -248,45 +246,14 @@ def per_layer_cores(graph, d, within=None, stats=None):
     return cores
 
 
-def layer_signature_groups(cores):
-    """Group vertices by the bitmask of the d-cores containing them.
-
-    ``cores[i]`` contributes bit ``i``; the returned list holds
-    ``(mask, vertices)`` pairs.  The Lemma 1 bound for a layer subset with
-    mask ``m`` is then the union of the groups whose mask contains ``m`` —
-    one pass over at most ``n`` signature groups per subset, instead of
-    ``s`` set intersections over full cores.
-    """
-    signature = {}
-    for i, core in enumerate(cores):
-        bit = 1 << i
-        for v in core:
-            signature[v] = signature.get(v, 0) | bit
-    groups = {}
-    for v, mask in signature.items():
-        groups.setdefault(mask, []).append(v)
-    return list(groups.items())
-
-
-def subset_bound(cores, layer_subset, groups=None):
+def subset_bound(cores, layer_subset):
     """The Lemma 1 intersection bound ``∩_{i in L} C^d(G_i)``.
 
     Mask cores give a mask, the AND of the subset's core masks (for a
     single layer, that layer's own mask: callers must not write to it).
-    Set cores give a fresh set: with ``groups`` (from
-    :func:`layer_signature_groups`) it is assembled in one sweep over the
-    signature groups, otherwise it is the plain running intersection of
-    the per-layer cores with an early exit on empty.
+    Set cores give a fresh set, the running intersection of the
+    per-layer cores with an early exit on empty.
     """
-    if groups is not None:
-        want = 0
-        for layer in layer_subset:
-            want |= 1 << layer
-        bound = set()
-        for mask, members in groups:
-            if mask & want == want:
-                bound.update(members)
-        return bound
     bound = cores[layer_subset[0]]
     if is_mask(bound):
         for layer in layer_subset[1:]:
@@ -300,21 +267,8 @@ def subset_bound(cores, layer_subset, groups=None):
     return bound
 
 
-def bound_groups(graph, cores):
-    """The signature groups :func:`subset_bound` sweeps, or ``None``.
-
-    Only set cores on a frozen graph are grouped; mask cores are ANDed
-    and dict-backend cores intersected directly.  The sequential
-    enumeration and the parallel greedy shards both decide here, so they
-    form every bound the same way.
-    """
-    if graph.is_frozen and not is_mask(cores[0]):
-        return layer_signature_groups(cores)
-    return None
-
-
-def candidate_for_subset(graph, d, layer_subset, cores, groups=None,
-                         within=None, stats=None):
+def candidate_for_subset(graph, d, layer_subset, cores, within=None,
+                         stats=None):
     """``C^d_L(G)`` for one layer subset via the Lemma 1 bound.
 
     The per-subset body of :func:`enumerate_candidates`, exposed so the
@@ -323,7 +277,7 @@ def candidate_for_subset(graph, d, layer_subset, cores, groups=None,
     sequential enumeration they partition.  ``within`` is in the form of
     ``cores``: a mask with mask cores, a set with set cores.
     """
-    bound = subset_bound(cores, layer_subset, groups)
+    bound = subset_bound(cores, layer_subset)
     if within is not None:
         bound = bound & within
     if bound.any() if is_mask(bound) else bound:
@@ -339,7 +293,7 @@ def enumerate_candidates(graph, d, s, within=None, cores=None, stats=None):
     This materialises the candidate family ``F_{d,s}(G)`` used by the
     greedy algorithm and the exact solver.  ``cores`` may carry
     precomputed per-layer d-cores to share work across calls: sets, or
-    on a frozen graph the core masks of a numpy-tier
+    on a frozen graph the core masks of a
     :class:`~repro.core.preprocess.PreprocessResult`, in which case
     ``within`` (if given) must be a mask as well.
     """
@@ -351,9 +305,7 @@ def enumerate_candidates(graph, d, s, within=None, cores=None, stats=None):
         cores = per_layer_cores(graph, d, within=within, stats=stats)
     if within is not None and not is_mask(within):
         within = set(within)
-    groups = bound_groups(graph, cores)
     for layer_subset in combinations(range(graph.num_layers), s):
         yield layer_subset, candidate_for_subset(
-            graph, d, layer_subset, cores, groups=groups,
-            within=within, stats=stats,
+            graph, d, layer_subset, cores, within=within, stats=stats,
         )

@@ -3,8 +3,9 @@
 Three entry points:
 
 * :func:`layer_core` — the backend-dispatching form: the d-core of one
-  layer of a multi-layer graph, routed to the CSR kernel when the graph
-  is frozen and to :func:`d_core` otherwise.  New code should call this.
+  layer of a multi-layer graph, routed to the numpy kernel when the
+  graph is frozen and to :func:`d_core` otherwise.  New code should call
+  this.
 * :func:`d_core` — the dict-backend peel: the maximal vertex set whose
   induced subgraph has minimum degree ``>= d``, computed by cascade
   peeling in ``O(n + m)`` over a raw adjacency dict
@@ -13,10 +14,9 @@ Three entry points:
 * :func:`core_decomposition` — the full core number of every vertex (the
   classic O(m) bin-sort algorithm), used by tests and by layer-ordering
   heuristics.  :func:`layer_core_decomposition` is its
-  backend-dispatching form: on a frozen graph with the numpy kernel
-  tier active it routes the membership/degree bookkeeping to the
-  vectorised ascending-threshold cascade
-  (:func:`repro.graph.kernels.np_core_decomposition`), identical
+  backend-dispatching form: on a frozen graph it routes the
+  membership/degree bookkeeping to the vectorised ascending-threshold
+  cascade (:func:`repro.graph.kernels.np_core_decomposition`), identical
   result, flat-array cost.
 """
 
@@ -26,15 +26,17 @@ from repro.utils.errors import check_degree
 def layer_core(graph, layer, d, within=None):
     """The d-core of ``graph``'s ``layer`` through the backend protocol.
 
-    Dispatches to the flat-array kernel for a frozen (CSR) graph and to
-    the dict peel otherwise; both return the same set (of the graph's own
+    Dispatches to the numpy kernel for a frozen (CSR) graph and to the
+    dict peel otherwise; both return the same set (of the graph's own
     vertex vocabulary).
     """
     check_degree(d)
     if graph.is_frozen:
-        from repro.graph.frozen import frozen_layer_core
+        graph._check_layer(layer)
+        # Looked up at call time, so tracers can wrap the kernel.
+        from repro.graph.kernels import np_layer_core
 
-        return frozen_layer_core(graph, layer, d, within=within)
+        return np_layer_core(graph, layer, d, within=within)
     return d_core(graph.adjacency(layer), d, within=within)
 
 
@@ -141,11 +143,11 @@ def layer_core_decomposition(graph, layer, within=None):
     """Core numbers of one layer through the backend protocol.
 
     Equal, key for key, to ``core_decomposition(graph.adjacency(layer),
-    within)`` on every backend; a frozen graph running the numpy kernel
-    tier skips the adjacency-dict materialisation entirely and peels
-    thresholds over the CSR arrays instead.
+    within)`` on every backend; a frozen graph skips the adjacency-dict
+    materialisation entirely and peels thresholds over the CSR arrays
+    instead.
     """
-    if graph.is_frozen and graph.kernel == "numpy":
+    if graph.is_frozen:
         from repro.graph.kernels import np_core_decomposition
 
         graph._check_layer(layer)

@@ -57,7 +57,7 @@ def _generate_candidates(graph, d, s, prep, stats):
     """Lines 4–7 of Fig. 2: one d-CC per size-``s`` layer subset.
 
     Delegates to :func:`~repro.core.dcc.enumerate_candidates` (sharing the
-    preprocessed per-layer cores, as masks on the numpy tier), which
+    preprocessed per-layer cores, as masks on a frozen graph), which
     applies the Lemma 1 intersection bound.
     """
     cores, _ = prep.kernel_view()

@@ -20,20 +20,17 @@ both filters.
 The build asks a maintainer (:func:`~repro.core.maintain.core_maintainer`)
 for each batch and its labels, and the index takes the maintainer's form.
 With Python sets it keeps per-vertex dicts and one union-adjacency set
-per vertex.  On a frozen graph's numpy kernel tier it keeps arrays: a
+per vertex.  On a frozen graph it keeps arrays: a
 level and a threshold vector, one label mask per layer (``v`` is set in
 layer ``i``'s mask iff ``i ∈ L(v)``) and the union adjacency as a CSR;
 there :meth:`~CoreHierarchyIndex.reachable_scope` takes and returns
 vertex masks and runs as a frontier BFS.
 """
 
+import numpy as np
+
 from repro.core.maintain import core_maintainer
 from repro.graph.kernels import _distinct, _gather_layer_rows, _gather_rows
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
 
 
 class CoreHierarchyIndex:
@@ -47,7 +44,7 @@ class CoreHierarchyIndex:
         The degree threshold of the search.
     within:
         Optional vertex restriction (the preprocessing ``alive`` set, or
-        its mask on the numpy tier; the index then describes the
+        its mask on a frozen graph; the index then describes the
         preprocessed graph, which is what TD-DCCS searches).
     stats:
         Optional :class:`~repro.core.stats.SearchStats`; d-core
@@ -57,13 +54,13 @@ class CoreHierarchyIndex:
     ----------
     levels:
         ``[(threshold, batch)]`` in removal order (ascending levels); a
-        batch is a list of vertices, or an id array on the numpy tier.
+        batch is a list of vertices, or an id array on a frozen graph.
     level_of / threshold_of / label / union_adj:
         The set form's per-vertex lookups; ``label[v]`` is the frozenset
         ``L(v)`` and ``union_adj[v]`` the indexed neighbours of ``v`` on
         any layer.
     level / threshold / label_masks / union_indptr / union_indices:
-        The numpy tier's form of the same: length-``n`` vectors (level
+        The frozen graph's form of the same: length-``n`` vectors (level
         ``-1`` and threshold ``0`` for a vertex never indexed), one bool
         mask per layer, and a CSR whose row ``v`` lists ``v``'s indexed
         neighbours on every layer in turn (a neighbour on several layers
@@ -166,7 +163,7 @@ class CoreHierarchyIndex:
     def scope(self, min_support):
         """``∪_{h >= min_support} I_h`` — the Lemma 8 search scope.
 
-        A frozenset, or a vertex mask on the numpy tier.
+        A frozenset, or a vertex mask on a frozen graph.
         """
         cached = self._scope_cache.get(min_support)
         if cached is None:
@@ -195,7 +192,7 @@ class CoreHierarchyIndex:
         than the paper's strictly-ascending chains.
 
         ``candidates`` is a vertex collection, and the result a set; on
-        the numpy tier both are vertex masks.  The result still
+        a frozen graph both are vertex masks.  The result still
         over-approximates ``C^d_{L'}``; callers finish with an exact peel
         (see :func:`repro.core.refine.refine_core`).
         """

@@ -11,20 +11,17 @@ only fire once ``|R| = k``.  Each seed is built by
 3. peeling the intersection down to the exact d-CC of the chosen layer
    subset and offering it to ``Update``.
 
-The same code runs on sets and, on the numpy kernel tier, on the core
+The same code runs on sets and, on a frozen graph, on the core
 masks preprocessing leaves behind: sizes are ``len`` or
 ``count_nonzero``, intersections ``&`` either way, and the chosen
 intersection reaches the peel as a mask.
 """
 
+import numpy as np
+
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core
 from repro.graph.kernels import is_mask
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
 
 
 def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):

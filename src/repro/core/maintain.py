@@ -16,9 +16,8 @@ support counters ``Num(v)`` (the number of layers whose core contains
 their callers never touch the representation:
 
 * :class:`MultiLayerCoreMaintainer` keeps Python sets and dicts and
-  speaks only the backend protocol.  It serves the dict backend, the
-  frozen graph's python kernel tier and interpreters without numpy, and
-  is the reference the numpy tier is tested against.
+  speaks only the backend protocol.  It serves the dict backend and is
+  the reference the array form is tested against.
 * :class:`ArrayCoreMaintainer` keeps an alive mask, one core mask and
   one within-core degree vector per layer, and an int support vector.
   A removal is one whole-frontier cascade per layer through the numpy
@@ -30,11 +29,13 @@ their callers never touch the representation:
   arrays; the set maintainer's ``masks`` is ``None``.
 
 :func:`core_maintainer` picks the array form exactly when the graph is
-frozen and runs the numpy kernel tier.  Both reach the same unique fixed
-points and charge the same ``dcc_calls``.
+frozen.  Both reach the same unique fixed points and charge the same
+``dcc_calls``.
 """
 
 from collections import namedtuple
+
+import numpy as np
 
 from repro.core.dcore import layer_core
 from repro.graph.kernels import (
@@ -47,15 +48,10 @@ from repro.graph.kernels import (
 )
 from repro.utils.errors import check_degree
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
-
 
 def core_maintainer(graph, d, within=None, stats=None, seed_cores=None):
-    """The maintainer for ``graph``'s backend and kernel tier."""
-    if graph.is_frozen and graph.kernel == "numpy":
+    """The maintainer for ``graph``'s backend."""
+    if graph.is_frozen:
         return ArrayCoreMaintainer(graph, d, within=within, stats=stats,
                                    seed_cores=seed_cores)
     return MultiLayerCoreMaintainer(graph, d, within=within, stats=stats,
@@ -205,8 +201,7 @@ class MultiLayerCoreMaintainer:
             self.support.pop(vertex, None)
         for layer, core in enumerate(self.cores):
             # One protocol row accessor per layer instead of a checked
-            # neighbors() call per queue pop; on the frozen backend it
-            # walks raw CSR rows without materialising any set view.
+            # neighbors() call per queue pop.
             row = self.graph.neighbor_row(layer)
             degrees = self._degrees[layer]
             queue = []
@@ -237,7 +232,7 @@ class MultiLayerCoreMaintainer:
 
 
 class ArrayCoreMaintainer:
-    """The numpy-tier maintainer over a frozen graph's CSR arrays.
+    """The maintainer over a frozen graph's CSR arrays.
 
     Same constructor, interface and fixed points as
     :class:`MultiLayerCoreMaintainer`.  Batches travel as sorted int64

@@ -14,10 +14,10 @@ disable them one at a time:
 
 The vertex-deletion fixed point runs on the maintainer that
 :func:`~repro.core.maintain.core_maintainer` picks for the graph: whole
-batches as numpy masks on a frozen graph's numpy kernel tier, Python
-sets everywhere else.  It only asks the maintainer for the vertices
-below the support threshold and for the final state.  On the numpy tier
-that state stays in the maintainer's arrays (:attr:`PreprocessResult.masks`),
+batches as numpy masks on a frozen graph, Python sets on the dict
+backend.  It only asks the maintainer for the vertices below the
+support threshold and for the final state.  On a frozen graph that
+state stays in the maintainer's arrays (:attr:`PreprocessResult.masks`),
 which the Lemma 1 bounds, InitTopK and the peels consume directly; the
 sets and dict of :class:`PreprocessResult` are built only for the
 consumers that read them.
@@ -43,7 +43,7 @@ class PreprocessResult:
         ``Num(v)`` — for each surviving vertex, the number of layers whose
         d-core contains it.
     masks:
-        On the numpy kernel tier, the same state as arrays: a
+        On a frozen graph, the same state as arrays: a
         :class:`~repro.core.maintain.CoreMasks` of the alive mask, the
         per-layer core masks and the support vector (read-only);
         ``None`` elsewhere.  With masks, each of ``alive``, ``cores`` and
@@ -80,8 +80,8 @@ class PreprocessResult:
     def kernel_view(self):
         """``(cores, alive)`` in the form the kernels compute on.
 
-        The masks on the numpy tier, the sets elsewhere; either pair
-        feeds :func:`~repro.core.dcc.enumerate_candidates`,
+        The masks on a frozen graph, the sets on the dict backend;
+        either pair feeds :func:`~repro.core.dcc.enumerate_candidates`,
         :func:`~repro.core.initk.init_topk`, ``coherent_core``'s
         ``within`` and the top-down search alike.
         """

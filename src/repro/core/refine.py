@@ -13,8 +13,8 @@ fixed point:
   least ``s − |Class 1|`` of the Class-2 layers: a count, per vertex, of
   the free layers' cores that contain it.
 
-Potential sets are vertex sets, or vertex masks on the numpy kernel
-tier; each function returns its result in the form it was given.
+Potential sets are vertex sets, or vertex masks on a frozen graph;
+each function returns its result in the form it was given.
 
 ``refine_core`` plays the role of RefineC (Fig. 10): it computes the exact
 ``C^d_{L'}`` inside a potential set.  It applies the index filters of
@@ -31,13 +31,10 @@ incrementally; the asymptotic cost is the same ``O(n'l' + m')``
 procedure.
 """
 
+import numpy as np
+
 from repro.core.dcc import coherent_core
 from repro.graph.kernels import is_mask
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
 
 
 def split_layer_classes(positions, num_positions):

@@ -24,7 +24,7 @@ The recursion runs on the primitives of
 :mod:`repro.core.dcc`/:mod:`repro.core.refine` and the hierarchical
 index, all of which speak the graph backend protocol, and it keeps the
 potential sets in the form preprocessing's kernel view hands on: vertex
-sets, or vertex masks on a frozen graph's numpy kernel tier.  There
+sets, or vertex masks on a frozen graph.  There
 :func:`td_dccs` also moves to the *survivor subgraph* once vertex
 deletion has removed a vertex: the frozen graph induced by the
 survivors (:func:`~repro.graph.kernels.np_induced_subgraph`), whose
@@ -35,6 +35,8 @@ are translated back at the end.  Every peel stays within the survivors
 either way, so sets, labels and counters are those of a search on the
 input graph.
 """
+
+import numpy as np
 
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core, validate_search_params
@@ -47,11 +49,6 @@ from repro.core.stats import SearchStats
 from repro.graph.kernels import np_induced_subgraph, vertex_count
 from repro.utils.rng import make_rng
 from repro.utils.timer import Timer
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
 
 
 def td_dccs(graph, d, s, k,
@@ -126,7 +123,7 @@ def td_dccs(graph, d, s, k,
 def _search_space(graph, prep):
     """``(graph, cores, alive)`` for the search after vertex deletion.
 
-    The prep's kernel view over ``graph``; on the numpy tier, once a
+    The prep's kernel view over ``graph``; on a frozen graph, once a
     vertex was deleted, the survivor subgraph with the core masks
     indexed by the survivors and an all-true alive mask.
     """

@@ -8,7 +8,8 @@ Scale note: the paper's large datasets have 0.5M–2.6M vertices.  The
 stand-ins keep the *relative* ordering (Stack largest, PPI smallest), the
 exact layer counts, and the community structure, at sizes a pure-Python
 sweep can handle; absolute runtimes are therefore not comparable to the
-paper's C++ numbers, but every relative claim is (see EXPERIMENTS.md).
+paper's C++ numbers, but every relative claim is (see "Substitutions"
+in docs/experiments.md).
 """
 
 from repro.datasets.synthetic import build_standin

@@ -1,9 +1,10 @@
 """Construction of the synthetic stand-in datasets.
 
-See DESIGN.md ("Substitutions"): the paper's six real datasets are not
-redistributable offline, so each is replaced by a planted-community
-multi-layer graph with the same layer count and qualitatively the same
-structure, at a scale a pure-Python implementation can sweep.  The
+See "Substitutions" in docs/experiments.md: the paper's six real
+datasets are not redistributable offline, so each is replaced by a
+planted-community multi-layer graph with the same layer count and
+qualitatively the same structure, at a scale a Python implementation
+can sweep.  The
 construction below controls the features the DCCS algorithms actually
 react to:
 
@@ -17,15 +18,12 @@ react to:
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as _np
+
 from repro.graph.generators import planted_communities
 from repro.graph.kernels import _distinct
 from repro.utils.errors import ParameterError
 from repro.utils.rng import make_rng
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 @dataclass
@@ -155,42 +153,20 @@ def _assemble_csr(num_vertices, pairs):
     ``pairs`` is a flat ``array("i")`` of ``src, dst, src, dst, ...``
     entries (every undirected edge appears in both directions, possibly
     with duplicates — noise sampling redraws collide freely).  The
-    output is the *sorted, deduplicated* adjacency, which is what makes
-    the two assembly paths below interchangeable: the numpy path (the
-    distinct ``src * n + dst`` codes, then ``bincount`` + ``cumsum``) and
-    the pure-Python path (a sorted set of pairs) produce byte-for-byte
-    the same CSR content, so a given seed yields the same graph whether
-    or not numpy is installed.  The codes are deduplicated by the
-    kernels' sort (or flag scan), not ``np.unique``, whose hashing path
-    is most of a large build.
+    output is the *sorted, deduplicated* adjacency: the distinct
+    ``src * n + dst`` codes, then ``bincount`` + ``cumsum``.  The codes
+    are deduplicated by the kernels' sort (or flag scan), not
+    ``np.unique``, whose hashing path is most of a large build.
     """
-    if _np is not None:
-        flat = _np.frombuffer(pairs, dtype=_np.int32).astype(_np.int64)
-        codes = _distinct(flat[0::2] * num_vertices + flat[1::2],
-                          num_vertices * num_vertices)
-        src = (codes // num_vertices).astype(_np.int32)
-        dst = (codes % num_vertices).astype(_np.int32)
-        counts = _np.bincount(src, minlength=num_vertices)
-        indptr = _np.zeros(num_vertices + 1, dtype=_np.int32)
-        _np.cumsum(counts, out=indptr[1:])
-        return indptr, dst
-    unique = sorted({
-        (pairs[j], pairs[j + 1]) for j in range(0, len(pairs), 2)
-    })
-    indptr = array("i", [0]) * (num_vertices + 1)
-    indices = array("i")
-    cursor = 0
-    total = 0
-    for u, v in unique:
-        while cursor < u:
-            cursor += 1
-            indptr[cursor] = total
-        indices.append(v)
-        total += 1
-    while cursor < num_vertices:
-        cursor += 1
-        indptr[cursor] = total
-    return indptr, indices
+    flat = _np.frombuffer(pairs, dtype=_np.int32).astype(_np.int64)
+    codes = _distinct(flat[0::2] * num_vertices + flat[1::2],
+                      num_vertices * num_vertices)
+    src = (codes // num_vertices).astype(_np.int32)
+    dst = (codes % num_vertices).astype(_np.int32)
+    counts = _np.bincount(src, minlength=num_vertices)
+    indptr = _np.zeros(num_vertices + 1, dtype=_np.int32)
+    _np.cumsum(counts, out=indptr[1:])
+    return indptr, dst
 
 
 def synthetic_multilayer(num_vertices, num_layers=3, num_communities=8,
@@ -198,7 +174,7 @@ def synthetic_multilayer(num_vertices, num_layers=3, num_communities=8,
                          seed=0, name="synthetic"):
     """A scalable planted-d-CC multilayer graph, built frozen.
 
-    The proving ground for the kernel tier: unlike :func:`build_standin`
+    The proving ground for the peel kernels: unlike :func:`build_standin`
     (which routes through the dict backend and tops out around 10^4
     vertices), this generator assembles the CSR arrays of a
     :class:`~repro.graph.frozen.FrozenMultiLayerGraph` directly, one
@@ -221,8 +197,7 @@ def synthetic_multilayer(num_vertices, num_layers=3, num_communities=8,
     * Power-law-ish background noise: per layer,
       ``num_vertices * noise_degree / 2`` edges with one endpoint drawn
       as ``int(n * u**2)`` (quadratically biased toward low ids — hubs)
-      and the other uniform.  Noise is drawn from the seeded pure-Python
-      RNG, so the graph is identical with and without numpy installed.
+      and the other uniform, from the seeded pure-Python RNG.
 
     Returns a :class:`Dataset` whose ``graph`` is already frozen and
     whose ``communities`` are the planted member frozensets.

@@ -49,7 +49,6 @@ from repro.graph.backend import (
     check_graph,
     resolve_search_graph,
 )
-from repro.graph.kernels import numpy_available, resolve_kernel
 from repro.parallel.executor import WorkerPool, check_jobs
 from repro.parallel.plan import make_query
 from repro.parallel.search import execute_query_batch, start_query
@@ -74,12 +73,6 @@ class DCCEngine:
     backend:
         ``"auto"`` (default), ``"dict"`` or ``"frozen"`` — resolved once
         per session instead of once per call.
-    kernel:
-        Peel-kernel tier for the frozen backend (``"auto"`` /
-        ``"python"`` / ``"numpy"``), applied to the resolved search
-        graph at bind time and carried to every pooled worker through
-        the graph payload.  Results are bitwise identical between
-        tiers.  The dict backend ignores it.
     jobs:
         Persistent pool size with the usual semantics (``0`` = one
         worker per CPU, default); ``None`` is accepted as an alias for
@@ -111,16 +104,12 @@ class DCCEngine:
     """
 
     def __init__(self, graph, backend="auto", jobs=0, cache_artifacts=True,
-                 cache_max_entries=None, cache_ttl=None, kernel="auto"):
+                 cache_max_entries=None, cache_ttl=None):
         check_graph(graph)
         check_backend(backend)
         check_jobs(jobs)
-        # Resolve up front: an explicit "numpy" request must fail at
-        # construction in a numpy-less interpreter, not at first search.
-        resolve_kernel(kernel)
         self._source = graph
         self._backend = backend
-        self._kernel = kernel
         self._jobs = jobs
         self._cache_enabled = cache_artifacts
         self._cache_max_entries = cache_max_entries
@@ -151,20 +140,6 @@ class DCCEngine:
         self._translate = translate
         self._pending_overhead = overhead.elapsed
         self._version = self._source.mutation_version
-        if self._graph.is_frozen:
-            # Before the pool exists: the graph payload each worker
-            # receives carries the tier that is active *now*.  The
-            # resolved tier is remembered so a *shared* frozen graph —
-            # two engines over one source share its cached freeze — can
-            # be re-asserted per search if a sibling session flipped it
-            # (tiers are bitwise identical, so the flip could never
-            # change results, only which code path runs).
-            self._active_kernel = self._graph.set_kernel(
-                self._kernel if self._kernel != "auto"
-                else self._graph.kernel
-            )
-        else:
-            self._active_kernel = None
         self._pool = WorkerPool(self._graph, self._jobs)
         self._cache = ArtifactCache(
             self._graph, max_entries=self._cache_max_entries,
@@ -219,13 +194,6 @@ class DCCEngine:
         self._graph = search_graph
         self._translate = translate
         self._pending_overhead += overhead.elapsed
-        if search_graph.is_frozen:
-            self._active_kernel = search_graph.set_kernel(
-                self._kernel if self._kernel != "auto"
-                else search_graph.kernel
-            )
-        else:
-            self._active_kernel = None
         self._pool.apply_delta(search_graph, delta)
         if self._cache is not None:
             self._cache.rebind(search_graph, delta.touched_layers())
@@ -304,9 +272,6 @@ class DCCEngine:
     def _start(self, d, s, k, method, options):
         """Plan + submit one attempt; a :class:`PendingQuery`."""
         query = self._query_for(d, s, k, method, dict(options))
-        if self._active_kernel is not None and \
-                self._graph.kernel != self._active_kernel:
-            self._graph.set_kernel(self._active_kernel)
         return start_query(self._graph, query, self._pool,
                            stats=SearchStats(), artifacts=self._cache)
 
@@ -344,9 +309,6 @@ class DCCEngine:
                 self._query_for(d, s, k, method, dict(entry))
                 for d, s, k, method, entry in parsed
             ]
-            if self._active_kernel is not None and \
-                    self._graph.kernel != self._active_kernel:
-                self._graph.set_kernel(self._active_kernel)
             results = execute_query_batch(self._graph, specs, self._pool,
                                           artifacts=self._cache)
             # On a mid-batch mutation every result of this batch came
@@ -377,8 +339,6 @@ class DCCEngine:
         return {
             "backend": "frozen-csr" if self._graph.is_frozen
             else "dict-of-sets",
-            "kernel": self._active_kernel,
-            "numpy_available": numpy_available(),
             "translate_results": self._translate,
             "workers": self._pool.workers,
             "pool_spawned": self._pool.spawned,

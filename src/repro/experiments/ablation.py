@@ -1,12 +1,12 @@
-"""Preprocessing and pruning ablations (Fig. 28 and DESIGN.md extras).
+"""Preprocessing and pruning ablations (Fig. 28 and the extra Fig. 28b).
 
 The paper's Fig. 28 disables each preprocessing method of Section IV-C in
 turn — No-VD (vertex deletion), No-SL (sorting layers), No-IR (result
 initialisation) and No-Pre (all three) — and compares BU-DCCS at small
-``s`` and TD-DCCS at large ``s``.  DESIGN.md additionally calls for
+``s`` and TD-DCCS at large ``s``.  This module also provides the
 ablations of the pruning lemmas themselves (order-based pruning, the
-potential-set shortcut) and of the RefineC index, which this module also
-provides.
+potential-set shortcut) and of the RefineC index that Fig. 28b of
+docs/experiments.md reports.
 """
 
 from repro.core.api import search_dccs

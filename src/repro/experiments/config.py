@@ -4,7 +4,8 @@
 sets the per-dataset stand-in scale used by the benchmark harness: the
 paper's graphs have up to 2.6M vertices and a C++ implementation; the
 stand-ins are sized so a full pure-Python sweep of every figure finishes
-in minutes while preserving every relative comparison (see DESIGN.md).
+in minutes while preserving every relative comparison (see
+"Substitutions" in docs/experiments.md).
 """
 
 DEFAULTS = {

@@ -3,7 +3,7 @@
 Every sweep in :mod:`repro.experiments` returns a list of flat row
 dicts; these writers turn those rows into files other tooling can
 consume — CSV for spreadsheets, JSONL for pipelines, Markdown for
-reports (EXPERIMENTS.md tables were produced this way).
+reports.
 """
 
 import csv

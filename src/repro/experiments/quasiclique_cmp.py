@@ -132,7 +132,7 @@ def figure32(d_values=(2, 3, 4), scale=1.0, seed=0, node_budget=20000):
     """Fig. 32: protein-complex recovery on the PPI stand-in.
 
     Ground truth is the planted complexes of the dataset (the MIPS
-    substitution of DESIGN.md).  Returns one row per ``d`` with the
+    substitution in "Substitutions" of docs/experiments.md).  Returns one row per ``d`` with the
     recovery rates of both algorithms.
     """
     rows = []

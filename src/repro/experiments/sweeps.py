@@ -119,7 +119,7 @@ def vary_p(dataset_name="stack", p_values=None, large_s=False,
 
     The backend is pinned to ``"frozen"`` for every sample point: the
     sweep compares *sizes*, and letting ``backend="auto"`` flip small
-    samples to the dict representation (or the kernel tier off) would
+    samples to the dict representation would
     fold a representation switch into the scaling curve.
     """
     dataset = _dataset(dataset_name, scale, seed)

@@ -1,7 +1,8 @@
 """Plain-text rendering of experiment results in the paper's layouts.
 
 The benchmark harness prints these tables so that the pytest-benchmark
-output doubles as the figure reproduction; EXPERIMENTS.md pastes them.
+output doubles as the figure reproduction, kept under
+``benchmarks/results/`` (see docs/experiments.md).
 """
 
 from repro.datasets import dataset_statistics

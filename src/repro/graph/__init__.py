@@ -14,8 +14,8 @@ in :mod:`repro.graph.backend`):
 When to freeze: any read-heavy workload that runs many peeling passes over
 a graph that no longer changes — which is every DCCS search — benefits
 from freezing once the graph has a few hundred vertices; the flat-array
-peel kernels in :mod:`repro.graph.frozen` then replace every hash lookup
-of the hot loops with list indexing.  ``search_dccs(backend="auto")``
+peel kernels in :mod:`repro.graph.kernels` then replace every hash lookup
+of the hot loops with numpy passes over the CSR arrays.  ``search_dccs(backend="auto")``
 applies exactly that rule automatically.
 """
 
@@ -63,18 +63,7 @@ from repro.graph.backend import (
     resolve_search_graph,
     should_freeze,
 )
-from repro.graph.frozen import (
-    FrozenMultiLayerGraph,
-    frozen_coherent_core,
-    frozen_layer_core,
-)
-from repro.graph.kernels import (
-    KERNELS,
-    check_kernel,
-    numpy_available,
-    numpy_version,
-    resolve_kernel,
-)
+from repro.graph.frozen import FrozenMultiLayerGraph
 from repro.graph.multilayer import MultiLayerGraph
 from repro.graph.views import LayerView
 
@@ -85,13 +74,6 @@ __all__ = [
     "check_backend",
     "resolve_search_graph",
     "should_freeze",
-    "KERNELS",
-    "check_kernel",
-    "resolve_kernel",
-    "numpy_available",
-    "numpy_version",
-    "frozen_layer_core",
-    "frozen_coherent_core",
     "LayerView",
     "layer_statistics",
     "layer_edge_jaccard",

@@ -3,15 +3,15 @@
 :class:`FrozenMultiLayerGraph` is the second implementation of the graph
 backend protocol (see :mod:`repro.graph.backend`).  Freezing maps every
 vertex to a dense integer id ``0..n-1`` and stores each layer as a CSR
-pair (``indptr``/``indices``, both :mod:`array`-backed), plus one
+pair (``indptr``/``indices``, :mod:`array`- or numpy-backed), plus one
 layer-membership bitmask per vertex (bit ``i`` set iff the vertex has at
 least one edge on layer ``i``).
 
-The payoff is in the peeling kernels at the bottom of this module:
-:func:`frozen_layer_core` and :func:`frozen_coherent_core` replace the
-dict-of-sets hashing of the reference backend with flat-array indexing
-and ``bytearray`` membership flags, which is what the d-core and d-CC
-inner loops of :mod:`repro.core` spend nearly all of their time on.
+The payoff is in the peel kernels of :mod:`repro.graph.kernels`, which
+:mod:`repro.core` calls on a frozen graph: they replace the dict-of-sets
+hashing of the reference backend with numpy passes over the CSR arrays,
+which is what the d-core and d-CC inner loops spend nearly all of their
+time on.
 
 A frozen graph is immutable: the mutation methods of the dict backend
 raise :class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
@@ -28,67 +28,16 @@ translates results back automatically when it froze the graph itself.
 
 from array import array
 from bisect import bisect_left
-from collections import OrderedDict
 import sys
 
-from repro.graph.kernels import buffer_nbytes, resolve_kernel, vertex_mask
+import numpy as np
+
+from repro.graph.kernels import as_index_array, buffer_nbytes
 from repro.utils.errors import (
     FrozenGraphError,
     LayerIndexError,
     VertexError,
-    check_degree,
 )
-
-# Per-layer cap on the lazy neighbour-set cache (entries = vertices with
-# a materialised frozenset of neighbours).  The cache exists because a
-# C-level set intersection beats any pure-Python CSR walk on small
-# induced-degree subsets, but each entry costs dict-backend-scale memory
-# — unbounded, a long-lived session over a large graph would slowly
-# rebuild the dict representation it froze to escape.  At the cap the
-# least-recently-used entry is discarded; a re-touched vertex just
-# rebuilds its set from the CSR row, so results never change.
-DEFAULT_NEIGHBOR_SET_CAP = 32768
-
-
-class _BoundedNeighborSets:
-    """Per-vertex neighbour frozensets of one layer, LRU-bounded.
-
-    Indexable like the plain list it replaces (``sets[v]`` for a dense
-    vertex id); entries are built on demand from the CSR row and at most
-    ``cap`` of them stay cached.
-    """
-
-    __slots__ = ("_indptr", "_nbrs", "_cap", "_entries")
-
-    def __init__(self, indptr, nbrs, cap):
-        self._indptr = indptr
-        self._nbrs = nbrs
-        self._cap = cap
-        self._entries = OrderedDict()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __getitem__(self, vertex):
-        entries = self._entries
-        try:
-            value = entries[vertex]
-        except KeyError:
-            value = frozenset(
-                self._nbrs[self._indptr[vertex]:self._indptr[vertex + 1]]
-            )
-            entries[vertex] = value
-            if len(entries) > self._cap:
-                entries.popitem(last=False)
-        else:
-            entries.move_to_end(vertex)
-        return value
-
-    def memory_bytes(self):
-        """Resident bytes of the currently cached entries."""
-        total = sys.getsizeof(self._entries)
-        total += sum(sys.getsizeof(s) for s in self._entries.values())
-        return total
 
 
 class FrozenMultiLayerGraph:
@@ -102,22 +51,18 @@ class FrozenMultiLayerGraph:
         ``labels[i]`` — the original vertex object behind dense id ``i``.
     name:
         Carried over from the source graph.
+    kernel:
+        The peel tier, always ``"numpy"``; benchmark reports record it.
     """
 
     __slots__ = (
         "name",
         "labels",
         "_ids",
-        "_kernel",
         "_indptr",
         "_indices",
         "_edge_counts",
         "_layer_masks",
-        "_nbr_lists",
-        "_ptr_lists",
-        "_deg_lists",
-        "_nbr_sets",
-        "_nbr_set_cap",
         "_adj_dicts",
         "_np_csrs",
         "_np_degs",
@@ -125,28 +70,22 @@ class FrozenMultiLayerGraph:
         "_thawed_cache",
     )
 
+    kernel = "numpy"
+
     def __init__(self, labels, indptr, indices, edge_counts, layer_masks,
-                 name="", neighbor_set_cap=None, kernel="auto"):
+                 name=""):
         self.name = name
         self.labels = labels
         # Lazy: built on the first label lookup.  Identity-labelled
         # graphs (``labels`` a range, e.g. from the synthetic generator)
         # never build it at all, which matters at 10^6 vertices.
         self._ids = None
-        self._kernel = resolve_kernel(kernel)
         self._indptr = indptr
         self._indices = indices
         self._edge_counts = edge_counts
         self._layer_masks = layer_masks
-        # Lazy caches: plain-list mirrors of the CSR arrays for the hot
-        # python kernels (list indexing beats array indexing in CPython)
-        # and numpy views/degree vectors for the numpy kernel tier.
-        self._nbr_lists = [None] * len(indptr)
-        self._ptr_lists = [None] * len(indptr)
-        self._deg_lists = [None] * len(indptr)
-        self._nbr_sets = [None] * len(indptr)
-        self._nbr_set_cap = DEFAULT_NEIGHBOR_SET_CAP \
-            if neighbor_set_cap is None else neighbor_set_cap
+        # Lazy caches: the compatibility adjacency dicts, and the numpy
+        # views and degree vectors the kernels read.
         self._adj_dicts = [None] * len(indptr)
         self._np_csrs = [None] * len(indptr)
         self._np_degs = [None] * len(indptr)
@@ -238,9 +177,7 @@ class FrozenMultiLayerGraph:
             indices[layer] = idx
             edge_counts[layer] = total // 2
         return type(self)(labels, indptr, indices, edge_counts, layer_masks,
-                          name=self.name,
-                          neighbor_set_cap=self._nbr_set_cap,
-                          kernel=self._kernel)
+                          name=self.name)
 
     def freeze(self, name=None):
         """Idempotent convenience — a frozen graph freezes to itself."""
@@ -346,27 +283,6 @@ class FrozenMultiLayerGraph:
         return 0
 
     @property
-    def kernel(self):
-        """The active peel-kernel tier, ``"python"`` or ``"numpy"``.
-
-        An execution preference, not part of the graph's identity: both
-        tiers compute bitwise-identical results (see
-        :mod:`repro.graph.kernels`), so switching kernels never
-        invalidates caches or derived artifacts.
-        """
-        return self._kernel
-
-    def set_kernel(self, kernel):
-        """Select the peel-kernel tier; returns the resolved choice.
-
-        ``"auto"`` resolves to ``"numpy"`` when numpy is importable;
-        an explicit ``"numpy"`` without numpy raises
-        :class:`~repro.utils.errors.ParameterError`.
-        """
-        self._kernel = resolve_kernel(kernel)
-        return self._kernel
-
-    @property
     def num_layers(self):
         return len(self._indptr)
 
@@ -442,26 +358,27 @@ class FrozenMultiLayerGraph:
 
         Set-valued like the dict backend's ``neighbors``, so existing
         consumers that apply set operators (``&``, ``|=``) keep working.
-        Backed by the lazy per-layer neighbour-set cache; the peeling
-        kernels bypass this and walk the raw CSR rows instead.
+        Built from the CSR row on every call; the peel kernels walk the
+        raw rows instead.
         """
         self._check_layer(layer)
-        return self._neighbor_sets(layer)[self._require_vertex(vertex)]
+        vertex = self._require_vertex(vertex)
+        indptr, indices = self._np_csr(layer)
+        return frozenset(indices[indptr[vertex]:indptr[vertex + 1]].tolist())
 
     def neighbor_row(self, layer):
-        """A per-layer row accessor: ``row(v)`` → sequence of neighbours.
+        """A per-layer row accessor: ``row(v)`` → list of neighbours.
 
         The protocol's bulk-cascade primitive: callers that pop many
         vertices in a peeling loop hoist one ``row`` per layer instead
         of paying a checked :meth:`neighbors` call per pop.  This
-        backend returns raw CSR row slices — no set materialisation.
+        backend returns the sorted CSR row, with no set built.
         """
         self._check_layer(layer)
-        indptr = self._indptr_list(layer)
-        nbrs = self._neighbor_list(layer)
+        indptr, indices = self._np_csr(layer)
 
         def row(vertex):
-            return nbrs[indptr[vertex]:indptr[vertex + 1]]
+            return indices[indptr[vertex]:indptr[vertex + 1]].tolist()
 
         return row
 
@@ -476,11 +393,8 @@ class FrozenMultiLayerGraph:
         self._check_layer(layer)
         cached = self._adj_dicts[layer]
         if cached is None:
-            # Built straight from the CSR rows rather than through the
-            # bounded neighbour-set cache: a full-graph sweep would
-            # otherwise thrash the LRU without ever hitting it.
-            indptr = self._indptr_list(layer)
-            nbrs = self._neighbor_list(layer)
+            indptr = self._indptr[layer].tolist()
+            nbrs = self._indices[layer].tolist()
             cached = {
                 v: frozenset(nbrs[indptr[v]:indptr[v + 1]])
                 for v in range(self.num_vertices)
@@ -515,21 +429,9 @@ class FrozenMultiLayerGraph:
     def induced_degrees(self, layer, within=None):
         """``{v: deg_layer(v) within the subset}`` — the protocol's bulk query."""
         self._check_layer(layer)
-        if self._kernel == "numpy":
-            from repro.graph.kernels import np_induced_degrees
+        from repro.graph.kernels import np_induced_degrees
 
-            return np_induced_degrees(self, layer, within=within)
-        if within is None:
-            degrees = self._degree_list(layer)
-            return {v: degrees[v] for v in range(self.num_vertices)}
-        alive, members = _alive_members(self, within)
-        # Same two-strategy kernel as the peels; the flag-walk sparse
-        # branch keeps this cold path from materialising the per-layer
-        # neighbour-set cache.
-        (degrees,) = _induced_degree_lists(
-            self, (layer,), alive, members, full=False, use_set_cache=False
-        )
-        return {v: degrees[v] for v in members}
+        return np_induced_degrees(self, layer, within=within)
 
     def layer_mask(self, vertex):
         """The membership bitmask: bit ``i`` set iff ``deg_i(vertex) > 0``."""
@@ -590,8 +492,8 @@ class FrozenMultiLayerGraph:
         counted as ``itemsize * len`` and numpy-backed buffers as
         ``ndarray.nbytes`` (:func:`repro.graph.kernels.buffer_nbytes`),
         so host ``memory_budget_bytes`` admission control sees the same
-        bytes either way.  The numpy kernel tier's cached views share
-        the CSR storage and are not double-counted; its owned per-layer
+        bytes either way.  The kernels' cached views share the CSR
+        storage and are not double-counted; their owned per-layer
         degree vectors are.
         """
         total = 0
@@ -602,16 +504,9 @@ class FrozenMultiLayerGraph:
             total += sum(sys.getsizeof(label) for label in self.labels)
         total += sys.getsizeof(self._ids)
         total += sys.getsizeof(self._layer_masks)
-        for cache in (self._nbr_lists, self._ptr_lists, self._deg_lists):
-            for mirror in cache:
-                if mirror is not None:
-                    total += sys.getsizeof(mirror)
         for degrees in self._np_degs:
             if degrees is not None:
                 total += degrees.nbytes
-        for sets in self._nbr_sets:
-            if sets is not None:
-                total += sets.memory_bytes()
         for adj in self._adj_dicts:
             if adj is not None:
                 total += sys.getsizeof(adj)
@@ -647,69 +542,17 @@ class FrozenMultiLayerGraph:
         self._refuse("remove_vertices")
 
     # ------------------------------------------------------------------
-    # internals shared with the peeling kernels
+    # internals shared with the peel kernels
     # ------------------------------------------------------------------
-
-    def _neighbor_list(self, layer):
-        """The CSR ``indices`` of ``layer`` as a cached plain list."""
-        cached = self._nbr_lists[layer]
-        if cached is None:
-            cached = self._indices[layer].tolist()
-            self._nbr_lists[layer] = cached
-        return cached
-
-    def _indptr_list(self, layer):
-        """The CSR ``indptr`` of ``layer`` as a cached plain list."""
-        cached = self._ptr_lists[layer]
-        if cached is None:
-            cached = self._indptr[layer].tolist()
-            self._ptr_lists[layer] = cached
-        return cached
-
-    def _neighbor_sets(self, layer):
-        """Per-vertex neighbour sets of ``layer`` (lazy, LRU-bounded).
-
-        Used by the small-subset branch of the induced-degree
-        computation, where a C-level set intersection beats any
-        pure-Python walk of the CSR row, and by the checked
-        :meth:`neighbors` accessor.  Entries cost roughly the dict
-        backend's memory per vertex, so at most ``_nbr_set_cap`` of them
-        stay resident per layer (:class:`_BoundedNeighborSets`); an
-        evicted vertex rebuilds its set from the CSR row on next touch.
-        """
-        cached = self._nbr_sets[layer]
-        if cached is None:
-            cached = _BoundedNeighborSets(
-                self._indptr_list(layer), self._neighbor_list(layer),
-                self._nbr_set_cap,
-            )
-            self._nbr_sets[layer] = cached
-        return cached
-
-    def _degree_list(self, layer):
-        """Full-graph degrees of ``layer`` as a cached plain list."""
-        cached = self._deg_lists[layer]
-        if cached is None:
-            # Derived from the plain-list indptr mirror so the entries
-            # are plain ints even on numpy-backed storage.
-            indptr = self._indptr_list(layer)
-            cached = [
-                indptr[v + 1] - indptr[v] for v in range(self.num_vertices)
-            ]
-            self._deg_lists[layer] = cached
-        return cached
 
     def _np_csr(self, layer):
         """Cached numpy int views of ``layer``'s CSR pair.
 
         Zero-copy: ``array.array`` storage is viewed through
-        ``np.frombuffer``; numpy-backed storage passes through.  Only
-        the numpy kernel tier calls this.
+        ``np.frombuffer``; numpy-backed storage passes through.
         """
         cached = self._np_csrs[layer]
         if cached is None:
-            from repro.graph.kernels import as_index_array
-
             cached = (as_index_array(self._indptr[layer]),
                       as_index_array(self._indices[layer]))
             self._np_csrs[layer] = cached
@@ -719,8 +562,6 @@ class FrozenMultiLayerGraph:
         """Full-graph degrees of ``layer`` as a cached int64 ndarray."""
         cached = self._np_degs[layer]
         if cached is None:
-            import numpy as np
-
             indptr = self._np_csr(layer)[0].astype(np.int64)
             cached = indptr[1:] - indptr[:-1]
             self._np_degs[layer] = cached
@@ -738,8 +579,7 @@ class FrozenMultiLayerGraph:
             return False
         # Normalise before comparing: labels may be a list or a range,
         # CSR buffers may be array.array or numpy-backed — equal content
-        # means equal graph regardless of storage (and of kernel tier,
-        # which is an execution preference, not identity).
+        # means equal graph regardless of storage.
         if list(self.labels) != list(other.labels):
             return False
         for mine, theirs in ((self._indptr, other._indptr),
@@ -758,193 +598,3 @@ class FrozenMultiLayerGraph:
         return "FrozenMultiLayerGraph({} layers, {} vertices, {} edges{})".format(
             self.num_layers, self.num_vertices, self.total_edges(), label
         )
-
-
-# ----------------------------------------------------------------------
-# flat-array peeling kernels (the frozen fast paths of repro.core)
-# ----------------------------------------------------------------------
-
-
-def _alive_members(graph, within):
-    """``(alive bytearray, member sequence)`` for an optional vertex subset.
-
-    ``within`` is an iterable of vertex ids, or a vertex mask (see
-    :func:`repro.graph.kernels.vertex_mask`), whose members come out in
-    ascending order.
-    """
-    n = graph.num_vertices
-    if within is None:
-        return bytearray(b"\x01") * n, range(n)
-    mask = vertex_mask(graph, within)
-    if mask is not None:
-        return bytearray(mask.tobytes()), mask.nonzero()[0].tolist()
-    if not isinstance(within, (set, frozenset, list, tuple, range, dict)):
-        # One-shot iterators must be materialised: the TypeError
-        # fallback below re-iterates from the start.
-        within = list(within)
-    alive = bytearray(n)
-    members = []
-    append = members.append
-    try:
-        for v in within:
-            if 0 <= v < n and not alive[v]:
-                alive[v] = 1
-                append(v)
-    except TypeError:
-        # Non-integer objects in the subset: mirror the dict backend —
-        # anything hash-equal to an in-range int aliases that vertex,
-        # everything else is silently dropped.  Restart with the
-        # coercing loop since the fast pass may have stopped midway.
-        alive = bytearray(n)
-        members = []
-        for v in within:
-            v = graph._vertex_id(v)
-            if v is not None and not alive[v]:
-                alive[v] = 1
-                members.append(v)
-    return alive, members
-
-
-def _induced_degree_lists(graph, layer_tuple, alive, members, full,
-                          use_set_cache=True):
-    """Per-layer degree lists restricted to the alive flags.
-
-    Strategies with the same result: when most of the graph is alive
-    (the common case for search bounds and potentials) copy the cached
-    full-graph degrees and subtract each dead vertex's incidence —
-    O(n + sum deg(dead)); otherwise count alive neighbours per member —
-    via C-speed set intersections by default, or via a plain flag walk
-    with ``use_set_cache=False`` for cold paths that should not
-    materialise the per-layer neighbour-set cache.  Entries for dead
-    vertices are garbage either way; the peel kernels never read them.
-    """
-    if full:
-        return [list(graph._degree_list(layer)) for layer in layer_tuple]
-    n = graph.num_vertices
-    degree_lists = []
-    if 2 * len(members) > n:
-        dead = [v for v in range(n) if not alive[v]]
-        for layer in layer_tuple:
-            indptr = graph._indptr_list(layer)
-            nbrs = graph._neighbor_list(layer)
-            degrees = list(graph._degree_list(layer))
-            for w in dead:
-                for u in nbrs[indptr[w]:indptr[w + 1]]:
-                    degrees[u] -= 1
-            degree_lists.append(degrees)
-        return degree_lists
-    if use_set_cache:
-        member_set = set(members)
-        for layer in layer_tuple:
-            neighbor_sets = graph._neighbor_sets(layer)
-            degrees = [0] * n
-            for v in members:
-                degrees[v] = len(neighbor_sets[v] & member_set)
-            degree_lists.append(degrees)
-        return degree_lists
-    flag = alive.__getitem__
-    for layer in layer_tuple:
-        indptr = graph._indptr_list(layer)
-        nbrs = graph._neighbor_list(layer)
-        degrees = [0] * n
-        for v in members:
-            degrees[v] = sum(map(flag, nbrs[indptr[v]:indptr[v + 1]]))
-        degree_lists.append(degrees)
-    return degree_lists
-
-
-def frozen_layer_core(graph, layer, d, within=None):
-    """Single-layer d-core on the CSR representation; a set of ids.
-
-    Dispatches on the graph's kernel tier: the numpy gather/scatter
-    kernel (:func:`repro.graph.kernels.np_layer_core`) when active,
-    otherwise the pure-Python cascade below, whose bucket-free FIFO
-    mirrors :func:`repro.core.dcore.d_core` exactly with ``bytearray``
-    flags in place of the ``alive`` and ``in_queue`` sets and flat lists
-    in place of the degree dict.  Both tiers return the same set.
-    """
-    check_degree(d)
-    graph._check_layer(layer)
-    if graph.kernel == "numpy":
-        from repro.graph.kernels import np_layer_core
-
-        return np_layer_core(graph, layer, d, within=within)
-    alive, members = _alive_members(graph, within)
-    if d == 0:
-        return set(members)
-    (degrees,) = _induced_degree_lists(
-        graph, (layer,), alive, members, full=within is None
-    )
-    indptr = graph._indptr_list(layer)
-    nbrs = graph._neighbor_list(layer)
-    queue = [v for v in members if degrees[v] < d]
-    # No explicit in-queue flags: a vertex enqueues exactly when its
-    # degree transitions onto d-1, which happens at most once because
-    # degrees only ever decrease.  Vertices below d from the start are
-    # seeded above and can never hit the transition again.
-    trigger = d - 1
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        alive[v] = 0
-        for u in nbrs[indptr[v]:indptr[v + 1]]:
-            if alive[u]:
-                new_degree = degrees[u] - 1
-                degrees[u] = new_degree
-                if new_degree == trigger:
-                    queue.append(u)
-    return {v for v in members if alive[v]}
-
-
-def frozen_coherent_core(graph, layer_tuple, d, within=None, stats=None):
-    """Multi-layer cascade peel on the CSR representation; a frozenset.
-
-    Mirrors :func:`repro.core.dcc.coherent_core` (same peel counters,
-    same unique fixed point, same validation) with flat-array state.
-    Dispatches to :func:`repro.graph.kernels.np_coherent_core` when the
-    graph's numpy kernel tier is active — same fixed point, same
-    ``peel_operations`` count (one per removed vertex).
-    """
-    check_degree(d)
-    for layer in layer_tuple:
-        graph._check_layer(layer)
-    if graph.kernel == "numpy":
-        from repro.graph.kernels import np_coherent_core
-
-        return np_coherent_core(graph, layer_tuple, d, within=within,
-                                stats=stats)
-    alive, members = _alive_members(graph, within)
-    if d == 0:
-        return frozenset(members)
-    degree_lists = _induced_degree_lists(
-        graph, layer_tuple, alive, members, full=within is None
-    )
-    per_layer = [
-        (graph._indptr_list(layer), graph._neighbor_list(layer), degrees)
-        for layer, degrees in zip(layer_tuple, degree_lists)
-    ]
-    queue = []
-    queued = bytearray(graph.num_vertices)
-    for v in members:
-        for degrees in degree_lists:
-            if degrees[v] < d:
-                queue.append(v)
-                queued[v] = 1
-                break
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        alive[v] = 0
-        if stats is not None:
-            stats.peel_operations += 1
-        for indptr, nbrs, degrees in per_layer:
-            for u in nbrs[indptr[v]:indptr[v + 1]]:
-                if alive[u] and not queued[u]:
-                    new_degree = degrees[u] - 1
-                    degrees[u] = new_degree
-                    if new_degree < d:
-                        queue.append(u)
-                        queued[u] = 1
-    return frozenset(v for v in members if alive[v])

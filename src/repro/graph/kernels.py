@@ -1,16 +1,12 @@
-"""The kernel tier: array-native peel kernels over the frozen CSR arrays.
+"""The peel kernels: array-native passes over the frozen CSR arrays.
 
-The frozen backend (:mod:`repro.graph.frozen`) ships two interchangeable
-implementations of its hot primitives — induced degrees, the single-layer
-d-core peel, the multi-layer coherent-core fixed point and the full core
-decomposition:
-
-* ``"python"`` — the original pure-Python flag/list kernels, kept
-  verbatim in :mod:`repro.graph.frozen` as the correctness reference;
-* ``"numpy"`` — the gather/scatter kernels in this module, which run the
-  same cascades as vectorised *rounds* over int32 views of the CSR
-  ``indptr``/``indices`` buffers (boolean alive masks, ``np.add.at`` /
-  ``bincount`` degree scatters, frontier queues as index arrays).
+The frozen backend (:mod:`repro.graph.frozen`) runs its hot primitives
+— induced degrees, the single-layer d-core peel, the multi-layer
+coherent-core fixed point and the full core decomposition — as the
+gather/scatter kernels of this module: vectorised *rounds* over int32
+views of the CSR ``indptr``/``indices`` buffers (boolean alive masks,
+``np.add.at`` / ``bincount`` degree scatters, frontier queues as index
+arrays).
 
 A round *pushes*: it gathers the frontier's rows and decrements the
 live neighbours' degrees.  A layer's d-core over the whole graph (vertex
@@ -20,86 +16,33 @@ frontier's rows hold more CSR entries than the survivors' rows, the
 round *pulls*, recounting the survivors' live neighbours.  Peels within
 a subset, maintainer removals and multi-layer coherent cores push.
 
-Both kernels compute the same unique fixed point and count the same
-number of peel operations (one per removed vertex, an order-independent
-quantity), so results — sets, labels, cover, ``SearchStats`` — are
-bitwise identical; the property suite in ``tests/test_kernels.py``
-enforces this.  The tier is selected by the ``kernel=auto|python|numpy``
-flag threaded through :class:`FrozenMultiLayerGraph`, ``search_dccs``,
-the engine/host/serving stack and the CLI; ``"auto"`` resolves to
-``"numpy"`` exactly when numpy imports, so environments without the
-``fast`` extra transparently fall back to the pure-Python tier.
+Each kernel computes the unique fixed point of its peel and counts one
+peel operation per removed vertex, an order-independent quantity, so
+results — sets, labels, cover, ``SearchStats`` — are bitwise identical
+to the dict backend's sequential peels in :mod:`repro.core`; the
+property suites in ``tests/test_kernels.py`` and
+``tests/test_backends.py`` enforce this.
 
-One helper has no python-tier twin: :func:`np_induced_subgraph`, the
-survivor subgraph the numpy tier's top-down search runs on.
+:func:`np_induced_subgraph` builds the survivor subgraph the top-down
+search runs on.
 """
+
+import numpy as _np
 
 from repro.utils.errors import ParameterError
 
-KERNELS = ("auto", "python", "numpy")
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
-
-
-# ----------------------------------------------------------------------
-# flag validation / resolution
-# ----------------------------------------------------------------------
-
-
-def numpy_available():
-    """Whether the numpy kernel tier can run in this interpreter."""
-    return _np is not None
-
 
 def numpy_version():
-    """The importable numpy's version string, or ``None`` without numpy."""
-    return None if _np is None else _np.__version__
-
-
-def check_kernel(kernel):
-    """Validate a ``kernel=`` argument, returning it unchanged."""
-    if kernel not in KERNELS:
-        raise ParameterError(
-            "kernel must be one of {}, got {!r}".format(KERNELS, kernel)
-        )
-    return kernel
+    """The numpy version the kernels run on."""
+    return _np.__version__
 
 
 def resolve_kernel(kernel):
-    """Resolve a ``kernel=`` argument to a concrete tier.
+    """The peel tier behind any ``kernel`` request: always ``"numpy"``.
 
-    ``"auto"`` picks ``"numpy"`` exactly when numpy is importable;
-    explicitly requesting ``"numpy"`` without numpy raises — a caller
-    who *named* the fast tier must not silently get the slow one.
+    Kept so benchmark reports can record the tier as provenance.
     """
-    check_kernel(kernel)
-    if kernel == "auto":
-        return "numpy" if _np is not None else "python"
-    if kernel == "numpy" and _np is None:
-        raise ParameterError(
-            "kernel=\"numpy\" requested but numpy is not importable; "
-            "install the \"fast\" extra (pip install repro-dccs[fast]) "
-            "or use kernel=\"auto\""
-        )
-    return kernel
-
-
-def coerce_kernel(kernel):
-    """Lenient resolution for internal payloads: fall back, never raise.
-
-    Worker processes rebuild graphs from serialized payloads that carry
-    the parent's resolved kernel; a worker without numpy (a degraded
-    environment, never a user request) must still deserialize and serve
-    rather than crash the pool.
-    """
-    if kernel not in KERNELS:
-        kernel = "auto"
-    if kernel == "numpy" and _np is None:
-        return "python"
-    return resolve_kernel(kernel)
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +78,7 @@ def buffer_nbytes(buffer):
 
 def is_mask(value):
     """Whether ``value`` is a numpy bool array, i.e. a vertex mask."""
-    return _np is not None and isinstance(value, _np.ndarray) \
-        and value.dtype == _np.bool_
+    return isinstance(value, _np.ndarray) and value.dtype == _np.bool_
 
 
 def vertex_count(vertices):
@@ -151,9 +93,9 @@ def vertex_mask(graph, within):
 
     A vertex mask is a length-``n`` bool array naming the vertices where
     it is True, so it only has a meaning over a frozen graph's dense
-    ids.  Both frozen kernel tiers read ``within`` through this check;
-    a mask of the wrong shape, or one handed to any other backend,
-    raises :class:`ParameterError` instead of being iterated as ids.
+    ids.  The kernels read ``within`` through this check; a mask of the
+    wrong shape, or one handed to any other backend, raises
+    :class:`ParameterError` instead of being iterated as ids.
     """
     if not is_mask(within):
         return None
@@ -171,14 +113,44 @@ def vertex_mask(graph, within):
     return within
 
 
+def _alive_members(graph, within):
+    """``(alive bytearray, member list)`` for an iterable of vertex ids.
+
+    Coerces like the dict backend: duplicates collapse, objects
+    hash-equal to an in-range int alias that vertex, and everything
+    else is silently dropped.  Members keep their first-seen order.
+    """
+    n = graph.num_vertices
+    if not isinstance(within, (set, frozenset, list, tuple, range, dict)):
+        # One-shot iterators must be materialised: the TypeError
+        # fallback below re-iterates from the start.
+        within = list(within)
+    alive = bytearray(n)
+    members = []
+    append = members.append
+    try:
+        for v in within:
+            if 0 <= v < n and not alive[v]:
+                alive[v] = 1
+                append(v)
+    except TypeError:
+        # Non-integer objects in the subset: restart with the coercing
+        # loop, since the fast pass may have stopped midway.
+        alive = bytearray(n)
+        members = []
+        for v in within:
+            v = graph._vertex_id(v)
+            if v is not None and not alive[v]:
+                alive[v] = 1
+                members.append(v)
+    return alive, members
+
+
 def _member_state(graph, within):
     """``(alive bool array, member id array)`` for an optional subset.
 
     A vertex mask costs one copy and one ``flatnonzero``.  Any other
-    subset is *coerced* (deduplication, aliasing of objects hash-equal
-    to in-range ints, silent dropping of everything else) by the python
-    kernels' :func:`repro.graph.frozen._alive_members`, so the two tiers
-    can never disagree on who participates; member ids keep the
+    subset is coerced by :func:`_alive_members`; member ids keep the
     subset's first-seen order.
     """
     n = graph.num_vertices
@@ -187,8 +159,6 @@ def _member_state(graph, within):
     mask = vertex_mask(graph, within)
     if mask is not None:
         return mask.copy(), _np.flatnonzero(mask)
-    from repro.graph.frozen import _alive_members
-
     alive_bytes, members = _alive_members(graph, within)
     alive = _np.frombuffer(alive_bytes, dtype=_np.uint8).astype(_np.bool_)
     member_arr = _np.fromiter(members, dtype=_np.int64, count=len(members))
@@ -270,9 +240,8 @@ def _count_live(flat, bounds, alive):
 def _induced_degree_arrays(graph, layer_tuple, alive, member_arr, full):
     """Per-layer int64 degree arrays restricted to the alive mask.
 
-    The numpy analogue of the python tier's two-strategy
-    ``_induced_degree_lists``: the full-graph case copies the cached
-    degree vector; a large subset counts alive neighbours over each
+    Three strategies: the full-graph case copies the cached degree
+    vector; a large subset counts alive neighbours over each
     layer's whole CSR; a small subset gathers only the member rows, on
     all layers at once (:func:`_gather_layer_rows`).  Both counts are
     :func:`_count_live`.  Entries for dead vertices are garbage either
@@ -316,7 +285,7 @@ def _peel_rounds(graph, layer_tuple, d, alive, frontier, degree_arrays,
     frontiers, ``np.subtract.at`` for thin ones).  The next frontier is
     the set of touched, still-alive vertices now below ``d`` on some
     layer — the same unique fixed point, and the same removed-vertex
-    count, as the python tier's sequential FIFO.  ``frontier`` must hold distinct
+    count, as a sequential FIFO peel.  ``frontier`` must hold distinct
     alive vertices; when ``removed`` is a list, every frontier is
     appended to it.
     """
@@ -397,7 +366,7 @@ def _full_layer_core(graph, layer, d):
 
 
 def np_induced_degrees(graph, layer, within=None):
-    """Numpy tier of :meth:`FrozenMultiLayerGraph.induced_degrees`."""
+    """:meth:`FrozenMultiLayerGraph.induced_degrees`: ``{v: degree}``."""
     if within is None:
         degrees = graph._np_degrees(layer)
         return dict(zip(range(graph.num_vertices), degrees.tolist()))
@@ -409,7 +378,11 @@ def np_induced_degrees(graph, layer, within=None):
 
 
 def np_layer_core(graph, layer, d, within=None):
-    """Numpy tier of :func:`repro.graph.frozen.frozen_layer_core`."""
+    """``layer``'s d-core within ``within`` as a set of ids.
+
+    The frozen backend's :func:`repro.core.dcore.layer_core`, which
+    validates ``d`` and ``layer`` first.
+    """
     if within is None:
         core, _ = _full_layer_core(graph, layer, d)
         return set(_np.flatnonzero(core).tolist())
@@ -425,11 +398,13 @@ def np_layer_core(graph, layer, d, within=None):
 
 
 def np_coherent_core(graph, layer_tuple, d, within=None, stats=None):
-    """Numpy tier of :func:`repro.graph.frozen.frozen_coherent_core`.
+    """The d-CC of ``layer_tuple`` within ``within`` as a frozenset.
 
+    The frozen backend's :func:`repro.core.dcc.coherent_core`, which
+    validates the layers and ``d`` and charges ``dcc_calls`` first.
     ``stats.peel_operations`` advances by the number of removed
-    vertices — exactly the python tier's per-dequeue count, because a
-    vertex is dequeued precisely once per removal in either tier.
+    vertices — the dict peel's per-dequeue count, because a vertex is
+    dequeued precisely once per removal.
     """
     alive, member_arr = _member_state(graph, within)
     if d == 0 or not member_arr.size:
@@ -446,7 +421,7 @@ def np_coherent_core(graph, layer_tuple, d, within=None, stats=None):
 
 
 def np_core_decomposition(graph, layer, within=None):
-    """Numpy tier of the full core decomposition of one layer.
+    """The full core decomposition of one layer.
 
     Ascending-threshold cascade: the ``d``-threshold peel removes
     exactly the vertices with core number ``d - 1``, and every vertex is
@@ -504,7 +479,7 @@ def np_induced_subgraph(graph, mask):
     ``graph``, and each one's label is that id, so the subgraph's
     ``labels_for`` translates its results back.  The relabelling is
     monotone, so every CSR row stays sorted; one gather of the kept
-    rows per layer builds it.  The kernel tier carries over.
+    rows per layer builds it.
     """
     from repro.graph.frozen import FrozenMultiLayerGraph
 
@@ -527,6 +502,5 @@ def np_induced_subgraph(graph, mask):
         nonempty.append(indptr[1:] > indptr[:-1])
     return FrozenMultiLayerGraph(
         members.tolist(), indptrs, indices, edge_counts, bit_rows(nonempty),
-        name=graph.name, neighbor_set_cap=graph._nbr_set_cap,
-        kernel=graph.kernel,
+        name=graph.name,
     )

@@ -45,7 +45,6 @@ from contextlib import contextmanager
 
 from repro.engine import DCCEngine
 from repro.graph.backend import check_backend, check_graph
-from repro.graph.kernels import resolve_kernel
 from repro.parallel.executor import check_jobs
 from repro.utils.errors import (
     HostClosedError,
@@ -68,14 +67,13 @@ DEFAULT_CACHE_MAX_ENTRIES = 256
 class _Registration:
     """One attached graph plus its per-graph engine overrides."""
 
-    __slots__ = ("graph", "backend", "jobs", "cache_artifacts", "kernel")
+    __slots__ = ("graph", "backend", "jobs", "cache_artifacts")
 
-    def __init__(self, graph, backend, jobs, cache_artifacts, kernel):
+    def __init__(self, graph, backend, jobs, cache_artifacts):
         self.graph = graph
         self.backend = backend
         self.jobs = jobs
         self.cache_artifacts = cache_artifacts
-        self.kernel = kernel
 
 
 class DCCHost:
@@ -90,11 +88,9 @@ class DCCHost:
         Optional global cap on summed resident ``memory_bytes()``; LRU
         sessions are evicted while the total exceeds it (the session
         being admitted is never the victim).
-    backend / jobs / cache_artifacts / kernel:
+    backend / jobs / cache_artifacts:
         Host-wide engine defaults, overridable per graph at
-        :meth:`attach` time (``kernel`` picks the frozen backend's peel
-        tier — ``"auto"`` / ``"python"`` / ``"numpy"``; results are
-        bitwise identical between tiers).
+        :meth:`attach` time.
     cache_max_entries / cache_ttl:
         Artifact-cache bounds every host-owned engine runs with
         (default: :data:`DEFAULT_CACHE_MAX_ENTRIES` entries, no TTL).
@@ -116,7 +112,7 @@ class DCCHost:
                  memory_budget_bytes=None, backend="auto", jobs=0,
                  cache_artifacts=True,
                  cache_max_entries=DEFAULT_CACHE_MAX_ENTRIES,
-                 cache_ttl=None, kernel="auto"):
+                 cache_ttl=None):
         if isinstance(max_engines, bool) or not isinstance(max_engines, int) \
                 or max_engines < 1:
             raise ParameterError(
@@ -134,11 +130,9 @@ class DCCHost:
             )
         check_backend(backend)
         check_jobs(jobs)
-        resolve_kernel(kernel)
         self.max_engines = max_engines
         self.memory_budget_bytes = memory_budget_bytes
         self._backend = backend
-        self._kernel = kernel
         self._jobs = jobs
         self._cache_artifacts = cache_artifacts
         self._cache_max_entries = cache_max_entries
@@ -156,7 +150,7 @@ class DCCHost:
     # ------------------------------------------------------------------
 
     def attach(self, name, graph, backend=None, jobs=None,
-               cache_artifacts=None, kernel=None):
+               cache_artifacts=None):
         """Register ``graph`` under ``name``; no session is admitted yet.
 
         Engine overrides left as ``None`` inherit the host-wide
@@ -181,15 +175,12 @@ class DCCHost:
             check_backend(backend)
         if jobs is not None:
             check_jobs(jobs)
-        if kernel is not None:
-            resolve_kernel(kernel)
         self._registry[name] = _Registration(
             graph,
             self._backend if backend is None else backend,
             self._jobs if jobs is None else jobs,
             self._cache_artifacts if cache_artifacts is None
             else cache_artifacts,
-            self._kernel if kernel is None else kernel,
         )
         return self
 
@@ -263,7 +254,6 @@ class DCCHost:
             cache_artifacts=registration.cache_artifacts,
             cache_max_entries=self._cache_max_entries,
             cache_ttl=self._cache_ttl,
-            kernel=registration.kernel,
         )
         self._resident[name] = engine
         self.admissions += 1
@@ -458,7 +448,6 @@ class DCCHost:
         for name, engine in self._resident.items():
             status = engine.info()
             engines[name] = {
-                "kernel": status["kernel"],
                 "workers": status["workers"],
                 "pool_spawned": status["pool_spawned"],
                 "searches_served": status["searches_served"],

@@ -23,10 +23,9 @@ mutation — ``{"op": "update", "graph": ..., "add": [[layer, u, v],
 ...], "remove": [...]}`` — applied at its position in the sequence, so
 every later query answers against the mutated graph.  Optional top-level settings
 (:data:`SETTINGS_KEYS`) feed admission control, the async layer's
-backpressure, its cross-time result cache and the peel-kernel tier;
-command-line flags override them.  Any *other*
-top-level key is rejected by name — a typo like ``"kernal"`` must fail
-loudly, not silently configure nothing.
+backpressure and its cross-time result cache; command-line flags
+override them.  Any *other* top-level key is rejected by name — a typo
+like ``"max_engine"`` must fail loudly, not silently configure nothing.
 ``repro serve`` reuses the same document shape with ``queries``
 optional (``require_queries=False``).
 
@@ -46,7 +45,6 @@ SETTINGS_KEYS = (
     "max_pending",
     "result_cache_entries",
     "result_cache_ttl",
-    "kernel",
 )
 
 # Top-level keys that are structure, not settings.

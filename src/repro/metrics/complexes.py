@@ -4,8 +4,8 @@ The paper checks, against the MIPS complex catalogue, what fraction of
 known protein complexes is *entirely contained* in some reported dense
 subgraph.  The MIPS database is not available offline, so the PPI
 stand-in dataset plants synthetic complexes at generation time and this
-module measures the same recovery statistic against them (see the
-substitution notes in DESIGN.md).
+module measures the same recovery statistic against them (see
+"Substitutions" in docs/experiments.md).
 """
 
 

@@ -180,7 +180,7 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
 
     if query.method == "greedy":
         # Greedy shards only bound and peel, so they take the cores in
-        # the form the kernels compute on: masks on the numpy tier.
+        # the form the kernels compute on: masks on a frozen graph.
         context = _context("greedy", d, s, k, *prep.kernel_view(),
                            None, [], {})
         subsets = list(combinations(range(graph.num_layers), s))
@@ -214,7 +214,7 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
         return QueryPlan(query, context, tasks, topk=topk)
 
     # top-down: its shards keep the potential sets in the kernel view's
-    # form, masks on the numpy tier.
+    # form, masks on a frozen graph.
     cores, alive = prep.kernel_view()
     order = order_layers(cores, descending=False,
                          enabled=options["use_layer_sorting"])

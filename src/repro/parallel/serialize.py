@@ -5,21 +5,15 @@ through the pool initializer, never per task.  For the frozen CSR backend
 that payload is the flat arrays themselves: each CSR buffer pickles as
 one contiguous machine-typed block (``array.array`` via its
 reconstructor-plus-``tobytes()`` protocol, numpy arrays via the buffer
-protocol when the numpy kernel tier built them), so an n-vertex, l-layer
-graph crosses the process boundary as ``2l`` buffers plus the label
-table, with no per-edge Python object overhead.  A ``range`` label table
+protocol when the synthetic generator built them), so an n-vertex,
+l-layer graph crosses the process boundary as ``2l`` buffers plus the
+label table, with no per-edge Python object overhead.  A ``range`` label table
 — what the synthetic generator produces for million-vertex graphs — is
 shipped as the ``range`` object itself (three integers), never
 materialised into a list.  The dict backend is shipped as its edge list
 and rebuilt on the other side; it exists mainly so the ``jobs=`` option
 works on either backend, the frozen representation is the one the
 parallel subsystem is designed around.
-
-The payload also carries the graph's *kernel tier*, so a pool worker
-peels with the same tier the parent resolved.  Reconstruction coerces
-rather than resolves it: a worker whose interpreter lacks numpy silently
-falls back to the python tier instead of refusing the payload — results
-are bitwise identical between tiers, so the fallback is safe.
 
 Reconstruction bypasses :meth:`FrozenMultiLayerGraph.from_graph` — the
 dense-id assignment was already done on the parent's side, and re-sorting
@@ -28,7 +22,6 @@ authoritative id order.
 """
 
 from repro.graph.frozen import FrozenMultiLayerGraph
-from repro.graph.kernels import coerce_kernel
 from repro.graph.multilayer import MultiLayerGraph
 
 
@@ -36,8 +29,8 @@ def graph_payload(graph):
     """A picklable payload for ``graph``; see :func:`payload_graph`.
 
     Frozen graphs contribute their CSR arrays, edge counts, layer
-    bitmasks, label table and kernel tier verbatim (lazy caches are
-    *not* shipped — workers rebuild the mirrors they actually touch).
+    bitmasks and label table verbatim (lazy caches are *not* shipped —
+    workers rebuild the views they actually touch).
     Dict graphs contribute an explicit vertex list plus per-layer edge
     lists, so the worker-side reconstruction is identical for every
     worker no matter how the parent's hash order happened to fall out.
@@ -54,7 +47,6 @@ def graph_payload(graph):
             graph._indices,
             list(graph._edge_counts),
             list(graph._layer_masks),
-            graph.kernel,
         )
     vertices = list(graph.vertices())
     try:
@@ -71,11 +63,9 @@ def payload_graph(payload):
     """Rebuild the graph behind a :func:`graph_payload` tuple."""
     kind = payload[0]
     if kind == "frozen":
-        (_, name, labels, indptr, indices, edge_counts, layer_masks,
-         kernel) = payload
+        _, name, labels, indptr, indices, edge_counts, layer_masks = payload
         return FrozenMultiLayerGraph(
             labels, indptr, indices, edge_counts, layer_masks, name=name,
-            kernel=coerce_kernel(kernel),
         )
     if kind == "dict":
         _, name, num_layers, vertices, edges = payload
@@ -141,7 +131,7 @@ def apply_delta_payload(graph, payload):
             layer_masks[vid] = mask
         return FrozenMultiLayerGraph(
             graph.labels, indptr, indices, edge_counts, layer_masks,
-            name=graph.name, kernel=graph.kernel,
+            name=graph.name,
         )
     if kind == "edge-patch":
         _, added, removed = payload

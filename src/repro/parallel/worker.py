@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 from repro.core.bottomup import _BottomUpSearch
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import bound_groups, candidate_for_subset
+from repro.core.dcc import candidate_for_subset
 from repro.core.index import CoreHierarchyIndex
 from repro.core.stats import SearchStats
 from repro.core.topdown import _TopDownSearch
@@ -96,7 +96,7 @@ class ShardRunner:
         ``s``, ``k``, ``cores``, ``alive``, ``order``, ``init_sets``,
         ``flags``, plus ``root_core``/``seed`` for the top-down method).
         ``cores``/``alive`` are frozensets for bottom-up and the prep's
-        kernel view, masks on the numpy tier, for greedy and top-down.
+        kernel view, masks on a frozen graph, for greedy and top-down.
     index:
         An optional pre-built :class:`CoreHierarchyIndex` for top-down
         shards.  The inline path passes the orchestrator's; pooled
@@ -109,8 +109,6 @@ class ShardRunner:
         self.context = context
         self._index = index
         self._index_ready = index is not None
-        self._groups = None
-        self._groups_ready = False
 
     def run(self, task):
         """Execute ``(shard_index, kind, spec)`` → ``(shard_index,
@@ -142,12 +140,10 @@ class ShardRunner:
         context = self.context
         d = context["d"]
         cores = context["cores"]
-        groups = self._signature_groups()
         candidates = []
         for subset in subsets:
-            core = candidate_for_subset(
-                self.graph, d, subset, cores, groups=groups, stats=stats
-            )
+            core = candidate_for_subset(self.graph, d, subset, cores,
+                                        stats=stats)
             stats.candidates_generated += 1
             candidates.append((subset, core))
         return candidates
@@ -211,13 +207,6 @@ class ShardRunner:
             topk.try_update(members, label=label)
         topk.recording = True
         return topk
-
-    def _signature_groups(self):
-        """The greedy chunks' :func:`bound_groups` (cached)."""
-        if not self._groups_ready:
-            self._groups = bound_groups(self.graph, self.context["cores"])
-            self._groups_ready = True
-        return self._groups
 
     def _topdown_index(self):
         """The hierarchy index for top-down shards (cached per runner).

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aio import AsyncDCCHost, DCCServer, format_response
+from repro.cli import main as cli_main
 from repro.core.api import (
     METHOD_OPTIONS,
     check_options,
@@ -19,6 +21,7 @@ from repro.core.dcc import is_coherent_dense
 from repro.core.stats import SearchStats
 from repro.engine import DCCEngine
 from repro.graph import MultiLayerGraph, paper_figure1_graph
+from repro.graph.io import write_json
 from repro.host import DCCHost
 from repro.utils.errors import ParameterError
 from tests.strategies import multilayer_graphs
@@ -181,26 +184,29 @@ def entry_path_cases(draw):
     ``spec`` holds ``d``, ``s``, ``k``, ``method``, ``options`` and
     ``stats`` (``"absent"``, ``None``, ``"fresh"`` for a new
     :class:`SearchStats` per path, or a bad value).  ``bad`` names the
-    one field given a bad value, or is ``None`` for a valid spec.
+    one field given a bad value, or is ``None`` for a valid spec.  Half
+    the specs are plain — no switches, no stats — as the CLI takes them.
     """
     keep = draw(st.lists(st.booleans(), min_size=len(PATH_SLOTS),
                          max_size=len(PATH_SLOTS)))
     edges = {slot for slot, kept in zip(PATH_SLOTS, keep) if kept}
+    plain = draw(st.booleans())
     spec = {
         "d": draw(st.integers(min_value=0, max_value=3)),
         "s": draw(st.integers(min_value=1, max_value=PATH_LAYERS)),
         "k": draw(st.integers(min_value=1, max_value=3)),
         "method": draw(st.sampled_from(
             ("auto", "greedy", "bottom-up", "top-down"))),
-        "stats": draw(st.sampled_from(("absent", None, "fresh"))),
+        "stats": "absent" if plain
+        else draw(st.sampled_from(("absent", None, "fresh"))),
     }
     method = spec["method"]
     if method == "auto":
         method = choose_method(PATH_LAYERS, spec["s"])
     switches = sorted(name for name in METHOD_OPTIONS[method]
                       if name != "seed")
-    options = draw(st.dictionaries(st.sampled_from(switches),
-                                   st.booleans()))
+    options = {} if plain else draw(st.dictionaries(
+        st.sampled_from(switches), st.booleans()))
     if draw(st.booleans()):
         # Every method takes a seed; only top-down uses it.
         options["seed"] = draw(st.one_of(
@@ -235,28 +241,88 @@ def rewire(graph, edges):
                       remove=sorted(current - edges))
 
 
-def outcome(call):
-    """A path's comparable outcome: its wire payload or its error type."""
+def outcome(call, kept=None):
+    """A path's comparable outcome: its wire payload or its error type.
+
+    A result is also appended to ``kept``, when given.
+    """
     try:
         result = call()
     except Exception as error:  # the test compares error types
         return "error", type(error).__name__
+    if kept is not None:
+        kept.append(result)
     payload = format_response(0, None, result=result)
     del payload["seq"], payload["elapsed_s"]
     return "ok", payload
 
 
+def cli_argv(path, spec):
+    """``repro search`` arguments for ``spec``, or ``None``.
+
+    ``None`` when the CLI cannot express the spec: a ``use_*`` switch,
+    an unknown option, a stats accumulator, or a number given as a
+    string (every argument is a string on the command line).
+    """
+    options = spec["options"]
+    if spec["stats"] != "absent" or set(options) - {"seed"}:
+        return None
+    seed = options.get("seed")
+    if any(isinstance(value, str)
+           for value in (spec["d"], spec["s"], spec["k"], seed)):
+        return None
+    argv = ["search", path, "-d", str(spec["d"]), "-s", str(spec["s"]),
+            "-k", str(spec["k"]), "--method", str(spec["method"])]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    return argv
+
+
+def run_cli(argv, capsys):
+    """``(exit code, stdout)`` of one in-process CLI run."""
+    capsys.readouterr()
+    try:
+        code = cli_main(argv)
+    except SystemExit as exit:  # argparse rejects the arguments
+        code = exit.code
+    return code, capsys.readouterr().out
+
+
+def cli_lines(result):
+    """The lines ``repro search`` prints for ``result``, time left out."""
+    lines = ["{}: {} d-CCs, cover {} vertices, {} dCC computations".format(
+        result.algorithm, len(result.sets), result.cover_size,
+        result.stats.dcc_calls,
+    )]
+    for label, members in zip(result.labels, result.sets):
+        shown = ", ".join(str(v) for v in sorted(members, key=str)[:12])
+        suffix = ", ..." if len(members) > 12 else ""
+        lines.append("  layers {} | {} vertices: {}{}".format(
+            label, len(members), shown, suffix))
+    return lines
+
+
+# The elapsed-time field of the CLI's summary line.
+CLI_ELAPSED = re.compile(r", \d+\.\d{3}s,")
+
+
 @pytest.mark.network
 class TestEveryEntryPath:
-    """One drawn spec, six entry paths, one outcome."""
+    """One drawn spec, every entry path, one outcome.
 
-    def test_one_spec_through_every_entry_path(self):
+    The six library and serving paths run on the dict backend and again
+    on the frozen graph; the CLI runs every spec it can express.
+    """
+
+    def test_one_spec_through_every_entry_path(self, tmp_path, capsys):
         graph = MultiLayerGraph(PATH_LAYERS, vertices=range(PATH_VERTICES))
+        graph_file = str(tmp_path / "graph.json")
         loop = asyncio.new_event_loop()
 
         async def open_serving():
             ahost = AsyncDCCHost(jobs=1)
             ahost.attach("g", graph)
+            ahost.attach("f", graph, backend="frozen")
             server = DCCServer(ahost, port=0)
             await server.start()
             reader, writer = await asyncio.open_connection(
@@ -282,8 +348,10 @@ class TestEveryEntryPath:
             open_serving())
         try:
             with DCCEngine(graph, jobs=1) as engine, \
+                    DCCEngine(graph, jobs=1, backend="frozen") as frozen, \
                     DCCHost(jobs=1) as host:
                 host.attach("g", graph)
+                host.attach("f", graph, backend="frozen")
 
                 @given(entry_path_cases())
                 @settings(max_examples=100, deadline=None)
@@ -303,38 +371,64 @@ class TestEveryEntryPath:
                             extra["stats"] = spec["stats"]
                         return extra
 
-                    outcomes = {
-                        "jobs=None": outcome(lambda: search_dccs(
-                            graph, d, s, k, method=method, **options())),
-                        "jobs=1": outcome(lambda: search_dccs(
-                            graph, d, s, k, method=method, jobs=1,
-                            **options())),
-                        "engine": outcome(lambda: engine.search(
-                            d, s, k, method=method, **options())),
-                        "host": outcome(lambda: host.search(
-                            "g", d, s, k, method=method, **options())),
-                        "async": outcome(lambda: loop.run_until_complete(
-                            ahost.search("g", d, s, k, method=method,
-                                         **options()))),
-                    }
-                    if spec["stats"] != "fresh":
-                        # A SearchStats cannot cross the wire.
-                        outcomes["socket"] = loop.run_until_complete(
-                            over_socket(dict(options(), graph="g", d=d, s=s,
-                                             k=k, method=method)))
+                    outcomes, kept = {}, {}
+                    for twin, backend, session, name in (
+                            ("", "auto", engine, "g"),
+                            ("frozen ", "frozen", frozen, "f")):
+                        paths = {
+                            "jobs=None": lambda: search_dccs(
+                                graph, d, s, k, method=method,
+                                backend=backend, **options()),
+                            "jobs=1": lambda: search_dccs(
+                                graph, d, s, k, method=method, jobs=1,
+                                backend=backend, **options()),
+                            "engine": lambda: session.search(
+                                d, s, k, method=method, **options()),
+                            "host": lambda: host.search(
+                                name, d, s, k, method=method,
+                                **options()),
+                            "async": lambda: loop.run_until_complete(
+                                ahost.search(name, d, s, k, method=method,
+                                             **options())),
+                        }
+                        for path, call in paths.items():
+                            outcomes[twin + path] = outcome(
+                                call, kept.setdefault(twin + path, []))
+                        if spec["stats"] != "fresh":
+                            # A SearchStats cannot cross the wire.
+                            outcomes[twin + "socket"] = \
+                                loop.run_until_complete(over_socket(dict(
+                                    options(), graph=name, d=d, s=s, k=k,
+                                    method=method)))
+                    argv = cli_argv(graph_file, spec)
+                    if argv is not None:
+                        write_json(graph, graph_file)
+                        code, out = run_cli(argv, capsys)
                     if bad is not None:
                         for path, seen in outcomes.items():
                             assert seen == ("error", "ParameterError"), \
                                 (bad, path, seen)
+                        if argv is not None:
+                            assert (code, out) == (2, ""), (bad, argv)
                         return
                     sequential = outcomes.pop("jobs=None")
                     assert sequential[0] == "ok", sequential
+                    assert outcomes.pop("frozen jobs=None") == sequential
                     first = outcomes["jobs=1"]
                     assert first[0] == "ok", first
                     for path, seen in outcomes.items():
                         assert seen == first, path
                     if method == "greedy":
                         assert sequential == first
+                    for path, results in kept.items():
+                        if path.startswith("frozen "):
+                            twin = kept[path[len("frozen "):]]
+                            assert results[0].stats.as_dict() == \
+                                twin[0].stats.as_dict(), path
+                    if argv is not None:
+                        assert code == 0, argv
+                        assert CLI_ELAPSED.sub(",", out).splitlines() == \
+                            cli_lines(kept["jobs=None"][0])
 
                 check()
         finally:

@@ -156,18 +156,20 @@ class TestFrozenBehaviour:
         assert "a" not in frozen
 
     def test_kernel_validation_matches_generic_entry_points(self):
-        from repro.graph import frozen_coherent_core, frozen_layer_core
+        """The frozen graph's kernels are reached only through checks
+        that raise what the dict backend raises."""
         from repro.utils.errors import LayerIndexError
 
-        frozen = paper_figure1_graph().freeze()
-        with pytest.raises(ParameterError):
-            frozen_coherent_core(frozen, (0, 1), -1)
-        with pytest.raises(LayerIndexError):
-            frozen_coherent_core(frozen, (99,), 1)
-        with pytest.raises(ParameterError):
-            frozen_layer_core(frozen, 0, -1)
-        with pytest.raises(LayerIndexError):
-            frozen_layer_core(frozen, 99, 1)
+        graph = paper_figure1_graph()
+        for backend in (graph, graph.freeze()):
+            with pytest.raises(ParameterError):
+                coherent_core(backend, (0, 1), -1)
+            with pytest.raises(LayerIndexError):
+                coherent_core(backend, (99,), 1)
+            with pytest.raises(ParameterError):
+                layer_core(backend, 0, -1)
+            with pytest.raises(LayerIndexError):
+                layer_core(backend, 99, 1)
 
     def test_unknown_label_raises(self):
         frozen = paper_figure1_graph().freeze()
@@ -217,72 +219,6 @@ class TestFrozenBehaviour:
 # ----------------------------------------------------------------------
 # peeling primitive equivalence
 # ----------------------------------------------------------------------
-
-
-class TestBoundedNeighborSetCache:
-    """The lazy per-layer neighbour-set cache stays under its entry cap."""
-
-    def _line(self, n=24):
-        graph = MultiLayerGraph(2, vertices=range(n))
-        for i in range(n - 1):
-            graph.add_edge(0, i, i + 1)
-            graph.add_edge(1, i, i + 1)
-        return graph.freeze()
-
-    def test_cap_bounds_entries_with_lru_discard(self):
-        frozen = self._line()
-        frozen._nbr_set_cap = 4
-        for v in range(frozen.num_vertices):
-            frozen.neighbors(0, v)
-        cache = frozen._nbr_sets[0]
-        assert len(cache) == 4
-        # Discard is LRU: re-touching a survivor keeps it resident while
-        # a fresh vertex pushes out the oldest entry.
-        frozen.neighbors(0, 22)
-        frozen.neighbors(0, 5)
-        assert len(cache) == 4
-
-    def test_evicted_entries_rebuild_identically(self):
-        frozen = self._line()
-        frozen._nbr_set_cap = 2
-        before = {v: frozen.neighbors(0, v)
-                  for v in range(frozen.num_vertices)}
-        after = {v: frozen.neighbors(0, v)
-                 for v in range(frozen.num_vertices)}
-        assert before == after
-        unbounded = self._line()
-        assert before == {v: unbounded.neighbors(0, v)
-                          for v in range(unbounded.num_vertices)}
-
-    def test_induced_degrees_unchanged_by_a_tiny_cap(self):
-        frozen = self._line()
-        subset = set(range(0, frozen.num_vertices, 3))
-        expected = frozen.induced_degrees(0, within=subset)
-        bounded = self._line()
-        bounded._nbr_set_cap = 1
-        assert bounded.induced_degrees(0, within=subset) == expected
-
-    def test_memory_bytes_tracks_cache_occupancy(self):
-        frozen = self._line()
-        frozen._nbr_set_cap = 4
-        empty = frozen.memory_bytes()
-        for v in range(frozen.num_vertices):
-            frozen.neighbors(0, v)
-        warm = frozen.memory_bytes()
-        assert warm > empty
-        assert warm - empty <= 4 * 1024  # bounded: 4 entries, not n
-
-    def test_default_cap_is_applied(self):
-        from repro.graph.frozen import DEFAULT_NEIGHBOR_SET_CAP
-
-        frozen = self._line()
-        assert frozen._nbr_set_cap == DEFAULT_NEIGHBOR_SET_CAP
-        explicit = type(frozen)(
-            frozen.labels, frozen._indptr, frozen._indices,
-            list(frozen._edge_counts), list(frozen._layer_masks),
-            neighbor_set_cap=7,
-        )
-        assert explicit._nbr_set_cap == 7
 
 
 class TestPrimitiveEquivalence:

@@ -65,6 +65,18 @@ class TestCommands:
     def test_unknown_figure(self, capsys):
         assert main(["figure", "99"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["-d", "3", "-s", "9", "-k", "2"],
+        ["-d", "3", "-s", "2", "-k", "0"],
+        ["-d", "3", "-s", "2", "-k", "2", "--jobs", "-1"],
+    ])
+    def test_search_bad_parameters_exit_2(self, argv, capsys):
+        assert main(["search", "figure1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search failed: ")
+        assert "Traceback" not in captured.err
+
     def test_figure_sweep_small(self, capsys):
         assert main(["figure", "16", "--scale", "0.12"]) == 0
         assert "cover" in capsys.readouterr().out

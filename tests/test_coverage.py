@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coverage import DiversifiedTopK
-from repro.graph.kernels import numpy_available
 from repro.metrics.cover import exclusive_counts
 from repro.utils.errors import ParameterError
 
@@ -215,7 +214,6 @@ class TestWeakest:
             top.check_consistency()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 class TestMaskGain:
     @given(update_sequences(), st.lists(
         st.frozensets(st.integers(min_value=0, max_value=15)), max_size=6,

@@ -75,6 +75,26 @@ class TestChecker:
             "run `pytest -q` with `PYTHONPATH=src` and `jobs=4`",
         ) == []
 
+    def test_detects_dangling_md_name_in_python(self):
+        problems = check_docs.check_md_names(
+            os.path.join(ROOT, "src", "repro", "example.py"),
+            '"""See DESIGN.md ("Substitutions") and docs/experiments.md."""',
+        )
+        assert len(problems) == 1
+        assert "DESIGN.md" in problems[0]
+
+    def test_md_names_resolve_against_root_file_dir_and_docs(self):
+        assert check_docs.check_md_names(
+            os.path.join(ROOT, "tools", "example.py"),
+            "README.md, docs/experiments.md and architecture.md",
+        ) == []
+
+    def test_python_sources_cover_every_checked_tree(self):
+        tops = {os.path.relpath(path, ROOT).split(os.sep)[0]
+                for path in check_docs.python_sources()}
+        assert tops == {"setup.py", "src", "benchmarks", "tools",
+                        "examples"}
+
     @pytest.mark.parametrize("token,is_path", [
         ("src/repro/core/api.py", True),
         ("benchmarks/results/", True),

@@ -1,33 +1,31 @@
-"""The kernel-tier contract: numpy peel kernels are invisible.
+"""The peel-kernel contract: the numpy kernels are invisible.
 
 Four layers of guarantees, all enforced here:
 
-* **flag semantics** — ``kernel=auto|python|numpy`` validation, the
-  auto-resolution rule (numpy exactly when importable), the hard error
-  on an explicit ``"numpy"`` request without numpy, and the lenient
-  worker-payload coercion that falls back instead of crashing a pool;
+* **one tier, no knob** — ``kernel=`` is gone from every surface and is
+  rejected there with a typed error; ``resolve_kernel`` and the frozen
+  graph's ``kernel`` report the one tier as provenance;
 * **bitwise equivalence** — for every frozen-backend primitive
-  (induced degrees, layer core, coherent core, core decomposition) and
-  for full ``search_dccs`` runs across methods, jobs counts and warm
-  caches, the two tiers return identical values, labels, cover sizes
-  and ``SearchStats`` counters; the full-graph layer peel, which picks
-  a push or a pull for each round, equals the push-only cascade;
+  (induced degrees, layer core, coherent core, core decomposition,
+  vertex deletion, the hierarchy index) and for full ``search_dccs``
+  runs across methods, jobs counts and warm caches, the frozen graph's
+  numpy kernels return the dict backend's values, labels, cover sizes
+  and ``SearchStats`` counters; the full-graph layer peel, which picks a
+  push or a pull for each round, equals the push-only cascade;
 * **one input contract** — a bad ``d`` or layer raises the same typed
-  error on the dict backend and on both frozen tiers;
+  error on the dict backend and on the frozen graph;
 * **bookkeeping honesty** — ``memory_bytes`` counts numpy-backed CSR
   storage and lazily-built degree vectors, and the synthetic generator
-  builds the same graph with or without numpy installed.
-
-The suite runs in both CI legs: with numpy it exercises the real numpy
-kernels; without numpy the equivalence tests skip and the flag/fallback
-tests prove the pure-Python path is what ``"auto"`` serves.
+  assembles each layer as its sorted, distinct edge pairs.
 """
 
 import asyncio
 import contextlib
+from array import array
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +33,7 @@ from hypothesis import strategies as st
 import repro.datasets.synthetic as synthetic_module
 import repro.graph.kernels as kernels_module
 from repro.aio import AsyncDCCHost
+from repro.cli import build_parser
 from repro.core import search_dccs
 from repro.core.dcc import (
     candidate_for_subset,
@@ -45,6 +44,7 @@ from repro.core.dcc import (
 )
 from repro.core.dcore import (
     core_decomposition,
+    d_core,
     layer_core,
     layer_core_decomposition,
     layer_core_sizes,
@@ -62,18 +62,19 @@ from repro.core.stats import SearchStats
 from repro.core.topdown import td_dccs
 from repro.datasets import load, synthetic_multilayer
 from repro.engine import DCCEngine
-from repro.graph import MultiLayerGraph, paper_figure1_graph
-from repro.graph.frozen import frozen_coherent_core, frozen_layer_core
+from repro.graph import (
+    FrozenMultiLayerGraph,
+    MultiLayerGraph,
+    paper_figure1_graph,
+)
 from repro.graph.kernels import (
-    KERNELS,
     buffer_nbytes,
-    check_kernel,
-    coerce_kernel,
     np_induced_subgraph,
-    numpy_available,
     numpy_version,
     resolve_kernel,
 )
+from repro.host import DCCHost, parse_host_spec
+from repro.host.spec import SETTINGS_KEYS
 from repro.parallel.serialize import graph_payload, payload_graph
 from repro.utils.errors import LayerIndexError, ParameterError
 
@@ -85,80 +86,63 @@ from tests.strategies import (
     star_cascade_graph,
 )
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy kernel tier not importable"
-)
-
 
 # ----------------------------------------------------------------------
-# flag semantics
+# one tier, no knob
 # ----------------------------------------------------------------------
 
 
 class TestKernelFlag:
     def test_flag_universe(self):
-        assert KERNELS == ("auto", "python", "numpy")
-        for kernel in KERNELS:
-            assert check_kernel(kernel) == kernel
+        """No subcommand takes ``--kernel`` and no spec sets a tier."""
+        parser = build_parser()
+        for argv in (["info", "figure1"], ["search", "figure1"],
+                     ["batch", "figure1", "queries.json"],
+                     ["host", "spec.json"], ["serve", "spec.json"]):
+            parser.parse_args(argv)
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv + ["--kernel", "numpy"])
+            assert exited.value.code == 2
+        assert "kernel" not in SETTINGS_KEYS
 
     @pytest.mark.parametrize("bad", ["fast", "", None, 1, "NUMPY"])
     def test_bad_flag_rejected(self, bad):
-        with pytest.raises(ParameterError):
-            check_kernel(bad)
-        with pytest.raises(ParameterError):
-            resolve_kernel(bad)
+        graph = paper_figure1_graph()
+        for jobs in (None, 1):
+            with pytest.raises(ParameterError,
+                               match="unknown option 'kernel'"):
+                search_dccs(graph, 3, 2, 2, jobs=jobs, kernel=bad)
 
     def test_auto_resolution_follows_numpy(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_kernel("auto") == expected
-        assert resolve_kernel("python") == "python"
+        assert resolve_kernel("auto") == "numpy"
+        assert paper_figure1_graph().freeze().kernel == "numpy"
+        assert FrozenMultiLayerGraph.kernel == "numpy"
 
     def test_version_reporting(self):
-        if numpy_available():
-            assert isinstance(numpy_version(), str)
-        else:
-            assert numpy_version() is None
+        assert numpy_version() == np.__version__
 
-    def test_numpyless_interpreter_fallback(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_np", None)
-        assert not numpy_available()
-        assert numpy_version() is None
-        assert resolve_kernel("auto") == "python"
-        with pytest.raises(ParameterError, match="fast"):
-            resolve_kernel("numpy")
-        # Worker payloads coerce instead of raising: a degraded worker
-        # serves on the python tier rather than crashing the pool.
-        assert coerce_kernel("numpy") == "python"
-        assert coerce_kernel("auto") == "python"
-        assert coerce_kernel("garbage") == "python"
-        # And the whole search stack still runs on kernel="auto".
-        result = search_dccs(paper_figure1_graph(), 3, 2, 2,
-                             backend="frozen", kernel="auto")
-        assert result.cover_size == 13
-
-    def test_explicit_numpy_fails_eagerly_everywhere(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_np", None)
+    def test_explicit_numpy_fails_eagerly_everywhere(self):
         graph = paper_figure1_graph()
-        with pytest.raises(ParameterError):
-            search_dccs(graph, 3, 2, 2, kernel="numpy")
-        with pytest.raises(ParameterError):
+        for jobs in (None, 1):
+            with pytest.raises(ParameterError,
+                               match="unknown option 'kernel'"):
+                search_dccs(graph, 3, 2, 2, jobs=jobs, kernel="numpy")
+        with pytest.raises(TypeError, match="kernel"):
             DCCEngine(graph, kernel="numpy")
-        from repro.host import DCCHost
-
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError, match="kernel"):
             DCCHost(kernel="numpy")
+        with pytest.raises(TypeError, match="kernel"):
+            AsyncDCCHost(kernel="numpy")
         with DCCHost() as host:
-            with pytest.raises(ParameterError):
+            with pytest.raises(TypeError, match="kernel"):
                 host.attach("g", graph, kernel="numpy")
-
-    def test_set_kernel_is_execution_preference(self):
-        frozen = paper_figure1_graph().freeze()
-        resolved = frozen.set_kernel("auto")
-        assert resolved == resolve_kernel("auto")
-        assert frozen.kernel == resolved
-        before = frozen_coherent_core(frozen, (0, 1), 3)
-        assert frozen.set_kernel("python") == "python"
-        assert frozen_coherent_core(frozen, (0, 1), 3) == before
+            assert not host.is_attached("g")
+        with pytest.raises(ParameterError, match="'kernel'"):
+            parse_host_spec({
+                "graphs": {"g": "figure1"},
+                "kernel": "numpy",
+                "queries": [{"graph": "g", "d": 3, "s": 2, "k": 2}],
+            })
 
 
 # ----------------------------------------------------------------------
@@ -166,39 +150,34 @@ class TestKernelFlag:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestPrimitiveEquivalence:
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
     @settings(max_examples=25, deadline=None)
     def test_primitives_bitwise_identical(self, graph, data):
-        frozen = graph.freeze()
         d = data.draw(st.integers(min_value=0, max_value=4))
-        layers = tuple(range(frozen.num_layers))
+        layers = tuple(range(graph.num_layers))
         within = data.draw(st.one_of(
             st.none(),
             st.lists(st.integers(min_value=-1,
-                                 max_value=frozen.num_vertices),
-                     max_size=frozen.num_vertices + 2),
+                                 max_value=graph.num_vertices),
+                     max_size=graph.num_vertices + 2),
         ))
-        outputs = {}
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
+        outputs = []
+        for backend in (graph, graph.freeze()):
             stats = SearchStats()
-            outputs[kernel] = (
-                frozen.induced_degrees(0, within),
-                frozen_layer_core(frozen, 0, d, within=within),
-                frozen_coherent_core(frozen, layers, d, within=within,
-                                     stats=stats),
-                stats.peel_operations,
-                layer_core_decomposition(frozen, 0, within=within),
-            )
-        assert outputs["python"] == outputs["numpy"]
+            outputs.append((
+                backend.induced_degrees(0, within),
+                layer_core(backend, 0, d, within=within),
+                coherent_core(backend, layers, d, within=within,
+                              stats=stats),
+                stats.as_dict(),
+                layer_core_decomposition(backend, 0, within=within),
+            ))
+        assert outputs[0] == outputs[1]
 
     @given(st.integers(min_value=1, max_value=40), st.data())
     @settings(max_examples=40, deadline=None)
     def test_distinct_ids(self, n, data):
-        import numpy as np
-
         ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
                                  max_size=3 * n))
         got = kernels_module._distinct(np.array(ids, dtype=np.int64), n)
@@ -207,53 +186,47 @@ class TestPrimitiveEquivalence:
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
     @settings(max_examples=25, deadline=None)
     def test_vertex_deletion_identical(self, graph, data):
-        frozen = graph.freeze()
         d = data.draw(st.integers(min_value=0, max_value=4))
-        s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
+        s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
         enabled = data.draw(st.booleans())
-        seeded = data.draw(st.sets(st.sampled_from(range(frozen.num_layers))))
+        seeded = data.draw(st.sets(st.sampled_from(range(graph.num_layers))))
         seeds = {
-            layer: frozen_layer_core(frozen, layer, d) for layer in seeded
+            layer: layer_core(graph, layer, d) for layer in seeded
         } or None
-        outputs = {}
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
+        outputs = []
+        for backend in (graph, graph.freeze()):
             stats = SearchStats()
-            prep = vertex_deletion(frozen, d, s, enabled=enabled,
+            prep = vertex_deletion(backend, d, s, enabled=enabled,
                                    stats=stats, seed_cores=seeds)
-            outputs[kernel] = (
+            outputs.append((
                 prep.alive, prep.cores, prep.support, prep.deleted,
                 prep.rounds, stats.dcc_calls, stats.vertices_deleted,
-            )
-        assert outputs["python"] == outputs["numpy"]
+            ))
+        assert outputs[0] == outputs[1]
 
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
     @settings(max_examples=25, deadline=None)
     def test_hierarchy_index_identical(self, graph, data):
-        frozen = graph.freeze()
         d = data.draw(st.integers(min_value=0, max_value=4))
         within = data.draw(st.one_of(
             st.none(),
             st.lists(st.integers(min_value=-1,
-                                 max_value=frozen.num_vertices),
-                     max_size=frozen.num_vertices + 2),
+                                 max_value=graph.num_vertices),
+                     max_size=graph.num_vertices + 2),
         ))
-        outputs = {}
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
+        outputs = []
+        for backend in (graph, graph.freeze()):
             stats = SearchStats()
-            index = CoreHierarchyIndex(frozen, d, within=within, stats=stats)
-            outputs[kernel] = _index_view(index) + (stats.dcc_calls,)
-        assert outputs["python"] == outputs["numpy"]
+            index = CoreHierarchyIndex(backend, d, within=within,
+                                       stats=stats)
+            outputs.append(_index_view(index) + (stats.dcc_calls,))
+        assert outputs[0] == outputs[1]
 
     @given(multilayer_graphs(max_vertices=9, max_layers=2))
     @settings(max_examples=15, deadline=None)
     def test_core_decomposition_matches_dict_reference(self, graph):
-        frozen = graph.freeze()
-        frozen.set_kernel("numpy")
-        assert layer_core_decomposition(frozen, 0) == core_decomposition(
-            graph.adjacency(0)
-        )
+        assert layer_core_decomposition(graph.freeze(), 0) == \
+            core_decomposition(graph.adjacency(0))
 
 
 def _index_view(index):
@@ -285,8 +258,6 @@ def _index_view(index):
 
 def _push_layer_core(frozen, layer, d):
     """The push-only full-graph cascade: ``(core mask, degrees)``."""
-    import numpy as np
-
     alive = np.ones(frozen.num_vertices, dtype=np.bool_)
     members = np.arange(frozen.num_vertices)
     degrees = kernels_module._induced_degree_arrays(
@@ -353,37 +324,29 @@ ROUTES = {
 }
 
 
-@needs_numpy
 class TestFullLayerCore:
     """The full-graph layer peel reads the smaller side of each round."""
 
     @given(hub_graphs())
     @settings(max_examples=40, deadline=None)
-    def test_equals_push_path_and_python_tier(self, graph):
-        import numpy as np
-
+    def test_equals_push_path_and_dict_reference(self, graph):
         frozen = graph.freeze()
         for layer in frozen.layers():
             top = max(frozen.degree(layer, v) for v in frozen.vertices())
             for d in range(top + 2):
-                frozen.set_kernel("numpy")
                 core, degrees = kernels_module._full_layer_core(
                     frozen, layer, d
                 )
                 pushed, push_degrees = _push_layer_core(frozen, layer, d)
                 assert core.tolist() == pushed.tolist()
                 assert degrees[core].tolist() == push_degrees[core].tolist()
-                frozen.set_kernel("python")
                 assert set(np.flatnonzero(core).tolist()) == \
-                    frozen_layer_core(frozen, layer, d)
+                    d_core(graph.adjacency(layer), d)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_rule_routes_each_round(self, route):
-        import numpy as np
-
         build, d, entries, pulls, pushed, expected = ROUTES[route]
         frozen = build()
-        frozen.set_kernel("numpy")
         assert _round_entries(frozen, d) == entries
         calls = []
         count_live = kernels_module._count_live
@@ -408,27 +371,28 @@ class TestFullLayerCore:
 
     def test_np_layer_core_takes_the_full_path(self):
         frozen = star_cascade_graph()
-        frozen.set_kernel("numpy")
         with mock.patch.object(kernels_module, "_full_layer_core",
                                wraps=kernels_module._full_layer_core) as full:
-            assert frozen_layer_core(frozen, 0, 2) == {0, 1, 2}
-            assert frozen_layer_core(frozen, 0, 2, within=range(40)) == \
-                {0, 1, 2}
+            assert layer_core(frozen, 0, 2) == {0, 1, 2}
+            assert layer_core(frozen, 0, 2, within=range(40)) == {0, 1, 2}
         assert full.call_count == 1
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", ["dict", "numpy"])
     def test_empty_within_returns_before_any_work(self, kernel):
-        frozen = paper_figure1_graph().freeze()
-        frozen.set_kernel(kernel)
-        empty = _mask(frozen.num_vertices, [])
+        graph = paper_figure1_graph()
+        if kernel == "dict":
+            empties = (set(), ["nope"])
+        else:
+            graph = graph.freeze()
+            empties = (set(), [-1], _mask(graph.num_vertices, []))
         with mock.patch.object(kernels_module, "_induced_degree_arrays",
                                side_effect=AssertionError("work of size n")):
-            for within in (set(), [-1], empty):
+            for within in empties:
                 stats = SearchStats()
-                assert coherent_core(frozen, [0, 1], 3, within=within,
+                assert coherent_core(graph, [0, 1], 3, within=within,
                                      stats=stats) == frozenset()
                 assert (stats.dcc_calls, stats.peel_operations) == (1, 0)
-                assert frozen_layer_core(frozen, 0, 3, within=within) == set()
+                assert layer_core(graph, 0, 3, within=within) == set()
 
 
 # ----------------------------------------------------------------------
@@ -436,21 +400,18 @@ class TestFullLayerCore:
 # ----------------------------------------------------------------------
 
 
-TIERS = ["dict", "python", pytest.param("numpy", marks=needs_numpy)]
+TIERS = ["dict", "numpy"]
 
 
 def _tier_graph(tier):
-    """The english stand-in at scale 0.1 (15 layers) on ``tier``."""
+    """The english stand-in at scale 0.1 (15 layers): the dict graph,
+    or its frozen form, which runs the numpy kernels."""
     graph = load("english", scale=0.1).graph
-    if tier == "dict":
-        return graph
-    frozen = graph.freeze()
-    frozen.set_kernel(tier)
-    return frozen
+    return graph if tier == "dict" else graph.freeze()
 
 
 class TestCoreInputChecks:
-    """A bad ``d`` or layer raises one typed error on every tier."""
+    """A bad ``d`` or layer raises one typed error on every backend."""
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("d", [-1, 2.5, 3.0, True, "3", None])
@@ -467,11 +428,6 @@ class TestCoreInputChecks:
             lambda: core_maintainer(graph, d),
             lambda: core_maintainer(graph, d, seed_cores=seeds),
         ]
-        if graph.is_frozen:
-            calls += [
-                lambda: frozen_layer_core(graph, 0, d),
-                lambda: frozen_coherent_core(graph, (0, 1), d),
-            ]
         for call in calls:
             with pytest.raises(ParameterError, match="^d must be"):
                 call()
@@ -512,7 +468,6 @@ def _wide_graph(num_layers):
     return graph
 
 
-@needs_numpy
 class TestSearchEquivalence:
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
     @settings(max_examples=10, deadline=None)
@@ -523,51 +478,41 @@ class TestSearchEquivalence:
         method = data.draw(st.sampled_from(
             ("greedy", "bottom-up", "top-down")
         ))
-        runs = {
-            kernel: _snapshot(search_dccs(
-                graph, d, s, k, method=method, backend="frozen",
-                kernel=kernel, seed=0,
-            ))
-            for kernel in ("python", "numpy")
-        }
-        assert runs["python"] == runs["numpy"]
+        runs = [
+            _snapshot(search_dccs(graph, d, s, k, method=method,
+                                  backend=backend, seed=0))
+            for backend in ("dict", "frozen")
+        ]
+        assert runs[0] == runs[1]
 
     def test_top_down_identical_on_seventy_layers(self):
-        """Layers past 63 survive the numpy tier's index labels.
+        """Layers past 63 survive the array index's labels.
 
         The index's labels gate top-down's reachable scopes, so a layer
         missing from them loses real d-CCs at every ``s`` near ``l``.
         """
         graph = _wide_graph(70)
-        frozen = graph.freeze()
-        indexes = {}
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
-            index = CoreHierarchyIndex(frozen, 3)
-            indexes[kernel] = _index_view(index)
-        assert indexes["python"] == indexes["numpy"]
+        indexes = [_index_view(CoreHierarchyIndex(backend, 3))
+                   for backend in (graph, graph.freeze())]
+        assert indexes[0] == indexes[1]
         assert any(max(label, default=0) >= 64
-                   for label in indexes["numpy"][2].values())
-        runs = {
-            kernel: _snapshot(search_dccs(
-                graph, 3, 68, 2, method="top-down", backend="frozen",
-                kernel=kernel, seed=0,
-            ))
-            for kernel in ("python", "numpy")
-        }
-        assert runs["python"] == runs["numpy"]
-        assert runs["numpy"][2] == 10
+                   for label in indexes[1][2].values())
+        runs = [
+            _snapshot(search_dccs(graph, 3, 68, 2, method="top-down",
+                                  backend=backend, seed=0))
+            for backend in ("dict", "frozen")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[1][2] == 10
 
     def test_labels_on_seventy_layers(self):
         """Layers past 63 survive the maintainer's label words and the
         survivor subgraph's layer masks (both built by ``bit_rows``)."""
-        import numpy as np
-
-        frozen = _wide_graph(70).freeze()
-        frozen.set_kernel("numpy")
+        graph = _wide_graph(70)
+        frozen = graph.freeze()
         batch = np.arange(frozen.num_vertices)
         labels = core_maintainer(frozen, 3).labels_of(batch)
-        assert labels == MultiLayerCoreMaintainer(frozen, 3).labels_of(
+        assert labels == MultiLayerCoreMaintainer(graph, 3).labels_of(
             batch.tolist()
         )
         assert labels[5] == frozenset(range(70)) - {66}
@@ -584,33 +529,30 @@ class TestSearchEquivalence:
                                        num_communities=4,
                                        community_size=30, d=3, span=2,
                                        seed=5)
-        runs = {
-            kernel: _snapshot(search_dccs(
-                dataset.graph, 3, 2, 3, method="greedy",
-                backend="frozen", kernel=kernel, jobs=jobs,
-            ))
-            for kernel in ("python", "numpy")
-        }
-        assert runs["python"] == runs["numpy"]
+        runs = [
+            _snapshot(search_dccs(dataset.graph, 3, 2, 3, method="greedy",
+                                  backend=backend, jobs=jobs))
+            for backend in ("dict", "frozen")
+        ]
+        assert runs[0] == runs[1]
 
     def test_warm_artifact_cache_replay_identical(self):
         graph = paper_figure1_graph()
-        snapshots = {}
-        for kernel in ("python", "numpy"):
-            with DCCEngine(graph, backend="frozen", jobs=1,
-                           kernel=kernel) as engine:
+        snapshots = []
+        for backend in ("dict", "frozen"):
+            with DCCEngine(graph, backend=backend, jobs=1) as engine:
                 cold = _snapshot(engine.search(3, 2, 2, method="greedy"))
                 warm = _snapshot(engine.search(3, 2, 2, method="greedy"))
                 assert engine.info()["cache_hits"] > 0
             assert cold == warm
-            snapshots[kernel] = warm
-        assert snapshots["python"] == snapshots["numpy"]
+            snapshots.append(warm)
+        assert snapshots[0] == snapshots[1]
 
     def test_warm_result_cache_replay_identical(self):
         spec = {"graph": "g", "d": 3, "s": 2, "k": 2, "method": "greedy"}
-        snapshots = {}
-        for kernel in ("python", "numpy"):
-            host = AsyncDCCHost(backend="frozen", jobs=1, kernel=kernel)
+        snapshots = []
+        for backend in ("dict", "frozen"):
+            host = AsyncDCCHost(backend=backend, jobs=1)
             host.attach("g", paper_figure1_graph())
 
             async def run():
@@ -623,27 +565,8 @@ class TestSearchEquivalence:
             first, second, info = asyncio.run(run())
             assert info["requests_cached"] >= 1
             assert _snapshot(first[0]) == _snapshot(second[0])
-            snapshots[kernel] = _snapshot(second[0])
-        assert snapshots["python"] == snapshots["numpy"]
-
-    def test_worker_payload_carries_kernel(self):
-        frozen = paper_figure1_graph().freeze()
-        frozen.set_kernel("numpy")
-        rebuilt = payload_graph(graph_payload(frozen))
-        assert rebuilt == frozen
-        assert rebuilt.kernel == "numpy"
-        frozen.set_kernel("python")
-        assert payload_graph(graph_payload(frozen)).kernel == "python"
-
-    def test_payload_coerces_in_numpyless_worker(self, monkeypatch):
-        frozen = paper_figure1_graph().freeze()
-        frozen.set_kernel(resolve_kernel("auto"))
-        expected = frozen_coherent_core(frozen, (0, 1), 3)
-        payload = graph_payload(frozen)
-        monkeypatch.setattr(kernels_module, "_np", None)
-        rebuilt = payload_graph(payload)
-        assert rebuilt.kernel == "python"
-        assert frozen_coherent_core(rebuilt, (0, 1), 3) == expected
+            snapshots.append(_snapshot(second[0]))
+        assert snapshots[0] == snapshots[1]
 
 
 # ----------------------------------------------------------------------
@@ -652,47 +575,43 @@ class TestSearchEquivalence:
 
 
 def _mask(n, ids):
-    import numpy as np
-
     mask = np.zeros(n, dtype=np.bool_)
     mask[list(ids)] = True
     return mask
 
 
-def _numpy_prep(frozen, d, s, enabled=True):
-    frozen.set_kernel("numpy")
+def _frozen_prep(frozen, d, s, enabled=True):
     prep = vertex_deletion(frozen, d, s, enabled=enabled)
     assert prep.masks is not None
     return prep
 
 
-@needs_numpy
 class TestVertexMasks:
     """``within=`` takes a length-n bool array as "where it is True"."""
 
     def test_mask_is_the_vertex_set_on_both_tiers(self):
-        frozen = paper_figure1_graph().freeze()
+        graph = paper_figure1_graph()
+        frozen = graph.freeze()
         mask = _mask(frozen.num_vertices, range(6))
         before = mask.copy()
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
-            stats, by_ids = SearchStats(), SearchStats()
-            got = coherent_core(frozen, [0], 1, within=mask, stats=stats)
-            want = coherent_core(frozen, [0], 1, within=range(6),
-                                 stats=by_ids)
-            assert got == want
-            assert got != frozenset({0, 1})
-            assert stats.as_dict() == by_ids.as_dict()
-            assert frozen_layer_core(frozen, 0, 1, within=mask) == \
-                frozen_layer_core(frozen, 0, 1, within=range(6))
-            assert coherent_core(frozen, [0, 1], 0, within=mask) == \
-                frozenset(range(6))
+        stats, by_ids, by_labels = SearchStats(), SearchStats(), SearchStats()
+        got = coherent_core(frozen, [0], 1, within=mask, stats=stats)
+        assert got == coherent_core(frozen, [0], 1, within=range(6),
+                                    stats=by_ids)
+        assert frozen.labels_for(got) == coherent_core(
+            graph, [0], 1, within=frozen.labels_for(range(6)),
+            stats=by_labels,
+        )
+        assert got != frozenset({0, 1})
+        assert stats.as_dict() == by_ids.as_dict() == by_labels.as_dict()
+        assert layer_core(frozen, 0, 1, within=mask) == \
+            layer_core(frozen, 0, 1, within=range(6))
+        assert coherent_core(frozen, [0, 1], 0, within=mask) == \
+            frozenset(range(6))
         assert (mask == before).all()
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_wrong_length_mask_rejected(self, kernel):
+    def test_wrong_length_mask_rejected(self):
         frozen = paper_figure1_graph().freeze()
-        frozen.set_kernel(kernel)
         for length in (frozen.num_vertices - 1, frozen.num_vertices + 1):
             stats = SearchStats()
             with pytest.raises(ParameterError, match="shape"):
@@ -707,7 +626,6 @@ class TestVertexMasks:
                 coherent_core(graph, [0], 1, within=_mask(length, range(6)))
 
 
-@needs_numpy
 class TestMaskPathEquivalence:
     """Mask cores give the set path's candidates, seeds and counters."""
 
@@ -718,38 +636,38 @@ class TestMaskPathEquivalence:
         n = frozen.num_vertices
         d = data.draw(st.integers(min_value=0, max_value=3))
         s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
-        prep = _numpy_prep(frozen, d, s, enabled=data.draw(st.booleans()))
+        prep = _frozen_prep(frozen, d, s, enabled=data.draw(st.booleans()))
         within = data.draw(st.one_of(
             st.none(), st.sets(st.integers(min_value=0, max_value=n - 1)),
         ))
         within_mask = None if within is None else _mask(n, within)
         runs = []
-        for kernel, cores, bound in (
-            ("numpy", prep.masks.cores, within_mask),
-            ("numpy", prep.cores, within),
-            ("python", prep.cores, within),
+        for backend, cores, bound in (
+            (frozen, prep.masks.cores, within_mask),
+            (frozen, prep.cores, within),
+            (graph, prep.cores, within),
         ):
-            frozen.set_kernel(kernel)
             stats = SearchStats()
             runs.append((
-                list(enumerate_candidates(frozen, d, s, within=bound,
+                list(enumerate_candidates(backend, d, s, within=bound,
                                           cores=cores, stats=stats)),
                 stats.as_dict(),
             ))
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", ["dict", "numpy"])
     def test_empty_bound_is_empty_without_a_peel(self, kernel):
         graph = MultiLayerGraph(2, vertices=range(8))
         for layer, block in ((0, range(0, 4)), (1, range(4, 8))):
             for u, v in combinations(block, 2):
                 graph.add_edge(layer, u, v)
-        frozen = graph.freeze()
-        prep = _numpy_prep(frozen, 3, 1)
-        frozen.set_kernel(kernel)
-        for cores in (prep.masks.cores, prep.cores):
+        prep = vertex_deletion(graph, 3, 1)
+        if kernel == "numpy":
+            graph = graph.freeze()
+            prep = _frozen_prep(graph, 3, 1)
+        for cores in (prep.cores, prep.kernel_view()[0]):
             stats = SearchStats()
-            assert candidate_for_subset(frozen, 3, (0, 1), cores,
+            assert candidate_for_subset(graph, 3, (0, 1), cores,
                                         stats=stats) == frozenset()
             assert stats.dcc_calls == stats.peel_operations == 0
 
@@ -760,16 +678,15 @@ class TestMaskPathEquivalence:
         d = data.draw(st.integers(min_value=0, max_value=3))
         s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
         k = data.draw(st.integers(min_value=1, max_value=3))
-        prep = _numpy_prep(frozen, d, s, enabled=data.draw(st.booleans()))
+        prep = _frozen_prep(frozen, d, s, enabled=data.draw(st.booleans()))
         runs = []
-        for kernel, (cores, alive) in (
-            ("numpy", prep.kernel_view()),
-            ("numpy", (prep.cores, prep.alive)),
-            ("python", (prep.cores, prep.alive)),
+        for backend, (cores, alive) in (
+            (frozen, prep.kernel_view()),
+            (frozen, (prep.cores, prep.alive)),
+            (graph, (prep.cores, prep.alive)),
         ):
-            frozen.set_kernel(kernel)
             stats = SearchStats()
-            topk = init_topk(frozen, d, s, k, cores, within=alive,
+            topk = init_topk(backend, d, s, k, cores, within=alive,
                              stats=stats)
             runs.append((topk.labelled_sets(), topk.cover_size,
                          stats.as_dict()))
@@ -779,7 +696,6 @@ class TestMaskPathEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_lazy_sets_equal_the_maintainer_snapshot(self, graph, data):
         frozen = graph.freeze()
-        frozen.set_kernel("numpy")
         d = data.draw(st.integers(min_value=0, max_value=3))
         s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
         made = []
@@ -801,7 +717,7 @@ class TestMaskPathEquivalence:
         frozen = synthetic_multilayer(600, num_layers=3, num_communities=4,
                                       community_size=30, d=3, span=2,
                                       seed=5).graph
-        prep = _numpy_prep(frozen, 3, 2)
+        prep = _frozen_prep(frozen, 3, 2)
         builds = []
         with contextlib.ExitStack() as stack:
             for name in ("alive_set", "core_sets", "support_dict"):
@@ -828,7 +744,6 @@ class TestMaskPathEquivalence:
         s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
         k = data.draw(st.integers(min_value=1, max_value=3))
         method = data.draw(st.sampled_from(("bottom-up", "top-down")))
-        frozen.set_kernel("numpy")
         charged = SearchStats()
         prep = vertex_deletion(frozen, d, s, stats=charged)
         prep.alive = frozenset(prep.alive)
@@ -840,14 +755,14 @@ class TestMaskPathEquivalence:
 
         module = "repro.core.{}".format(method.replace("-", ""))
         runs = []
-        for kernel, patched in (("numpy", True), ("numpy", False),
-                                ("python", False)):
-            frozen.set_kernel(kernel)
+        for backend, patched in ((frozen, True), (frozen, False),
+                                 (graph, False)):
             search = mock.patch(module + ".vertex_deletion", cached) \
                 if patched else contextlib.nullcontext()
             with search:
                 runs.append(_snapshot(search_dccs(
-                    frozen, d, s, k, method=method, seed=0,
+                    backend, d, s, k, method=method, backend="dict"
+                    if backend is graph else "frozen", seed=0,
                 )))
         assert runs[0] == runs[1] == runs[2]
 
@@ -858,30 +773,31 @@ class TestMaskPathEquivalence:
                                      seed=5).graph
         runs = [
             _snapshot(search_dccs(graph, 3, 2, 3, method="greedy",
-                                  backend="frozen", kernel="numpy",
-                                  jobs=each))
+                                  backend="frozen", jobs=each))
             for each in (None, jobs)
         ]
         assert runs[0] == runs[1]
 
     def test_greedy_and_init_topk_on_seventy_layers(self):
-        """Mask bounds and signature groups agree past 63 layers."""
-        frozen = _wide_graph(70).freeze()
-        prep = _numpy_prep(frozen, 3, 68)
-        runs = {}
-        for kernel in ("python", "numpy"):
-            frozen.set_kernel(kernel)
-            cores, alive = prep.kernel_view() if kernel == "numpy" \
-                else (prep.cores, prep.alive)
+        """Mask bounds and set bounds agree past 63 layers."""
+        graph = _wide_graph(70)
+        frozen = graph.freeze()
+        prep = _frozen_prep(frozen, 3, 68)
+        runs = []
+        for backend, (cores, alive), name in (
+            (frozen, prep.kernel_view(), "frozen"),
+            (graph, (prep.cores, prep.alive), "dict"),
+        ):
             stats = SearchStats()
-            topk = init_topk(frozen, 3, 68, 2, cores, within=alive,
+            topk = init_topk(backend, 3, 68, 2, cores, within=alive,
                              stats=stats)
-            runs[kernel] = (
+            runs.append((
                 topk.labelled_sets(), stats.as_dict(),
-                _snapshot(search_dccs(frozen, 3, 68, 2, method="greedy")),
-            )
-        assert runs["python"] == runs["numpy"]
-        assert runs["numpy"][2][2] == 10
+                _snapshot(search_dccs(graph, 3, 68, 2, method="greedy",
+                                      backend=name)),
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][2][2] == 10
 
 
 # ----------------------------------------------------------------------
@@ -889,7 +805,6 @@ class TestMaskPathEquivalence:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestTopDownArrays:
     """Top-down's array forms: the survivor subgraph, mask potentials and
     the index's arrays give the set forms' results and counters."""
@@ -898,7 +813,6 @@ class TestTopDownArrays:
     @settings(max_examples=40, deadline=None)
     def test_survivor_subgraph_is_the_induced_graph(self, graph, data):
         frozen = graph.freeze()
-        frozen.set_kernel("numpy")
         n = frozen.num_vertices
         kept = data.draw(st.one_of(
             st.just(set()), st.just(set(range(n))),
@@ -907,7 +821,6 @@ class TestTopDownArrays:
         mask = _mask(n, kept)
         sub = np_induced_subgraph(frozen, mask)
         assert list(sub.labels) == sorted(kept)
-        assert sub.kernel == "numpy"
         for layer in frozen.layers():
             induced = {(u, v) for u, v in frozen.edges(layer)
                        if u in kept and v in kept}
@@ -934,8 +847,6 @@ class TestTopDownArrays:
     @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
     @settings(max_examples=30, deadline=None)
     def test_scope_and_refine_potential_on_masks(self, graph, data):
-        import numpy as np
-
         frozen = graph.freeze()
         n, num_layers = frozen.num_vertices, frozen.num_layers
         d = data.draw(st.integers(min_value=1, max_value=3))
@@ -944,53 +855,50 @@ class TestTopDownArrays:
         candidates = data.draw(st.sets(
             st.integers(min_value=0, max_value=n - 1)
         ))
-        prep = _numpy_prep(frozen, d, s)
+        prep = _frozen_prep(frozen, d, s)
+        # The dict graph's vertices are the frozen graph's ids.
         forms = {
-            "python": (set(candidates), prep.cores),
-            "numpy": (_mask(n, candidates), prep.masks.cores),
+            "dict": (graph, set(candidates), prep.cores),
+            "frozen": (frozen, _mask(n, candidates), prep.masks.cores),
         }
-        indexes = {}
-        for kernel in forms:
-            frozen.set_kernel(kernel)
-            indexes[kernel] = CoreHierarchyIndex(frozen, d)
-        assert not indexes["python"].is_array
-        assert indexes["numpy"].is_array
+        indexes = {name: CoreHierarchyIndex(backend, d)
+                   for name, (backend, _, _) in forms.items()}
+        assert not indexes["dict"].is_array
+        assert indexes["frozen"].is_array
         for size in range(1, num_layers + 1):
             for positions in combinations(range(num_layers), size):
                 layers = [order[p] for p in positions]
                 outputs = {}
-                for kernel, (potential, cores) in forms.items():
-                    frozen.set_kernel(kernel)
+                for name, (backend, potential, cores) in forms.items():
                     stats = SearchStats()
-                    scope = indexes[kernel].reachable_scope(layers,
-                                                            potential)
+                    scope = indexes[name].reachable_scope(layers, potential)
                     refined = refine_potential(
-                        frozen, d, s, potential, frozenset(positions),
+                        backend, d, s, potential, frozenset(positions),
                         order, cores, stats=stats,
                     )
-                    outputs[kernel] = (scope, refined, stats.as_dict())
-                want_scope, want_refined, want_counters = outputs["python"]
-                scope, refined, counters = outputs["numpy"]
+                    outputs[name] = (scope, refined, stats.as_dict())
+                want_scope, want_refined, want_counters = outputs["dict"]
+                scope, refined, counters = outputs["frozen"]
                 assert set(np.flatnonzero(scope).tolist()) == want_scope
                 assert set(np.flatnonzero(refined).tolist()) == want_refined
                 assert counters == want_counters
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_top_down_identical_on_synthetic(self, d):
-        """Python tier (sets) vs numpy tier (survivor subgraph, masks),
-        sets, labels, cover and every counter, at each s."""
+        """The dict graph (sets) vs the frozen graph (survivor subgraph,
+        masks): sets, labels, cover and every counter, at each s."""
         graph = synthetic_multilayer(
             3_000, num_layers=6, num_communities=12, community_size=32,
             d=4, span=4, seed=3,
         ).graph
+        # Identity labels: the thawed graph's vertices are the ids.
+        thawed = graph.thaw()
         survivors = set()
         for s in range(2, graph.num_layers + 1):
-            runs = {}
-            for kernel in ("python", "numpy"):
-                graph.set_kernel(kernel)
-                runs[kernel] = _snapshot(td_dccs(graph, d, s, 8, seed=0))
-            assert runs["python"] == runs["numpy"]
-            survivors.add(graph.num_vertices - runs["numpy"][3][
+            runs = [_snapshot(td_dccs(backend, d, s, 8, seed=0))
+                    for backend in (thawed, graph)]
+            assert runs[0] == runs[1]
+            survivors.add(graph.num_vertices - runs[1][3][
                 "vertices_deleted"])
         # The subgraph path runs: some vertices are deleted at every s.
         assert graph.num_vertices not in survivors
@@ -1007,13 +915,11 @@ class TestMemoryAccounting:
         )
         assert graph.memory_bytes() >= floor
 
-    @needs_numpy
     def test_memory_bytes_counts_lazy_degree_vectors(self):
         graph = synthetic_multilayer(2000, num_communities=4,
                                      community_size=40, seed=1).graph
-        graph.set_kernel("numpy")
         before = graph.memory_bytes()
-        frozen_layer_core(graph, 0, 3)  # builds the layer's degree vector
+        layer_core(graph, 0, 3)  # builds the layer's degree vector
         assert graph.memory_bytes() > before
 
 
@@ -1029,20 +935,26 @@ class TestSyntheticGenerator:
         assert a.graph != c.graph
         assert a.communities == b.communities
 
-    def test_identical_with_and_without_numpy(self, monkeypatch):
-        cases = [
-            dict(num_vertices=800, num_communities=3, community_size=30),
-            # 2,400 noise draws per layer over 1,770 vertex pairs, most
-            # of them on a few hubs: duplicates outnumber distinct edges.
-            dict(num_vertices=60, num_communities=1, community_size=10,
-                 noise_degree=80.0),
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_assembly_is_the_sorted_distinct_pairs(self, n, data):
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+        flat = array("i", [end for pair in pairs for end in pair])
+        indptr, indices = synthetic_module._assemble_csr(n, flat)
+        distinct = sorted(set(pairs))
+        assert indices.tolist() == [v for _, v in distinct]
+        assert indptr.tolist() == [
+            sum(1 for u, _ in distinct if u < row) for row in range(n + 1)
         ]
-        with_numpy = [synthetic_multilayer(seed=2, **case) for case in cases]
-        monkeypatch.setattr(synthetic_module, "_np", None)
-        without = [synthetic_multilayer(seed=2, **case) for case in cases]
-        assert [dataset.graph for dataset in with_numpy] == \
-            [dataset.graph for dataset in without]
-        assert without[1].graph.num_edges(0) < 2400 / 2
+
+    def test_duplicate_noise_collapses(self):
+        # 2,400 noise draws per layer over 1,770 vertex pairs, most of
+        # them on a few hubs: duplicates outnumber distinct edges.
+        dataset = synthetic_multilayer(60, num_communities=1,
+                                       community_size=10,
+                                       noise_degree=80.0, seed=2)
+        assert dataset.graph.num_edges(0) < 2400 / 2
 
     def test_planted_degree_guarantee(self):
         d = 5

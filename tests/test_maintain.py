@@ -15,7 +15,6 @@ from repro.core.maintain import (
 )
 from repro.core.stats import SearchStats
 from repro.graph import MultiLayerGraph
-from repro.graph.kernels import numpy_available
 from tests.strategies import (
     hub_graphs,
     multilayer_graphs,
@@ -36,18 +35,10 @@ def ladder_graph():
     return g
 
 
-def numpy_tier(graph):
-    """``graph`` frozen, on the numpy kernel tier."""
-    frozen = graph.freeze()
-    frozen.set_kernel("numpy")
-    return frozen
-
-
 def tiers(graph):
-    """``graph`` itself, then its numpy-tier form when numpy imports."""
+    """``graph`` itself, then its frozen form."""
     yield graph
-    if numpy_available():
-        yield numpy_tier(graph)
+    yield graph.freeze()
 
 
 def pulled_rounds(build):
@@ -202,23 +193,19 @@ class TestMaintainer:
             together.check_consistency()
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="numpy kernel tier not importable")
 class TestArrayMaintainer:
-    """The numpy-tier maintainer against the pure-Python reference."""
+    """The array maintainer against the set-based reference."""
 
     def test_factory_picks_by_tier(self):
         graph = ladder_graph()
-        frozen = numpy_tier(graph)
+        frozen = graph.freeze()
         assert isinstance(core_maintainer(frozen, 2), ArrayCoreMaintainer)
-        frozen.set_kernel("python")
-        assert type(core_maintainer(frozen, 2)) is MultiLayerCoreMaintainer
         assert type(core_maintainer(graph, 2)) is MultiLayerCoreMaintainer
 
     def test_interface_matches_reference(self):
         import numpy as np
 
-        frozen = numpy_tier(ladder_graph())
+        frozen = ladder_graph().freeze()
         array = core_maintainer(frozen, 2)
         reference = MultiLayerCoreMaintainer(frozen, 2)
         assert len(array) == len(reference) == 6
@@ -239,7 +226,7 @@ class TestArrayMaintainer:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_each_step(self, graph, d, removals):
-        frozen = numpy_tier(graph)
+        frozen = graph.freeze()
         m = core_maintainer(frozen, d)
         reference = MultiLayerCoreMaintainer(frozen, d)
         vertices = list(range(frozen.num_vertices))
@@ -262,7 +249,7 @@ class TestArrayMaintainer:
         (lambda: star_cascade_graph(with_core=False), 2, 3),
     ])
     def test_consistent_right_after_a_pulling_build(self, build, d, pulls):
-        frozen = numpy_tier(build())
+        frozen = build().freeze()
         m, pulled = pulled_rounds(lambda: core_maintainer(frozen, d))
         assert pulled == pulls
         m.check_consistency()
@@ -271,7 +258,7 @@ class TestArrayMaintainer:
     @given(hub_graphs(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=40, deadline=None)
     def test_consistent_right_after_build_on_hub_graphs(self, graph, d):
-        frozen = numpy_tier(graph)
+        frozen = graph.freeze()
         m = core_maintainer(frozen, d)
         m.check_consistency()
         assert m.snapshot() == MultiLayerCoreMaintainer(frozen, d).snapshot()

@@ -7,7 +7,7 @@ The contract under test, in order of importance:
    engine yields, for every query, results and counters bitwise
    identical to a fresh engine built from scratch over an identically
    mutated graph: cold and warm (repeats replay through the artifact
-   cache), across backends, kernels and worker pools, and through the
+   cache), across backends and worker pools, and through the
    async host and the socket protocol;
 2. **delta bookkeeping** — a mutation batch ticks ``mutation_version``
    exactly once, records the *net* delta (adds cancel queued removes),
@@ -370,12 +370,8 @@ def engine_configs():
     return [
         pytest.param(lambda g: DCCEngine(g, backend="dict", jobs=1),
                      id="dict-inline"),
-        pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=1,
-                                         kernel="python"),
-                     id="frozen-python"),
-        pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=1,
-                                         kernel="auto"),
-                     id="frozen-auto"),
+        pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=1),
+                     id="frozen-inline"),
         pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=2),
                      id="frozen-pooled"),
     ]

@@ -5,7 +5,7 @@ Run from anywhere (``python tools/check_docs.py``); CI runs it on every
 push, and ``tests/test_docs.py`` runs the same checks inside tier-1, so
 README/docs rot is caught even in a plain local test run.
 
-Checked documents: ``README.md`` and every ``docs/*.md``.  Three rules:
+Checked documents: ``README.md`` and every ``docs/*.md``.  Four rules:
 
 1. every relative markdown link target resolves to an existing file or
    directory (anchors stripped; ``http(s)``/``mailto`` links are out of
@@ -16,7 +16,10 @@ Checked documents: ``README.md`` and every ``docs/*.md``.  Three rules:
    ``*.txt`` tokens as ``benchmarks/results/`` entries;
 3. every figure benchmark on disk (``benchmarks/test_fig*.py``) is
    mentioned in ``docs/experiments.md`` — the figure mapping table may
-   not silently fall behind the bench suite.
+   not silently fall behind the bench suite;
+4. every ``*.md`` name in the Python sources (``src/``, ``benchmarks/``,
+   ``tools/``, ``examples/`` and ``setup.py``) resolves: against the
+   repo root, the citing file's directory or ``docs/``.
 """
 
 import glob
@@ -28,6 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+PYTHON_DIRS = ("src", "benchmarks", "tools", "examples")
 PATH_SUFFIXES = (".py", ".md", ".txt", ".json", ".yml", ".yaml", ".toml")
 RESULTS_DIR = "benchmarks/results"
 
@@ -108,6 +113,26 @@ def check_figure_benchmarks_mapped():
     return problems
 
 
+def python_sources():
+    """The Python files whose ``*.md`` names rule 4 checks."""
+    sources = [os.path.join(ROOT, "setup.py")]
+    for directory in PYTHON_DIRS:
+        pattern = os.path.join(ROOT, directory, "**", "*.py")
+        sources += sorted(glob.glob(pattern, recursive=True))
+    return sources
+
+
+def check_md_names(path, text):
+    """Rule 4: every ``*.md`` name in a Python file must resolve."""
+    problems = []
+    bases = ("", os.path.relpath(os.path.dirname(path), ROOT), "docs")
+    for name in MD_NAME.findall(text):
+        if not any(_exists(os.path.join(base, name)) for base in bases):
+            problems.append("{}: no document named {!r}".format(
+                os.path.relpath(path, ROOT), name))
+    return problems
+
+
 def main():
     problems = []
     for path in checked_documents():
@@ -121,6 +146,9 @@ def main():
         problems += check_markdown_links(path, text)
         problems += check_code_span_paths(path, text)
     problems += check_figure_benchmarks_mapped()
+    for path in python_sources():
+        with open(path) as handle:
+            problems += check_md_names(path, handle.read())
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
