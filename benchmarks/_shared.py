@@ -161,24 +161,29 @@ def fig32_rows():
     return _memo(("fig32",), lambda: figure32(node_budget=15000))
 
 
-def median_times(dataset, points, repeats=5):
+def median_times(dataset, points, rows, repeats=5):
     """Median ``elapsed`` of each ``(method, d, s, k)`` search, re-timed.
 
     A sweep times every search once, and one slow stretch of a busy host
     can push a single point past a timing floor.  A floor therefore
-    re-runs only the searches it compares, ``repeats`` times in
-    round-robin order on the sweep's own (memoised, already frozen)
-    graph, so a slow stretch hits every point alike, and asserts on the
-    medians.
+    asserts on medians of ``repeats`` samples: a point's time in the
+    sweep's ``rows`` is its first sample, and the rest come from
+    re-running only the searches the floor compares, in round-robin
+    order on the sweep's own (memoised, already frozen) graph, so a slow
+    stretch hits every point alike.
     """
     graph = load(dataset, scale=FIG_SCALES[dataset]).graph
     samples = {point: [] for point in points}
+    for row in rows:
+        point = (row["algorithm"], row["d"], row["s"], row["k"])
+        if row["dataset"] == dataset and point in samples:
+            samples[point].append(row["time_s"])
     for _ in range(repeats):
         for point in points:
-            method, d, s, k = point
-            samples[point].append(
-                search_dccs(graph, d, s, k, method=method, seed=0).elapsed
-            )
+            if len(samples[point]) < repeats:
+                method, d, s, k = point
+                samples[point].append(search_dccs(
+                    graph, d, s, k, method=method, seed=0).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}
 

@@ -7,7 +7,7 @@ grows in the small-``s`` regime (the subset space grows); (2) BU-DCCS is
 
 from repro.experiments import format_series
 
-from benchmarks._shared import record, series_lines, small_s_rows
+from benchmarks._shared import median_times, record, small_s_rows
 
 
 def test_fig14_time_vs_small_s(benchmark):
@@ -26,11 +26,18 @@ def test_fig14_time_vs_small_s(benchmark):
     record("fig14_time_small_s", text)
 
     for name in ("english", "stack"):
-        lines = series_lines(
-            [row for row in rows if row["dataset"] == name], "s", "time_s"
-        )
+        # Both floors assert on medians of three: the sweep's own time
+        # and two re-timings of the points they compare.  Not five: one
+        # greedy search on stack at s = 5 takes 15-19 s.
+        times = median_times(name, [
+            (row["algorithm"], row["d"], row["s"], row["k"])
+            for row in rows if row["dataset"] == name and (
+                row["s"] >= 3 or row["algorithm"] == "greedy" and row["s"] == 1
+            )
+        ], rows, repeats=3)
+        by_s = {(point[0], point[2]): time for point, time in times.items()}
         # Greedy's cost explodes with s; compare the endpoints.
-        assert lines["greedy"][5] > lines["greedy"][1]
+        assert by_s["greedy", 5] > by_s["greedy", 1]
         # BU beats greedy clearly at the default s = 3 and beyond.
         for s in (3, 4, 5):
-            assert lines["bottom-up"][s] < lines["greedy"][s]
+            assert by_s["bottom-up", s] < by_s["greedy", s]

@@ -20,7 +20,9 @@ headroom over pool spawn cost), or anywhere when
 time-slice one core and cannot beat the inline path; on busy 2-core
 boxes a single slow run would fail the tier-1 suite with no code defect
 present.  The measured numbers — and whether the target was met — are
-always recorded, with the CPU count they were measured on.
+always recorded, with the CPU count they were measured on: the CPUs
+this process may run on (``repro.parallel.usable_cpus``), so a run
+confined by ``taskset`` counts only the CPUs it was given.
 """
 
 import os
@@ -30,6 +32,7 @@ import pytest
 
 from repro.core.api import search_dccs
 from repro.datasets import load
+from repro.parallel import usable_cpus
 
 from benchmarks._shared import record
 
@@ -64,7 +67,7 @@ def assert_speedup(best, cpus, target=SPEEDUP_TARGET):
 
 def test_parallel_scaling_report(benchmark):
     graph = load(DATASET, scale=SCALE, seed=0).frozen_graph()
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
 
     results = {}
     timings = {}
@@ -103,7 +106,7 @@ def test_parallel_scaling_report(benchmark):
             base.stats.extra["candidate_family_size"], graph.num_layers,
             graph.num_vertices,
         ),
-        "host CPUs: {}".format(cpus),
+        "usable CPUs: {}".format(cpus),
         "",
         "{:>5s}  {:>10s}  {:>8s}".format("jobs", "time_s", "speedup"),
     ]

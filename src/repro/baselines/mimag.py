@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.baselines.quasiclique import (
     is_quasi_clique,
     quasi_clique_threshold,
-    supporting_layers,
 )
 from repro.utils.errors import ParameterError
 from repro.utils.timer import Timer

@@ -58,20 +58,29 @@ from repro.experiments import (
     vary_small_s,
 )
 from repro.graph.io import read_edge_list, read_json
-from repro.utils.errors import GraphError
+from repro.utils.errors import GraphError, ParameterError
 
 
 def _load_graph(source, scale, seed):
-    """A dataset name, ``figure1``, a ``.json`` file or an edge-list file."""
+    """A dataset name, ``figure1``, a ``.json`` file or an edge-list file.
+
+    A file that cannot be read raises :class:`ParameterError`, so every
+    subcommand reports it like any other bad argument.
+    """
     if source == "figure1":
         from repro.graph import paper_figure1_graph
 
         return paper_figure1_graph()
     if source in DATASET_NAMES:
         return load(source, scale=scale, seed=seed).graph
-    if source.endswith(".json"):
-        return read_json(source)
-    return read_edge_list(source)
+    try:
+        if source.endswith(".json"):
+            return read_json(source)
+        return read_edge_list(source)
+    except OSError as error:
+        raise ParameterError("cannot read graph file {!r}: {}".format(
+            source, error.strerror or error
+        )) from error
 
 
 def _cmd_info(args):
@@ -91,11 +100,14 @@ def _cmd_info(args):
     print("per_layer_edges: {}".format(", ".join(
         str(graph.num_edges(layer)) for layer in graph.layers()
     )))
-    # What `search --jobs 0` would actually use on this machine.  The
-    # parallel subsystem is imported lazily, mirroring core/api.py:
-    # sequential commands never pay for the multiprocessing plumbing.
-    from repro.parallel import effective_jobs
+    # What `search --jobs 0` would actually use: one worker per CPU
+    # this process may run on, so a process confined to one CPU reports
+    # 1 and runs inline.  The parallel subsystem is imported lazily,
+    # mirroring core/api.py: sequential commands never pay for the
+    # multiprocessing plumbing.
+    from repro.parallel import effective_jobs, usable_cpus
 
+    print("usable_cpus: {}".format(usable_cpus()))
     print("parallel_workers_effective: {}".format(effective_jobs(0)))
     # The session a `repro batch` (or a library DCCEngine) over this
     # graph would start from.  Constructing the engine is free — the
@@ -777,7 +789,8 @@ def build_parser():
                         help="graph backend (auto freezes when profitable)")
     search.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the parallel "
-                             "search: 0 = one per CPU, N = exactly N "
+                             "search: 0 = one per usable CPU, N = "
+                             "exactly N "
                              "(default: classic single-process search)")
     search.set_defaults(fn=_cmd_search)
 
@@ -796,7 +809,7 @@ def build_parser():
                        help="graph backend, resolved once per session")
     batch.add_argument("--jobs", type=int, default=0,
                        help="persistent pool size: 0 = one worker per "
-                            "CPU (default), N = exactly N")
+                            "usable CPU (default), N = exactly N")
     batch.set_defaults(fn=_cmd_batch)
 
     host = sub.add_parser(
@@ -814,7 +827,7 @@ def build_parser():
                       help="engine backend default for every graph")
     host.add_argument("--jobs", type=int, default=0,
                       help="per-engine pool size: 0 = one worker per "
-                           "CPU (default), N = exactly N")
+                           "usable CPU (default), N = exactly N")
     host.add_argument("--max-engines", type=int, default=None,
                       help="resident engine cap (overrides the spec "
                            "file; LRU sessions beyond it are evicted, "
@@ -839,7 +852,7 @@ def build_parser():
                        help="engine backend default for every graph")
     serve.add_argument("--jobs", type=int, default=0,
                        help="per-engine pool size: 0 = one worker per "
-                            "CPU (default), N = exactly N")
+                            "usable CPU (default), N = exactly N")
     serve.add_argument("--max-engines", type=int, default=None,
                        help="resident engine cap (overrides the spec)")
     serve.add_argument("--max-pending", type=int, default=None,

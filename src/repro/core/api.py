@@ -189,13 +189,15 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     jobs:
         ``None`` (default) runs the classic single-process algorithms.
         Any other value routes through :mod:`repro.parallel`: ``0``
-        shards across one worker process per CPU, a positive integer
-        across exactly that many.  For a fixed ``seed``, results are
-        bitwise identical — sets, labels and aggregated counters — for
-        every ``jobs`` value (``jobs=1`` executes the same parallel
-        search inline).  The greedy method additionally matches the
-        sequential run exactly; the tree searches are documented shard
-        variants (see :mod:`repro.parallel.search`).
+        shards across one worker process per CPU this process may run
+        on (one usable CPU runs the shards inline, with no worker
+        processes), a positive integer across exactly that many.  For a
+        fixed ``seed``, results are bitwise identical — sets, labels and
+        aggregated counters — for every ``jobs`` value (``jobs=1``
+        executes the same parallel search inline).  The greedy method
+        additionally matches the sequential run exactly; the tree
+        searches are documented shard variants (see
+        :mod:`repro.parallel.search`).
     options:
         Forwarded to the chosen algorithm (preprocessing and pruning
         switches, ``seed`` for top-down, ``stats``); a name the method

@@ -75,8 +75,10 @@ class DCCEngine:
         per session instead of once per call.
     jobs:
         Persistent pool size with the usual semantics (``0`` = one
-        worker per CPU, default); ``None`` is accepted as an alias for
-        ``1``, i.e. inline parallel execution with no worker processes.
+        worker per CPU this process may run on, default; a process
+        confined to one CPU therefore runs inline); ``None`` is
+        accepted as an alias for ``1``, i.e. inline parallel execution
+        with no worker processes.
         The pool spawns lazily; call :meth:`warm` to pay the spawn cost
         up front.
     cache_artifacts:

@@ -87,7 +87,13 @@ def to_json_dict(graph):
 
 
 def from_json_dict(payload, name=None):
-    """Decode a dictionary produced by :func:`to_json_dict`."""
+    """Decode a dictionary produced by :func:`to_json_dict`.
+
+    A payload without the ``num_layers`` key (or one that is not an
+    object at all) raises :class:`ParameterError` naming the key.
+    """
+    if not isinstance(payload, dict) or "num_layers" not in payload:
+        raise ParameterError("a JSON graph needs a 'num_layers' key")
     graph = MultiLayerGraph(
         payload["num_layers"],
         vertices=payload.get("vertices", ()),

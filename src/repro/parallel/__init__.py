@@ -24,7 +24,8 @@ Layout
 * :mod:`~repro.parallel.worker` — shard execution and the per-query
   context cache, shared by the inline path and the worker processes;
 * :mod:`~repro.parallel.executor` — pool lifecycle and the chunked shard
-  queue (``check_jobs`` / ``effective_jobs`` / ``WorkerPool``);
+  queue (``usable_cpus`` / ``check_jobs`` / ``effective_jobs`` /
+  ``WorkerPool``);
 * :mod:`~repro.parallel.search` — orchestration: plan, execute, merge.
 """
 
@@ -34,6 +35,7 @@ from repro.parallel.executor import (
     check_jobs,
     effective_jobs,
     live_pool_count,
+    usable_cpus,
 )
 from repro.parallel.plan import Query, make_query, plan_query
 from repro.parallel.search import (
@@ -61,6 +63,7 @@ __all__ = [
     "check_jobs",
     "effective_jobs",
     "live_pool_count",
+    "usable_cpus",
     "WorkerPool",
     "MAX_WORKERS",
     "Query",

@@ -71,12 +71,25 @@ def _shutdown_executor(executor):
         shutdown(wait=False, cancel_futures=True)
 
 
+def usable_cpus():
+    """How many CPUs this process may run on (at least 1).
+
+    The size of the process's CPU affinity set where the platform
+    exposes one, so a process confined by ``taskset`` or a cpuset counts
+    only the CPUs it can be scheduled on; ``os.cpu_count()`` elsewhere.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
 def check_jobs(jobs):
     """Validate a ``jobs=`` argument, returning it unchanged.
 
     ``None`` selects the sequential code path, ``0`` means "one worker
-    per available CPU", any positive integer is an explicit worker
-    count.
+    per CPU this process may run on" (:func:`usable_cpus`), any
+    positive integer is an explicit worker count.
     """
     if jobs is None:
         return None
@@ -91,13 +104,14 @@ def check_jobs(jobs):
 def effective_jobs(jobs=0):
     """The concrete worker count a ``jobs`` request resolves to.
 
-    ``0`` (and ``None``) resolve to ``os.cpu_count()``; explicit counts
-    pass through, capped at :data:`MAX_WORKERS`.  The resolved count
-    never affects search output — only how many processes serve the
-    shard queue.
+    ``0`` (and ``None``) resolve to :func:`usable_cpus`, so a process
+    confined to one CPU resolves to one worker and runs every query
+    inline, with no worker processes; explicit counts pass through,
+    capped at :data:`MAX_WORKERS`.  The resolved count never affects
+    search output — only how many processes serve the shard queue.
     """
     if not jobs:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
     return max(1, min(jobs, MAX_WORKERS))
 
 
@@ -174,7 +188,8 @@ class WorkerPool:
         Either backend; serialized lazily, at first spawn.
     jobs:
         Worker-count request with ``search_dccs`` semantics (``0`` =
-        one per CPU); ``None`` is accepted as an alias for ``1``.
+        one per CPU the process may run on, see :func:`effective_jobs`);
+        ``None`` is accepted as an alias for ``1``.
 
     The pool spawns lazily — constructing one is free, the process-fork
     and graph-shipping cost lands on the first multi-task query (or on

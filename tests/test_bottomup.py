@@ -1,5 +1,7 @@
 """Tests for the bottom-up DCCS algorithm (BU-DCCS)."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,66 @@ class TestBuDccs:
         ):
             result = bu_dccs(graph, d, s, k, **options)
             assert 4 * result.cover_size >= optimum.cover_size
+
+
+def dcc_call_bound(num_layers, s, k):
+    """BU's dCC calls: the layer cores, the InitTopK seeds, the tree.
+
+    Vertex deletion peels each of the ``l`` layer cores once and InitTopK
+    peels ``k`` seeds.  The search tree holds the prefixes whose last
+    position ``p_j`` (the ``j``-th, 0-based positions) satisfies
+    ``p_j <= l - s + j - 1``: ``C(l - s + j, j)`` nodes at depth ``j``,
+    ``C(l + 1, s) - 1`` over depths 1..s; each node is at most one call.
+    """
+    return num_layers + k + comb(num_layers + 1, s) - 1
+
+
+def complement_blocks_graph(num_layers, block):
+    """Layer ``i`` is a clique on every block of vertices but block ``i``.
+
+    The d-CC of a layer set ``L`` is the union of the blocks outside
+    ``L``, so it shrinks by one block per layer added.
+    """
+    graph = MultiLayerGraph(num_layers,
+                            vertices=range(num_layers * block))
+    for layer in range(num_layers):
+        members = [v for v in range(num_layers * block)
+                   if v // block != layer]
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                graph.add_edge(layer, u, v)
+    return graph
+
+
+class TestFeasiblePrefixTree:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dcc_calls_stay_within_the_feasible_tree(self, data):
+        graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=5))
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        for s in range(1, graph.num_layers + 1):
+            result = bu_dccs(graph, d, s, k)
+            assert result.stats.dcc_calls <= dcc_call_bound(
+                graph.num_layers, s, k
+            ), (d, s, k)
+
+    @given(st.integers(min_value=3, max_value=7),
+           st.integers(min_value=1, max_value=2),
+           st.integers(min_value=1, max_value=4),
+           st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_result_set_that_never_fills_visits_only_feasible_prefixes(
+            self, num_layers, block, k, data):
+        # With d chosen so that every level-(s - 1) d-CC is non-empty
+        # and every level-s one is empty, no candidate ever reaches R:
+        # no pruning rule arms, and the search visits every prefix it
+        # considers.  Without the feasibility cut it would visit all
+        # C(l, j) prefixes of every depth j <= s.
+        s = data.draw(st.integers(min_value=2, max_value=num_layers - 1))
+        d = (num_layers - s + 1) * block - 1
+        graph = complement_blocks_graph(num_layers, block)
+        for search_graph in (graph, graph.freeze()):
+            result = bu_dccs(search_graph, d, s, k)
+            assert result.sets == []
+            assert result.stats.dcc_calls == dcc_call_bound(num_layers, s, k)

@@ -29,6 +29,7 @@ class TestCommands:
         assert main(["info", "ppi", "--scale", "0.3"]) == 0
         out = capsys.readouterr().out
         assert "vertices" in out
+        assert "usable_cpus: " in out
 
     def test_info_edge_list_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -75,6 +76,27 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("search failed: ")
+        assert "Traceback" not in captured.err
+
+    def test_search_missing_graph_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nosuch.json"
+        argv = ["search", str(path), "-d", "3", "-s", "2", "-k", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "search failed: cannot read graph file")
+        assert "Traceback" not in captured.err
+
+    def test_search_json_without_num_layers_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"not": "a graph"}')
+        argv = ["search", str(path), "-d", "3", "-s", "2", "-k", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search failed: ")
+        assert "num_layers" in captured.err
         assert "Traceback" not in captured.err
 
     def test_figure_sweep_small(self, capsys):

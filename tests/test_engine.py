@@ -12,15 +12,20 @@ The contract under test, in order of importance:
    a stale result is never returned.
 """
 
+import asyncio
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aio import AsyncDCCHost
 from repro.cli import main
 from repro.core import search_dccs
 from repro.engine import ArtifactCache, DCCEngine
 from repro.experiments.runner import measure_point, sweep
 from repro.graph import MultiLayerGraph, paper_figure1_graph
+from repro.parallel import live_pool_count
 from repro.utils.errors import EngineClosedError, ParameterError
 from tests.strategies import multilayer_graphs, search_parameters
 
@@ -593,6 +598,61 @@ class TestLifecycle:
         healthy = search_dccs(graph, 3, 2, 2, method="bottom-up", seed=5,
                               jobs=1)
         assert_identical(broken, healthy)
+
+
+class TestOneCpuBudget:
+    """``jobs=0`` in a process confined to one CPU: inline, same answers.
+
+    Each session serves all three methods, takes one edge update and
+    serves them again; the answers must equal a two-worker session's.
+    """
+
+    SPECS = (
+        {"d": 3, "s": 2, "k": 2, "method": "greedy"},
+        {"d": 3, "s": 2, "k": 2, "method": "bottom-up"},
+        {"d": 2, "s": 3, "k": 2, "method": "top-down", "seed": 5},
+    )
+    # Both endpoints exist, so the update is a patched rebind, which a
+    # spawned pool answers by shipping the delta to its workers.
+    EDGE = (0, "a", "e")
+
+    def engine_session(self, jobs):
+        graph = paper_figure1_graph()
+        with DCCEngine(graph, jobs=jobs) as engine:
+            results = [engine.search(**spec) for spec in self.SPECS]
+            graph.add_edge(*self.EDGE)
+            results += [engine.search(**spec) for spec in self.SPECS]
+            return results, engine.info(), live_pool_count()
+
+    def async_session(self, jobs):
+        async def serve():
+            async with AsyncDCCHost(jobs=jobs) as host:
+                host.attach("g", paper_figure1_graph())
+                results = [await host.search("g", **spec)
+                           for spec in self.SPECS]
+                await host.update("g", add=[self.EDGE])
+                results += [await host.search("g", **spec)
+                            for spec in self.SPECS]
+                status = host.info()["host"]["engines"]["g"]
+                return results, status, live_pool_count()
+
+        return asyncio.run(serve())
+
+    @pytest.mark.parametrize("session", ["engine_session", "async_session"])
+    def test_jobs_zero_runs_inline_and_matches_two_workers(
+            self, session, monkeypatch):
+        assert not paper_figure1_graph().has_edge(*self.EDGE)
+        two_workers, _, _ = getattr(self, session)(2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        baseline = live_pool_count()
+        one_cpu, status, live = getattr(self, session)(0)
+        assert status["workers"] == 1
+        assert status["pool_spawned"] is False
+        assert status["rebinds_patched"] == 1
+        assert live == baseline
+        for spec, got, want in zip(self.SPECS * 2, one_cpu, two_workers):
+            assert_identical(got, want, spec)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,11 @@ class TestJsonRoundTrip:
         assert back.name == "renamed"
         assert back.union_edge_count() == g.union_edge_count()
 
+    @pytest.mark.parametrize("payload", [{"not": "a graph"}, [0, 1, 2]])
+    def test_missing_num_layers_names_the_key(self, payload):
+        with pytest.raises(ParameterError, match="num_layers"):
+            from_json_dict(payload)
+
 
 class TestBuilders:
     def test_from_edge_lists(self):

@@ -18,6 +18,8 @@ Pool spawns are real in these tests (``jobs=4`` forks four workers), so
 hypothesis example counts are kept deliberately small.
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from repro.parallel import (
     graph_payload,
     payload_graph,
     shard_seed,
+    usable_cpus,
 )
 from repro.utils.errors import ParameterError
 from tests.strategies import (
@@ -199,6 +202,23 @@ class TestJobsValidation:
         assert effective_jobs(0) >= 1
         assert effective_jobs(None) >= 1
         assert effective_jobs(10 ** 6) == MAX_WORKERS
+
+    def test_jobs_zero_counts_the_cpus_the_process_may_run_on(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1},
+                            raising=False)
+        assert usable_cpus() == 1
+        assert effective_jobs(0) == 1
+        assert effective_jobs(5) == 5
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert effective_jobs(0) == 3
+
+    def test_jobs_zero_falls_back_to_cpu_count_without_affinity(
+            self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert effective_jobs(0) == os.cpu_count()
 
 
 class TestGraphPayloadRoundTrip:
