@@ -161,29 +161,39 @@ def fig32_rows():
     return _memo(("fig32",), lambda: figure32(node_budget=15000))
 
 
-def median_times(dataset, points, rows, repeats=5):
+def median_times(dataset, points, rows, repeats=5, variants=None):
     """Median ``elapsed`` of each ``(method, d, s, k)`` search, re-timed.
 
     A sweep times every search once, and one slow stretch of a busy host
-    can push a single point past a timing floor.  A floor therefore
-    asserts on medians of ``repeats`` samples: a point's time in the
-    sweep's ``rows`` is its first sample, and the rest come from
+    can push a single point past a timing floor.  Run order matters too:
+    the first search at a given ``d`` on a graph pays the layer peels
+    that the frozen graph then keeps for every later one.  A floor
+    therefore asserts on medians of ``repeats`` samples: a point's time
+    in the sweep's ``rows`` is its first sample, and the rest come from
     re-running only the searches the floor compares, in round-robin
     order on the sweep's own (memoised, already frozen) graph, so a slow
-    stretch hits every point alike.
+    stretch or a cold start hits every point alike.
+
+    ``variants`` maps an ablation's variant names to their search
+    options; a point is then ``(method, d, s, k, variant)``, its first
+    sample is the row of that variant, and its re-runs pass the options.
     """
     graph = load(dataset, scale=FIG_SCALES[dataset]).graph
     samples = {point: [] for point in points}
     for row in rows:
         point = (row["algorithm"], row["d"], row["s"], row["k"])
+        if variants is not None:
+            point += (row["variant"],)
         if row["dataset"] == dataset and point in samples:
             samples[point].append(row["time_s"])
     for _ in range(repeats):
         for point in points:
             if len(samples[point]) < repeats:
-                method, d, s, k = point
+                method, d, s, k = point[:4]
+                options = {} if variants is None else variants[point[4]]
                 samples[point].append(search_dccs(
-                    graph, d, s, k, method=method, seed=0).elapsed)
+                    graph, d, s, k, method=method, seed=0,
+                    **options).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}
 

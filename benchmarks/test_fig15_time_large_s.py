@@ -50,21 +50,26 @@ def test_fig15_time_vs_large_s(benchmark):
         )
         s_values = sorted(lines["greedy"])
         first, last = s_values[0], s_values[-1]
-        # Paper observation 1: time decreases as s grows towards l.
-        assert lines["greedy"][last] < lines["greedy"][first]
-        # Paper observation 3: TD-DCCS beats GD-DCCS decisively where the
-        # candidate family is still large (the left edge, s = l - 4 — the
-        # paper's "50X faster" point); on medians of three samples each,
-        # not five: one greedy search on stack at s = l - 4 takes seconds.
+        # Every floor below compares medians of three samples each, not
+        # five: one greedy search on stack at s = l - 4 takes seconds.
         (row,) = [row for row in rows if row["dataset"] == name
                   and row["algorithm"] == "top-down" and row["s"] == first]
-        points = {method: (method, row["d"], first, row["k"])
-                  for method in ("top-down", "greedy")}
-        times = median_times(name, list(points.values()), rows, repeats=3)
-        assert times[points["top-down"]] < 0.5 * times[points["greedy"]]
+        d, k = row["d"], row["k"]
+        times = median_times(name, [
+            ("greedy", d, first, k), ("top-down", d, first, k),
+            ("greedy", d, last, k), ("bottom-up", d, last, k),
+        ], rows, repeats=3)
+        # Paper observation 1: time decreases as s grows towards l.
+        assert times["greedy", d, last, k] < times["greedy", d, first, k]
+        # Paper observation 3: TD-DCCS beats GD-DCCS decisively where the
+        # candidate family is still large (the left edge, s = l - 4 — the
+        # paper's "50X faster" point).
+        assert times["top-down", d, first, k] < \
+            0.5 * times["greedy", d, first, k]
         # Paper observation 2: BU loses its edge at the far right — at
         # s = l it is no longer meaningfully faster than greedy.
-        assert lines["bottom-up"][last] > 0.5 * lines["greedy"][last]
+        assert times["bottom-up", d, last, k] > \
+            0.5 * times["greedy", d, last, k]
 
 
 def _within_bound(search):

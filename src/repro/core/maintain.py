@@ -24,7 +24,9 @@ their callers never touch the representation:
   kernels' row gather and degree scatter (:mod:`repro.graph.kernels`).
   Over the whole graph, each layer's initial core comes from the
   kernels' direction-optimising peel, which recounts the survivors
-  instead while the frontier's rows outweigh theirs.
+  instead while the frontier's rows outweigh theirs; the frozen graph
+  keeps that core, so a later maintainer at the same ``d`` starts from
+  a copy of it.
   Its :attr:`~ArrayCoreMaintainer.masks` hand the final state on as
   arrays; the set maintainer's ``masks`` is ``None``.
 
@@ -49,13 +51,11 @@ from repro.graph.kernels import (
 from repro.utils.errors import check_degree
 
 
-def core_maintainer(graph, d, within=None, stats=None, seed_cores=None):
+def core_maintainer(graph, d, within=None, stats=None):
     """The maintainer for ``graph``'s backend."""
     if graph.is_frozen:
-        return ArrayCoreMaintainer(graph, d, within=within, stats=stats,
-                                   seed_cores=seed_cores)
-    return MultiLayerCoreMaintainer(graph, d, within=within, stats=stats,
-                                    seed_cores=seed_cores)
+        return ArrayCoreMaintainer(graph, d, within=within, stats=stats)
+    return MultiLayerCoreMaintainer(graph, d, within=within, stats=stats)
 
 
 class CoreMasks(namedtuple("CoreMasks", "alive cores support")):
@@ -114,9 +114,6 @@ class MultiLayerCoreMaintainer:
     stats:
         Optional :class:`~repro.core.stats.SearchStats`; each initial
         layer core is charged to ``dcc_calls``.
-    seed_cores:
-        Optional ``{layer: full-graph d-core}``; seeded layers are not
-        re-peeled.
 
     Attributes
     ----------
@@ -131,7 +128,7 @@ class MultiLayerCoreMaintainer:
     # The state lives in sets; there is no mask form to hand on.
     masks = None
 
-    def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
+    def __init__(self, graph, d, within=None, stats=None):
         self.graph = graph
         self.d = check_degree(d)
         if within is None:
@@ -141,17 +138,8 @@ class MultiLayerCoreMaintainer:
         self.cores = []
         self._degrees = []
         for layer in graph.layers():
-            if seed_cores is not None and seed_cores.get(layer) is not None:
-                # Precomputed elsewhere (the engine's selective artifact
-                # cache keeps per-layer cores across deltas that do not
-                # touch the layer).  The stats charge stays identical to
-                # the computing path so cached and uncached runs report
-                # bitwise-equal counters.
-                core = set(seed_cores[layer])
-            else:
-                core = layer_core(graph, layer, d,
-                                  within=None if within is None
-                                  else self.alive)
+            core = layer_core(graph, layer, d,
+                              within=None if within is None else self.alive)
             if stats is not None:
                 stats.dcc_calls += 1
             self.cores.append(core)
@@ -242,23 +230,16 @@ class ArrayCoreMaintainer:
     arrays themselves.
     """
 
-    def __init__(self, graph, d, within=None, stats=None, seed_cores=None):
+    def __init__(self, graph, d, within=None, stats=None):
         self.graph = graph
         self.d = check_degree(d)
-        n = graph.num_vertices
         self._alive, members = _member_state(graph, within)
         self._cores = []
         self._degrees = []
-        self._support = np.zeros(n, dtype=np.int64)
+        self._support = np.zeros(graph.num_vertices, dtype=np.int64)
         for layer in graph.layers():
-            seed = None if seed_cores is None else seed_cores.get(layer)
-            if seed is not None:
-                core = np.zeros(n, dtype=np.bool_)
-                core[np.fromiter(seed, dtype=np.int64, count=len(seed))] = True
-                degrees = self._core_degrees(layer, core)
-            else:
-                core, degrees = self._peel_layer(layer, members,
-                                                 full=within is None)
+            core, degrees = self._peel_layer(layer, members,
+                                             full=within is None)
             if stats is not None:
                 stats.dcc_calls += 1
             self._cores.append(core)
@@ -275,13 +256,6 @@ class ArrayCoreMaintainer:
         frontier = _below_threshold(members, degrees, self.d)
         _peel_rounds(self.graph, (layer,), self.d, core, frontier, degrees)
         return core, degrees[0]
-
-    def _core_degrees(self, layer, core):
-        """Each core vertex's degree inside ``core`` on ``layer``."""
-        (degrees,) = _induced_degree_arrays(
-            self.graph, (layer,), core, np.flatnonzero(core), full=False
-        )
-        return degrees
 
     def __len__(self):
         """The number of alive vertices."""
@@ -337,7 +311,8 @@ class ArrayCoreMaintainer:
         for layer, (core, degrees) in enumerate(zip(self._cores,
                                                     self._degrees)):
             members = np.flatnonzero(core)
-            expected = self._core_degrees(layer, core)
+            (expected,) = _induced_degree_arrays(self.graph, (layer,), core,
+                                                 members, full=False)
             if not np.array_equal(degrees[members], expected[members]):
                 raise AssertionError(
                     "layer {} core degrees drifted".format(layer)

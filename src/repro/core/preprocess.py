@@ -99,24 +99,23 @@ def compute_support(cores):
     return support
 
 
-def vertex_deletion(graph, d, s, enabled=True, stats=None, seed_cores=None):
+def vertex_deletion(graph, d, s, enabled=True, stats=None):
     """Run the vertex-deletion fixed point (lines 1–7 of BU-DCCS, Fig. 7).
 
     With ``enabled=False`` (the No-VD ablation) the cores are computed once
     on the full graph and nothing is deleted; the returned ``support`` is
     still correct for the full graph so the top-down index stays valid.
 
-    ``seed_cores`` optionally maps layer ids to precomputed *full-graph*
-    d-cores of those layers (the engine's artifact cache keeps them
-    across deltas that do not touch a layer); missing layers are
-    computed as usual.  Seeding changes no result and no counter.
+    The fixed point starts from each layer's full-graph d-core, which a
+    frozen graph peels once per ``d`` and then keeps (see
+    :class:`~repro.graph.frozen.LayerCoreMemo`); every call charges the
+    same counters either way.
     """
     if s < 1 or s > graph.num_layers:
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
         )
-    maintainer = core_maintainer(graph, d, stats=stats,
-                                 seed_cores=seed_cores)
+    maintainer = core_maintainer(graph, d, stats=stats)
     deleted = rounds = 0
     while enabled:
         rounds += 1

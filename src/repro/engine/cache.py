@@ -5,9 +5,9 @@ expensive prefixes repeat: the per-layer d-core decomposition and its
 vertex-deletion fixed point depend only on ``(d, s, vertex-deletion
 flag)``, the InitTopK seeds add ``k``, the top-down hierarchy index and
 the root d-CC depend on the surviving vertex set.  :class:`ArtifactCache`
-memoises those artifacts per graph, keyed by their parameters plus the
-layer-subset signature they were computed over (today always the full
-layer set — the key shape is ready for sub-layer hosting).
+memoises those artifacts per graph, keyed by their parameters.  Each
+layer's full-graph d-core is not among them: a frozen graph keeps those
+itself (:class:`~repro.graph.frozen.LayerCoreMemo`).
 
 **The counter-replay contract.** Reported :class:`SearchStats` are part
 of this repo's bitwise-determinism guarantee, and a cache that silently
@@ -39,7 +39,6 @@ import time
 from collections import OrderedDict
 
 from repro.core.dcc import coherent_core
-from repro.core.dcore import layer_core as _layer_core
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
 from repro.core.preprocess import vertex_deletion
@@ -84,65 +83,29 @@ class ArtifactCache:
         self.max_entries = max_entries
         self.ttl = ttl
         self._clock = clock
-        # The layer-subset signature of every current key: engines serve
-        # whole-graph queries today, so this is the full layer tuple;
-        # sub-layer hosting will key finer without changing the scheme.
-        self._layers_signature = tuple(graph.layers())
         self._entries = OrderedDict()
-        # The per-layer seed artifacts live in a side table: one tiny
-        # frozenset per (layer, d), never LRU-evicted or TTL-expired (a
-        # handful of entries, dropped selectively by rebind()).  Keeping
-        # them out of _entries preserves the classic artifact-level
-        # hit/miss/eviction accounting.
-        self._layer_entries = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
-        self.layer_core_hits = 0
-        self.layer_core_misses = 0
-        self.invalidations_kept = 0
-        self.invalidations_dropped = 0
 
     def __len__(self):
         return len(self._entries)
 
-    def clear(self):
-        self._entries.clear()
-        self._layer_entries.clear()
-
     def rebind(self, graph, touched_layers):
-        """Retarget the cache at a post-delta graph, invalidating selectively.
+        """Retarget the cache at a post-delta graph.
 
         ``touched_layers`` names the layers whose edge sets the delta
         changed (the vertex set must be unchanged — structural deltas
-        rebuild the whole session and never reach here).  Entries whose
-        layer signature intersects the touched set are dropped; the rest
-        — today, the per-layer :meth:`layer_core` artifacts of untouched
-        layers — survive, because each is a pure function of the edge
-        sets its signature names, all of which are unchanged.  The
-        full-signature artifacts (``preprocess``, ``init-topk``,
-        ``index``, ``root-core``) always intersect a non-empty touched
-        set and are always dropped.
+        rebuild the whole session and never reach here).  Every artifact
+        (``preprocess``, ``init-topk``, ``index``, ``root-core``) depends
+        on every layer, so a touched layer drops them all; the layer
+        cores of untouched layers outlive the delta in the patched
+        frozen graph.
         """
         self.graph = graph
-        self._layers_signature = tuple(graph.layers())
-        touched = frozenset(touched_layers)
-        if touched:
-            entries = self._entries
-            for key in list(entries):
-                if touched.intersection(key[0]):
-                    del entries[key]
-                    self.invalidations_dropped += 1
-                else:
-                    self.invalidations_kept += 1
-            layer_entries = self._layer_entries
-            for key in list(layer_entries):
-                if key[0] in touched:
-                    del layer_entries[key]
-                    self.invalidations_dropped += 1
-                else:
-                    self.invalidations_kept += 1
+        if touched_layers:
+            self._entries.clear()
 
     def stats(self):
         """Hit/miss/size counters for ``engine.info()``."""
@@ -152,16 +115,11 @@ class ArtifactCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "expirations": self.expirations,
-            "layer_core_hits": self.layer_core_hits,
-            "layer_core_misses": self.layer_core_misses,
-            "invalidations_kept": self.invalidations_kept,
-            "invalidations_dropped": self.invalidations_dropped,
             "max_entries": self.max_entries,
             "ttl": self.ttl,
         }
 
     def _get(self, key, build):
-        key = (self._layers_signature,) + key
         entries = self._entries
         try:
             value, delta, stamp = entries[key]
@@ -191,47 +149,19 @@ class ArtifactCache:
     # the artifacts
     # ------------------------------------------------------------------
 
-    def layer_core(self, d, layer):
-        """The full-graph d-core of one layer, keyed by that layer alone.
-
-        The finest-grained artifact: it depends on a single layer's edge
-        set, so a delta-rebind (:meth:`rebind`) keeps it whenever the
-        delta leaves the layer untouched, and the next
-        :meth:`preprocess` rebuild seeds its maintainer from the
-        survivors instead of re-peeling every layer.  No stats delta is
-        carried by design — the consumer
-        (``MultiLayerCoreMaintainer``) charges ``dcc_calls`` identically
-        for seeded and computed layers, so the replay contract holds
-        without double counting.
-        """
-        key = (layer, d)
-        try:
-            value = self._layer_entries[key]
-        except KeyError:
-            value = frozenset(_layer_core(self.graph, layer, d))
-            self._layer_entries[key] = value
-            self.layer_core_misses += 1
-        else:
-            self.layer_core_hits += 1
-        return value
-
     def preprocess(self, d, s, enabled):
         """The vertex-deletion fixed point (cores, alive set, support).
 
         The cores are the per-layer d-core decomposition restricted to
         the surviving vertices — the artifact every method's planning
         starts from.  Normalised in place to immutable shapes before
-        caching.  The build seeds its maintainer from the per-layer
-        :meth:`layer_core` artifacts, so after a delta-rebind only the
-        touched layers are re-peeled.
+        caching.  On a frozen graph the build starts from the layer
+        cores the graph keeps, so after a delta-rebind only the touched
+        layers are re-peeled.
         """
         def build(delta):
-            seeds = {
-                layer: self.layer_core(d, layer)
-                for layer in self.graph.layers()
-            }
             prep = vertex_deletion(self.graph, d, s, enabled=enabled,
-                                   stats=delta, seed_cores=seeds)
+                                   stats=delta)
             prep.alive = frozenset(prep.alive)
             prep.cores = [frozenset(core) for core in prep.cores]
             return prep

@@ -49,6 +49,7 @@ from repro.graph.backend import (
     check_graph,
     resolve_search_graph,
 )
+from repro.graph.frozen import LayerCoreMemo
 from repro.parallel.executor import WorkerPool, check_jobs
 from repro.parallel.plan import make_query
 from repro.parallel.search import execute_query_batch, start_query
@@ -178,8 +179,8 @@ class DCCEngine:
         Requires the source to produce a non-structural delta covering
         the versions since the last bind (vertex-set changes shift the
         frozen dense-id assignment, so they always rebuild).  The worker
-        pool survives; the artifact cache keeps every entry whose layer
-        signature avoids the delta.
+        pool survives; the artifact cache drops its artifacts, and a
+        patched frozen graph keeps the untouched layers' cores.
         """
         delta_since = getattr(self._source, "delta_since", None)
         if delta_since is None:
@@ -324,9 +325,9 @@ class DCCEngine:
 
         The hook :class:`repro.host.DCCHost` feeds its global memory
         budget from.  Counts the resolved search graph (CSR arrays plus
-        whatever lazy caches queries actually built — both backends
-        report honestly); the caller-owned source graph is not charged
-        to the session.
+        whatever lazy caches queries actually built, the frozen graph's
+        layer cores included — both backends report honestly); the
+        caller-owned source graph is not charged to the session.
         """
         return self._graph.memory_bytes()
 
@@ -334,10 +335,12 @@ class DCCEngine:
         """Pool and cache status for monitoring (and ``repro info``)."""
         cache_stats = self._cache.stats() if self._cache is not None else {
             "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
-            "expirations": 0, "layer_core_hits": 0,
-            "layer_core_misses": 0, "invalidations_kept": 0,
-            "invalidations_dropped": 0,
+            "expirations": 0,
         }
+        # The per-layer cores live in the frozen graph's memo, which a
+        # patched graph continues; a dict graph keeps none.
+        memo = self._graph.core_memo if self._graph.is_frozen \
+            else LayerCoreMemo()
         return {
             "backend": "frozen-csr" if self._graph.is_frozen
             else "dict-of-sets",
@@ -354,11 +357,10 @@ class DCCEngine:
             "cache_misses": cache_stats["misses"],
             "cache_evictions": cache_stats["evictions"],
             "cache_expirations": cache_stats["expirations"],
-            "cache_layer_core_hits": cache_stats["layer_core_hits"],
-            "cache_layer_core_misses": cache_stats["layer_core_misses"],
-            "cache_invalidations_kept": cache_stats["invalidations_kept"],
-            "cache_invalidations_dropped":
-                cache_stats["invalidations_dropped"],
+            "cache_layer_core_hits": memo.hits,
+            "cache_layer_core_misses": memo.misses,
+            "cache_invalidations_kept": memo.kept,
+            "cache_invalidations_dropped": memo.dropped,
             "memory_bytes": self.memory_bytes(),
             "invalidations": self.invalidations,
             "rebinds_patched": self.rebinds_patched,

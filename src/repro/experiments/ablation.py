@@ -41,19 +41,13 @@ PRUNING_VARIANTS_TD = {
 
 
 def _run_variants(graph, method, s, variants, seed=0, k=None, d=None):
+    d = DEFAULTS["d"] if d is None else d
+    k = DEFAULTS["k"] if k is None else k
     rows = []
     for variant, options in variants.items():
-        result = search_dccs(
-            graph,
-            DEFAULTS["d"] if d is None else d,
-            s,
-            DEFAULTS["k"] if k is None else k,
-            method=method,
-            seed=seed,
-            **options
-        )
-        row = result_row(result, variant=variant, s=s)
-        rows.append(row)
+        result = search_dccs(graph, d, s, k, method=method, seed=seed,
+                             **options)
+        rows.append(result_row(result, variant=variant, d=d, s=s, k=k))
     return rows
 
 

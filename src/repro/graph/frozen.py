@@ -15,7 +15,9 @@ time on.
 
 A frozen graph is immutable: the mutation methods of the dict backend
 raise :class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
-:meth:`FrozenMultiLayerGraph.thaw` when mutation is needed.
+:meth:`FrozenMultiLayerGraph.thaw` when mutation is needed.  Being
+immutable, it keeps what the kernels derive from it: numpy views,
+degree vectors and each layer's d-cores (:class:`LayerCoreMemo`).
 
 Vertex vocabulary
 -----------------
@@ -29,6 +31,7 @@ translates results back automatically when it froze the graph itself.
 from array import array
 from bisect import bisect_left
 import sys
+import threading
 
 import numpy as np
 
@@ -53,11 +56,14 @@ class FrozenMultiLayerGraph:
         Carried over from the source graph.
     kernel:
         The peel tier, always ``"numpy"``; benchmark reports record it.
+    core_memo:
+        The :class:`LayerCoreMemo` of every layer's full-graph d-cores.
     """
 
     __slots__ = (
         "name",
         "labels",
+        "core_memo",
         "_ids",
         "_indptr",
         "_indices",
@@ -73,9 +79,10 @@ class FrozenMultiLayerGraph:
     kernel = "numpy"
 
     def __init__(self, labels, indptr, indices, edge_counts, layer_masks,
-                 name=""):
+                 name="", core_memo=None):
         self.name = name
         self.labels = labels
+        self.core_memo = LayerCoreMemo() if core_memo is None else core_memo
         # Lazy: built on the first label lookup.  Identity-labelled
         # graphs (``labels`` a range, e.g. from the synthetic generator)
         # never build it at all, which matters at 10^6 vertices.
@@ -110,29 +117,12 @@ class FrozenMultiLayerGraph:
         except TypeError:
             labels.sort(key=repr)
         ids = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
-        indptr = []
-        indices = []
-        edge_counts = []
-        layer_masks = [0] * n
-        for layer in graph.layers():
-            ptr = array("i", [0]) * (n + 1)
-            idx = array("i")
-            total = 0
-            bit = 1 << layer
-            for i, label in enumerate(labels):
-                neighbor_ids = sorted(
-                    ids[u] for u in graph.neighbors(layer, label)
-                )
-                idx.extend(neighbor_ids)
-                total += len(neighbor_ids)
-                ptr[i + 1] = total
-                if neighbor_ids:
-                    layer_masks[i] |= bit
-            indptr.append(ptr)
-            indices.append(idx)
-            edge_counts.append(total // 2)
-        return cls(labels, indptr, indices, edge_counts, layer_masks,
+        layers = graph.num_layers
+        arrays = ([None] * layers, [None] * layers, [0] * layers,
+                  [0] * len(labels))
+        _freeze_layers(graph, labels, ids.__getitem__, graph.layers(),
+                       *arrays)
+        return cls(labels, *arrays,
                    name=graph.name if name is None else name)
 
     def patched(self, graph, touched_layers):
@@ -145,39 +135,20 @@ class FrozenMultiLayerGraph:
         their CSR arrays with ``self`` (they are immutable); touched
         layers are rebuilt exactly as :meth:`from_graph` would build
         them, so the result is indistinguishable from a full re-freeze.
+        The :attr:`core_memo` keeps the untouched layers' entries.
         """
         labels = self.labels
-        n = len(labels)
         if type(labels) is range:
             def vertex_id(label):
                 return label
         else:
             vertex_id = self._id_map().__getitem__
-        indptr = list(self._indptr)
-        indices = list(self._indices)
-        edge_counts = list(self._edge_counts)
-        layer_masks = list(self._layer_masks)
-        for layer in sorted(set(touched_layers)):
-            ptr = array("i", [0]) * (n + 1)
-            idx = array("i")
-            total = 0
-            bit = 1 << layer
-            for i, label in enumerate(labels):
-                neighbor_ids = sorted(
-                    vertex_id(u) for u in graph.neighbors(layer, label)
-                )
-                idx.extend(neighbor_ids)
-                total += len(neighbor_ids)
-                ptr[i + 1] = total
-                if neighbor_ids:
-                    layer_masks[i] |= bit
-                else:
-                    layer_masks[i] &= ~bit
-            indptr[layer] = ptr
-            indices[layer] = idx
-            edge_counts[layer] = total // 2
-        return type(self)(labels, indptr, indices, edge_counts, layer_masks,
-                          name=self.name)
+        arrays = (list(self._indptr), list(self._indices),
+                  list(self._edge_counts), list(self._layer_masks))
+        touched_layers = sorted(set(touched_layers))
+        _freeze_layers(graph, labels, vertex_id, touched_layers, *arrays)
+        return type(self)(labels, *arrays, name=self.name,
+                          core_memo=self.core_memo.carried(touched_layers))
 
     def freeze(self, name=None):
         """Idempotent convenience — a frozen graph freezes to itself."""
@@ -494,7 +465,7 @@ class FrozenMultiLayerGraph:
         so host ``memory_budget_bytes`` admission control sees the same
         bytes either way.  The kernels' cached views share the CSR
         storage and are not double-counted; their owned per-layer
-        degree vectors are.
+        degree vectors and the :attr:`core_memo` entries are.
         """
         total = 0
         for ptr, idx in zip(self._indptr, self._indices):
@@ -507,6 +478,7 @@ class FrozenMultiLayerGraph:
         for degrees in self._np_degs:
             if degrees is not None:
                 total += degrees.nbytes
+        total += self.core_memo.nbytes()
         for adj in self._adj_dicts:
             if adj is not None:
                 total += sys.getsizeof(adj)
@@ -598,3 +570,86 @@ class FrozenMultiLayerGraph:
         return "FrozenMultiLayerGraph({} layers, {} vertices, {} edges{})".format(
             self.num_layers, self.num_vertices, self.total_edges(), label
         )
+
+
+def _freeze_layers(graph, labels, vertex_id, layers, indptr, indices,
+                   edge_counts, layer_masks):
+    """Freeze each of ``layers`` into the four lists, in place; row ``i``
+    holds the sorted ids (``vertex_id``) of ``labels[i]``'s neighbours."""
+    n = len(labels)
+    for layer in layers:
+        ptr = array("i", [0]) * (n + 1)
+        idx = array("i")
+        total = 0
+        bit = 1 << layer
+        for i, label in enumerate(labels):
+            neighbor_ids = sorted(
+                vertex_id(u) for u in graph.neighbors(layer, label)
+            )
+            idx.extend(neighbor_ids)
+            total += len(neighbor_ids)
+            ptr[i + 1] = total
+            if neighbor_ids:
+                layer_masks[i] |= bit
+            else:
+                layer_masks[i] &= ~bit
+        indptr[layer] = ptr
+        indices[layer] = idx
+        edge_counts[layer] = total // 2
+
+
+class LayerCoreMemo:
+    """Each layer's full-graph d-core, kept per ``(layer, d)``.
+
+    The core depends only on the layer and ``d``, and a frozen graph
+    never changes, so the first full-graph peel
+    (:func:`repro.graph.kernels._full_layer_core`) stores it here and
+    later ones read it.  An entry is two read-only int32 arrays, the
+    core's ascending member ids and their degrees inside the core: 8
+    bytes per core vertex.  Entries are written whole and never changed,
+    so threads that fill one key race harmlessly.  ``hits``/``misses``
+    count lookups, ``kept``/``dropped`` the entries :meth:`carried`
+    passed to a patched graph or left behind; a lock keeps them exact,
+    and a patched graph continues its parent's.
+    """
+
+    __slots__ = ("_entries", "_lock", "hits", "misses", "kept", "dropped")
+
+    def __init__(self, entries=None, hits=0, misses=0, kept=0, dropped=0):
+        self._entries = {} if entries is None else entries
+        self._lock = threading.Lock()
+        self.hits, self.misses = hits, misses
+        self.kept, self.dropped = kept, dropped
+
+    def __reduce__(self):
+        """A copied or pickled graph starts with an empty memo."""
+        return LayerCoreMemo, ()
+
+    def lookup(self, key, build):
+        """The entry under ``key``; ``build()`` makes it on a miss."""
+        entry = self._entries.get(key)
+        hit = entry is not None
+        if not hit:
+            entry = build()
+        with self._lock:
+            self.hits += hit
+            self.misses += not hit
+            self._entries.setdefault(key, entry)
+        return entry
+
+    def carried(self, touched_layers):
+        """This memo for a graph patched on ``touched_layers``: the other
+        layers' entries, with the counters continued."""
+        touched = frozenset(touched_layers)
+        with self._lock:
+            entries = {key: entry for key, entry in self._entries.items()
+                       if key[0] not in touched}
+            dropped = len(self._entries) - len(entries)
+            return LayerCoreMemo(entries, self.hits, self.misses,
+                                 self.kept + len(entries),
+                                 self.dropped + dropped)
+
+    def nbytes(self):
+        """The bytes of every entry's two arrays."""
+        return sum(members.nbytes + degrees.nbytes
+                   for members, degrees in list(self._entries.values()))

@@ -34,33 +34,45 @@ def write_edge_list(graph, path):
             handle.write("{} {} {}\n".format(layer, u, v))
 
 
+def _integer(text, what, path, line_number):
+    """``text`` as an int, or a :class:`ParameterError` naming the line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError("{}, line {}: {} {!r} is not an integer".format(
+            path, line_number, what, text)) from None
+
+
 def read_edge_list(path, num_layers=None, name=""):
     """Read a layered edge-list file written by :func:`write_edge_list`.
 
     Vertices are read back as strings.  ``num_layers`` overrides the header
     (useful for files produced by other tools without one); if neither is
-    available the layer count is inferred as ``max(layer) + 1``.
+    available the layer count is inferred as ``max(layer) + 1``.  A line
+    that does not parse raises :class:`ParameterError` naming it.
     """
     header_layers = None
     header_vertices = []
     edges = []
     max_layer = -1
     with open(path) as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("layers:"):
-                    header_layers = int(body.split(":", 1)[1])
+                    header_layers = _integer(body.split(":", 1)[1].strip(),
+                                             "layer count", path, line_number)
                 elif body.startswith("vertices:"):
                     header_vertices = body.split(":", 1)[1].split()
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise ParameterError("malformed edge line: {!r}".format(line))
-            layer = int(parts[0])
+                raise ParameterError("{}, line {}: malformed edge line: {!r}"
+                                     .format(path, line_number, line))
+            layer = _integer(parts[0], "layer", path, line_number)
             max_layer = max(max_layer, layer)
             edges.append((layer, parts[1], parts[2]))
     layers = num_layers or header_layers
@@ -90,7 +102,8 @@ def from_json_dict(payload, name=None):
     """Decode a dictionary produced by :func:`to_json_dict`.
 
     A payload without the ``num_layers`` key (or one that is not an
-    object at all) raises :class:`ParameterError` naming the key.
+    object at all), or with an edge that is not a ``[layer, u, v]``
+    triple, raises :class:`ParameterError` naming the key or the edge.
     """
     if not isinstance(payload, dict) or "num_layers" not in payload:
         raise ParameterError("a JSON graph needs a 'num_layers' key")
@@ -99,8 +112,12 @@ def from_json_dict(payload, name=None):
         vertices=payload.get("vertices", ()),
         name=payload.get("name", "") if name is None else name,
     )
-    for layer, u, v in payload.get("edges", ()):
-        graph.add_edge(layer, u, v)
+    for position, edge in enumerate(payload.get("edges", ())):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+            raise ParameterError(
+                "'edges' entry {} must be a [layer, u, v] list, got {!r}"
+                .format(position, edge))
+        graph.add_edge(*edge)
     return graph
 
 
@@ -111,7 +128,15 @@ def write_json(graph, path):
 
 
 def read_json(path, name=None):
-    """Load a multi-layer graph from a JSON file written by :func:`write_json`."""
+    """Load a multi-layer graph from a JSON file written by :func:`write_json`.
+
+    A file that does not decode as JSON raises :class:`ParameterError`
+    naming the file and where decoding stopped.
+    """
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise ParameterError("{} is not valid JSON: {}".format(
+                path, error)) from None
     return from_json_dict(payload, name=name)

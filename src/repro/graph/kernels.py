@@ -9,9 +9,9 @@ views of the CSR ``indptr``/``indices`` buffers (boolean alive masks,
 arrays).
 
 A round *pushes*: it gathers the frontier's rows and decrements the
-live neighbours' degrees.  A layer's d-core over the whole graph (vertex
-deletion's layer peels, the engine's per-layer cores) chooses each
-round's direction instead (:func:`_full_layer_core`): while the
+live neighbours' degrees.  A layer's d-core over the whole graph, which
+the frozen graph keeps per ``(layer, d)``, chooses each round's
+direction instead (:func:`_peel_layer_core`): while the
 frontier's rows hold more CSR entries than the survivors' rows, the
 round *pulls*, recounting the survivors' live neighbours.  Peels within
 a subset, maintainer removals and multi-layer coherent cores push.
@@ -325,15 +325,32 @@ def _full_layer_core(graph, layer, d):
     """``layer``'s d-core over the whole graph: ``(core mask, degrees)``.
 
     ``degrees[v]`` is ``v``'s degree inside the core for every core
-    vertex ``v``; other entries are garbage.  The cascade chooses each
-    round's direction, as direction-optimising BFS does: while the
-    frontier's rows hold more CSR entries than the survivors' rows, the
-    round *pulls* — the frontier dies, and the survivors' rows are
-    gathered and their live neighbours recounted (:func:`_count_live`).
-    From the first round where they do not, it *pushes* the frontier
-    through :func:`_peel_rounds`.  Row lengths are the cached degree
-    vector, so choosing costs one gather of the frontier's degrees.
-    Either direction reaches the same unique fixed point.
+    vertex ``v`` and 0 elsewhere.  Callers write to both, so they are
+    fresh arrays built from the graph's memo entry
+    (:class:`~repro.graph.frozen.LayerCoreMemo`), which the first call
+    for ``(layer, d)`` peels.
+    """
+    members, inside = graph.core_memo.lookup(
+        (layer, d), lambda: _peel_layer_core(graph, layer, d))
+    core = _np.zeros(graph.num_vertices, dtype=_np.bool_)
+    core[members] = True
+    degrees = _np.zeros(graph.num_vertices, dtype=_np.int64)
+    degrees[members] = inside
+    return core, degrees
+
+
+def _peel_layer_core(graph, layer, d):
+    """Peel ``layer``'s d-core: ``(member ids, degrees)``, read-only int32.
+
+    The cascade chooses each round's direction, as direction-optimising
+    BFS does: while the frontier's rows hold more CSR entries than the
+    survivors' rows, the round *pulls* — the frontier dies, and the
+    survivors' rows are gathered and their live neighbours recounted
+    (:func:`_count_live`).  From the first round where they do not, it
+    *pushes* the frontier through :func:`_peel_rounds`.  Row lengths are
+    the cached degree vector, so choosing costs one gather of the
+    frontier's degrees.  Either direction reaches the same unique fixed
+    point.
     """
     indptr, indices = graph._np_csr(layer)
     lengths = graph._np_degrees(layer)
@@ -357,7 +374,10 @@ def _full_layer_core(graph, layer, d):
         frontier = survivors[below]
         survivors = survivors[~below]
     _peel_rounds(graph, (layer,), d, core, frontier, [degrees])
-    return core, degrees
+    members = _np.flatnonzero(core).astype(_np.int32)
+    inside = degrees[members].astype(_np.int32)
+    members.flags.writeable = inside.flags.writeable = False
+    return members, inside
 
 
 # ----------------------------------------------------------------------

@@ -131,7 +131,7 @@ def apply_delta_payload(graph, payload):
             layer_masks[vid] = mask
         return FrozenMultiLayerGraph(
             graph.labels, indptr, indices, edge_counts, layer_masks,
-            name=graph.name,
+            name=graph.name, core_memo=graph.core_memo.carried(layers_data),
         )
     if kind == "edge-patch":
         _, added, removed = payload

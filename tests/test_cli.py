@@ -99,6 +99,27 @@ class TestCommands:
         assert "num_layers" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("name, content, named", [
+        ("truncated.json", '{"num_layers": 2, "edges": [',
+         "truncated.json is not valid JSON"),
+        ("edges.txt", "x a c\n", "line 1: layer 'x' is not an integer"),
+        ("header.txt", "# layers: two\n0 a b\n",
+         "line 1: layer count 'two' is not an integer"),
+        ("short-edge.json", '{"num_layers": 2, "edges": [[0, "a"]]}',
+         "'edges' entry 0 must be a [layer, u, v] list"),
+    ])
+    def test_search_malformed_graph_file_exits_2(self, tmp_path, capsys,
+                                                 name, content, named):
+        path = tmp_path / name
+        path.write_text(content)
+        argv = ["search", str(path), "-d", "1", "-s", "1", "-k", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search failed: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
     def test_figure_sweep_small(self, capsys):
         assert main(["figure", "16", "--scale", "0.12"]) == 0
         assert "cover" in capsys.readouterr().out

@@ -43,6 +43,21 @@ class TestEdgeListRoundTrip:
         with pytest.raises(ParameterError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("content, message", [
+        ("x a c\n", "line 1: layer 'x' is not an integer"),
+        ("0 a b\n1.5 b c\n", "line 2: layer '1.5' is not an integer"),
+        ("# layers: two\n0 a b\n",
+         "line 1: layer count 'two' is not an integer"),
+        ("# note\n\n0 a\n", "line 3: malformed edge line"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, content, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        with pytest.raises(ParameterError) as raised:
+            read_edge_list(path)
+        assert str(raised.value).startswith(str(path))
+        assert message in str(raised.value)
+
     def test_empty_file_without_layers(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -76,6 +91,20 @@ class TestJsonRoundTrip:
     def test_missing_num_layers_names_the_key(self, payload):
         with pytest.raises(ParameterError, match="num_layers"):
             from_json_dict(payload)
+
+    @pytest.mark.parametrize("edge", [[0, "a"], [0, "a", "b", "c"], 7, "ab"])
+    def test_bad_edge_names_its_entry(self, edge):
+        payload = {"num_layers": 2, "edges": [[1, "a", "b"], edge]}
+        with pytest.raises(ParameterError,
+                           match=r"'edges' entry 1 must be a \[layer, u, v\]"):
+            from_json_dict(payload)
+
+    def test_truncated_file_names_the_file(self, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"num_layers": 2, "edges": [')
+        with pytest.raises(ParameterError,
+                           match="truncated.json is not valid JSON"):
+            read_json(path)
 
 
 class TestBuilders:

@@ -11,23 +11,30 @@ Four layers of guarantees, all enforced here:
   runs across methods, jobs counts and warm caches, the frozen graph's
   numpy kernels return the dict backend's values, labels, cover sizes
   and ``SearchStats`` counters; the full-graph layer peel, which picks a
-  push or a pull for each round, equals the push-only cascade;
+  push or a pull for each round, equals the push-only cascade, and a
+  frozen graph that keeps its layer cores answers like a fresh one;
 * **one input contract** — a bad ``d`` or layer raises the same typed
   error on the dict backend and on the frozen graph;
 * **bookkeeping honesty** — ``memory_bytes`` counts numpy-backed CSR
-  storage and lazily-built degree vectors, and the synthetic generator
-  assembles each layer as its sorted, distinct edge pairs.
+  storage, lazily-built degree vectors and kept layer cores, and the
+  synthetic generator assembles each layer as its sorted, distinct edge
+  pairs.
 """
 
 import asyncio
 import contextlib
+import copy
+import pickle
+import random
+import sys
+import threading
 from array import array
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.datasets.synthetic as synthetic_module
@@ -75,6 +82,7 @@ from repro.graph.kernels import (
 )
 from repro.host import DCCHost, parse_host_spec
 from repro.host.spec import SETTINGS_KEYS
+from repro.parallel import usable_cpus
 from repro.parallel.serialize import graph_payload, payload_graph
 from repro.utils.errors import LayerIndexError, ParameterError
 
@@ -189,15 +197,11 @@ class TestPrimitiveEquivalence:
         d = data.draw(st.integers(min_value=0, max_value=4))
         s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
         enabled = data.draw(st.booleans())
-        seeded = data.draw(st.sets(st.sampled_from(range(graph.num_layers))))
-        seeds = {
-            layer: layer_core(graph, layer, d) for layer in seeded
-        } or None
         outputs = []
         for backend in (graph, graph.freeze()):
             stats = SearchStats()
             prep = vertex_deletion(backend, d, s, enabled=enabled,
-                                   stats=stats, seed_cores=seeds)
+                                   stats=stats)
             outputs.append((
                 prep.alive, prep.cores, prep.support, prep.deleted,
                 prep.rounds, stats.dcc_calls, stats.vertices_deleted,
@@ -396,6 +400,189 @@ class TestFullLayerCore:
 
 
 # ----------------------------------------------------------------------
+# the frozen graph's layer-core memo
+# ----------------------------------------------------------------------
+
+
+METHODS = ("greedy", "bottom-up", "top-down")
+
+
+def _fresh_copy(frozen):
+    """The same frozen graph with an empty layer-core memo."""
+    return FrozenMultiLayerGraph(
+        frozen.labels, frozen._indptr, frozen._indices, frozen._edge_counts,
+        frozen._layer_masks, name=frozen.name,
+    )
+
+
+def _memo_graph():
+    """Three layers, 3,000 vertices, six planted 5-cores."""
+    return synthetic_multilayer(3000, num_layers=3, num_communities=6,
+                                community_size=20, d=5, span=2,
+                                seed=3).graph
+
+
+class TestLayerCoreMemo:
+    """A frozen graph peels each layer once per ``d`` and keeps the core."""
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_warm_search_equals_cold_and_dict(self, graph, data):
+        s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        method = data.draw(st.sampled_from(METHODS))
+        use_vd = data.draw(st.booleans())
+        warm = graph.freeze()
+
+        def run(target, d, backend="auto"):
+            return _snapshot(search_dccs(
+                target, d, s, k, method=method, backend=backend, seed=0,
+                use_vertex_deletion=use_vd,
+            ))
+
+        cold = [run(_fresh_copy(warm), d) for d in range(5)]
+        for d in range(5):
+            run(warm, d)
+        assert sorted(warm.core_memo._entries) == [
+            (layer, d) for layer in warm.layers() for d in range(5)
+        ]
+        for d in range(5):
+            assert run(warm, d) == cold[d] == run(graph, d, "dict"), d
+        for layer in warm.layers():
+            for d in range(5):
+                hits = warm.core_memo.hits
+                core, degrees = kernels_module._full_layer_core(
+                    warm, layer, d)
+                assert warm.core_memo.hits == hits + 1
+                peeled, peel_degrees = kernels_module._full_layer_core(
+                    _fresh_copy(warm), layer, d)
+                assert core.tolist() == peeled.tolist()
+                assert degrees[core].tolist() == \
+                    peel_degrees[core].tolist()
+
+    def test_entries_are_read_only_and_never_aliased(self):
+        frozen = star_cascade_graph()
+        core, degrees = kernels_module._full_layer_core(frozen, 0, 2)
+        expected = (core.tolist(), degrees.tolist())
+        ((members, inside),) = frozen.core_memo._entries.values()
+        assert members.dtype == inside.dtype == np.int32
+        assert not members.flags.writeable and not inside.flags.writeable
+        core[:] = ~core
+        degrees[:] = -7
+        again = kernels_module._full_layer_core(frozen, 0, 2)
+        assert (again[0].tolist(), again[1].tolist()) == expected
+        assert again[0] is not core and again[1] is not degrees
+        assert (frozen.core_memo.hits, frozen.core_memo.misses) == (1, 1)
+
+    def test_copies_and_pickles_start_empty(self):
+        frozen = star_cascade_graph()
+        expected = layer_core(frozen, 0, 2)
+        for copied in (copy.deepcopy(frozen),
+                       pickle.loads(pickle.dumps(frozen))):
+            assert copied == frozen
+            assert copied.core_memo._entries == {}
+            assert layer_core(copied, 0, 2) == expected
+            assert (copied.core_memo.hits, copied.core_memo.misses) == (0, 1)
+
+    def test_maintainers_write_to_copies(self):
+        """Vertex deletion mutates its maintainer's cores; a second run
+        on the same graph starts from the memo's own, unchanged."""
+        frozen = _memo_graph()
+        first = _frozen_prep(frozen, 5, 2)
+        assert first.deleted > 0
+        second = _frozen_prep(frozen, 5, 2)
+        cold = _frozen_prep(_fresh_copy(frozen), 5, 2)
+        for prep in (second, cold):
+            assert prep.alive == first.alive
+            assert prep.cores == first.cores
+            assert prep.support == first.support
+        assert frozen.core_memo.hits == frozen.num_layers
+
+    @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_patched_graph_keeps_untouched_layers(self, graph, data):
+        assume(graph.num_layers >= 2 and graph.num_vertices >= 2)
+        layer = data.draw(st.sampled_from(range(graph.num_layers)))
+        u, v = data.draw(st.lists(st.sampled_from(range(graph.num_vertices)),
+                                  min_size=2, max_size=2, unique=True))
+        s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
+        method = data.draw(st.sampled_from(METHODS))
+        frozen = graph.freeze()
+        for d in (1, 2, 3):
+            search_dccs(frozen, d, s, 2, method=method, seed=0)
+        filled = sorted(frozen.core_memo._entries)
+        if graph.has_edge(layer, u, v):
+            graph.apply_delta(remove=[(layer, u, v)])
+        else:
+            graph.apply_delta(add=[(layer, u, v)])
+        patched = graph.freeze()
+        assert graph.freeze_patches == 1
+        kept = [key for key in filled if key[0] != layer]
+        assert sorted(patched.core_memo._entries) == kept
+        memo = patched.core_memo
+        assert (memo.hits, memo.misses, memo.kept, memo.dropped) == \
+            (0, len(filled), len(kept), len(filled) - len(kept))
+        rebuilt = FrozenMultiLayerGraph.from_graph(graph)
+        for d in (1, 2, 3):
+            assert _snapshot(search_dccs(patched, d, s, 2, method=method,
+                                         seed=0)) == \
+                _snapshot(search_dccs(rebuilt, d, s, 2, method=method,
+                                      seed=0))
+
+    @pytest.mark.stress
+    def test_threads_share_one_frozen_graph(self):
+        """More threads than CPUs search one frozen graph at several d.
+
+        Every answer equals the single-threaded cold one, the memo ends
+        with one entry per (layer, d), and its counters saw every lookup.
+        """
+        graph = _memo_graph()
+        specs = [(d, method) for d in (2, 3, 5) for method in METHODS]
+        cold_graph = _fresh_copy(graph)
+        expected = {
+            (d, method): _snapshot(search_dccs(cold_graph, d, 2, 4,
+                                               method=method, seed=0))
+            for d, method in specs
+        }
+        lookups = cold_graph.core_memo.hits + cold_graph.core_memo.misses
+        threads = min(4 * usable_cpus() + 1, 16)
+        rounds = 3
+        start = threading.Barrier(threads)
+        failures = []
+
+        def client(seed):
+            order = list(specs)
+            random.Random(seed).shuffle(order)
+            start.wait()
+            for _ in range(rounds):
+                for d, method in order:
+                    got = _snapshot(search_dccs(graph, d, 2, 4,
+                                                method=method, seed=0))
+                    if got != expected[d, method]:
+                        failures.append((seed, d, method))
+
+        workers = [threading.Thread(target=client, args=(seed,))
+                   for seed in range(threads)]
+        interval = sys.getswitchinterval()
+        # Switch threads often, so racing lookups interleave.
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        memo = graph.core_memo
+        assert sorted(memo._entries) == sorted(
+            (layer, d) for layer in graph.layers() for d in (2, 3, 5))
+        assert memo.hits + memo.misses == threads * rounds * lookups
+        assert memo.misses >= len(memo._entries)
+
+
+# ----------------------------------------------------------------------
 # one input contract for the core primitives
 # ----------------------------------------------------------------------
 
@@ -417,7 +604,6 @@ class TestCoreInputChecks:
     @pytest.mark.parametrize("d", [-1, 2.5, 3.0, True, "3", None])
     def test_bad_degree_one_error(self, tier, d):
         graph = _tier_graph(tier)
-        seeds = {layer: set() for layer in graph.layers()}
         calls = [
             lambda: validate_search_params(graph, d, 2, 2),
             lambda: layer_core(graph, 0, d),
@@ -426,7 +612,6 @@ class TestCoreInputChecks:
             lambda: vertex_deletion(graph, d, 1),
             lambda: CoreHierarchyIndex(graph, d),
             lambda: core_maintainer(graph, d),
-            lambda: core_maintainer(graph, d, seed_cores=seeds),
         ]
         for call in calls:
             with pytest.raises(ParameterError, match="^d must be"):
@@ -921,6 +1106,22 @@ class TestMemoryAccounting:
         before = graph.memory_bytes()
         layer_core(graph, 0, 3)  # builds the layer's degree vector
         assert graph.memory_bytes() > before
+
+    def test_memory_bytes_counts_the_layer_core_memo(self):
+        graph = synthetic_multilayer(2000, num_communities=4,
+                                     community_size=40, seed=1).graph
+        for layer in graph.layers():
+            graph._np_degrees(layer)
+        for d in (3, 4):
+            before = graph.memory_bytes()
+            memo_before = graph.core_memo.nbytes()
+            search_dccs(graph, d, 2, 2)
+            grown = graph.core_memo.nbytes() - memo_before
+            assert grown > 0
+            assert graph.memory_bytes() - before == grown
+        cores = [layer_core(graph, layer, d)
+                 for layer in graph.layers() for d in (3, 4)]
+        assert graph.core_memo.nbytes() == 8 * sum(map(len, cores))
 
 
 class TestSyntheticGenerator:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graph.kernels as kernels_module
-from repro.core.dcore import d_core, layer_core
+from repro.core.dcore import d_core
 from repro.core.maintain import (
     ArrayCoreMaintainer,
     MultiLayerCoreMaintainer,
@@ -128,37 +128,6 @@ class TestMaintainer:
                     graph.adjacency(layer), d, within=m.alive
                 )
         m.check_consistency()
-
-    @given(
-        multilayer_graphs(max_vertices=9, max_layers=3),
-        st.integers(min_value=0, max_value=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_seeded_matches_unseeded(self, graph, d):
-        """Seeding from precomputed layer cores changes nothing observable.
-
-        The engine's selective artifact cache hands surviving per-layer
-        cores back to the maintainer after a delta; the seeded maintainer
-        must be indistinguishable from a cold one — same cores, alive set,
-        support table, and (by contract) the same ``dcc_calls`` charge —
-        and so must every cascade after it.
-        """
-        for graph in tiers(graph):
-            seeds = {
-                layer: layer_core(graph, layer, d)
-                for layer in graph.layers()
-            }
-            cold_stats, seeded_stats = SearchStats(), SearchStats()
-            cold = core_maintainer(graph, d, stats=cold_stats)
-            seeded = core_maintainer(graph, d, stats=seeded_stats,
-                                     seed_cores=seeds)
-            assert seeded.snapshot() == cold.snapshot()
-            assert seeded_stats.dcc_calls == cold_stats.dcc_calls
-            victims = sorted(graph.vertices())[::2]
-            seeded.remove(as_batch(seeded, victims))
-            cold.remove(as_batch(cold, victims))
-            assert seeded.snapshot() == cold.snapshot()
-            seeded.check_consistency()
 
     @given(
         multilayer_graphs(max_vertices=9, max_layers=3),
