@@ -33,6 +33,8 @@ from repro.experiments import (
     vary_q,
     vary_small_s,
 )
+from repro.experiments.config import RANGES
+from repro.experiments.sweeps import p_subgraphs, q_subgraphs
 
 # Stand-in scale per dataset, tuned so the whole bench suite finishes in
 # minutes in pure Python.  Relative sizes follow the paper (Stack is the
@@ -194,6 +196,41 @@ def median_times(dataset, points, rows, repeats=5, variants=None):
                 samples[point].append(search_dccs(
                     graph, d, s, k, method=method, seed=0,
                     **options).elapsed)
+    return {point: statistics.median(times)
+            for point, times in samples.items()}
+
+
+def sample_medians(parameter, rows, methods, values, repeats=3):
+    """Median ``elapsed`` of each ``(method, value)`` point of Fig. 26/27.
+
+    Those sweeps search subgraphs of Stack sampled by a vertex fraction
+    (``parameter="p"``) or a layer fraction (``"q"``).  As in
+    :func:`median_times`, a point's time in the sweep's ``rows`` is its
+    first sample; the rest re-run only the compared searches, round
+    robin, on the same sampled subgraphs, rebuilt by the sweep's own
+    sampler and frozen before any timer starts.  ``rows`` hold one row
+    per ``(algorithm, value)``.
+    """
+    sampler = p_subgraphs if parameter == "p" else q_subgraphs
+    stack = load("stack", scale=FIG_SCALES["stack"]).graph
+    graphs = dict(sampler(stack, RANGES[parameter], 0, "stack"))
+    points = [(method, value) for method in methods for value in values]
+    samples = {point: [] for point in points}
+    params = {}
+    for row in rows:
+        point = (row["algorithm"], row[parameter])
+        if point in samples:
+            samples[point].append(row["time_s"])
+            params[point] = (row["d"], row["s"], row["k"])
+    for value in values:
+        graphs[value].freeze()
+    for _ in range(repeats):
+        for point in points:
+            if len(samples[point]) < repeats:
+                method, value = point
+                samples[point].append(search_dccs(
+                    graphs[value], *params[point], method=method,
+                    seed=0).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}
 

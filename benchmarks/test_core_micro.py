@@ -4,18 +4,18 @@ These use pytest-benchmark's statistical timing (several rounds) because
 the operations are fast and deterministic: single-layer d-core peeling,
 multi-layer dCC peeling, and the Update structure — the three inner loops
 every DCCS algorithm is built from.  Each peeling primitive is measured
-on both graph backends; ``test_backend_speedup_report`` times the pair
-head-to-head and persists the ratio under ``benchmarks/results/``.
+on the frozen graph and through the label boundary of a
+``MultiLayerGraph`` (its cached freeze plus the translation), and
+checked against the reference peels of ``tests/oracle.py``.
 """
-
-from timeit import timeit
 
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core
-from repro.core.dcore import core_decomposition, d_core, layer_core
+from repro.core.dcore import layer_core, layer_core_decomposition
 from repro.datasets import load
 
 from benchmarks._shared import FIG_SCALES, record
+from tests import oracle
 
 
 def _graph():
@@ -28,23 +28,21 @@ def _frozen():
 
 def test_d_core_single_layer(benchmark):
     graph = _graph()
-    adjacency = graph.adjacency(0)
-    core = benchmark(d_core, adjacency, 4)
-    assert isinstance(core, set)
+    core = benchmark(layer_core, graph, 0, 4)
+    assert core == oracle.d_core(graph.adjacency(0), 4)
 
 
 def test_d_core_single_layer_frozen(benchmark):
     frozen = _frozen()
     core = benchmark(layer_core, frozen, 0, 4)
-    assert frozen.labels_for(core) == frozenset(
-        layer_core(_graph(), 0, 4)
-    )
+    assert frozen.labels_for(core) == oracle.d_core(
+        _graph().adjacency(0), 4)
 
 
 def test_core_decomposition_single_layer(benchmark):
     graph = _graph()
-    numbers = benchmark(core_decomposition, graph.adjacency(0))
-    assert numbers
+    numbers = benchmark(layer_core_decomposition, graph, 0)
+    assert numbers == oracle.core_decomposition(graph.adjacency(0))
 
 
 def test_coherent_core_three_layers(benchmark):
@@ -56,43 +54,8 @@ def test_coherent_core_three_layers(benchmark):
 def test_coherent_core_three_layers_frozen(benchmark):
     frozen = _frozen()
     core = benchmark(coherent_core, frozen, (0, 1, 2), 4)
-    assert frozen.labels_for(core) == coherent_core(_graph(), (0, 1, 2), 4)
-
-
-def test_backend_speedup_report(benchmark):
-    """Head-to-head d-core peel: dict vs frozen CSR on one graph."""
-    graph = _graph()
-    frozen = graph.freeze()
-    repeat = 20
-
-    def run_pair():
-        dict_s = timeit(
-            lambda: [layer_core(graph, i, 4) for i in graph.layers()],
-            number=repeat,
-        )
-        frozen_s = timeit(
-            lambda: [layer_core(frozen, i, 4) for i in frozen.layers()],
-            number=repeat,
-        )
-        return dict_s, frozen_s
-
-    dict_s, frozen_s = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    speedup = dict_s / frozen_s
-    record(
-        "backend_speedup",
-        "d-core peel over all {} layers of english (scale {}), {} reps: "
-        "dict {:.3f}s, frozen-csr {:.3f}s — {:.2f}x speedup".format(
-            graph.num_layers, FIG_SCALES["english"], repeat,
-            dict_s, frozen_s, speedup,
-        ),
-    )
-    # The recorded report is the measurement of interest; the assertion
-    # only guards against a catastrophic regression, because one timing
-    # round on a loaded machine is too noisy for a strict > 1.0 gate.
-    assert dict_s > 0 and frozen_s > 0
-    assert speedup > 0.5, "frozen backend regressed badly: {:.2f}x".format(
-        speedup
-    )
+    assert frozen.labels_for(core) == oracle.coherent_core(
+        _graph(), (0, 1, 2), 4)
 
 
 def test_update_structure_throughput(benchmark):

@@ -2,7 +2,7 @@
 
 The synthetic generator (:func:`repro.datasets.synthetic_multilayer`)
 plants circulant d-CC communities in power-law noise and assembles the
-frozen CSR directly, so graph sizes the dict backend could never reach
+frozen CSR directly, so graph sizes a dict-of-sets build could never reach
 (10^5–10^6 vertices) are cheap to build.  This module proves the
 million-vertex acceptance end to end: the seeded 1M-vertex build stays
 in bounded memory and ``search_dccs`` recovers every planted community,

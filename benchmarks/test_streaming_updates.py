@@ -86,7 +86,7 @@ def run_rebind_the_world(graph, batches):
     start = perf_counter()
     for add, remove in batches:
         graph.apply_delta(add=add, remove=remove)
-        with DCCEngine(graph.copy(), backend="frozen", jobs=1) as engine:
+        with DCCEngine(graph.copy(), jobs=1) as engine:
             results.append(engine.search(**QUERY))
     return perf_counter() - start, results
 
@@ -95,7 +95,7 @@ def run_delta_stream(graph, batches):
     """One persistent engine; updates land as deltas, rebinds patch."""
     results = []
     start = perf_counter()
-    with DCCEngine(graph, backend="frozen", jobs=1) as engine:
+    with DCCEngine(graph, jobs=1) as engine:
         engine.search(**QUERY)  # initial bind, part of the stream cost
         for add, remove in batches:
             graph.apply_delta(add=add, remove=remove)

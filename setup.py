@@ -1,7 +1,7 @@
 """Packaging metadata for the reproduction.
 
-numpy is the one runtime dependency: the frozen CSR backend runs its
-peel kernels as numpy passes over the CSR arrays
+numpy is the one runtime dependency: every search runs its
+peel kernels as numpy passes over the frozen CSR arrays
 (``src/repro/graph/kernels.py``).  The rest of the package needs only
 the standard library.
 """

@@ -169,7 +169,8 @@ class AsyncDCCHost:
     host:
         An existing :class:`DCCHost` to serve through, or ``None`` to
         construct one from ``host_options`` (``max_engines``, ``jobs``,
-        ``backend``, ...).  Either way :meth:`aclose` closes it.
+        ``memory_budget_bytes``, ...).  Either way :meth:`aclose`
+        closes it.
     max_pending:
         Per-graph bound on queued requests; a full queue raises
         :class:`~repro.utils.errors.QueueFullError`.

@@ -7,6 +7,7 @@ can only be checked against a true optimum.  DCCS is NP-complete
 (Theorem 1), so this module is honest about its scope: it enumerates the
 candidate family ``F_{d,s}(G)`` and solves max-k-cover over it by
 branch-and-bound, which is practical up to a few dozen distinct candidates.
+Both solvers take either graph and answer in its labels.
 """
 
 from itertools import combinations
@@ -15,10 +16,12 @@ from repro.core.dcc import enumerate_candidates
 from repro.core.preprocess import vertex_deletion
 from repro.core.result import DCCSResult
 from repro.core.stats import SearchStats
+from repro.graph.backend import answers_in_labels, resolve_search_graph
 from repro.utils.errors import ParameterError
 from repro.utils.timer import Timer
 
 
+@answers_in_labels
 def exact_dccs(graph, d, s, k, max_candidates=64, stats=None):
     """Solve DCCS exactly; returns a :class:`~repro.core.result.DCCSResult`.
 
@@ -30,9 +33,10 @@ def exact_dccs(graph, d, s, k, max_candidates=64, stats=None):
         stats = SearchStats()
     with Timer() as timer:
         prep = vertex_deletion(graph, d, s, stats=stats)
+        cores, alive = prep.kernel_view()
         labelled = {}
         for label, members in enumerate_candidates(
-            graph, d, s, within=prep.alive, cores=prep.cores, stats=stats
+            graph, d, s, within=alive, cores=cores, stats=stats
         ):
             stats.candidates_generated += 1
             if members and members not in labelled:
@@ -130,9 +134,12 @@ def brute_force_all_subsets(graph, d, s, k, max_family=20):
     Exponentially slower than :func:`exact_dccs`; exists so tests can
     cross-check the branch-and-bound solver on tiny inputs.
     """
+    graph, translate = resolve_search_graph(graph)
     family = []
     seen = set()
     for label, members in enumerate_candidates(graph, d, s):
+        if translate:
+            members = graph.labels_for(members)
         if members and members not in seen:
             seen.add(members)
             family.append((label, members))

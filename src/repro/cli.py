@@ -3,8 +3,9 @@
 Subcommands
 -----------
 ``info``
-    Print statistics of a graph file or a named stand-in dataset, plus
-    the engine/pool configuration a search session would use.
+    Print statistics of a graph file or a named stand-in dataset and of
+    the frozen representation every search runs on, plus the engine/pool
+    configuration a search session would use.
 ``search``
     Run DCCS on a graph and print the reported d-CCs.
 ``batch``
@@ -84,15 +85,12 @@ def _load_graph(source, scale, seed):
 
 
 def _cmd_info(args):
-    graph = _load_graph(args.graph, args.scale, args.seed)
-    if args.backend == "frozen":
-        graph = graph.freeze()
+    # Every search runs on the frozen graph, so that is what is reported.
+    graph = _load_graph(args.graph, args.scale, args.seed).freeze()
     summary = graph.summary()
     for key, value in summary.items():
         print("{}: {}".format(key, value))
-    print("representation: {}".format(
-        "frozen-csr" if graph.is_frozen else "dict-of-sets"
-    ))
+    print("representation: frozen-csr")
     from repro.graph.kernels import numpy_version
 
     print("numpy_version: {}".format(numpy_version()))
@@ -111,14 +109,10 @@ def _cmd_info(args):
     print("parallel_workers_effective: {}".format(effective_jobs(0)))
     # The session a `repro batch` (or a library DCCEngine) over this
     # graph would start from.  Constructing the engine is free — the
-    # pool spawns lazily and the cache starts empty — and the backend is
-    # pinned to the representation reported above, so no conversion is
-    # paid just to print status.
+    # pool spawns lazily and the cache starts empty.
     from repro.engine import DCCEngine
 
-    with DCCEngine(
-        graph, backend="frozen" if graph.is_frozen else "dict", jobs=0,
-    ) as engine:
+    with DCCEngine(graph, jobs=0) as engine:
         status = engine.info()
     print("engine_workers: {}".format(status["workers"]))
     print("engine_pool_spawned: {}".format(status["pool_spawned"]))
@@ -142,8 +136,7 @@ def _cmd_info(args):
     from repro.host import DCCHost
 
     with DCCHost() as host:
-        host.attach("info", graph,
-                    backend="frozen" if graph.is_frozen else "dict")
+        host.attach("info", graph)
         host.engine("info")
         host_status = host.info()
     print("host_max_engines: {}".format(host_status["max_engines"]))
@@ -188,7 +181,7 @@ def _cmd_search(args):
     graph = _load_graph(args.graph, args.scale, args.seed)
     result = search_dccs(
         graph, args.d, args.s, args.k, method=args.method,
-        backend=args.backend, seed=args.seed, jobs=args.jobs,
+        seed=args.seed, jobs=args.jobs,
     )
     if args.jobs is not None:
         from repro.parallel import effective_jobs
@@ -234,8 +227,7 @@ def _cmd_batch(args):
                 args.queries, number, entry), file=sys.stderr)
             return 2
     with Timer() as total:
-        with DCCEngine(graph, backend=args.backend,
-                       jobs=args.jobs) as engine:
+        with DCCEngine(graph, jobs=args.jobs) as engine:
             engine.warm()
             results = engine.search_many(queries)
             status = engine.info()
@@ -272,7 +264,7 @@ def _cmd_host(args):
         else settings.get("max_engines")
     budget = args.memory_budget if args.memory_budget is not None \
         else settings.get("memory_budget_bytes")
-    host_options = {"jobs": args.jobs, "backend": args.backend}
+    host_options = {"jobs": args.jobs}
     if max_engines is not None:
         host_options["max_engines"] = max_engines
     if budget is not None:
@@ -344,7 +336,7 @@ def _cmd_host(args):
 
 def _serve_host_options(args, settings):
     """Resolve serve-mode host/async options (flags beat spec settings)."""
-    host_options = {"jobs": args.jobs, "backend": args.backend}
+    host_options = {"jobs": args.jobs}
     max_engines = args.max_engines if args.max_engines is not None \
         else settings.get("max_engines")
     if max_engines is not None:
@@ -772,9 +764,6 @@ def build_parser():
     info = sub.add_parser("info", parents=[common],
                           help="print graph statistics")
     info.add_argument("graph", help="dataset name or graph file")
-    info.add_argument("--backend", default="dict",
-                      choices=("dict", "frozen"),
-                      help="representation to report on (default dict)")
     info.set_defaults(fn=_cmd_info)
 
     search = sub.add_parser("search", parents=[common], help="run DCCS")
@@ -784,9 +773,6 @@ def build_parser():
     search.add_argument("-k", type=int, default=10)
     search.add_argument("--method", default="auto",
                         choices=("auto", "greedy", "bottom-up", "top-down"))
-    search.add_argument("--backend", default="auto",
-                        choices=("auto", "dict", "frozen"),
-                        help="graph backend (auto freezes when profitable)")
     search.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the parallel "
                              "search: 0 = one per usable CPU, N = "
@@ -804,9 +790,6 @@ def build_parser():
         help="JSON file: a list of {d, s, k[, method, options...]} "
              "objects, or an object with a \"queries\" list",
     )
-    batch.add_argument("--backend", default="auto",
-                       choices=("auto", "dict", "frozen"),
-                       help="graph backend, resolved once per session")
     batch.add_argument("--jobs", type=int, default=0,
                        help="persistent pool size: 0 = one worker per "
                             "usable CPU (default), N = exactly N")
@@ -822,9 +805,6 @@ def build_parser():
              "[{graph, d, s, k[, method, options...]}, ...]} with "
              "optional max_engines / memory_budget_bytes",
     )
-    host.add_argument("--backend", default="auto",
-                      choices=("auto", "dict", "frozen"),
-                      help="engine backend default for every graph")
     host.add_argument("--jobs", type=int, default=0,
                       help="per-engine pool size: 0 = one worker per "
                            "usable CPU (default), N = exactly N")
@@ -847,9 +827,6 @@ def build_parser():
         help="JSON file declaring the graphs (host-spec shape; "
              "\"queries\" optional and served first if present)",
     )
-    serve.add_argument("--backend", default="auto",
-                       choices=("auto", "dict", "frozen"),
-                       help="engine backend default for every graph")
     serve.add_argument("--jobs", type=int, default=0,
                        help="per-engine pool size: 0 = one worker per "
                             "usable CPU (default), N = exactly N")

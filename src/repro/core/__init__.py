@@ -1,18 +1,17 @@
 """The paper's core contribution: d-CCs and the three DCCS algorithms.
 
-Backend protocol
-----------------
-Every algorithm in this package is written against the narrow graph
-backend protocol of :mod:`repro.graph.backend` (``degree``,
-``neighbors``, ``induced_degrees``, ``layers_of`` plus size accessors),
-so the dict-of-sets reference backend and the frozen CSR backend execute
-the same search code.  The peeling primitives —
-:func:`~repro.core.dcore.layer_core`, :func:`~repro.core.dcc.coherent_core`
-and :func:`~repro.core.dcc.enumerate_candidates` — dispatch to flat-array
-fast paths when ``graph.is_frozen``; everything above them (pruning,
-top-k maintenance, preprocessing, the hierarchical index) is
-representation-blind.  Freeze before searching whenever the graph is
-static and non-trivial, or let ``search_dccs(backend="auto")`` decide.
+One representation
+------------------
+Every search runs on the frozen CSR graph, and every peel is a numpy
+kernel over its arrays (:mod:`repro.graph.kernels`).  The entry points
+— :func:`search_dccs`, the three algorithms and the public peels
+:func:`~repro.core.dcc.coherent_core`, :func:`~repro.core.dcore.layer_core`
+and :func:`~repro.core.dcore.layer_core_decomposition` — also take a
+:class:`~repro.graph.multilayer.MultiLayerGraph`: they freeze it (the
+conversion is cached) and answer in its labels.  Everything below them
+(preprocessing, the maintainer, the hierarchical index, InitTopK,
+RefineU/RefineC and candidate enumeration) takes a frozen graph and
+raises :class:`~repro.utils.errors.ParameterError` for any other.
 """
 
 from repro.core.api import choose_method, search_dccs
@@ -20,20 +19,15 @@ from repro.core.bottomup import bu_dccs
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import (
     coherent_core,
-    coherent_core_binsort,
     enumerate_candidates,
     is_coherent_dense,
     per_layer_cores,
 )
 from repro.core.dcore import (
-    core_decomposition,
-    core_sizes_by_threshold,
-    d_core,
     layer_core,
     layer_core_decomposition,
     layer_core_sizes,
 )
-from repro.core.dynamic import CoherentCoreTracker
 from repro.core.greedy import gd_dccs, greedy_max_k_cover
 from repro.core.hierarchy import (
     coherent_core_hierarchy,
@@ -43,7 +37,7 @@ from repro.core.hierarchy import (
     suggest_degree_threshold,
 )
 from repro.core.index import CoreHierarchyIndex
-from repro.core.maintain import MultiLayerCoreMaintainer
+from repro.core.maintain import ArrayCoreMaintainer
 from repro.core.initk import init_topk
 from repro.core.preprocess import (
     PreprocessResult,
@@ -63,22 +57,17 @@ __all__ = [
     "bu_dccs",
     "td_dccs",
     "coherent_core",
-    "coherent_core_binsort",
     "is_coherent_dense",
     "per_layer_cores",
     "enumerate_candidates",
-    "d_core",
     "layer_core",
     "layer_core_decomposition",
     "layer_core_sizes",
-    "core_decomposition",
-    "core_sizes_by_threshold",
     "DiversifiedTopK",
     "DCCSResult",
     "SearchStats",
     "CoreHierarchyIndex",
-    "MultiLayerCoreMaintainer",
-    "CoherentCoreTracker",
+    "ArrayCoreMaintainer",
     "coherent_core_numbers",
     "coherent_core_hierarchy",
     "coherent_degeneracy",

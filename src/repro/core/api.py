@@ -5,12 +5,10 @@ paper behind one call.  The default ``method="auto"`` applies the paper's
 own guidance (end of Section I): the bottom-up search wins for
 ``s < l/2``, the top-down search for ``s >= l/2``.
 
-It also hides the choice of graph *backend* (see
-:mod:`repro.graph.backend`): ``backend="auto"`` freezes the graph into
-the flat-array CSR representation when the O(n + m) freeze cost is
-profitable, runs the search there, and translates the reported vertex
-sets back to the caller's labels — results are identical between
-backends, bit for bit, only the wall clock differs.
+Every search runs on the frozen CSR graph: a
+:class:`~repro.graph.multilayer.MultiLayerGraph` is frozen (the
+conversion is cached on the graph) and the reported vertex sets are
+translated back to its labels (see :mod:`repro.graph.backend`).
 
 Finally it hides the *execution mode*: ``jobs=None`` (default) runs the
 classic single-process algorithms, while any other value wraps a
@@ -33,9 +31,8 @@ from repro.core.dcc import validate_search_params
 from repro.core.greedy import gd_dccs
 from repro.core.stats import SearchStats
 from repro.core.topdown import td_dccs
-from repro.graph.backend import check_graph, resolve_search_graph
+from repro.graph.backend import check_graph
 from repro.utils.errors import ParameterError
-from repro.utils.timer import Timer
 
 _METHODS = ("auto", "greedy", "bottom-up", "top-down")
 
@@ -148,11 +145,11 @@ def check_stats(stats):
     return stats
 
 
-def _engine_one_shot(graph, d, s, k, method, backend, jobs, options):
+def _engine_one_shot(graph, d, s, k, method, jobs, options):
     """Route one search through a short-lived :class:`DCCEngine`.
 
     ``search_dccs(..., jobs=N)`` *is* an engine session of length one:
-    the engine resolves the backend, spawns the pool, runs the parallel
+    the engine freezes the graph, spawns the pool, runs the parallel
     search and translates the results, and is closed before returning —
     which is exactly what makes its output bitwise identical to a warm
     engine serving the same query.  Imported lazily: the engine pulls in
@@ -160,12 +157,11 @@ def _engine_one_shot(graph, d, s, k, method, backend, jobs, options):
     """
     from repro.engine import DCCEngine
 
-    with DCCEngine(graph, backend=backend, jobs=jobs) as engine:
+    with DCCEngine(graph, jobs=jobs) as engine:
         return engine.search(d, s, k, method=method, **options)
 
 
-def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
-                **options):
+def search_dccs(graph, d, s, k, method="auto", jobs=None, **options):
     """Find the top-k diversified d-CCs of ``graph`` on ``s`` layers.
 
     Parameters
@@ -173,6 +169,8 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     graph:
         A :class:`~repro.graph.multilayer.MultiLayerGraph` or an
         already-frozen :class:`~repro.graph.frozen.FrozenMultiLayerGraph`.
+        Reported sets are always in the vocabulary of the graph that was
+        passed in.
     d:
         Minimum degree inside the reported subgraphs.
     s:
@@ -182,10 +180,6 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
     method:
         ``"auto"`` (default), ``"greedy"``, ``"bottom-up"`` or
         ``"top-down"``.
-    backend:
-        ``"auto"`` (default — freeze when profitable), ``"dict"`` or
-        ``"frozen"``.  Reported sets are always in the vocabulary of the
-        graph that was passed in.
     jobs:
         ``None`` (default) runs the classic single-process algorithms.
         Any other value routes through :mod:`repro.parallel`: ``0``
@@ -226,32 +220,17 @@ def search_dccs(graph, d, s, k, method="auto", backend="auto", jobs=None,
         from repro.parallel import check_jobs
 
         check_jobs(jobs)
-        return _engine_one_shot(graph, d, s, k, method, backend, jobs,
-                                options)
-    # Backend resolution (a possible O(n + m) freeze — cached on the
-    # graph, so repeated searches pay it once) and the final id-to-label
-    # translation are charged to the result's elapsed time: reported
-    # timings must not get faster by moving work outside the clock.
+        return _engine_one_shot(graph, d, s, k, method, jobs, options)
     # The engine path above applies the same checks in the same order.
+    # Each algorithm freezes a MultiLayerGraph (cached on the graph, so
+    # repeated searches pay it once) and translates its answer, both on
+    # the result's clock.
     validate_search_params(graph, d, s, k)
     method = resolve_method(graph.num_layers, method, s, options)
     check_options(method, {name: value for name, value in options.items()
                            if name != "stats"})
-    with Timer() as overhead:
-        search_graph, translate = resolve_search_graph(graph, backend)
     if method == "greedy":
-        result = gd_dccs(search_graph, d, s, k, **options)
-    elif method == "bottom-up":
-        result = bu_dccs(search_graph, d, s, k, **options)
-    else:
-        result = td_dccs(search_graph, d, s, k, **options)
-    result.elapsed += overhead.elapsed
-    if translate:
-        # The search ran on an internally frozen copy: convert the dense
-        # ids back to the labels of the graph the caller handed us.
-        with Timer() as translation:
-            result.sets = [
-                search_graph.labels_for(members) for members in result.sets
-            ]
-        result.elapsed += translation.elapsed
-    return result
+        return gd_dccs(graph, d, s, k, **options)
+    if method == "bottom-up":
+        return bu_dccs(graph, d, s, k, **options)
+    return td_dccs(graph, d, s, k, **options)

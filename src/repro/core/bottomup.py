@@ -34,10 +34,9 @@ Theorem 3's argument is unchanged; the one difference in work is that
 a deeper node may compute a child that an infeasible sibling's Lemma 4
 ban would have cut in the literal reading.
 
-The search itself manipulates only vertex sets and the primitives of
-:mod:`repro.core.dcc`, so it runs unchanged on either graph backend;
-pass a frozen graph (or let ``search_dccs(backend="auto")`` freeze) to
-route every peel through the CSR kernels.
+The search runs on a frozen graph (a ``MultiLayerGraph`` is frozen and
+answered in its labels) and keeps its tree's cores as frozensets of
+dense ids, peeled by the CSR kernels of :mod:`repro.core.dcc`.
 """
 
 from repro.core.coverage import DiversifiedTopK
@@ -46,9 +45,11 @@ from repro.core.initk import init_topk
 from repro.core.preprocess import order_layers, vertex_deletion
 from repro.core.result import result_from_topk
 from repro.core.stats import SearchStats
+from repro.graph.backend import answers_in_labels
 from repro.utils.timer import Timer
 
 
+@answers_in_labels
 def bu_dccs(graph, d, s, k,
             use_vertex_deletion=True,
             use_layer_sorting=True,

@@ -14,16 +14,19 @@ from repro.core.dcc import enumerate_candidates, validate_search_params
 from repro.core.preprocess import vertex_deletion
 from repro.core.result import DCCSResult
 from repro.core.stats import SearchStats
+from repro.graph.backend import answers_in_labels
 from repro.utils.timer import Timer
 
 
+@answers_in_labels
 def gd_dccs(graph, d, s, k, use_vertex_deletion=True, stats=None):
     """Run GD-DCCS; returns a :class:`~repro.core.result.DCCSResult`.
 
     Parameters
     ----------
     graph:
-        The multi-layer graph.
+        The multi-layer graph; a ``MultiLayerGraph`` is frozen and the
+        result reported in its labels.
     d, s, k:
         Minimum degree, minimum support (layer count), result count.
     use_vertex_deletion:
@@ -57,8 +60,8 @@ def _generate_candidates(graph, d, s, prep, stats):
     """Lines 4–7 of Fig. 2: one d-CC per size-``s`` layer subset.
 
     Delegates to :func:`~repro.core.dcc.enumerate_candidates` (sharing the
-    preprocessed per-layer cores, as masks on a frozen graph), which
-    applies the Lemma 1 intersection bound.
+    preprocessed per-layer core masks), which applies the Lemma 1
+    intersection bound.
     """
     cores, _ = prep.kernel_view()
     candidates = []

@@ -17,19 +17,17 @@ reachable by a level-ascending chain of index edges from a vertex ``w``
 with ``L' ⊆ L(w)``.  :meth:`CoreHierarchyIndex.reachable_scope` implements
 both filters.
 
-The build asks a maintainer (:func:`~repro.core.maintain.core_maintainer`)
-for each batch and its labels, and the index takes the maintainer's form.
-With Python sets it keeps per-vertex dicts and one union-adjacency set
-per vertex.  On a frozen graph it keeps arrays: a
-level and a threshold vector, one label mask per layer (``v`` is set in
-layer ``i``'s mask iff ``i ∈ L(v)``) and the union adjacency as a CSR;
-there :meth:`~CoreHierarchyIndex.reachable_scope` takes and returns
-vertex masks and runs as a frontier BFS.
+The build asks an :class:`~repro.core.maintain.ArrayCoreMaintainer` over
+a frozen graph for each batch, and the index keeps arrays: a level and a
+threshold vector, one label mask per layer (``v`` is set in layer
+``i``'s mask iff ``i ∈ L(v)``) and the union adjacency as a CSR.
+:meth:`~CoreHierarchyIndex.reachable_scope` takes and returns vertex
+masks and runs as a frontier BFS.
 """
 
 import numpy as np
 
-from repro.core.maintain import core_maintainer
+from repro.core.maintain import ArrayCoreMaintainer
 from repro.graph.kernels import _distinct, _gather_layer_rows, _gather_rows
 
 
@@ -39,13 +37,13 @@ class CoreHierarchyIndex:
     Parameters
     ----------
     graph:
-        The multi-layer graph to index.
+        The frozen graph to index.
     d:
         The degree threshold of the search.
     within:
-        Optional vertex restriction (the preprocessing ``alive`` set, or
-        its mask on a frozen graph; the index then describes the
-        preprocessed graph, which is what TD-DCCS searches).
+        Optional vertex restriction (the preprocessing ``alive`` mask;
+        the index then describes the preprocessed graph, which is what
+        TD-DCCS searches).
     stats:
         Optional :class:`~repro.core.stats.SearchStats`; d-core
         recomputations are charged to ``dcc_calls``.
@@ -54,30 +52,26 @@ class CoreHierarchyIndex:
     ----------
     levels:
         ``[(threshold, batch)]`` in removal order (ascending levels); a
-        batch is a list of vertices, or an id array on a frozen graph.
-    level_of / threshold_of / label / union_adj:
-        The set form's per-vertex lookups; ``label[v]`` is the frozenset
-        ``L(v)`` and ``union_adj[v]`` the indexed neighbours of ``v`` on
-        any layer.
-    level / threshold / label_masks / union_indptr / union_indices:
-        The frozen graph's form of the same: length-``n`` vectors (level
-        ``-1`` and threshold ``0`` for a vertex never indexed), one bool
-        mask per layer, and a CSR whose row ``v`` lists ``v``'s indexed
-        neighbours on every layer in turn (a neighbour on several layers
-        appears once per layer).
+        batch is an id array.
+    level / threshold:
+        Length-``n`` vectors: each vertex's level and removal threshold
+        (level ``-1`` and threshold ``0`` for a vertex never indexed).
+    label_masks:
+        One bool mask per layer: ``label_masks[i][v]`` iff ``i ∈ L(v)``.
+    union_indptr / union_indices:
+        A CSR whose row ``v`` lists ``v``'s indexed neighbours on every
+        layer in turn (a neighbour on several layers appears once per
+        layer).
     """
 
     def __init__(self, graph, d, within=None, stats=None):
+        maintainer = ArrayCoreMaintainer(graph, d, within=within,
+                                         stats=stats)
         self.graph = graph
         self.d = d
         self.levels = []
         self._scope_cache = {}
-        maintainer = core_maintainer(graph, d, within=within, stats=stats)
-        self.is_array = maintainer.masks is not None
-        if self.is_array:
-            self._build_arrays(maintainer)
-        else:
-            self._build_sets(maintainer)
+        self._build(maintainer)
 
     def _batches(self, maintainer):
         """Yield ``(threshold, batch)`` in removal order, then remove it."""
@@ -92,30 +86,7 @@ class CoreHierarchyIndex:
             if not len(maintainer):
                 break
 
-    def _build_sets(self, maintainer):
-        self.level_of = {}
-        self.threshold_of = {}
-        self.label = {}
-        for threshold, batch in self._batches(maintainer):
-            labels = maintainer.labels_of(batch)
-            self.label.update(labels)
-            self.level_of.update(dict.fromkeys(labels, len(self.levels)))
-            self.threshold_of.update(dict.fromkeys(labels, threshold))
-        # The index edges of Section V-C: one union-adjacency set per
-        # indexed vertex ("we add an edge between u and v in the index if
-        # (u, v) is an edge on a layer of G").
-        graph, indexed = self.graph, self.level_of
-        self.union_adj = {}
-        for vertex in indexed:
-            neighbors = set()
-            for layer in graph.layers():
-                # update() (not |=) so backends may return any iterable.
-                neighbors.update(graph.neighbors(layer, vertex))
-            neighbors &= indexed.keys()
-            neighbors.discard(vertex)
-            self.union_adj[vertex] = neighbors
-
-    def _build_arrays(self, maintainer):
+    def _build(self, maintainer):
         graph = self.graph
         n = graph.num_vertices
         cores = maintainer.masks.cores
@@ -145,15 +116,11 @@ class CoreHierarchyIndex:
     # ------------------------------------------------------------------
 
     def __contains__(self, vertex):
-        if self.is_array:
-            return 0 <= vertex < self.level.size and \
-                bool(self.level[vertex] >= 0)
-        return vertex in self.level_of
+        return 0 <= vertex < self.level.size and \
+            bool(self.level[vertex] >= 0)
 
     def __len__(self):
-        if self.is_array:
-            return int(np.count_nonzero(self.level >= 0))
-        return len(self.level_of)
+        return int(np.count_nonzero(self.level >= 0))
 
     @property
     def num_levels(self):
@@ -161,22 +128,13 @@ class CoreHierarchyIndex:
         return len(self.levels)
 
     def scope(self, min_support):
-        """``∪_{h >= min_support} I_h`` — the Lemma 8 search scope.
-
-        A frozenset, or a vertex mask on a frozen graph.
-        """
+        """``∪_{h >= min_support} I_h`` — the Lemma 8 search scope, as a
+        vertex mask."""
         cached = self._scope_cache.get(min_support)
         if cached is None:
-            if self.is_array:
-                # Thresholds start at 1, so unindexed vertices (0) never
-                # enter the scope.
-                cached = self.threshold >= max(1, min_support)
-            else:
-                cached = frozenset(
-                    vertex
-                    for vertex, threshold in self.threshold_of.items()
-                    if threshold >= min_support
-                )
+            # Thresholds start at 1, so unindexed vertices (0) never
+            # enter the scope.
+            cached = self.threshold >= max(1, min_support)
             self._scope_cache[min_support] = cached
         return cached
 
@@ -191,54 +149,14 @@ class CoreHierarchyIndex:
         equal levels, a strictly weaker — therefore still sound — filter
         than the paper's strictly-ascending chains.
 
-        ``candidates`` is a vertex collection, and the result a set; on
-        a frozen graph both are vertex masks.  The result still
-        over-approximates ``C^d_{L'}``; callers finish with an exact peel
-        (see :func:`repro.core.refine.refine_core`).
+        ``candidates`` and the result are vertex masks; the result
+        still over-approximates ``C^d_{L'}``, so callers finish with an
+        exact peel (see :func:`repro.core.refine.refine_core`).  It runs
+        the level-ordered closure as one frontier BFS over the union
+        CSR: a zone vertex is reached from a reached neighbour whenever
+        its level is at least the neighbour's.
         """
         wanted = frozenset(layer_subset)
-        if self.is_array:
-            return self._reachable_mask(wanted, candidates)
-        scope = self.scope(len(wanted))
-        zone = {v for v in candidates if v in scope}
-        if not zone:
-            return zone
-
-        by_level = {}
-        for vertex in zone:
-            by_level.setdefault(self.level_of[vertex], []).append(vertex)
-
-        union_adj = self.union_adj
-        reachable = set()
-        for level in sorted(by_level):
-            # Seed with valid-label vertices, then close under same-level
-            # adjacency from anything already reachable (lower levels have
-            # been fully processed, so cross-level promotion is implicit in
-            # `reachable`).
-            stack = []
-            for vertex in by_level[level]:
-                if wanted <= self.label[vertex] or union_adj[vertex] & reachable:
-                    reachable.add(vertex)
-                    stack.append(vertex)
-            while stack:
-                vertex = stack.pop()
-                for neighbor in union_adj[vertex]:
-                    if (
-                        neighbor in zone
-                        and neighbor not in reachable
-                        and self.level_of[neighbor] == level
-                    ):
-                        reachable.add(neighbor)
-                        stack.append(neighbor)
-        return reachable
-
-    def _reachable_mask(self, wanted, candidates):
-        """:meth:`reachable_scope` on masks: a frontier BFS over the CSR.
-
-        The level-ordered closure of the set form, in one pass: a zone
-        vertex is reached from a reached neighbour whenever its level is
-        at least the neighbour's.
-        """
         zone = candidates & self.scope(len(wanted))
         reached = zone.copy()
         for layer in wanted:

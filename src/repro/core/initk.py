@@ -11,9 +11,8 @@ only fire once ``|R| = k``.  Each seed is built by
 3. peeling the intersection down to the exact d-CC of the chosen layer
    subset and offering it to ``Update``.
 
-The same code runs on sets and, on a frozen graph, on the core
-masks preprocessing leaves behind: sizes are ``len`` or
-``count_nonzero``, intersections ``&`` either way, and the chosen
+It runs on the core masks preprocessing leaves behind on a frozen
+graph: sizes are ``count_nonzero``, intersections ``&``, and the chosen
 intersection reaches the peel as a mask.
 """
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.core.coverage import DiversifiedTopK
 from repro.core.dcc import coherent_core
-from repro.graph.kernels import is_mask
+from repro.graph.backend import require_frozen
 
 
 def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
@@ -29,31 +28,30 @@ def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
 
     Parameters
     ----------
+    graph:
+        The frozen graph.
     cores:
-        Per-layer d-cores (from preprocessing) — ``cores[i] = C^d(G_i)``:
-        sets, or on a frozen graph vertex masks
+        Per-layer d-core masks (from preprocessing) —
+        ``cores[i] = C^d(G_i)``
         (:meth:`~repro.core.preprocess.PreprocessResult.kernel_view`).
     topk:
         An existing result holder to fill; a fresh one is created if absent.
     within:
-        Optional vertex restriction (the preprocessing ``alive`` set), in
-        the form of ``cores``.
+        Optional vertex restriction (the preprocessing ``alive`` mask).
 
     Every choice compares sizes and breaks ties towards the lowest layer
     id.  Returns the (possibly new) :class:`DiversifiedTopK`.
     """
+    require_frozen(graph)
     if topk is None:
         topk = DiversifiedTopK(k)
-    masks = is_mask(cores[0])
-    size = np.count_nonzero if masks else len
+    size = np.count_nonzero
     sizes = [size(core) for core in cores]
     layers = range(graph.num_layers)
     for _ in range(k):
-        covered = topk.cover()
-        if masks:
-            ids = np.fromiter(covered, dtype=np.int64, count=len(covered))
-            covered = np.zeros(graph.num_vertices, dtype=np.bool_)
-            covered[ids] = True
+        cover = topk.cover()
+        covered = np.zeros(graph.num_vertices, dtype=np.bool_)
+        covered[np.fromiter(cover, dtype=np.int64, count=len(cover))] = True
         # The layer whose core adds the most uncovered vertices.
         best = max(layers, key=lambda layer:
                    sizes[layer] - size(cores[layer] & covered))

@@ -12,20 +12,20 @@ disable them one at a time:
 * **result initialisation** — seed the temporary top-k set greedily
   (:mod:`repro.core.initk`) so Eq. (1) pruning applies from the start.
 
-The vertex-deletion fixed point runs on the maintainer that
-:func:`~repro.core.maintain.core_maintainer` picks for the graph: whole
-batches as numpy masks on a frozen graph, Python sets on the dict
-backend.  It only asks the maintainer for the vertices below the
-support threshold and for the final state.  On a frozen graph that
-state stays in the maintainer's arrays (:attr:`PreprocessResult.masks`),
-which the Lemma 1 bounds, InitTopK and the peels consume directly; the
-sets and dict of :class:`PreprocessResult` are built only for the
-consumers that read them.
+The vertex-deletion fixed point runs on a frozen graph's
+:class:`~repro.core.maintain.ArrayCoreMaintainer`, in whole batches of
+numpy masks.  It only asks the maintainer for the vertices below the
+support threshold and for the final state.  That state stays in the
+maintainer's arrays (:attr:`PreprocessResult.masks`), which the Lemma 1
+bounds, InitTopK and the peels consume directly; the sets and dict of
+:class:`PreprocessResult` are built only for the consumers that read
+them.
 """
 
 from functools import cached_property
 
-from repro.core.maintain import core_maintainer
+from repro.core.maintain import ArrayCoreMaintainer
+from repro.graph.backend import require_frozen
 from repro.graph.kernels import vertex_count
 from repro.utils.errors import ParameterError
 
@@ -43,25 +43,21 @@ class PreprocessResult:
         ``Num(v)`` — for each surviving vertex, the number of layers whose
         d-core contains it.
     masks:
-        On a frozen graph, the same state as arrays: a
+        The same state as arrays: a
         :class:`~repro.core.maintain.CoreMasks` of the alive mask, the
-        per-layer core masks and the support vector (read-only);
-        ``None`` elsewhere.  With masks, each of ``alive``, ``cores`` and
-        ``support`` is built from them on its first read, once.
-        Assigning one (the engine's artifact cache swaps in frozensets)
-        replaces that view only, so it must keep describing the same
-        vertices.
+        per-layer core masks and the support vector (read-only).  Each
+        of ``alive``, ``cores`` and ``support`` is built from them on its
+        first read, once.  Assigning one (the engine's artifact cache
+        swaps in frozensets) replaces that view only, so it must keep
+        describing the same vertices.
     deleted:
         Number of vertices removed.
     rounds:
         Number of recomputation rounds until the fixed point.
     """
 
-    def __init__(self, alive=None, cores=None, support=None, deleted=0,
-                 rounds=0, masks=None):
+    def __init__(self, masks, deleted=0, rounds=0):
         self.masks = masks
-        if masks is None:
-            self.alive, self.cores, self.support = alive, cores, support
         self.deleted = deleted
         self.rounds = rounds
 
@@ -78,15 +74,12 @@ class PreprocessResult:
         return self.masks.support_dict()
 
     def kernel_view(self):
-        """``(cores, alive)`` in the form the kernels compute on.
+        """``(cores, alive)`` as the masks the kernels compute on.
 
-        The masks on a frozen graph, the sets on the dict backend;
-        either pair feeds :func:`~repro.core.dcc.enumerate_candidates`,
+        The pair feeds :func:`~repro.core.dcc.enumerate_candidates`,
         :func:`~repro.core.initk.init_topk`, ``coherent_core``'s
         ``within`` and the top-down search alike.
         """
-        if self.masks is None:
-            return self.cores, self.alive
         return self.masks.cores, self.masks.alive
 
 
@@ -106,16 +99,17 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None):
     on the full graph and nothing is deleted; the returned ``support`` is
     still correct for the full graph so the top-down index stays valid.
 
-    The fixed point starts from each layer's full-graph d-core, which a
-    frozen graph peels once per ``d`` and then keeps (see
-    :class:`~repro.graph.frozen.LayerCoreMemo`); every call charges the
-    same counters either way.
+    ``graph`` is frozen.  The fixed point starts from each layer's
+    full-graph d-core, which the graph peels once per ``d`` and then
+    keeps (see :class:`~repro.graph.frozen.LayerCoreMemo`); every call
+    charges the same counters either way.
     """
+    require_frozen(graph)
     if s < 1 or s > graph.num_layers:
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
         )
-    maintainer = core_maintainer(graph, d, stats=stats)
+    maintainer = ArrayCoreMaintainer(graph, d, stats=stats)
     deleted = rounds = 0
     while enabled:
         rounds += 1
@@ -127,10 +121,6 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None):
         if stats is not None:
             stats.vertices_deleted += len(doomed)
     masks = maintainer.masks
-    if masks is None:
-        alive, cores, support = maintainer.snapshot()
-        return PreprocessResult(alive=alive, cores=cores, support=support,
-                                deleted=deleted, rounds=rounds)
     # Preps are shared (the engine caches them): nobody may write.
     for array in (masks.alive, masks.support, *masks.cores):
         array.flags.writeable = False
@@ -144,7 +134,7 @@ def order_layers(cores, descending=True, enabled=True):
     (``descending=True``); the top-down algorithm removes layers from the
     tail of the order, so it sorts ascending to shed small-core layers
     first.  With ``enabled=False`` (the No-SL ablation) the natural order
-    is returned.  ``cores`` are sets or vertex masks.
+    is returned.  ``cores`` are vertex masks or sets.
     """
     layer_ids = list(range(len(cores)))
     if not enabled:

@@ -13,8 +13,7 @@ fixed point:
   least ``s − |Class 1|`` of the Class-2 layers: a count, per vertex, of
   the free layers' cores that contain it.
 
-Potential sets are vertex sets, or vertex masks on a frozen graph;
-each function returns its result in the form it was given.
+Potential sets are vertex masks over a frozen graph.
 
 ``refine_core`` plays the role of RefineC (Fig. 10): it computes the exact
 ``C^d_{L'}`` inside a potential set.  It applies the index filters of
@@ -34,7 +33,7 @@ procedure.
 import numpy as np
 
 from repro.core.dcc import coherent_core
-from repro.graph.kernels import is_mask
+from repro.graph.backend import require_frozen
 
 
 def split_layer_classes(positions, num_positions):
@@ -61,63 +60,38 @@ def refine_potential(graph, d, s, potential, positions, order, cores,
 
     Parameters
     ----------
+    graph:
+        The frozen graph.
     potential:
-        ``U_L`` of the parent node: an iterable of vertices, or a vertex
-        mask with ``cores`` masks too.  Never modified.
+        ``U_L`` of the parent node, a vertex mask.  Never modified.
     positions:
         The child's layer-position set ``L'``.
     order:
         Position-to-layer mapping from the layer sorting preprocessing.
     cores:
-        Global per-layer d-cores (within the preprocessed alive set).
+        Global per-layer d-core masks (within the preprocessed alive set).
     """
+    require_frozen(graph)
     locked, free = split_layer_classes(positions, len(order))
     locked_layers = tuple(sorted(order[p] for p in locked))
     free_layers = [order[p] for p in free]
     needed = s - len(locked)
-    if is_mask(potential):
-        return _refine_mask(graph, d, potential, locked_layers, free_layers,
-                            needed, cores, stats)
-
-    current = set(potential)
-    if not current:
-        return current
-
-    # Method 2 first: free-layer core membership is static, so one pass
-    # suffices and shrinks the set Method 1 has to peel.
-    if needed > 0:
-        current = {
-            vertex
-            for vertex in current
-            if sum(1 for layer in free_layers
-                   if vertex in cores[layer]) >= needed
-        }
-
-    # Method 1 as a single cascade peel on the locked layers.  The two
-    # methods commute to the same fixed point because Method 2's test does
-    # not depend on the surviving set, so re-running it after the peel
-    # would remove nothing new.
-    if locked_layers and current:
-        current = set(
-            coherent_core(graph, locked_layers, d, within=current,
-                          stats=stats)
-        )
-    return current
-
-
-def _refine_mask(graph, d, potential, locked_layers, free_layers, needed,
-                 cores, stats):
-    """:func:`refine_potential`'s two methods on vertex masks."""
     if not potential.any():
         return potential
     current = potential
     if needed > 0:
-        # Method 2: a vertex stays if at least `needed` free layers' cores
-        # hold it.  int32 counts cannot overflow at any layer count.
+        # Method 2 first: free-layer core membership is static, so one
+        # pass suffices and shrinks the set Method 1 has to peel.  A
+        # vertex stays if at least `needed` free layers' cores hold it;
+        # int32 counts cannot overflow at any layer count.
         held = np.zeros(potential.size, dtype=np.int32)
         for layer in free_layers:
             held += cores[layer]
         current = current & (held >= needed)
+    # Method 1 as a single cascade peel on the locked layers.  The two
+    # methods commute to the same fixed point because Method 2's test does
+    # not depend on the surviving set, so re-running it after the peel
+    # would remove nothing new.
     if locked_layers and current.any():
         core = coherent_core(graph, locked_layers, d, within=current,
                              stats=stats)
@@ -131,11 +105,12 @@ def refine_core(graph, d, positions, potential, order, index, stats=None):
 
     Steps: Lemma 8 scope cut, Lemma 9 reachability cut, then an exact
     cascade peel (the degree/CascadeD part of Fig. 10) on the survivors.
-    ``potential`` is a vertex set or mask, and the result a frozenset
-    either way.  ``index=None`` falls back to the plain dCC procedure —
+    ``graph`` is frozen, ``potential`` a vertex mask, and the result a
+    frozenset.  ``index=None`` falls back to the plain dCC procedure —
     the ``No-Index`` variant of
     :func:`repro.experiments.ablation.pruning_ablation`.
     """
+    require_frozen(graph)
     layers = tuple(sorted(order[p] for p in positions))
     if index is None:
         return coherent_core(graph, layers, d, within=potential, stats=stats)

@@ -20,15 +20,15 @@ recovered inside it by RefineC over the hierarchical index.  Pruning:
 
 TD-DCCS attains the 1/4 approximation ratio of Theorem 4.
 
-The recursion runs on the primitives of
+The recursion runs on a frozen graph (a ``MultiLayerGraph`` is frozen
+and answered in its labels), on the primitives of
 :mod:`repro.core.dcc`/:mod:`repro.core.refine` and the hierarchical
-index, all of which speak the graph backend protocol, and it keeps the
-potential sets in the form preprocessing's kernel view hands on: vertex
-sets, or vertex masks on a frozen graph.  There
-:func:`td_dccs` also moves to the *survivor subgraph* once vertex
-deletion has removed a vertex: the frozen graph induced by the
-survivors (:func:`~repro.graph.kernels.np_induced_subgraph`), whose
-dense ids follow the input ids in ascending order.  InitTopK, the layer
+index, and it keeps the potential sets as the vertex masks
+preprocessing's kernel view hands on.  :func:`td_dccs` also moves to
+the *survivor subgraph* once vertex deletion has removed a vertex: the
+frozen graph induced by the survivors
+(:func:`~repro.graph.kernels.np_induced_subgraph`), whose dense ids
+follow the input ids in ascending order.  InitTopK, the layer
 order, the index, the root d-CC and the recursion all run on it, so no
 kernel call pays for the deleted vertices, and the ``k`` result sets
 are translated back at the end.  Every peel stays within the survivors
@@ -46,11 +46,13 @@ from repro.core.preprocess import order_layers, vertex_deletion
 from repro.core.refine import refine_core, refine_potential
 from repro.core.result import result_from_topk
 from repro.core.stats import SearchStats
+from repro.graph.backend import answers_in_labels
 from repro.graph.kernels import np_induced_subgraph, vertex_count
 from repro.utils.rng import make_rng
 from repro.utils.timer import Timer
 
 
+@answers_in_labels
 def td_dccs(graph, d, s, k,
             use_vertex_deletion=True,
             use_layer_sorting=True,
@@ -123,12 +125,12 @@ def td_dccs(graph, d, s, k,
 def _search_space(graph, prep):
     """``(graph, cores, alive)`` for the search after vertex deletion.
 
-    The prep's kernel view over ``graph``; on a frozen graph, once a
-    vertex was deleted, the survivor subgraph with the core masks
-    indexed by the survivors and an all-true alive mask.
+    The prep's kernel view over ``graph``; once a vertex was deleted,
+    the survivor subgraph with the core masks indexed by the survivors
+    and an all-true alive mask.
     """
     cores, alive = prep.kernel_view()
-    if prep.masks is None or not prep.deleted:
+    if not prep.deleted:
         return graph, cores, alive
     survivors = np_induced_subgraph(graph, alive)
     return (survivors, [core[alive] for core in cores],

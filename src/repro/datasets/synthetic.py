@@ -175,7 +175,7 @@ def synthetic_multilayer(num_vertices, num_layers=3, num_communities=8,
     """A scalable planted-d-CC multilayer graph, built frozen.
 
     The proving ground for the peel kernels: unlike :func:`build_standin`
-    (which routes through the dict backend and tops out around 10^4
+    (which builds a ``MultiLayerGraph`` and tops out around 10^4
     vertices), this generator assembles the CSR arrays of a
     :class:`~repro.graph.frozen.FrozenMultiLayerGraph` directly, one
     layer at a time, so a seeded million-vertex graph fits in a few

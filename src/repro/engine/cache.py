@@ -155,9 +155,9 @@ class ArtifactCache:
         The cores are the per-layer d-core decomposition restricted to
         the surviving vertices — the artifact every method's planning
         starts from.  Normalised in place to immutable shapes before
-        caching.  On a frozen graph the build starts from the layer
-        cores the graph keeps, so after a delta-rebind only the touched
-        layers are re-peeled.
+        caching.  The build starts from the layer cores the frozen graph
+        keeps, so after a delta-rebind only the touched layers are
+        re-peeled.
         """
         def build(delta):
             prep = vertex_deletion(self.graph, d, s, enabled=enabled,

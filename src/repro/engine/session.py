@@ -3,16 +3,17 @@
 :class:`DCCEngine` is the session layer the one-shot
 :func:`repro.core.api.search_dccs` hides: it owns a graph for its
 lifetime and keeps everything a repeated search would otherwise rebuild —
-the resolved backend (one freeze, ever), a persistent worker pool whose
-processes hold the deserialized graph between queries
+the frozen search graph (one freeze, patched after deltas), a persistent
+worker pool whose processes hold the deserialized graph between queries
 (:class:`~repro.parallel.executor.WorkerPool`) and a per-graph artifact
 cache with counter replay (:class:`~repro.engine.cache.ArtifactCache`).
 
 **Result contract.** ``engine.search(...)`` is bitwise identical — sets,
 labels and aggregated counters — to ``search_dccs(..., jobs=N)`` for any
-``N``, warm or cold, on either backend (property-tested in
-``tests/test_engine.py``).  The engine searches exactly one graph object
-and always runs the parallel execution path of :mod:`repro.parallel`;
+``N``, warm or cold, for a ``MultiLayerGraph`` or a frozen graph
+(property-tested in ``tests/test_engine.py``).  The engine searches
+exactly one graph object and always runs the parallel execution path of
+:mod:`repro.parallel`;
 the classic sequential algorithms remain reachable through
 ``search_dccs(..., jobs=None)``.
 
@@ -45,11 +46,10 @@ from repro.core.dcc import validate_search_params
 from repro.core.stats import SearchStats
 from repro.engine.cache import ArtifactCache
 from repro.graph.backend import (
-    check_backend,
     check_graph,
     resolve_search_graph,
+    translate_result,
 )
-from repro.graph.frozen import LayerCoreMemo
 from repro.parallel.executor import WorkerPool, check_jobs
 from repro.parallel.plan import make_query
 from repro.parallel.search import execute_query_batch, start_query
@@ -70,10 +70,8 @@ class DCCEngine:
         A :class:`~repro.graph.multilayer.MultiLayerGraph` or an
         already-frozen :class:`~repro.graph.frozen.FrozenMultiLayerGraph`.
         Results are reported in this graph's vocabulary, exactly like
-        ``search_dccs``.
-    backend:
-        ``"auto"`` (default), ``"dict"`` or ``"frozen"`` — resolved once
-        per session instead of once per call.
+        ``search_dccs``; a ``MultiLayerGraph`` is frozen once per
+        session instead of once per call.
     jobs:
         Persistent pool size with the usual semantics (``0`` = one
         worker per CPU this process may run on, default; a process
@@ -106,13 +104,11 @@ class DCCEngine:
             ])
     """
 
-    def __init__(self, graph, backend="auto", jobs=0, cache_artifacts=True,
+    def __init__(self, graph, jobs=0, cache_artifacts=True,
                  cache_max_entries=None, cache_ttl=None):
         check_graph(graph)
-        check_backend(backend)
         check_jobs(jobs)
         self._source = graph
-        self._backend = backend
         self._jobs = jobs
         self._cache_enabled = cache_artifacts
         self._cache_max_entries = cache_max_entries
@@ -131,14 +127,12 @@ class DCCEngine:
     def _bind(self):
         """(Re)derive every per-graph resource from the source graph.
 
-        The backend-resolution cost (a possible O(n + m) freeze) is
+        The freeze cost (O(n + m) for a ``MultiLayerGraph``) is
         remembered and charged to the next search's elapsed time, so
         session timings stay comparable with one-shot ``search_dccs``.
         """
         with Timer() as overhead:
-            search_graph, translate = resolve_search_graph(
-                self._source, self._backend
-            )
+            search_graph, translate = resolve_search_graph(self._source)
         self._graph = search_graph
         self._translate = translate
         self._pending_overhead = overhead.elapsed
@@ -189,11 +183,9 @@ class DCCEngine:
         if delta is None or delta.structural:
             return False
         with Timer() as overhead:
-            # For a frozen session this re-runs freeze(), which patches
-            # its cached CSR per the delta instead of rebuilding it.
-            search_graph, translate = resolve_search_graph(
-                self._source, self._backend
-            )
+            # This re-runs freeze(), which patches its cached CSR per
+            # the delta instead of rebuilding it.
+            search_graph, translate = resolve_search_graph(self._source)
         self._graph = search_graph
         self._translate = translate
         self._pending_overhead += overhead.elapsed
@@ -324,10 +316,10 @@ class DCCEngine:
         """Resident bytes of the session's search graph.
 
         The hook :class:`repro.host.DCCHost` feeds its global memory
-        budget from.  Counts the resolved search graph (CSR arrays plus
-        whatever lazy caches queries actually built, the frozen graph's
-        layer cores included — both backends report honestly); the
-        caller-owned source graph is not charged to the session.
+        budget from.  Counts the frozen search graph (CSR arrays plus
+        whatever lazy caches queries actually built, its layer cores
+        included); the caller-owned source graph is not charged to the
+        session.
         """
         return self._graph.memory_bytes()
 
@@ -338,12 +330,9 @@ class DCCEngine:
             "expirations": 0,
         }
         # The per-layer cores live in the frozen graph's memo, which a
-        # patched graph continues; a dict graph keeps none.
-        memo = self._graph.core_memo if self._graph.is_frozen \
-            else LayerCoreMemo()
+        # patched graph continues.
+        memo = self._graph.core_memo
         return {
-            "backend": "frozen-csr" if self._graph.is_frozen
-            else "dict-of-sets",
             "translate_results": self._translate,
             "workers": self._pool.workers,
             "pool_spawned": self._pool.spawned,
@@ -386,17 +375,11 @@ class DCCEngine:
         return make_query(method, d, s, k, **options)
 
     def _deliver(self, result, user_stats=None):
-        result.elapsed += self._pending_overhead
+        # Back to the source graph's labels, on the clock, exactly as
+        # the one-shot path does.
+        translate_result(self._graph, self._translate, result,
+                         self._pending_overhead)
         self._pending_overhead = 0.0
-        if self._translate:
-            # The search ran on an internally frozen copy: convert the
-            # dense ids back to the source graph's labels, on the clock,
-            # exactly as the one-shot path does.
-            with Timer() as translation:
-                result.sets = [
-                    self._graph.labels_for(members) for members in result.sets
-                ]
-            result.elapsed += translation.elapsed
         if user_stats is not None:
             # The search ran against a private stats object (so a
             # discarded stale attempt leaves no trace); fold the final

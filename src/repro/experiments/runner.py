@@ -11,28 +11,26 @@ from repro.graph.backend import resolve_search_graph
 from repro.utils.errors import ParameterError
 
 
-def measure_point(graph, d, s, k, methods, seed=0, backend="auto",
-                  jobs=None, engine=None, **options):
+def measure_point(graph, d, s, k, methods, seed=0, jobs=None, engine=None,
+                  **options):
     """Run each method once and return one row per method.
 
     ``options`` are forwarded to :func:`repro.core.search_dccs` (pruning
-    and preprocessing switches for the ablations).  ``backend`` selects
-    the graph representation; with ``"auto"`` mid-sized sweeps run on the
-    frozen CSR backend, so the recorded times reflect it.  ``jobs``
-    selects the execution mode the same way it does on ``search_dccs``:
+    and preprocessing switches for the ablations).  ``jobs`` selects the
+    execution mode the same way it does on ``search_dccs``:
     ``None`` measures the sequential algorithms, anything else the
     sharded parallel variants.
 
     ``engine`` reuses a warm :class:`repro.engine.DCCEngine` that owns
-    ``graph`` (``backend``/``jobs`` are then the engine's own).  Timer
+    ``graph`` (``jobs`` is then the engine's own).  Timer
     semantics differ deliberately between the two parallel modes:
     without an engine each row's timer *includes* the worker-pool spawn,
     because that is what a one-shot caller actually pays; with an engine
     the pool is warmed before the first timed row, so rows record the
     amortised per-query latency of a session — see
-    ``docs/experiments.md``.  Either way the one-time backend
-    conversion is warmed up front: these rows compare *methods*, so the
-    freeze/thaw cost must not land on whichever method runs first.
+    ``docs/experiments.md``.  Either way the one-time freeze is warmed
+    up front: these rows compare *methods*, so the freeze cost must not
+    land on whichever method runs first.
     """
     if engine is not None:
         if engine.source_graph is not graph:
@@ -46,11 +44,11 @@ def measure_point(graph, d, s, k, methods, seed=0, backend="auto",
             return engine.search(d, s, k, method=method, seed=seed,
                                  **options)
     else:
-        resolve_search_graph(graph, backend)
+        resolve_search_graph(graph)
 
         def run(method):
             return search_dccs(graph, d, s, k, method=method, seed=seed,
-                               backend=backend, jobs=jobs, **options)
+                               jobs=jobs, **options)
     rows = []
     for method in methods:
         rows.append(result_row(run(method), method=method, d=d, s=s, k=k))
@@ -72,16 +70,16 @@ def result_row(result, **extra):
     return row
 
 
-def sweep(graph, parameter, values, base, methods, backend="auto",
-          jobs=None, engine=None, host=None, graph_name=None, **options):
+def sweep(graph, parameter, values, base, methods, jobs=None, engine=None,
+          host=None, graph_name=None, **options):
     """Sweep ``parameter`` over ``values`` with other params from ``base``.
 
     ``base`` maps ``d``/``s``/``k`` to their fixed values; the swept
     parameter overrides its entry.  Returns a flat list of rows with the
-    swept value recorded under the parameter name.  When the backend
-    resolves to frozen, the freeze is paid once per graph (cached) and
-    excluded from every row: :func:`measure_point` warms the conversion
-    cache before its timers start, so rows compare methods only.
+    swept value recorded under the parameter name.  The freeze is paid
+    once per graph (cached) and excluded from every row:
+    :func:`measure_point` warms the conversion cache before its timers
+    start, so rows compare methods only.
 
     Parallel sweeps run through one engine session: with ``jobs`` set
     (and no ``engine`` supplied) a :class:`repro.engine.DCCEngine` is
@@ -129,11 +127,11 @@ def sweep(graph, parameter, values, base, methods, backend="auto",
             # seed).
             graph_name = "{}@{:x}".format(graph_name, id(graph))
         if not host.is_attached(graph_name):
-            host.attach(graph_name, graph, backend=backend, jobs=jobs)
+            host.attach(graph_name, graph, jobs=jobs)
     elif engine is None and jobs is not None:
         from repro.engine import DCCEngine
 
-        own_engine = engine = DCCEngine(graph, backend=backend, jobs=jobs)
+        own_engine = engine = DCCEngine(graph, jobs=jobs)
     rows = []
     try:
         for value in values:
@@ -147,7 +145,7 @@ def sweep(graph, parameter, values, base, methods, backend="auto",
                     engine = host.engine(graph_name)
                 point_rows = measure_point(
                     graph, point["d"], point["s"], point["k"], methods,
-                    backend=backend, jobs=jobs, engine=engine, **options
+                    jobs=jobs, engine=engine, **options
                 )
             for row in point_rows:
                 row[parameter] = value

@@ -109,6 +109,31 @@ def vary_k(dataset_name, large_s=False, k_values=None, methods=None,
     return rows
 
 
+def p_subgraphs(graph, p_values, seed, name):
+    """Yield ``(p, subgraph)``: Fig. 26's induced subgraph on a uniform
+    sample of a fraction ``p`` of the vertices, drawn in order from one
+    seeded stream."""
+    rng = make_rng(seed)
+    vertices = sorted(graph.vertices())
+    for p in p_values:
+        count = max(1, int(len(vertices) * p))
+        sample = set(rng.sample(vertices, count))
+        yield p, graph.induced_subgraph(sample,
+                                        name="{}-p{}".format(name, p))
+
+
+def q_subgraphs(graph, q_values, seed, name):
+    """Yield ``(q, subgraph)``: Fig. 27's graph on a uniform sample of a
+    fraction ``q`` of the layers, drawn in order from one seeded
+    stream."""
+    rng = make_rng(seed)
+    for q in q_values:
+        count = max(1, int(graph.num_layers * q))
+        layer_ids = sorted(rng.sample(range(graph.num_layers), count))
+        yield q, graph.subgraph_of_layers(layer_ids,
+                                          name="{}-q{}".format(name, q))
+
+
 def vary_p(dataset_name="stack", p_values=None, large_s=False,
            methods=None, scale=None, seed=0):
     """Fig. 26: scalability in the vertex fraction ``p``.
@@ -116,11 +141,6 @@ def vary_p(dataset_name="stack", p_values=None, large_s=False,
     A fraction ``p`` of vertices is sampled uniformly and the induced
     multi-layer subgraph searched; the paper runs this on its largest
     dataset (Stack) and observes near-linear growth.
-
-    The backend is pinned to ``"frozen"`` for every sample point: the
-    sweep compares *sizes*, and letting ``backend="auto"`` flip small
-    samples to the dict representation would
-    fold a representation switch into the scaling curve.
     """
     dataset = _dataset(dataset_name, scale, seed)
     if methods is None:
@@ -128,17 +148,10 @@ def vary_p(dataset_name="stack", p_values=None, large_s=False,
     s = s_large(dataset.graph.num_layers) if large_s \
         else DEFAULTS["s_small"]
     values = RANGES["p"] if p_values is None else p_values
-    rng = make_rng(seed)
-    vertices = sorted(dataset.graph.vertices())
     rows = []
-    for p in values:
-        count = max(1, int(len(vertices) * p))
-        sample = set(rng.sample(vertices, count))
-        graph = dataset.graph.induced_subgraph(
-            sample, name="{}-p{}".format(dataset_name, p)
-        )
+    for p, graph in p_subgraphs(dataset.graph, values, seed, dataset_name):
         for row in sweep(graph, "p", (p,), _base(graph, s=s),
-                         methods, backend="frozen", seed=seed):
+                         methods, seed=seed):
             row["dataset"] = dataset_name
             row["s"] = s
             rows.append(row)
@@ -150,26 +163,18 @@ def vary_q(dataset_name="stack", q_values=None, large_s=False,
     """Fig. 27: scalability in the layer fraction ``q``.
 
     A fraction ``q`` of layers is sampled; ``s`` is clamped to stay valid
-    on the reduced layer count.  The backend is pinned to ``"frozen"``
-    for the same reason as :func:`vary_p`.
+    on the reduced layer count.
     """
     dataset = _dataset(dataset_name, scale, seed)
     if methods is None:
         methods = ("top-down",) if large_s else ("greedy", "bottom-up")
     values = RANGES["q"] if q_values is None else q_values
-    rng = make_rng(seed)
-    num_layers = dataset.graph.num_layers
     rows = []
-    for q in values:
-        count = max(1, int(num_layers * q))
-        layer_ids = sorted(rng.sample(range(num_layers), count))
-        graph = dataset.graph.subgraph_of_layers(
-            layer_ids, name="{}-q{}".format(dataset_name, q)
-        )
+    for q, graph in q_subgraphs(dataset.graph, values, seed, dataset_name):
         s = s_large(graph.num_layers) if large_s else \
             min(DEFAULTS["s_small"], graph.num_layers)
         for row in sweep(graph, "q", (q,), _base(graph, s=s),
-                         methods, backend="frozen", seed=seed):
+                         methods, seed=seed):
             row["dataset"] = dataset_name
             row["s"] = s
             rows.append(row)

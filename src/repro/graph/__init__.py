@@ -1,22 +1,19 @@
-"""Multi-layer graph substrate: backends, builders, I/O, generators.
+"""Multi-layer graph substrate: the two graph classes, builders, I/O.
 
-Two interchangeable graph backends implement the narrow protocol that the
-search stack in :mod:`repro.core` runs against (``degree``, ``neighbors``,
-``induced_degrees``, ``layers_of`` plus size accessors — the full table is
-in :mod:`repro.graph.backend`):
+Two classes implement the narrow graph protocol (``degree``,
+``neighbors``, ``induced_degrees``, ``layers_of`` plus size accessors —
+the full table is in :mod:`repro.graph.backend`):
 
-* :class:`MultiLayerGraph` — the mutable dict-of-sets reference backend;
-  arbitrary hashable vertices, O(1) edge tests, incremental updates.
-* :class:`FrozenMultiLayerGraph` — an immutable CSR backend over dense
+* :class:`MultiLayerGraph` — the mutable dict-of-sets builder and delta
+  log; arbitrary hashable vertices, O(1) edge tests, incremental updates.
+* :class:`FrozenMultiLayerGraph` — the immutable CSR graph over dense
   integer ids with per-vertex layer-membership bitmasks, built with
   ``graph.freeze()`` and reversed with ``frozen.thaw()``.
 
-When to freeze: any read-heavy workload that runs many peeling passes over
-a graph that no longer changes — which is every DCCS search — benefits
-from freezing once the graph has a few hundred vertices; the flat-array
-peel kernels in :mod:`repro.graph.kernels` then replace every hash lookup
-of the hot loops with numpy passes over the CSR arrays.  ``search_dccs(backend="auto")``
-applies exactly that rule automatically.
+Every search runs on the frozen graph: the peel kernels in
+:mod:`repro.graph.kernels` are numpy passes over its CSR arrays.  A
+search handed a :class:`MultiLayerGraph` freezes it (the conversion is
+cached) and answers in its labels.
 """
 
 from repro.graph.analysis import (
@@ -57,24 +54,14 @@ from repro.graph.io import (
     write_edge_list,
     write_json,
 )
-from repro.graph.backend import (
-    BACKENDS,
-    check_backend,
-    resolve_search_graph,
-    should_freeze,
-)
+from repro.graph.backend import resolve_search_graph
 from repro.graph.frozen import FrozenMultiLayerGraph
 from repro.graph.multilayer import MultiLayerGraph
-from repro.graph.views import LayerView
 
 __all__ = [
     "MultiLayerGraph",
     "FrozenMultiLayerGraph",
-    "BACKENDS",
-    "check_backend",
     "resolve_search_graph",
-    "should_freeze",
-    "LayerView",
     "layer_statistics",
     "layer_edge_jaccard",
     "layer_similarity_matrix",

@@ -6,7 +6,7 @@ graph: how dense is each layer, how similar are layers to each other
 support is distributed (which predicts what vertex-deletion will prune).
 """
 
-from repro.core.dcore import layer_core, layer_core_sizes, d_core
+from repro.core.dcore import layer_core, layer_core_sizes
 from repro.utils.errors import ParameterError, check_degree
 
 
@@ -24,7 +24,7 @@ def layer_statistics(graph):
             "avg_degree": (sum(degrees) / n) if n else 0.0,
             "max_degree": max(degrees, default=0),
             "density": (2.0 * edges / (n * (n - 1))) if n > 1 else 0.0,
-            "two_core": len(d_core(adjacency, 2)),
+            "two_core": len(layer_core(graph, layer, 2)),
         })
     return rows
 

@@ -14,7 +14,7 @@ Net-effect semantics: within one batch (and across merged batches) an
 edge added and then removed cancels to nothing, as does the reverse —
 edge presence has no attributes, so the algebra is exact.  Structural
 changes (vertex addition/removal) are *not* tracked edge-by-edge: the
-dense-id assignment of the frozen backend is derived from the sorted
+dense-id assignment of the frozen graph is derived from the sorted
 vertex set, so any vertex-set change shifts ids and forces a full
 rebuild; the delta just records that fact.
 
@@ -39,7 +39,7 @@ class GraphDelta:
         Tuples of ``(layer, u, v)`` triples — the net edge changes.
     structural:
         ``True`` when the batch changed the vertex set, which shifts the
-        frozen backend's dense-id assignment and rules out patching.
+        frozen graph's dense-id assignment and rules out patching.
     """
 
     __slots__ = ("base_version", "version", "edges_added", "edges_removed",

@@ -12,7 +12,7 @@ Exports are plain text built with ``xml.sax.saxutils``-grade escaping —
 no third-party dependency.
 """
 
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import quoteattr
 
 _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
@@ -123,7 +123,3 @@ def ascii_layer_summary(graph, width=40):
         ))
     return "\n".join(lines)
 
-
-def escape_label(text):
-    """XML-escape a label (exposed for custom GraphML attributes)."""
-    return escape(str(text))

@@ -1,20 +1,19 @@
-"""The frozen CSR backend of the multi-layer graph substrate.
+"""The frozen CSR graph: the one representation every search runs on.
 
-:class:`FrozenMultiLayerGraph` is the second implementation of the graph
-backend protocol (see :mod:`repro.graph.backend`).  Freezing maps every
-vertex to a dense integer id ``0..n-1`` and stores each layer as a CSR
-pair (``indptr``/``indices``, :mod:`array`- or numpy-backed), plus one
+:class:`FrozenMultiLayerGraph` implements the graph protocol of
+:mod:`repro.graph.backend`.  Freezing maps every vertex to a dense
+integer id ``0..n-1`` and stores each layer as a CSR pair
+(``indptr``/``indices``, :mod:`array`- or numpy-backed), plus one
 layer-membership bitmask per vertex (bit ``i`` set iff the vertex has at
 least one edge on layer ``i``).
 
-The payoff is in the peel kernels of :mod:`repro.graph.kernels`, which
-:mod:`repro.core` calls on a frozen graph: they replace the dict-of-sets
-hashing of the reference backend with numpy passes over the CSR arrays,
-which is what the d-core and d-CC inner loops spend nearly all of their
-time on.
+Every peel of :mod:`repro.core` runs as a numpy pass over the CSR
+arrays (:mod:`repro.graph.kernels`), which is what the d-core and d-CC
+inner loops spend nearly all of their time on.
 
-A frozen graph is immutable: the mutation methods of the dict backend
-raise :class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
+A frozen graph is immutable: the mutation methods of
+:class:`~repro.graph.multilayer.MultiLayerGraph` raise
+:class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
 :meth:`FrozenMultiLayerGraph.thaw` when mutation is needed.  Being
 immutable, it keeps what the kernels derive from it: numpy views,
 degree vectors and each layer's d-cores (:class:`LayerCoreMemo`).
@@ -24,8 +23,9 @@ Vertex vocabulary
 The vertices of a frozen graph *are* the dense ids — ``vertices()``
 returns ``{0, ..., n-1}`` and every query speaks ids.  The original
 labels survive in :attr:`labels`; :meth:`label_of`/:meth:`id_of` and
-:meth:`labels_for` translate, and :func:`repro.core.api.search_dccs`
-translates results back automatically when it froze the graph itself.
+:meth:`labels_for` translate, and the entry points that freeze a
+graph themselves translate their answers back
+(:func:`repro.graph.backend.resolve_search_graph`).
 """
 
 from array import array
@@ -73,7 +73,6 @@ class FrozenMultiLayerGraph:
         "_np_csrs",
         "_np_degs",
         "_vertex_set",
-        "_thawed_cache",
     )
 
     kernel = "numpy"
@@ -97,7 +96,6 @@ class FrozenMultiLayerGraph:
         self._np_csrs = [None] * len(indptr)
         self._np_degs = [None] * len(indptr)
         self._vertex_set = None
-        self._thawed_cache = None
 
     # ------------------------------------------------------------------
     # construction / conversion
@@ -155,7 +153,7 @@ class FrozenMultiLayerGraph:
         return self
 
     def thaw(self, original_labels=True, name=None):
-        """Rebuild a mutable dict-backend :class:`MultiLayerGraph`.
+        """Rebuild a mutable :class:`MultiLayerGraph`.
 
         With ``original_labels=True`` (default) the round trip
         ``graph.freeze().thaw() == graph`` holds exactly; with ``False``
@@ -183,20 +181,6 @@ class FrozenMultiLayerGraph:
                     if v < u:
                         thawed.add_edge(layer, out(v), out(u))
         return thawed
-
-    def _search_thaw(self):
-        """A shared, id-keyed dict-backend view for ``backend="dict"``.
-
-        Cached — a frozen graph never changes, so the thaw cost is paid
-        once per instance, mirroring the cached ``freeze()`` in the
-        other direction.  Reserved for
-        :func:`repro.graph.backend.resolve_search_graph`, whose callers
-        only read the graph; code that wants a *mutable* copy must use
-        :meth:`thaw`, which always returns a fresh one.
-        """
-        if self._thawed_cache is None:
-            self._thawed_cache = self.thaw(original_labels=False)
-        return self._thawed_cache
 
     # ------------------------------------------------------------------
     # id <-> label translation
@@ -238,18 +222,18 @@ class FrozenMultiLayerGraph:
         return frozenset(labels[v] for v in vertices)
 
     # ------------------------------------------------------------------
-    # backend protocol: basic accessors
+    # graph protocol: basic accessors
     # ------------------------------------------------------------------
 
     @property
     def is_frozen(self):
-        """Marks this class as the CSR backend (see the backend protocol)."""
+        """Marks this class as the CSR graph (see the graph protocol)."""
         return True
 
     @property
     def mutation_version(self):
         """Always ``0`` — a frozen graph cannot mutate, so artifacts
-        derived from it never go stale (the dict backend's counterpart
+        derived from it never go stale (``MultiLayerGraph``'s counter
         ticks on every mutation)."""
         return 0
 
@@ -275,9 +259,9 @@ class FrozenMultiLayerGraph:
         """The dense int id behind ``vertex``, or ``None``.
 
         Any object that compares equal to an in-range integer aliases
-        that vertex (``True`` → 1, ``2.0`` → 2), because a dict backend
-        over integer vertices resolves such objects by hash equality —
-        both backends must agree on membership.
+        that vertex (``True`` → 1, ``2.0`` → 2), because a
+        ``MultiLayerGraph`` over integer vertices resolves such objects
+        by hash equality — both graphs must agree on membership.
         """
         if isinstance(vertex, int):
             return vertex if 0 <= vertex < self.num_vertices else None
@@ -321,13 +305,13 @@ class FrozenMultiLayerGraph:
         return vertex_id
 
     # ------------------------------------------------------------------
-    # backend protocol: queries
+    # graph protocol: queries
     # ------------------------------------------------------------------
 
     def neighbors(self, layer, vertex):
         """The neighbour ids of ``vertex`` on ``layer`` as a frozenset.
 
-        Set-valued like the dict backend's ``neighbors``, so existing
+        Set-valued like ``MultiLayerGraph.neighbors``, so existing
         consumers that apply set operators (``&``, ``|=``) keep working.
         Built from the CSR row on every call; the peel kernels walk the
         raw rows instead.
@@ -336,22 +320,6 @@ class FrozenMultiLayerGraph:
         vertex = self._require_vertex(vertex)
         indptr, indices = self._np_csr(layer)
         return frozenset(indices[indptr[vertex]:indptr[vertex + 1]].tolist())
-
-    def neighbor_row(self, layer):
-        """A per-layer row accessor: ``row(v)`` → list of neighbours.
-
-        The protocol's bulk-cascade primitive: callers that pop many
-        vertices in a peeling loop hoist one ``row`` per layer instead
-        of paying a checked :meth:`neighbors` call per pop.  This
-        backend returns the sorted CSR row, with no set built.
-        """
-        self._check_layer(layer)
-        indptr, indices = self._np_csr(layer)
-
-        def row(vertex):
-            return indices[indptr[vertex]:indptr[vertex + 1]].tolist()
-
-        return row
 
     def adjacency(self, layer):
         """A read-only ``{id: frozenset(neighbour ids)}`` dict of ``layer``.
@@ -447,7 +415,7 @@ class FrozenMultiLayerGraph:
         return len(seen)
 
     def summary(self):
-        """The Fig. 12 statistics columns, same keys as the dict backend."""
+        """The Fig. 12 statistics columns, same keys as ``MultiLayerGraph``'s."""
         return {
             "name": self.name,
             "vertices": self.num_vertices,

@@ -102,11 +102,17 @@ def from_json_dict(payload, name=None):
     """Decode a dictionary produced by :func:`to_json_dict`.
 
     A payload without the ``num_layers`` key (or one that is not an
-    object at all), or with an edge that is not a ``[layer, u, v]``
-    triple, raises :class:`ParameterError` naming the key or the edge.
+    object at all), whose ``vertices`` or ``edges`` is not a list, or
+    with an edge that is not a ``[layer, u, v]`` triple, raises
+    :class:`ParameterError` naming the key or the edge; the graph checks
+    the types of the layer count, the layers and the vertices.
     """
     if not isinstance(payload, dict) or "num_layers" not in payload:
         raise ParameterError("a JSON graph needs a 'num_layers' key")
+    for key in ("vertices", "edges"):
+        if not isinstance(payload.get(key, []), list):
+            raise ParameterError("'{}' must be a list, got {!r}".format(
+                key, payload[key]))
     graph = MultiLayerGraph(
         payload["num_layers"],
         vertices=payload.get("vertices", ()),

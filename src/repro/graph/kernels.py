@@ -1,12 +1,12 @@
 """The peel kernels: array-native passes over the frozen CSR arrays.
 
-The frozen backend (:mod:`repro.graph.frozen`) runs its hot primitives
-— induced degrees, the single-layer d-core peel, the multi-layer
-coherent-core fixed point and the full core decomposition — as the
-gather/scatter kernels of this module: vectorised *rounds* over int32
-views of the CSR ``indptr``/``indices`` buffers (boolean alive masks,
-``np.add.at`` / ``bincount`` degree scatters, frontier queues as index
-arrays).
+Every search runs its hot primitives on the frozen graph
+(:mod:`repro.graph.frozen`) — induced degrees, the single-layer d-core
+peel, the multi-layer coherent-core fixed point and the full core
+decomposition — as the gather/scatter kernels of this module:
+vectorised *rounds* over int32 views of the CSR ``indptr``/``indices``
+buffers (boolean alive masks, ``np.add.at`` / ``bincount`` degree
+scatters, frontier queues as index arrays).
 
 A round *pushes*: it gathers the frontier's rows and decrements the
 live neighbours' degrees.  A layer's d-core over the whole graph, which
@@ -19,9 +19,9 @@ a subset, maintainer removals and multi-layer coherent cores push.
 Each kernel computes the unique fixed point of its peel and counts one
 peel operation per removed vertex, an order-independent quantity, so
 results — sets, labels, cover, ``SearchStats`` — are bitwise identical
-to the dict backend's sequential peels in :mod:`repro.core`; the
-property suites in ``tests/test_kernels.py`` and
-``tests/test_backends.py`` enforce this.
+to a sequential FIFO peel; the property suites in
+``tests/test_kernels.py`` and ``tests/test_backends.py`` hold them to
+the pure-Python reference peels of ``tests/oracle.py``.
 
 :func:`np_induced_subgraph` builds the survivor subgraph the top-down
 search runs on.
@@ -94,16 +94,11 @@ def vertex_mask(graph, within):
     A vertex mask is a length-``n`` bool array naming the vertices where
     it is True, so it only has a meaning over a frozen graph's dense
     ids.  The kernels read ``within`` through this check; a mask of the
-    wrong shape, or one handed to any other backend, raises
-    :class:`ParameterError` instead of being iterated as ids.
+    wrong shape raises :class:`ParameterError` instead of being iterated
+    as ids.
     """
     if not is_mask(within):
         return None
-    if not graph.is_frozen:
-        raise ParameterError(
-            "a boolean vertex mask needs a frozen graph; got one for a "
-            "{}".format(type(graph).__name__)
-        )
     if within.shape != (graph.num_vertices,):
         raise ParameterError(
             "a vertex mask must have shape ({},), got {}".format(
@@ -116,7 +111,7 @@ def vertex_mask(graph, within):
 def _alive_members(graph, within):
     """``(alive bytearray, member list)`` for an iterable of vertex ids.
 
-    Coerces like the dict backend: duplicates collapse, objects
+    Coerces like a set of int vertices: duplicates collapse, objects
     hash-equal to an in-range int alias that vertex, and everything
     else is silently dropped.  Members keep their first-seen order.
     """
@@ -144,6 +139,13 @@ def _alive_members(graph, within):
                 alive[v] = 1
                 members.append(v)
     return alive, members
+
+
+def as_mask(graph, vertices):
+    """``vertices`` as a vertex mask: a mask as it is, ids coerced as
+    :func:`_alive_members` does."""
+    mask = vertex_mask(graph, vertices)
+    return mask if mask is not None else _member_state(graph, vertices)[0]
 
 
 def _member_state(graph, within):
@@ -400,8 +402,8 @@ def np_induced_degrees(graph, layer, within=None):
 def np_layer_core(graph, layer, d, within=None):
     """``layer``'s d-core within ``within`` as a set of ids.
 
-    The frozen backend's :func:`repro.core.dcore.layer_core`, which
-    validates ``d`` and ``layer`` first.
+    The kernel of :func:`repro.core.dcore.layer_core`, which validates
+    ``d`` and ``layer`` first.
     """
     if within is None:
         core, _ = _full_layer_core(graph, layer, d)
@@ -420,10 +422,10 @@ def np_layer_core(graph, layer, d, within=None):
 def np_coherent_core(graph, layer_tuple, d, within=None, stats=None):
     """The d-CC of ``layer_tuple`` within ``within`` as a frozenset.
 
-    The frozen backend's :func:`repro.core.dcc.coherent_core`, which
-    validates the layers and ``d`` and charges ``dcc_calls`` first.
+    The kernel of :func:`repro.core.dcc.coherent_core`, which validates
+    the layers and ``d`` and charges ``dcc_calls`` first.
     ``stats.peel_operations`` advances by the number of removed
-    vertices — the dict peel's per-dequeue count, because a vertex is
+    vertices — a FIFO peel's per-dequeue count, because a vertex is
     dequeued precisely once per removal.
     """
     alive, member_arr = _member_state(graph, within)
@@ -447,8 +449,8 @@ def np_core_decomposition(graph, layer, within=None):
     exactly the vertices with core number ``d - 1``, and every vertex is
     removed once overall, so the total work stays O(n + m) plus one
     frontier scan of the shrinking member set per threshold.  Returns
-    ``{vertex: core number}`` equal to
-    :func:`repro.core.dcore.core_decomposition` on the layer's adjacency.
+    ``{vertex: core number}``, equal to the bin-sort decomposition of
+    Batagelj and Zaversnik on the layer's adjacency.
     """
     alive, member_arr = _member_state(graph, within)
     degree_arrays = _induced_degree_arrays(

@@ -9,21 +9,23 @@ implicitly adds its endpoints.
 
 The representation is one adjacency dictionary per layer mapping each vertex
 to a :class:`set` of neighbours.  This gives O(1) expected-time edge tests,
-O(deg) neighbourhood iteration, and — crucially for the peeling algorithms
-in :mod:`repro.core` — O(1) degree queries, which is what the linear-time
-d-core machinery of Batagelj & Zaversnik needs.
+O(deg) neighbourhood iteration and O(1) degree queries, which is what
+incremental builders and the per-vertex checks of the baselines need.
 
 Vertices may be any hashable object (ints, strings, tuples).  Self-loops are
 rejected because the degree-based definitions in the paper are stated for
 simple graphs.
 
-This class is the mutable *reference backend* of the graph backend
-protocol (:mod:`repro.graph.backend`).  :meth:`MultiLayerGraph.freeze`
-converts to the immutable CSR backend
-(:class:`~repro.graph.frozen.FrozenMultiLayerGraph`) for read-heavy
-search workloads; ``thaw()`` converts back.
+This class is the mutable builder and delta log of the graph protocol
+(:mod:`repro.graph.backend`).  Searches run on the immutable CSR graph
+(:class:`~repro.graph.frozen.FrozenMultiLayerGraph`) that
+:meth:`MultiLayerGraph.freeze` builds and caches; ``thaw()`` converts
+back.  Input is checked where it enters: a layer must be an integer in
+range and a vertex hashable, so a wrong-typed edge raises a
+:class:`~repro.utils.errors.GraphError` before the graph changes.
 """
 
+from numbers import Integral
 import sys
 
 from repro.graph.delta import GraphDelta, cancel_or_add, merge_entries
@@ -45,6 +47,29 @@ _DELTA_LOG_CAP = 64
 # rebuild work is identical either way, so the patch wins exactly when
 # untouched layers dominate.
 _PATCH_MAX_LAYER_FRACTION = 0.5
+
+
+def _check_hashable(vertex):
+    """Reject an unhashable vertex with :class:`ParameterError`."""
+    try:
+        hash(vertex)
+    except TypeError:
+        raise ParameterError(
+            "a vertex must be hashable, got {!r}".format(vertex)
+        ) from None
+
+
+def _edge_triple(edge):
+    """``edge`` as a ``(layer, u, v)`` tuple; anything else is rejected."""
+    try:
+        triple = tuple(edge)
+    except TypeError:
+        triple = None
+    if triple is None or len(triple) != 3:
+        raise ParameterError(
+            "an edge must be a (layer, u, v) triple, got {!r}".format(edge)
+        )
+    return triple
 
 
 class _MutationBatch:
@@ -109,6 +134,11 @@ class MultiLayerGraph:
                  "_delta_log", "freeze_patches", "freeze_rebuilds", "name")
 
     def __init__(self, num_layers, vertices=(), name=""):
+        if isinstance(num_layers, bool) or \
+                not isinstance(num_layers, Integral):
+            raise ParameterError(
+                "num_layers must be an integer, got {!r}".format(num_layers)
+            )
         if num_layers < 1:
             raise ParameterError(
                 "a multi-layer graph needs at least one layer, got {}".format(num_layers)
@@ -133,7 +163,7 @@ class MultiLayerGraph:
 
     @property
     def is_frozen(self):
-        """``False`` — this is the mutable dict backend of the protocol."""
+        """``False`` — searches freeze this graph first."""
         return False
 
     @property
@@ -163,7 +193,7 @@ class MultiLayerGraph:
 
     def vertex_set(self):
         """A cached frozenset of all vertices (immutable, like the frozen
-        backend's), so no caller can corrupt the graph through it."""
+        graph's), so no caller can corrupt the graph through it."""
         if self._vset_cache is None:
             self._vset_cache = frozenset(self._vertices)
         return self._vset_cache
@@ -192,6 +222,19 @@ class MultiLayerGraph:
     def _check_vertex(self, vertex):
         if vertex not in self._vertices:
             raise VertexError(vertex)
+
+    def _check_edge(self, layer, u, v):
+        """Check an edge given by a caller: an integer layer (not a
+        bool) in range and two hashable endpoints.  Not folded into
+        :meth:`_check_layer`, which the queries run once per vertex."""
+        if type(layer) is not int and (isinstance(layer, bool)
+                                       or not isinstance(layer, Integral)):
+            raise ParameterError(
+                "a layer must be an integer, got {!r}".format(layer)
+            )
+        self._check_layer(layer)
+        _check_hashable(u)
+        _check_hashable(v)
 
     # ------------------------------------------------------------------
     # mutation
@@ -228,8 +271,8 @@ class MultiLayerGraph:
         :class:`~repro.graph.delta.GraphDelta` recorded for the batch,
         or ``None`` when it netted out to nothing.
         """
-        add = [tuple(edge) for edge in add]
-        remove = [tuple(edge) for edge in remove]
+        add = [_edge_triple(edge) for edge in add]
+        remove = [_edge_triple(edge) for edge in remove]
         # Validate the whole batch against a simulated overlay before
         # touching the graph.  Adds apply before removes, so a removal
         # may legally name an edge (or endpoint) the batch itself
@@ -246,7 +289,7 @@ class MultiLayerGraph:
             return (layer, u, v), present
 
         for layer, u, v in add:
-            self._check_layer(layer)
+            self._check_edge(layer, u, v)
             if u == v:
                 raise ParameterError(
                     "self-loop ({0!r}, {0!r}) is not allowed".format(u))
@@ -255,7 +298,7 @@ class MultiLayerGraph:
             key, _ = _edge_present(layer, u, v)
             overlay[key] = True
         for layer, u, v in remove:
-            self._check_layer(layer)
+            self._check_edge(layer, u, v)
             if u not in self._vertices and u not in created:
                 raise VertexError(u)
             if v not in self._vertices and v not in created:
@@ -276,6 +319,7 @@ class MultiLayerGraph:
 
     def add_vertex(self, vertex):
         """Add ``vertex`` to every layer (isolated where no edges exist)."""
+        _check_hashable(vertex)
         if vertex not in self._vertices:
             self._vertices.add(vertex)
             for adj in self._adj:
@@ -295,7 +339,7 @@ class MultiLayerGraph:
         Endpoints are created if absent.  Adding an existing edge is a no-op;
         self-loops raise :class:`ParameterError`.
         """
-        self._check_layer(layer)
+        self._check_edge(layer, u, v)
         if u == v:
             raise ParameterError("self-loop ({0!r}, {0!r}) is not allowed".format(u))
         if self._batch is not None:
@@ -328,7 +372,7 @@ class MultiLayerGraph:
         edge raises :class:`~repro.utils.errors.EdgeError` with the
         graph unchanged, never half-applied.
         """
-        self._check_layer(layer)
+        self._check_edge(layer, u, v)
         self._check_vertex(u)
         self._check_vertex(v)
         if not self.has_edge(layer, u, v):
@@ -446,17 +490,6 @@ class MultiLayerGraph:
         """The degree ``d_{G_layer}(vertex)``."""
         return len(self.neighbors(layer, vertex))
 
-    def neighbor_row(self, layer):
-        """A per-layer row accessor: ``row(v)`` → the neighbour set.
-
-        The protocol's bulk-cascade primitive (see
-        :mod:`repro.graph.backend`): peeling loops hoist one ``row`` per
-        layer instead of paying a checked :meth:`neighbors` call per
-        popped vertex.
-        """
-        self._check_layer(layer)
-        return self._adj[layer].__getitem__
-
     def min_degree_over(self, layers, vertex):
         """``min_{i in layers} d_{G_i}(vertex)`` — the m(v) of Appendix B."""
         return min(self.degree(layer, vertex) for layer in layers)
@@ -518,7 +551,7 @@ class MultiLayerGraph:
     def adjacency(self, layer):
         """The raw adjacency dict of ``layer`` (read-only by convention).
 
-        The peeling algorithms in :mod:`repro.core` take this dictionary
+        The baselines, metrics and analysis read this dictionary
         directly to avoid per-edge method-call overhead.
         """
         self._check_layer(layer)
@@ -581,13 +614,12 @@ class MultiLayerGraph:
         return sub
 
     def freeze(self, name=None):
-        """Convert to the immutable CSR backend.
+        """Convert to the immutable CSR graph every search runs on.
 
         Returns a :class:`~repro.graph.frozen.FrozenMultiLayerGraph` over
         dense integer vertex ids; ``thaw()`` round-trips back to an equal
-        dict-backend graph.  Freeze once, search many times: every peeling
-        primitive in :mod:`repro.core` takes a flat-array fast path on the
-        frozen representation.
+        graph.  Freeze once, search many times: a search handed this
+        graph freezes it through this cache.
 
         The default-named result is cached.  After a mutation the cached
         CSR is *patched* instead of rebuilt when the recorded delta

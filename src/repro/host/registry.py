@@ -3,7 +3,7 @@
 :class:`DCCHost` is the layer above :class:`repro.engine.DCCEngine` the
 ROADMAP's serving track calls for: one process serving d-CC queries over
 *many* graphs.  Each attached graph gets a named registration; an engine
-session (backend resolution, worker pool, artifact cache)
+session (frozen search graph, worker pool, artifact cache)
 is **admitted** lazily on first use and stays resident until admission
 control pushes it out.
 
@@ -15,7 +15,7 @@ Admission control has two levers, both enforced at admission time:
   pool down — an evicted graph holds no processes, no artifact cache
   and no frozen conversion, only its registration.
 * ``memory_budget_bytes`` — a global cap on the summed
-  ``engine.memory_bytes()`` of resident sessions (the resolved search
+  ``engine.memory_bytes()`` of resident sessions (the frozen search
   graphs plus whatever lazy caches queries actually built).  While the
   total exceeds the budget, LRU sessions are evicted — except the one
   being admitted, because evicting the session about to serve would
@@ -44,7 +44,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 
 from repro.engine import DCCEngine
-from repro.graph.backend import check_backend, check_graph
+from repro.graph.backend import check_graph
 from repro.parallel.executor import check_jobs
 from repro.utils.errors import (
     HostClosedError,
@@ -67,11 +67,10 @@ DEFAULT_CACHE_MAX_ENTRIES = 256
 class _Registration:
     """One attached graph plus its per-graph engine overrides."""
 
-    __slots__ = ("graph", "backend", "jobs", "cache_artifacts")
+    __slots__ = ("graph", "jobs", "cache_artifacts")
 
-    def __init__(self, graph, backend, jobs, cache_artifacts):
+    def __init__(self, graph, jobs, cache_artifacts):
         self.graph = graph
-        self.backend = backend
         self.jobs = jobs
         self.cache_artifacts = cache_artifacts
 
@@ -88,7 +87,7 @@ class DCCHost:
         Optional global cap on summed resident ``memory_bytes()``; LRU
         sessions are evicted while the total exceeds it (the session
         being admitted is never the victim).
-    backend / jobs / cache_artifacts:
+    jobs / cache_artifacts:
         Host-wide engine defaults, overridable per graph at
         :meth:`attach` time.
     cache_max_entries / cache_ttl:
@@ -100,7 +99,7 @@ class DCCHost:
 
         with DCCHost(max_engines=2, jobs=2) as host:
             host.attach("ppi", ppi_graph)
-            host.attach("wiki", wiki_graph, backend="frozen")
+            host.attach("wiki", wiki_graph.freeze())
             a = host.search("ppi", d=3, s=2, k=2)
             rest = host.search_many([
                 {"graph": "wiki", "d": 2, "s": 2, "k": 4},
@@ -109,7 +108,7 @@ class DCCHost:
     """
 
     def __init__(self, max_engines=DEFAULT_MAX_ENGINES,
-                 memory_budget_bytes=None, backend="auto", jobs=0,
+                 memory_budget_bytes=None, jobs=0,
                  cache_artifacts=True,
                  cache_max_entries=DEFAULT_CACHE_MAX_ENTRIES,
                  cache_ttl=None):
@@ -128,11 +127,9 @@ class DCCHost:
                 "memory_budget_bytes must be None or a positive number "
                 "of bytes, got {!r}".format(memory_budget_bytes)
             )
-        check_backend(backend)
         check_jobs(jobs)
         self.max_engines = max_engines
         self.memory_budget_bytes = memory_budget_bytes
-        self._backend = backend
         self._jobs = jobs
         self._cache_artifacts = cache_artifacts
         self._cache_max_entries = cache_max_entries
@@ -149,8 +146,7 @@ class DCCHost:
     # registry
     # ------------------------------------------------------------------
 
-    def attach(self, name, graph, backend=None, jobs=None,
-               cache_artifacts=None):
+    def attach(self, name, graph, jobs=None, cache_artifacts=None):
         """Register ``graph`` under ``name``; no session is admitted yet.
 
         Engine overrides left as ``None`` inherit the host-wide
@@ -171,13 +167,10 @@ class DCCHost:
         # poison registration discovered mid-eviction would already have
         # closed the LRU victim's warm pool for nothing.
         check_graph(graph)
-        if backend is not None:
-            check_backend(backend)
         if jobs is not None:
             check_jobs(jobs)
         self._registry[name] = _Registration(
             graph,
-            self._backend if backend is None else backend,
             self._jobs if jobs is None else jobs,
             self._cache_artifacts if cache_artifacts is None
             else cache_artifacts,
@@ -249,7 +242,6 @@ class DCCHost:
             self._evict(victim)
         engine = DCCEngine(
             registration.graph,
-            backend=registration.backend,
             jobs=registration.jobs,
             cache_artifacts=registration.cache_artifacts,
             cache_max_entries=self._cache_max_entries,

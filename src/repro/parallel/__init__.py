@@ -3,7 +3,8 @@
 This package cashes in the promise of the frozen CSR substrate: a frozen
 graph is immutable, densely indexed and flat-array backed, so it can be
 serialized once per worker process and searched concurrently with zero
-coordination.  ``search_dccs(..., jobs=N)`` routes here; see
+coordination.  :class:`repro.engine.DCCEngine` drives it, and
+``search_dccs(..., jobs=N)`` is a one-query engine; see
 :mod:`repro.parallel.search` for how each algorithm shards and why the
 output is bitwise identical for every worker count, and
 ``docs/architecture.md`` for the prose version.
@@ -12,13 +13,14 @@ Pool lifecycle is split from per-search submission: a
 :class:`~repro.parallel.executor.WorkerPool` ships the graph once per
 worker process and then serves any number of queries, each crossing the
 process boundary as a tiny ``(method, d, s, k, options)`` spec
-(:class:`~repro.parallel.plan.Query`).  One-shot searches wrap a
-short-lived pool; :class:`repro.engine.DCCEngine` keeps one warm.
+(:class:`~repro.parallel.plan.Query`).  A one-shot search wraps a
+short-lived engine; a long-lived :class:`repro.engine.DCCEngine` keeps
+its pool warm.
 
 Layout
 ------
-* :mod:`~repro.parallel.serialize` — one-shot graph payloads (frozen CSR
-  arrays ship as flat buffers; the dict backend as an edge list);
+* :mod:`~repro.parallel.serialize` — one-shot graph payloads (the frozen
+  CSR arrays ship as flat buffers);
 * :mod:`~repro.parallel.plan` — query specs and deterministic planning
   (``make_query`` / ``plan_query``), shared by orchestrator and workers;
 * :mod:`~repro.parallel.worker` — shard execution and the per-query
@@ -40,23 +42,13 @@ from repro.parallel.executor import (
 from repro.parallel.plan import Query, make_query, plan_query
 from repro.parallel.search import (
     PendingQuery,
-    execute_query,
     execute_query_batch,
-    parallel_bu_dccs,
-    parallel_dccs,
-    parallel_gd_dccs,
-    parallel_td_dccs,
     start_query,
 )
 from repro.parallel.serialize import graph_payload, payload_graph
 from repro.parallel.worker import QueryRunnerCache, ShardRunner, shard_seed
 
 __all__ = [
-    "parallel_dccs",
-    "parallel_gd_dccs",
-    "parallel_bu_dccs",
-    "parallel_td_dccs",
-    "execute_query",
     "execute_query_batch",
     "start_query",
     "PendingQuery",

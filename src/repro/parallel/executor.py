@@ -21,6 +21,7 @@ import weakref
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.graph.backend import require_frozen
 from repro.parallel.serialize import delta_payload, graph_payload
 from repro.parallel.worker import (
     QueryRunnerCache,
@@ -185,7 +186,7 @@ class WorkerPool:
     Parameters
     ----------
     graph:
-        Either backend; serialized lazily, at first spawn.
+        The frozen graph; serialized lazily, at first spawn.
     jobs:
         Worker-count request with ``search_dccs`` semantics (``0`` =
         one per CPU the process may run on, see :func:`effective_jobs`);
@@ -210,7 +211,7 @@ class WorkerPool:
 
     def __init__(self, graph, jobs=0):
         jobs = check_jobs(1 if jobs is None else jobs)
-        self.graph = graph
+        self.graph = require_frozen(graph)
         self.workers = effective_jobs(jobs)
         self._payload = None
         self._pool = None

@@ -21,9 +21,9 @@ The three algorithms shard along their natural seams (see
 The merge replays shard reports through one final
 :class:`DiversifiedTopK` — the *same* Update machinery as the sequential
 searches — strictly in shard order.  Shard *structure* never depends on
-the worker count, so for every method, every seed and every backend,
-``jobs=N`` returns bitwise identical sets, labels and aggregated
-counters for all ``N`` (property-tested in ``tests/test_parallel.py``).
+the worker count, so for every method and every seed, ``jobs=N``
+returns bitwise identical sets, labels and aggregated counters for all
+``N`` (property-tested in ``tests/test_parallel.py``).
 
 What parallel mode does *not* promise is equality with the sequential
 tree searches: the cross-subtree pruning state (Lemmas 3/4/6 spanning
@@ -33,19 +33,17 @@ that explore at least as much of the tree as their sequential
 counterparts and merge through identical selection logic.  Greedy has no
 cross-candidate search state, hence its exact-parity guarantee.
 
-Execution happens through a :class:`~repro.parallel.executor.WorkerPool`:
-the ``parallel_*_dccs`` entry points wrap a short-lived pool around one
-query, while :func:`execute_query` / :func:`execute_query_batch` accept a
-caller-owned pool (how :class:`repro.engine.DCCEngine` amortises spawn
-cost across a whole session).
+Execution happens through a caller-owned
+:class:`~repro.parallel.executor.WorkerPool`: :func:`start_query` and
+:func:`execute_query_batch` take the pool of a
+:class:`repro.engine.DCCEngine`, which amortises spawn cost across a
+whole session (``search_dccs(..., jobs=N)`` is a one-query engine).
 """
 
 from repro.core.greedy import greedy_max_k_cover
 from repro.core.result import DCCSResult, result_from_topk
 from repro.core.stats import SearchStats
-from repro.parallel.executor import WorkerPool
-from repro.parallel.plan import make_query, plan_query
-from repro.utils.errors import ParameterError
+from repro.parallel.plan import plan_query
 from repro.utils.timer import Timer
 
 
@@ -153,116 +151,15 @@ def start_query(graph, query, pool, stats=None, artifacts=None):
                         plan_timer.elapsed)
 
 
-def execute_query(graph, query, pool, stats=None, artifacts=None):
-    """Run one :class:`~repro.parallel.plan.Query` through ``pool``.
-
-    ``artifacts`` is an optional per-graph cache
-    (:class:`repro.engine.cache.ArtifactCache`); with or without it the
-    result — counters included — is bitwise identical, the cache only
-    swaps recomputation for replay.
-    """
-    return start_query(graph, query, pool, stats=stats,
-                       artifacts=artifacts).finish(pool)
-
-
 def execute_query_batch(graph, queries, pool, artifacts=None):
     """Pipeline a batch of queries through one warm pool.
 
     Every query is planned and its shard tasks submitted *before* any
     results are collected, so workers chew query ``i``'s shards while
     the orchestrator preprocesses query ``i+1`` — and merging happens in
-    submission order, keeping each result bitwise identical to its
-    :func:`execute_query` equivalent.
+    submission order, keeping each result bitwise identical to the
+    same query started and finished alone.
     """
     staged = [start_query(graph, query, pool, artifacts=artifacts)
               for query in queries]
     return [pending.finish(pool) for pending in staged]
-
-
-def parallel_gd_dccs(graph, d, s, k, jobs=1, use_vertex_deletion=True,
-                     stats=None):
-    """GD-DCCS with the candidate family computed across ``jobs`` workers.
-
-    Output and aggregated counters are bitwise identical to the
-    sequential :func:`~repro.core.greedy.gd_dccs` for every ``jobs``.
-    """
-    query = make_query("greedy", d, s, k,
-                       use_vertex_deletion=use_vertex_deletion)
-    with WorkerPool(graph, jobs) as pool:
-        return execute_query(graph, query, pool, stats=stats)
-
-
-def parallel_bu_dccs(graph, d, s, k, jobs=1,
-                     use_vertex_deletion=True,
-                     use_layer_sorting=True,
-                     use_init_topk=True,
-                     use_order_pruning=True,
-                     use_layer_pruning=True,
-                     stats=None):
-    """BU-DCCS sharded by root child of the prefix search tree.
-
-    Shard structure depends only on the layer order (one shard per
-    first-position subtree that can still reach depth ``s``), never on
-    ``jobs``, so results are identical for every worker count.
-    """
-    query = make_query(
-        "bottom-up", d, s, k,
-        use_vertex_deletion=use_vertex_deletion,
-        use_layer_sorting=use_layer_sorting,
-        use_init_topk=use_init_topk,
-        use_order_pruning=use_order_pruning,
-        use_layer_pruning=use_layer_pruning,
-    )
-    with WorkerPool(graph, jobs) as pool:
-        return execute_query(graph, query, pool, stats=stats)
-
-
-def parallel_td_dccs(graph, d, s, k, jobs=1,
-                     use_vertex_deletion=True,
-                     use_layer_sorting=True,
-                     use_init_topk=True,
-                     use_order_pruning=True,
-                     use_potential_pruning=True,
-                     use_index=True,
-                     seed=None,
-                     stats=None):
-    """TD-DCCS sharded by which layer the root sheds first.
-
-    The orchestrator plans one canonical preprocessing/index build for
-    counter accounting; pooled workers re-derive theirs locally without
-    touching the counters, so the aggregated stats stay independent of
-    the worker count.  Each shard draws from its own deterministic RNG
-    stream (see :func:`~repro.parallel.worker.shard_seed`).
-    """
-    query = make_query(
-        "top-down", d, s, k,
-        use_vertex_deletion=use_vertex_deletion,
-        use_layer_sorting=use_layer_sorting,
-        use_init_topk=use_init_topk,
-        use_order_pruning=use_order_pruning,
-        use_potential_pruning=use_potential_pruning,
-        use_index=use_index,
-        seed=seed,
-    )
-    with WorkerPool(graph, jobs) as pool:
-        return execute_query(graph, query, pool, stats=stats)
-
-
-_PARALLEL_METHODS = {
-    "greedy": parallel_gd_dccs,
-    "bottom-up": parallel_bu_dccs,
-    "top-down": parallel_td_dccs,
-}
-
-
-def parallel_dccs(graph, d, s, k, method, jobs, **options):
-    """Dispatch one resolved method to its parallel implementation."""
-    try:
-        fn = _PARALLEL_METHODS[method]
-    except KeyError:
-        raise ParameterError(
-            "method must be one of {}, got {!r}".format(
-                tuple(_PARALLEL_METHODS), method
-            )
-        ) from None
-    return fn(graph, d, s, k, jobs=jobs, **options)

@@ -88,7 +88,7 @@ class ShardRunner:
     Parameters
     ----------
     graph:
-        Either backend; pooled workers hand runners a graph rebuilt from
+        The frozen graph; pooled workers hand runners one rebuilt from
         the serialized payload.
     context:
         The immutable per-search dict built by
@@ -96,7 +96,7 @@ class ShardRunner:
         ``s``, ``k``, ``cores``, ``alive``, ``order``, ``init_sets``,
         ``flags``, plus ``root_core``/``seed`` for the top-down method).
         ``cores``/``alive`` are frozensets for bottom-up and the prep's
-        kernel view, masks on a frozen graph, for greedy and top-down.
+        kernel view, masks, for greedy and top-down.
     index:
         An optional pre-built :class:`CoreHierarchyIndex` for top-down
         shards.  The inline path passes the orchestrator's; pooled

@@ -68,8 +68,8 @@ def check_degree(d):
     """Validate a degree threshold ``d``, returning it unchanged.
 
     The one check behind every entry point that takes ``d`` — the search
-    parameters, the layer-core and coherent-core primitives on every
-    backend and tier, and both core maintainers — so a bad ``d`` raises
+    parameters, the layer-core and coherent-core primitives and the core
+    maintainer — so a bad ``d`` raises
     the same :class:`ParameterError` wherever it enters.  ``d`` must be
     a non-negative integer (:class:`numbers.Integral`, numpy integers
     included); a bool or a float is rejected even when it is
@@ -95,7 +95,7 @@ class FrozenGraphError(GraphError, TypeError):
     def __str__(self):
         return (
             "{}() is not supported on a frozen graph; call thaw() to get a "
-            "mutable dict-backend copy".format(self.operation)
+            "mutable MultiLayerGraph copy".format(self.operation)
         )
 
 

@@ -310,8 +310,9 @@ CLI_ELAPSED = re.compile(r", \d+\.\d{3}s,")
 class TestEveryEntryPath:
     """One drawn spec, every entry path, one outcome.
 
-    The six library and serving paths run on the dict backend and again
-    on the frozen graph; the CLI runs every spec it can express.
+    The six library and serving paths run on a ``MultiLayerGraph`` and
+    again on the same graph pre-frozen (its ids are its labels); the CLI
+    runs every spec it can express.
     """
 
     def test_one_spec_through_every_entry_path(self, tmp_path, capsys):
@@ -322,7 +323,6 @@ class TestEveryEntryPath:
         async def open_serving():
             ahost = AsyncDCCHost(jobs=1)
             ahost.attach("g", graph)
-            ahost.attach("f", graph, backend="frozen")
             server = DCCServer(ahost, port=0)
             await server.start()
             reader, writer = await asyncio.open_connection(
@@ -348,16 +348,22 @@ class TestEveryEntryPath:
             open_serving())
         try:
             with DCCEngine(graph, jobs=1) as engine, \
-                    DCCEngine(graph, jobs=1, backend="frozen") as frozen, \
                     DCCHost(jobs=1) as host:
                 host.attach("g", graph)
-                host.attach("f", graph, backend="frozen")
+                frozen_names = []
 
                 @given(entry_path_cases())
                 @settings(max_examples=100, deadline=None)
                 def check(case):
                     edges, spec, bad = case
                     rewire(graph, edges)
+                    frozen_graph = graph.freeze()
+                    # A frozen graph never changes: each drawn graph's is
+                    # attached under a name of its own.
+                    frozen_name = "f{}".format(len(frozen_names))
+                    frozen_names.append(frozen_name)
+                    for registry in (host, ahost):
+                        registry.attach(frozen_name, frozen_graph)
                     d, s, k = spec["d"], spec["s"], spec["k"]
                     method = spec["method"]
 
@@ -372,16 +378,17 @@ class TestEveryEntryPath:
                         return extra
 
                     outcomes, kept = {}, {}
-                    for twin, backend, session, name in (
-                            ("", "auto", engine, "g"),
-                            ("frozen ", "frozen", frozen, "f")):
+                    frozen = DCCEngine(frozen_graph, jobs=1)
+                    for twin, source, session, name in (
+                            ("", graph, engine, "g"),
+                            ("frozen ", frozen_graph, frozen, frozen_name)):
                         paths = {
                             "jobs=None": lambda: search_dccs(
-                                graph, d, s, k, method=method,
-                                backend=backend, **options()),
+                                source, d, s, k, method=method,
+                                **options()),
                             "jobs=1": lambda: search_dccs(
-                                graph, d, s, k, method=method, jobs=1,
-                                backend=backend, **options()),
+                                source, d, s, k, method=method, jobs=1,
+                                **options()),
                             "engine": lambda: session.search(
                                 d, s, k, method=method, **options()),
                             "host": lambda: host.search(
@@ -400,6 +407,7 @@ class TestEveryEntryPath:
                                 loop.run_until_complete(over_socket(dict(
                                     options(), graph=name, d=d, s=s, k=k,
                                     method=method)))
+                    frozen.close()
                     argv = cli_argv(graph_file, spec)
                     if argv is not None:
                         write_json(graph, graph_file)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -112,6 +114,28 @@ class TestCommands:
                                                  name, content, named):
         path = tmp_path / name
         path.write_text(content)
+        argv = ["search", str(path), "-d", "1", "-s", "1", "-k", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search failed: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"num_layers": "two"}, "num_layers must be an integer"),
+        ({"num_layers": True}, "num_layers must be an integer"),
+        ({"num_layers": 2, "edges": [["0", "a", "b"]]},
+         "a layer must be an integer, got '0'"),
+        ({"num_layers": 2, "edges": [[0, ["a"], "b"]]},
+         "a vertex must be hashable, got ['a']"),
+        ({"num_layers": 2, "vertices": 5}, "'vertices' must be a list"),
+        ({"num_layers": 2, "edges": 5}, "'edges' must be a list"),
+    ])
+    def test_search_wrong_typed_graph_file_exits_2(self, tmp_path, capsys,
+                                                   payload, named):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
         argv = ["search", str(path), "-d", "1", "-s", "1", "-k", "1"]
         assert main(argv) == 2
         captured = capsys.readouterr()

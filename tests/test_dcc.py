@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from repro.core.dcc import (
     coherent_core,
-    coherent_core_binsort,
     enumerate_candidates,
     is_coherent_dense,
     per_layer_cores,
 )
-from repro.core.dcore import d_core
 from repro.core.stats import SearchStats
 from repro.graph import MultiLayerGraph, paper_figure1_graph, replicate_layer
 from repro.utils.errors import LayerIndexError, ParameterError
+from tests.oracle import coherent_core as oracle_coherent_core
+from tests.oracle import d_core
 from tests.strategies import graph_with_layer_subset, multilayer_graphs
 
 
@@ -133,9 +133,11 @@ class TestPaperProperties:
     @settings(max_examples=80, deadline=None)
     def test_binsort_equals_cascade(self, graph_layers, d):
         graph, layers = graph_layers
-        assert coherent_core_binsort(graph, layers, d) == coherent_core(
-            graph, layers, d
-        )
+        oracle_stats, stats = SearchStats(), SearchStats()
+        assert oracle_coherent_core(
+            graph, layers, d, stats=oracle_stats
+        ) == coherent_core(graph, layers, d, stats=stats)
+        assert stats.as_dict() == oracle_stats.as_dict()
 
 
 class TestHelpers:
@@ -148,13 +150,13 @@ class TestHelpers:
         assert is_coherent_dense(g, set(), [0], 5)
 
     def test_per_layer_cores(self):
-        g = two_layer_example()
+        g = two_layer_example().freeze()
         cores = per_layer_cores(g, 3)
         assert cores[0] == {0, 1, 2, 3}
         assert cores[1] == {1, 2, 3, 4}
 
     def test_enumerate_candidates_counts(self):
-        g = two_layer_example()
+        g = two_layer_example().freeze()
         candidates = dict(enumerate_candidates(g, 2, 1))
         assert set(candidates) == {(0,), (1,)}
         pairs = dict(enumerate_candidates(g, 2, 2))
@@ -162,7 +164,7 @@ class TestHelpers:
         assert pairs[(0, 1)] == frozenset({1, 2, 3})
 
     def test_enumerate_candidates_bad_s(self):
-        g = two_layer_example()
+        g = two_layer_example().freeze()
         with pytest.raises(ParameterError):
             list(enumerate_candidates(g, 2, 3))
 
@@ -170,6 +172,7 @@ class TestHelpers:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_enumeration_matches_direct_computation(self, graph, d):
+        frozen = graph.freeze()
         for s in range(1, graph.num_layers + 1):
-            for layers, members in enumerate_candidates(graph, d, s):
-                assert members == coherent_core(graph, layers, d)
+            for layers, members in enumerate_candidates(frozen, d, s):
+                assert members == oracle_coherent_core(graph, layers, d)

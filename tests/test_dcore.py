@@ -1,4 +1,4 @@
-"""Unit and property tests for single-layer d-core computation."""
+"""Unit and property tests for the single-layer d-core reference peels."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dcore import core_decomposition, core_sizes_by_threshold, d_core
+from tests.oracle import core_decomposition, core_sizes_by_threshold, d_core
 from repro.utils.errors import ParameterError
 
 

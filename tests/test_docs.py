@@ -27,7 +27,7 @@ class TestSurfaceExists:
     def test_readme_covers_the_advertised_surface(self):
         with open(os.path.join(ROOT, "README.md")) as handle:
             text = handle.read()
-        for needle in ("--backend", "--jobs", "docs/", "examples/",
+        for needle in ("--jobs", "docs/", "examples/",
                        "pip install", "search_dccs"):
             assert needle in text, needle
 
@@ -94,6 +94,32 @@ class TestChecker:
                 for path in check_docs.python_sources()}
         assert tops == {"setup.py", "src", "benchmarks", "tools",
                         "examples"}
+
+    def test_detects_dangling_cli_flag(self):
+        problems = check_docs.check_cli_flags(
+            os.path.join(ROOT, "README.md"),
+            "run `repro search ppi --jobs 2 --backend dict`",
+            check_docs.cli_flags(),
+        )
+        assert problems == [
+            "README.md: --backend is not an option of any repro "
+            "subcommand"]
+
+    def test_lifecycle_diagram_arrows_are_not_flags(self):
+        assert check_docs.check_cli_flags(
+            os.path.join(ROOT, "docs", "architecture.md"),
+            "MultiLayerGraph --freeze()--> FrozenMultiLayerGraph\n"
+            "                <--thaw()--\n| --- | --- |",
+            check_docs.cli_flags(),
+        ) == []
+
+    def test_current_docs_name_only_cli_flags(self):
+        flags = check_docs.cli_flags()
+        assert {"--jobs", "--port", "--scale", "--help"} <= flags
+        for path in check_docs.checked_documents():
+            with open(path) as handle:
+                assert check_docs.check_cli_flags(
+                    path, handle.read(), flags) == []
 
     @pytest.mark.parametrize("token,is_path", [
         ("src/repro/core/api.py", True),

@@ -5,7 +5,8 @@ The contract under test, in order of importance:
 1. **session equivalence** — ``engine.search``, ``engine.search_many``
    and one-shot ``search_dccs(..., jobs=N)`` return bitwise identical
    sets, labels, cover sizes *and aggregated stats counters*, for every
-   method, both backends, and warm-vs-cold pools/caches (the artifact
+   method, a ``MultiLayerGraph`` or a frozen graph, and warm-vs-cold
+   pools/caches (the artifact
    cache replays captured stats deltas instead of skipping charges);
 2. **invalidation** — mutating the underlying ``MultiLayerGraph`` after
    engine construction rebinds the session (frozen graph, cache, pool);
@@ -24,7 +25,11 @@ from repro.cli import main
 from repro.core import search_dccs
 from repro.engine import ArtifactCache, DCCEngine
 from repro.experiments.runner import measure_point, sweep
-from repro.graph import MultiLayerGraph, paper_figure1_graph
+from repro.graph import (
+    FrozenMultiLayerGraph,
+    MultiLayerGraph,
+    paper_figure1_graph,
+)
 from repro.parallel import live_pool_count
 from repro.utils.errors import EngineClosedError, ParameterError
 from tests.strategies import multilayer_graphs, search_parameters
@@ -50,11 +55,12 @@ class TestSessionEquivalence:
     def test_engine_matches_one_shot_all_methods_both_backends(self, data):
         graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
         d, s, k = data.draw(search_parameters(graph))
-        for backend in ("dict", "frozen"):
-            with DCCEngine(graph, backend=backend, jobs=2) as engine:
+        # Integer labels: the fresh frozen graph's ids are the labels.
+        for source in (graph, FrozenMultiLayerGraph.from_graph(graph)):
+            with DCCEngine(source, jobs=2) as engine:
                 for method in METHODS:
-                    one_shot = search_dccs(graph, d, s, k, method=method,
-                                           backend=backend, jobs=2, seed=5)
+                    one_shot = search_dccs(source, d, s, k, method=method,
+                                           jobs=2, seed=5)
                     cold = engine.search(d, s, k, method=method, seed=5)
                     warm = engine.search(d, s, k, method=method, seed=5)
                     batch, = engine.search_many([
@@ -65,7 +71,7 @@ class TestSessionEquivalence:
                                           ("batch", batch)):
                         assert_identical(
                             one_shot, result,
-                            (backend, method, label, d, s, k),
+                            (source, method, label, d, s, k),
                         )
 
     def test_search_many_matches_individual_searches_in_order(self):
@@ -92,8 +98,7 @@ class TestSessionEquivalence:
         frozen = graph.freeze()
         with DCCEngine(frozen, jobs=1) as engine:
             raw = engine.search(3, 2, 2, method="greedy")
-        translated = search_dccs(graph, 3, 2, 2, method="greedy",
-                                 backend="frozen", jobs=1)
+        translated = search_dccs(graph, 3, 2, 2, method="greedy", jobs=1)
         assert [
             frozen.labels_for(members) for members in raw.sets
         ] == translated.sets

@@ -1,9 +1,8 @@
-"""Tests for graph I/O, builders and views."""
+"""Tests for graph I/O and builders."""
 
 import pytest
 
 from repro.graph import (
-    LayerView,
     MultiLayerGraph,
     from_adjacency,
     from_edge_lists,
@@ -16,7 +15,7 @@ from repro.graph import (
     write_edge_list,
     write_json,
 )
-from repro.utils.errors import ParameterError, VertexError
+from repro.utils.errors import LayerIndexError, ParameterError
 
 
 def sample_graph():
@@ -99,6 +98,32 @@ class TestJsonRoundTrip:
                            match=r"'edges' entry 1 must be a \[layer, u, v\]"):
             from_json_dict(payload)
 
+    @pytest.mark.parametrize("payload, error, message", [
+        ({"num_layers": "two"}, ParameterError, "num_layers must be an"),
+        ({"num_layers": True}, ParameterError, "num_layers must be an"),
+        ({"num_layers": 0}, ParameterError, "at least one layer"),
+        ({"num_layers": 2, "vertices": 5}, ParameterError,
+         "'vertices' must be a list"),
+        ({"num_layers": 2, "edges": 5}, ParameterError,
+         "'edges' must be a list"),
+        ({"num_layers": 2, "vertices": [["a"]]}, ParameterError,
+         "must be hashable"),
+        ({"num_layers": 2, "edges": [["0", "a", "b"]]}, ParameterError,
+         "a layer must be an integer"),
+        ({"num_layers": 2, "edges": [[1.0, "a", "b"]]}, ParameterError,
+         "a layer must be an integer"),
+        ({"num_layers": 2, "edges": [[True, "a", "b"]]}, ParameterError,
+         "a layer must be an integer"),
+        ({"num_layers": 2, "edges": [[2, "a", "b"]]}, LayerIndexError,
+         "out of range"),
+        ({"num_layers": 2, "edges": [[0, ["a"], "b"]]}, ParameterError,
+         "must be hashable"),
+    ])
+    def test_wrong_typed_fields_raise_typed_errors(self, payload, error,
+                                                   message):
+        with pytest.raises(error, match=message):
+            from_json_dict(payload)
+
     def test_truncated_file_names_the_file(self, tmp_path):
         path = tmp_path / "truncated.json"
         path.write_text('{"num_layers": 2, "edges": [')
@@ -135,38 +160,3 @@ class TestBuilders:
         assert all(g.has_edge(layer, "a", "b") for layer in g.layers())
         with pytest.raises(ParameterError):
             replicate_layer([("a", "b")], 0)
-
-
-class TestLayerView:
-    def test_basic_view(self):
-        view = LayerView(sample_graph(), 0)
-        assert view.degree("a") == 1
-        assert view.has_edge("a", "b")
-        assert not view.has_edge("b", "c")
-
-    def test_induced_view(self):
-        g = sample_graph()
-        view = LayerView(g, 0, within={"a", "c"})
-        assert view.degree("a") == 0
-        assert "b" not in view
-
-    def test_view_outside_vertex(self):
-        view = LayerView(sample_graph(), 0, within={"a"})
-        with pytest.raises(VertexError):
-            view.neighbors("b")
-
-    def test_density_and_min_degree(self):
-        g = replicate_layer(
-            [(0, 1), (1, 2), (0, 2)], 1
-        )
-        view = LayerView(g, 0)
-        assert view.density() == 1.0
-        assert view.min_degree() == 2
-        assert view.is_d_dense(2)
-        assert not view.is_d_dense(3)
-
-    def test_empty_view(self):
-        view = LayerView(sample_graph(), 0, within=set())
-        assert view.min_degree() == 0
-        assert view.density() == 0.0
-        assert view.num_edges() == 0

@@ -34,10 +34,12 @@ class TestCoreNumbers:
         assert numbers[7] == 1
 
     def test_single_layer_matches_core_decomposition(self):
-        from repro.core.dcore import core_decomposition
+        from repro.core.dcore import layer_core_decomposition
+        from tests.oracle import core_decomposition
         g = nested_graph()
         numbers = coherent_core_numbers(g, [0])
-        assert numbers == core_decomposition(g.adjacency(0))
+        assert numbers == core_decomposition(g.adjacency(0)) == \
+            layer_core_decomposition(g, 0)
 
     def test_within_restriction(self):
         g = nested_graph()

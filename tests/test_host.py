@@ -251,8 +251,8 @@ class TestLifecycle:
         for bad in (0, -5, "64000000", True):
             with pytest.raises(ParameterError):
                 DCCHost(memory_budget_bytes=bad)
-        with pytest.raises(ParameterError):
-            DCCHost(backend="froze")
+        with pytest.raises(TypeError, match="backend"):
+            DCCHost(backend="frozen")
         with pytest.raises(ParameterError):
             DCCHost(jobs=-1)
 
@@ -261,8 +261,8 @@ class TestLifecycle:
         # it at admission would evict the LRU victim's warm pool first.
         with DCCHost(jobs=1) as host:
             graph = paper_figure1_graph()
-            with pytest.raises(ParameterError):
-                host.attach("bad", graph, backend="froze")
+            with pytest.raises(TypeError, match="backend"):
+                host.attach("bad", graph, backend="frozen")
             with pytest.raises(ParameterError):
                 host.attach("bad", graph, jobs=-2)
             assert not host.is_attached("bad")

@@ -5,16 +5,18 @@ Four layers of guarantees, all enforced here:
 * **one tier, no knob** — ``kernel=`` is gone from every surface and is
   rejected there with a typed error; ``resolve_kernel`` and the frozen
   graph's ``kernel`` report the one tier as provenance;
-* **bitwise equivalence** — for every frozen-backend primitive
-  (induced degrees, layer core, coherent core, core decomposition,
-  vertex deletion, the hierarchy index) and for full ``search_dccs``
-  runs across methods, jobs counts and warm caches, the frozen graph's
-  numpy kernels return the dict backend's values, labels, cover sizes
-  and ``SearchStats`` counters; the full-graph layer peel, which picks a
+* **bitwise equivalence** — every primitive (induced degrees, layer
+  core, coherent core, core decomposition, vertex deletion, the
+  hierarchy index, InitTopK, RefineU) returns the values and
+  ``SearchStats`` counters of the reference implementations in
+  ``tests/oracle.py``; full ``search_dccs`` runs handed a
+  ``MultiLayerGraph`` answer like the pre-frozen graph across methods,
+  jobs counts and warm caches; the full-graph layer peel, which picks a
   push or a pull for each round, equals the push-only cascade, and a
   frozen graph that keeps its layer cores answers like a fresh one;
 * **one input contract** — a bad ``d`` or layer raises the same typed
-  error on the dict backend and on the frozen graph;
+  error whether an entry point is handed a ``MultiLayerGraph`` or a
+  frozen graph;
 * **bookkeeping honesty** — ``memory_bytes`` counts numpy-backed CSR
   storage, lazily-built degree vectors and kept layer cores, and the
   synthetic generator assembles each layer as its sorted, distinct edge
@@ -45,24 +47,18 @@ from repro.core import search_dccs
 from repro.core.dcc import (
     candidate_for_subset,
     coherent_core,
-    coherent_core_binsort,
     enumerate_candidates,
     validate_search_params,
 )
+from repro.core.coverage import DiversifiedTopK
 from repro.core.dcore import (
-    core_decomposition,
-    d_core,
     layer_core,
     layer_core_decomposition,
     layer_core_sizes,
 )
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
-from repro.core.maintain import (
-    CoreMasks,
-    MultiLayerCoreMaintainer,
-    core_maintainer,
-)
+from repro.core.maintain import ArrayCoreMaintainer, CoreMasks
 from repro.core.preprocess import vertex_deletion
 from repro.core.refine import refine_potential
 from repro.core.stats import SearchStats
@@ -86,6 +82,7 @@ from repro.parallel import usable_cpus
 from repro.parallel.serialize import graph_payload, payload_graph
 from repro.utils.errors import LayerIndexError, ParameterError
 
+from tests import oracle
 from tests.strategies import (
     hub_graphs,
     multilayer_graphs,
@@ -170,7 +167,16 @@ class TestPrimitiveEquivalence:
                                  max_value=graph.num_vertices),
                      max_size=graph.num_vertices + 2),
         ))
-        outputs = []
+        adjacency = graph.adjacency(0)
+        stats = SearchStats()
+        outputs = [(
+            graph.induced_degrees(0, within),
+            oracle.d_core(adjacency, d, within=within),
+            oracle.coherent_core(graph, layers, d, within=within,
+                                 stats=stats),
+            stats.as_dict(),
+            oracle.core_decomposition(adjacency, within=within),
+        )]
         for backend in (graph, graph.freeze()):
             stats = SearchStats()
             outputs.append((
@@ -181,7 +187,7 @@ class TestPrimitiveEquivalence:
                 stats.as_dict(),
                 layer_core_decomposition(backend, 0, within=within),
             ))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @given(st.integers(min_value=1, max_value=40), st.data())
     @settings(max_examples=40, deadline=None)
@@ -197,16 +203,15 @@ class TestPrimitiveEquivalence:
         d = data.draw(st.integers(min_value=0, max_value=4))
         s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
         enabled = data.draw(st.booleans())
-        outputs = []
-        for backend in (graph, graph.freeze()):
-            stats = SearchStats()
-            prep = vertex_deletion(backend, d, s, enabled=enabled,
-                                   stats=stats)
-            outputs.append((
-                prep.alive, prep.cores, prep.support, prep.deleted,
-                prep.rounds, stats.dcc_calls, stats.vertices_deleted,
-            ))
-        assert outputs[0] == outputs[1]
+        alive, cores, support, deleted, rounds = oracle.vertex_deletion(
+            graph, d, s, enabled=enabled)
+        stats = SearchStats()
+        prep = vertex_deletion(graph.freeze(), d, s, enabled=enabled,
+                               stats=stats)
+        assert (prep.alive, prep.cores, prep.support, prep.deleted,
+                prep.rounds, stats.dcc_calls, stats.vertices_deleted) == \
+            (alive, cores, support, deleted, rounds, graph.num_layers,
+             deleted)
 
     @given(multilayer_graphs(max_vertices=9, max_layers=3), st.data())
     @settings(max_examples=25, deadline=None)
@@ -218,28 +223,26 @@ class TestPrimitiveEquivalence:
                                  max_value=graph.num_vertices),
                      max_size=graph.num_vertices + 2),
         ))
-        outputs = []
-        for backend in (graph, graph.freeze()):
-            stats = SearchStats()
-            index = CoreHierarchyIndex(backend, d, within=within,
-                                       stats=stats)
-            outputs.append(_index_view(index) + (stats.dcc_calls,))
-        assert outputs[0] == outputs[1]
+        stats = SearchStats()
+        index = CoreHierarchyIndex(graph.freeze(), d, within=within,
+                                   stats=stats)
+        assert _index_view(index) + (stats.dcc_calls,) == \
+            oracle.hierarchy_index(graph, d, within=within) + \
+            (graph.num_layers,)
 
     @given(multilayer_graphs(max_vertices=9, max_layers=2))
     @settings(max_examples=15, deadline=None)
     def test_core_decomposition_matches_dict_reference(self, graph):
         assert layer_core_decomposition(graph.freeze(), 0) == \
-            core_decomposition(graph.adjacency(0))
+            oracle.core_decomposition(graph.adjacency(0))
 
 
 def _index_view(index):
     """Per-vertex level, threshold, label and union neighbours as dicts,
-    and the level batches as sets, from either form of the index."""
-    batches = [(threshold, set(batch)) for threshold, batch in index.levels]
-    if not index.is_array:
-        return (index.level_of, index.threshold_of, index.label,
-                index.union_adj, batches)
+    and the level batches as sets, as :func:`oracle.hierarchy_index`
+    returns them."""
+    batches = [(threshold, set(batch.tolist()))
+               for threshold, batch in index.levels]
     indexed = [v for v, level in enumerate(index.level.tolist())
                if level >= 0]
     indptr = index.union_indptr.tolist()
@@ -345,7 +348,7 @@ class TestFullLayerCore:
                 assert core.tolist() == pushed.tolist()
                 assert degrees[core].tolist() == push_degrees[core].tolist()
                 assert set(np.flatnonzero(core).tolist()) == \
-                    d_core(graph.adjacency(layer), d)
+                    oracle.d_core(graph.adjacency(layer), d)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_rule_routes_each_round(self, route):
@@ -434,9 +437,9 @@ class TestLayerCoreMemo:
         use_vd = data.draw(st.booleans())
         warm = graph.freeze()
 
-        def run(target, d, backend="auto"):
+        def run(target, d):
             return _snapshot(search_dccs(
-                target, d, s, k, method=method, backend=backend, seed=0,
+                target, d, s, k, method=method, seed=0,
                 use_vertex_deletion=use_vd,
             ))
 
@@ -447,7 +450,7 @@ class TestLayerCoreMemo:
             (layer, d) for layer in warm.layers() for d in range(5)
         ]
         for d in range(5):
-            assert run(warm, d) == cold[d] == run(graph, d, "dict"), d
+            assert run(warm, d) == cold[d] == run(graph, d), d
         for layer in warm.layers():
             for d in range(5):
                 hits = warm.core_memo.hits
@@ -591,27 +594,28 @@ TIERS = ["dict", "numpy"]
 
 
 def _tier_graph(tier):
-    """The english stand-in at scale 0.1 (15 layers): the dict graph,
-    or its frozen form, which runs the numpy kernels."""
+    """The english stand-in at scale 0.1 (15 layers): the
+    ``MultiLayerGraph``, or its frozen form."""
     graph = load("english", scale=0.1).graph
     return graph if tier == "dict" else graph.freeze()
 
 
 class TestCoreInputChecks:
-    """A bad ``d`` or layer raises one typed error on every backend."""
+    """A bad ``d`` or layer raises one typed error for either graph."""
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("d", [-1, 2.5, 3.0, True, "3", None])
     def test_bad_degree_one_error(self, tier, d):
         graph = _tier_graph(tier)
+        # The functions below the boundary take the frozen graph only.
+        frozen = graph.freeze()
         calls = [
             lambda: validate_search_params(graph, d, 2, 2),
             lambda: layer_core(graph, 0, d),
             lambda: coherent_core(graph, [0, 1], d),
-            lambda: coherent_core_binsort(graph, [0, 1], d),
-            lambda: vertex_deletion(graph, d, 1),
-            lambda: CoreHierarchyIndex(graph, d),
-            lambda: core_maintainer(graph, d),
+            lambda: vertex_deletion(frozen, d, 1),
+            lambda: CoreHierarchyIndex(frozen, d),
+            lambda: ArrayCoreMaintainer(frozen, d),
         ]
         for call in calls:
             with pytest.raises(ParameterError, match="^d must be"):
@@ -643,6 +647,16 @@ def _snapshot(result):
     )
 
 
+def _labelled(frozen, source, result):
+    """:func:`_snapshot` in labels: a search of ``frozen`` itself
+    answers in its ids, one of its source graph in labels."""
+    snapshot = _snapshot(result)
+    if source is frozen:
+        snapshot[0][:] = [set(frozen.labels_for(members))
+                          for members in snapshot[0]]
+    return snapshot
+
+
 def _wide_graph(num_layers):
     """Two 5-cliques, each on every layer but one or two."""
     graph = MultiLayerGraph(num_layers, vertices=range(10))
@@ -664,9 +678,8 @@ class TestSearchEquivalence:
             ("greedy", "bottom-up", "top-down")
         ))
         runs = [
-            _snapshot(search_dccs(graph, d, s, k, method=method,
-                                  backend=backend, seed=0))
-            for backend in ("dict", "frozen")
+            _snapshot(search_dccs(source, d, s, k, method=method, seed=0))
+            for source in (graph, FrozenMultiLayerGraph.from_graph(graph))
         ]
         assert runs[0] == runs[1]
 
@@ -677,15 +690,15 @@ class TestSearchEquivalence:
         missing from them loses real d-CCs at every ``s`` near ``l``.
         """
         graph = _wide_graph(70)
-        indexes = [_index_view(CoreHierarchyIndex(backend, 3))
-                   for backend in (graph, graph.freeze())]
+        indexes = [_index_view(CoreHierarchyIndex(graph.freeze(), 3)),
+                   oracle.hierarchy_index(graph, 3)]
         assert indexes[0] == indexes[1]
         assert any(max(label, default=0) >= 64
                    for label in indexes[1][2].values())
         runs = [
-            _snapshot(search_dccs(graph, 3, 68, 2, method="top-down",
-                                  backend=backend, seed=0))
-            for backend in ("dict", "frozen")
+            _snapshot(search_dccs(source, 3, 68, 2, method="top-down",
+                                  seed=0))
+            for source in (graph, FrozenMultiLayerGraph.from_graph(graph))
         ]
         assert runs[0] == runs[1]
         assert runs[1][2] == 10
@@ -696,10 +709,13 @@ class TestSearchEquivalence:
         graph = _wide_graph(70)
         frozen = graph.freeze()
         batch = np.arange(frozen.num_vertices)
-        labels = core_maintainer(frozen, 3).labels_of(batch)
-        assert labels == MultiLayerCoreMaintainer(graph, 3).labels_of(
-            batch.tolist()
-        )
+        labels = ArrayCoreMaintainer(frozen, 3).labels_of(batch)
+        cores, _ = oracle.layer_cores(graph, 3, graph.vertices())
+        assert labels == {
+            v: frozenset(layer for layer, core in enumerate(cores)
+                         if v in core)
+            for v in graph.vertices()
+        }
         assert labels[5] == frozenset(range(70)) - {66}
         sub = np_induced_subgraph(frozen, _mask(10, range(1, 10)))
         for v in range(sub.num_vertices):
@@ -714,31 +730,35 @@ class TestSearchEquivalence:
                                        num_communities=4,
                                        community_size=30, d=3, span=2,
                                        seed=5)
+        # Identity labels: the thawed graph's vertices are the ids.
         runs = [
-            _snapshot(search_dccs(dataset.graph, 3, 2, 3, method="greedy",
-                                  backend=backend, jobs=jobs))
-            for backend in ("dict", "frozen")
+            _snapshot(search_dccs(source, 3, 2, 3, method="greedy",
+                                  jobs=jobs))
+            for source in (dataset.graph.thaw(), dataset.graph)
         ]
         assert runs[0] == runs[1]
 
     def test_warm_artifact_cache_replay_identical(self):
         graph = paper_figure1_graph()
+        frozen = graph.freeze()
         snapshots = []
-        for backend in ("dict", "frozen"):
-            with DCCEngine(graph, backend=backend, jobs=1) as engine:
-                cold = _snapshot(engine.search(3, 2, 2, method="greedy"))
-                warm = _snapshot(engine.search(3, 2, 2, method="greedy"))
+        for source in (graph, frozen):
+            with DCCEngine(source, jobs=1) as engine:
+                cold = engine.search(3, 2, 2, method="greedy")
+                warm = engine.search(3, 2, 2, method="greedy")
                 assert engine.info()["cache_hits"] > 0
-            assert cold == warm
-            snapshots.append(warm)
+            assert _snapshot(cold) == _snapshot(warm)
+            snapshots.append(_labelled(frozen, source, warm))
         assert snapshots[0] == snapshots[1]
 
     def test_warm_result_cache_replay_identical(self):
         spec = {"graph": "g", "d": 3, "s": 2, "k": 2, "method": "greedy"}
+        graph = paper_figure1_graph()
+        frozen = graph.freeze()
         snapshots = []
-        for backend in ("dict", "frozen"):
-            host = AsyncDCCHost(backend=backend, jobs=1)
-            host.attach("g", paper_figure1_graph())
+        for source in (graph, frozen):
+            host = AsyncDCCHost(jobs=1)
+            host.attach("g", source)
 
             async def run():
                 first = await host.search_many([spec])
@@ -750,7 +770,7 @@ class TestSearchEquivalence:
             first, second, info = asyncio.run(run())
             assert info["requests_cached"] >= 1
             assert _snapshot(first[0]) == _snapshot(second[0])
-            snapshots.append(_snapshot(second[0]))
+            snapshots.append(_labelled(frozen, source, second[0]))
         assert snapshots[0] == snapshots[1]
 
 
@@ -805,6 +825,7 @@ class TestVertexMasks:
             assert stats.dcc_calls == 0
 
     def test_any_mask_rejected_on_dict_backend(self):
+        # Handed a MultiLayerGraph, a mask has no dense ids to name.
         graph = paper_figure1_graph()
         for length in (6, graph.num_vertices):
             with pytest.raises(ParameterError, match="frozen graph"):
@@ -812,7 +833,8 @@ class TestVertexMasks:
 
 
 class TestMaskPathEquivalence:
-    """Mask cores give the set path's candidates, seeds and counters."""
+    """Mask cores give the reference set forms' candidates, seeds and
+    counters."""
 
     @given(multilayer_graphs(max_vertices=8, max_layers=8), st.data())
     @settings(max_examples=30, deadline=None)
@@ -827,34 +849,45 @@ class TestMaskPathEquivalence:
         ))
         within_mask = None if within is None else _mask(n, within)
         runs = []
-        for backend, cores, bound in (
-            (frozen, prep.masks.cores, within_mask),
-            (frozen, prep.cores, within),
-            (graph, prep.cores, within),
-        ):
+        for cores, bound in ((prep.masks.cores, within_mask),
+                             (prep.cores, within)):
             stats = SearchStats()
             runs.append((
-                list(enumerate_candidates(backend, d, s, within=bound,
+                list(enumerate_candidates(frozen, d, s, within=bound,
                                           cores=cores, stats=stats)),
                 stats.as_dict(),
             ))
+        # The reference: each subset's Lemma 1 bound, peeled if not empty.
+        stats, expected = SearchStats(), []
+        for subset in combinations(range(frozen.num_layers), s):
+            bound = set.intersection(*(prep.cores[i] for i in subset))
+            if within is not None:
+                bound &= within
+            expected.append((subset, oracle.coherent_core(
+                graph, subset, d, within=bound, stats=stats)
+                if bound else frozenset()))
+        runs.append((expected, stats.as_dict()))
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("kernel", ["dict", "numpy"])
     def test_empty_bound_is_empty_without_a_peel(self, kernel):
+        """Cores as sets of ids ("dict") or as masks ("numpy")."""
         graph = MultiLayerGraph(2, vertices=range(8))
         for layer, block in ((0, range(0, 4)), (1, range(4, 8))):
             for u, v in combinations(block, 2):
                 graph.add_edge(layer, u, v)
-        prep = vertex_deletion(graph, 3, 1)
-        if kernel == "numpy":
-            graph = graph.freeze()
-            prep = _frozen_prep(graph, 3, 1)
-        for cores in (prep.cores, prep.kernel_view()[0]):
-            stats = SearchStats()
-            assert candidate_for_subset(graph, 3, (0, 1), cores,
-                                        stats=stats) == frozenset()
-            assert stats.dcc_calls == stats.peel_operations == 0
+        frozen = graph.freeze()
+        prep = _frozen_prep(frozen, 3, 1)
+        stats = SearchStats()
+        if kernel == "dict":
+            ((_, core),) = enumerate_candidates(frozen, 3, 2,
+                                                cores=prep.cores,
+                                                stats=stats)
+        else:
+            core = candidate_for_subset(frozen, 3, (0, 1),
+                                        prep.kernel_view()[0], stats=stats)
+        assert core == frozenset()
+        assert stats.dcc_calls == stats.peel_operations == 0
 
     @given(multilayer_graphs(max_vertices=8, max_layers=8), st.data())
     @settings(max_examples=30, deadline=None)
@@ -865,17 +898,15 @@ class TestMaskPathEquivalence:
         k = data.draw(st.integers(min_value=1, max_value=3))
         prep = _frozen_prep(frozen, d, s, enabled=data.draw(st.booleans()))
         runs = []
-        for backend, (cores, alive) in (
-            (frozen, prep.kernel_view()),
-            (frozen, (prep.cores, prep.alive)),
-            (graph, (prep.cores, prep.alive)),
-        ):
+        for run, source in ((init_topk, frozen), (oracle.init_topk, graph)):
             stats = SearchStats()
-            topk = init_topk(backend, d, s, k, cores, within=alive,
-                             stats=stats)
+            cores, alive = prep.kernel_view() if run is init_topk \
+                else (prep.cores, prep.alive)
+            topk = run(source, d, s, k, cores, within=alive,
+                       topk=DiversifiedTopK(k), stats=stats)
             runs.append((topk.labelled_sets(), topk.cover_size,
                          stats.as_dict()))
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
     @settings(max_examples=25, deadline=None)
@@ -886,10 +917,10 @@ class TestMaskPathEquivalence:
         made = []
 
         def recording(*args, **kwargs):
-            made.append(core_maintainer(*args, **kwargs))
+            made.append(ArrayCoreMaintainer(*args, **kwargs))
             return made[-1]
 
-        with mock.patch("repro.core.preprocess.core_maintainer",
+        with mock.patch("repro.core.preprocess.ArrayCoreMaintainer",
                         recording):
             prep = vertex_deletion(frozen, d, s)
         assert not {"alive", "cores", "support"} & set(vars(prep))
@@ -940,14 +971,13 @@ class TestMaskPathEquivalence:
 
         module = "repro.core.{}".format(method.replace("-", ""))
         runs = []
-        for backend, patched in ((frozen, True), (frozen, False),
-                                 (graph, False)):
+        for source, patched in ((frozen, True), (frozen, False),
+                                (graph, False)):
             search = mock.patch(module + ".vertex_deletion", cached) \
                 if patched else contextlib.nullcontext()
             with search:
                 runs.append(_snapshot(search_dccs(
-                    backend, d, s, k, method=method, backend="dict"
-                    if backend is graph else "frozen", seed=0,
+                    source, d, s, k, method=method, seed=0,
                 )))
         assert runs[0] == runs[1] == runs[2]
 
@@ -958,28 +988,27 @@ class TestMaskPathEquivalence:
                                      seed=5).graph
         runs = [
             _snapshot(search_dccs(graph, 3, 2, 3, method="greedy",
-                                  backend="frozen", jobs=each))
+                                  jobs=each))
             for each in (None, jobs)
         ]
         assert runs[0] == runs[1]
 
     def test_greedy_and_init_topk_on_seventy_layers(self):
-        """Mask bounds and set bounds agree past 63 layers."""
+        """Mask bounds and the reference set bounds agree past 63 layers."""
         graph = _wide_graph(70)
         frozen = graph.freeze()
         prep = _frozen_prep(frozen, 3, 68)
         runs = []
-        for backend, (cores, alive), name in (
-            (frozen, prep.kernel_view(), "frozen"),
-            (graph, (prep.cores, prep.alive), "dict"),
+        for run, source, (cores, alive) in (
+            (init_topk, frozen, prep.kernel_view()),
+            (oracle.init_topk, graph, (prep.cores, prep.alive)),
         ):
             stats = SearchStats()
-            topk = init_topk(backend, 3, 68, 2, cores, within=alive,
-                             stats=stats)
+            topk = run(source, 3, 68, 2, cores, within=alive,
+                       topk=DiversifiedTopK(2), stats=stats)
             runs.append((
                 topk.labelled_sets(), stats.as_dict(),
-                _snapshot(search_dccs(graph, 3, 68, 2, method="greedy",
-                                      backend=name)),
+                _snapshot(search_dccs(source, 3, 68, 2, method="greedy")),
             ))
         assert runs[0] == runs[1]
         assert runs[0][2][2] == 10
@@ -1012,8 +1041,9 @@ class TestTopDownArrays:
             assert {(sub.labels[u], sub.labels[v])
                     for u, v in sub.edges(layer)} == induced
             assert sub.num_edges(layer) == len(induced)
+            indptr, indices = sub._np_csr(layer)
             for v in range(sub.num_vertices):
-                row = list(sub.neighbor_row(layer)(v))
+                row = indices[indptr[v]:indptr[v + 1]].tolist()
                 assert row == sorted(row)
         for v in range(sub.num_vertices):
             assert sub.layers_of(v) == frozenset(
@@ -1041,37 +1071,35 @@ class TestTopDownArrays:
             st.integers(min_value=0, max_value=n - 1)
         ))
         prep = _frozen_prep(frozen, d, s)
-        # The dict graph's vertices are the frozen graph's ids.
-        forms = {
-            "dict": (graph, set(candidates), prep.cores),
-            "frozen": (frozen, _mask(n, candidates), prep.masks.cores),
-        }
-        indexes = {name: CoreHierarchyIndex(backend, d)
-                   for name, (backend, _, _) in forms.items()}
-        assert not indexes["dict"].is_array
-        assert indexes["frozen"].is_array
+        # The graph's vertices are the frozen graph's ids.
+        index = CoreHierarchyIndex(frozen, d)
+        reference = oracle.hierarchy_index(graph, d)
+        potential = _mask(n, candidates)
         for size in range(1, num_layers + 1):
             for positions in combinations(range(num_layers), size):
                 layers = [order[p] for p in positions]
-                outputs = {}
-                for name, (backend, potential, cores) in forms.items():
-                    stats = SearchStats()
-                    scope = indexes[name].reachable_scope(layers, potential)
-                    refined = refine_potential(
-                        backend, d, s, potential, frozenset(positions),
-                        order, cores, stats=stats,
-                    )
-                    outputs[name] = (scope, refined, stats.as_dict())
-                want_scope, want_refined, want_counters = outputs["dict"]
-                scope, refined, counters = outputs["frozen"]
+                want_stats, stats = SearchStats(), SearchStats()
+                want_scope = oracle.reachable_scope(reference, layers,
+                                                    candidates)
+                want_refined = oracle.refine_potential(
+                    graph, d, s, candidates, frozenset(positions), order,
+                    prep.cores, stats=want_stats,
+                )
+                want_counters = want_stats.as_dict()
+                scope = index.reachable_scope(layers, potential)
+                refined = refine_potential(
+                    frozen, d, s, potential, frozenset(positions), order,
+                    prep.masks.cores, stats=stats,
+                )
+                counters = stats.as_dict()
                 assert set(np.flatnonzero(scope).tolist()) == want_scope
                 assert set(np.flatnonzero(refined).tolist()) == want_refined
                 assert counters == want_counters
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_top_down_identical_on_synthetic(self, d):
-        """The dict graph (sets) vs the frozen graph (survivor subgraph,
-        masks): sets, labels, cover and every counter, at each s."""
+        """The thawed graph, frozen afresh at the boundary, vs the frozen
+        graph itself: sets, labels, cover and every counter, at each s."""
         graph = synthetic_multilayer(
             3_000, num_layers=6, num_communities=12, community_size=32,
             d=4, span=4, seed=3,
@@ -1080,8 +1108,8 @@ class TestTopDownArrays:
         thawed = graph.thaw()
         survivors = set()
         for s in range(2, graph.num_layers + 1):
-            runs = [_snapshot(td_dccs(backend, d, s, 8, seed=0))
-                    for backend in (thawed, graph)]
+            runs = [_snapshot(td_dccs(source, d, s, 8, seed=0))
+                    for source in (thawed, graph)]
             assert runs[0] == runs[1]
             survivors.add(graph.num_vertices - runs[1][3][
                 "vertices_deleted"])
@@ -1198,6 +1226,7 @@ class TestSyntheticGenerator:
                                      community_size=20, seed=0).graph
         assert type(graph.labels) is range
         assert graph.id_of(123) == 123
+        _, labels, *_ = graph_payload(graph)
+        assert type(labels) is range  # shipped as a range, not a list
         payload = graph_payload(graph)
-        assert type(payload[2]) is range  # shipped as a range, not a list
         assert payload_graph(payload) == graph

@@ -22,6 +22,11 @@ def small_graph():
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("layers", ["two", True, False, 2.0, None])
+    def test_num_layers_must_be_an_integer(self, layers):
+        with pytest.raises(ParameterError, match="num_layers must be an"):
+            MultiLayerGraph(layers)
+
     def test_requires_at_least_one_layer(self):
         with pytest.raises(ParameterError):
             MultiLayerGraph(0)
@@ -76,6 +81,57 @@ class TestMutation:
             g.add_edge(2, "a", "b")
         with pytest.raises(LayerIndexError):
             g.add_edge(-1, "a", "b")
+
+    @pytest.mark.parametrize("layer", ["0", 0.0, 1.0, True, None, [0]])
+    def test_wrong_typed_layer_raises_parameter_error(self, layer):
+        g = small_graph()
+        version = g.mutation_version
+        for mutate in (
+            lambda: g.add_edge(layer, "a", "zz"),
+            lambda: g.remove_edge(layer, "a", "b"),
+            lambda: g.apply_delta(add=[(layer, "a", "zz")]),
+            lambda: g.apply_delta(remove=[(layer, "a", "b")]),
+        ):
+            with pytest.raises(ParameterError, match="layer must be an"):
+                mutate()
+        assert g.mutation_version == version
+        assert "zz" not in g
+
+    def test_numpy_integer_layer_accepted(self):
+        import numpy as np
+
+        g = small_graph()
+        g.add_edge(np.int64(1), "a", "b")
+        assert g.has_edge(1, "a", "b")
+
+    def test_unhashable_vertex_raises_parameter_error(self):
+        g = small_graph()
+        version = g.mutation_version
+        for mutate in (
+            lambda: g.add_vertex(["x"]),
+            lambda: g.add_vertices(["ok", ["x"]]),
+            lambda: g.add_edge(0, ["x"], "a"),
+            lambda: g.add_edge(0, "a", {"x": 1}),
+            lambda: g.remove_edge(0, "a", ["b"]),
+            lambda: g.apply_delta(add=[(0, "a", ["x"])]),
+        ):
+            with pytest.raises(ParameterError, match="must be hashable"):
+                mutate()
+        # add_vertices applied "ok" before it met the list; nothing else
+        # changed.
+        assert g.vertices() == {"a", "b", "c", "d", "ok"}
+        assert g.mutation_version == version + 1
+
+    def test_delta_checked_before_any_edge_applies(self):
+        g = small_graph()
+        version = g.mutation_version
+        for bad in ((1, "a", "d", "extra"), 7, (True, "a", "zz")):
+            with pytest.raises(ParameterError):
+                g.apply_delta(add=[(0, "a", "d"), bad])
+        with pytest.raises(LayerIndexError):
+            g.apply_delta(add=[(0, "a", "d"), (3, "a", "d")])
+        assert not g.has_edge(0, "a", "d")
+        assert g.mutation_version == version
 
     def test_remove_edge(self):
         g = small_graph()

@@ -2,7 +2,8 @@
 
 The contract under test, in order of strength:
 
-1. **jobs invariance** — for every method, backend and seed,
+1. **jobs invariance** — for every method and seed, on a
+   ``MultiLayerGraph`` or a frozen graph,
    ``search_dccs(..., jobs=N)`` returns bitwise identical sets, labels,
    cover sizes *and aggregated stats counters* for every ``N`` (the
    shard structure is jobs-independent and the merge order canonical);
@@ -28,7 +29,11 @@ from repro.cli import main
 from repro.core import is_coherent_dense, search_dccs
 from repro.core.greedy import gd_dccs
 from repro.experiments.runner import measure_point
-from repro.graph import MultiLayerGraph, paper_figure1_graph
+from repro.graph import (
+    FrozenMultiLayerGraph,
+    MultiLayerGraph,
+    paper_figure1_graph,
+)
 from repro.parallel import (
     MAX_WORKERS,
     check_jobs,
@@ -70,22 +75,18 @@ class TestJobsInvariance:
     def test_jobs_1_vs_4_all_methods_both_backends(self, data):
         graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
         d, s, k = data.draw(search_parameters(graph))
-        for backend in ("dict", "frozen"):
+        for source in (graph, FrozenMultiLayerGraph.from_graph(graph)):
             for method in METHODS:
-                one = run(graph, d, s, k, method=method, backend=backend,
-                          jobs=1)
-                four = run(graph, d, s, k, method=method, backend=backend,
-                           jobs=4)
-                assert_identical(one, four, (backend, method, d, s, k))
+                one = run(source, d, s, k, method=method, jobs=1)
+                four = run(source, d, s, k, method=method, jobs=4)
+                assert_identical(one, four, (source, method, d, s, k))
 
     @given(labelled_multilayer_graphs(max_vertices=7, max_layers=3))
     @settings(max_examples=4, deadline=None)
     def test_string_labels_survive_parallel_search(self, graph):
         for method in METHODS:
-            one = run(graph, 1, 1, 2, method=method, backend="frozen",
-                      jobs=1)
-            four = run(graph, 1, 1, 2, method=method, backend="frozen",
-                       jobs=4)
+            one = run(graph, 1, 1, 2, method=method, jobs=1)
+            four = run(graph, 1, 1, 2, method=method, jobs=4)
             assert_identical(one, four, method)
             for members in four.sets:
                 assert all(isinstance(vertex, str) for vertex in members)
@@ -140,18 +141,15 @@ class TestGreedyParity:
     def test_parallel_greedy_equals_sequential(self, data):
         graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
         d, s, k = data.draw(search_parameters(graph))
-        for backend in ("dict", "frozen"):
-            sequential = run(graph, d, s, k, method="greedy",
-                             backend=backend)
-            parallel = run(graph, d, s, k, method="greedy",
-                           backend=backend, jobs=3)
-            assert_identical(sequential, parallel, (backend, d, s, k))
+        for source in (graph, FrozenMultiLayerGraph.from_graph(graph)):
+            sequential = run(source, d, s, k, method="greedy")
+            parallel = run(source, d, s, k, method="greedy", jobs=3)
+            assert_identical(sequential, parallel, (source, d, s, k))
 
     def test_parity_includes_candidate_family_size(self):
         graph = paper_figure1_graph()
         sequential = gd_dccs(graph, 3, 2, 2)
-        parallel = search_dccs(graph, 3, 2, 2, method="greedy",
-                               backend="dict", jobs=2)
+        parallel = search_dccs(graph, 3, 2, 2, method="greedy", jobs=2)
         assert (
             parallel.stats.extra["candidate_family_size"]
             == sequential.stats.extra["candidate_family_size"]
@@ -233,9 +231,12 @@ class TestGraphPayloadRoundTrip:
     @given(labelled_multilayer_graphs(max_vertices=8, max_layers=3))
     @settings(max_examples=20, deadline=None)
     def test_dict_round_trip(self, graph):
-        rebuilt = payload_graph(graph_payload(graph))
-        assert rebuilt == graph
+        # A MultiLayerGraph ships as its frozen form and thaws back.
+        rebuilt = payload_graph(graph_payload(graph.freeze()))
+        assert rebuilt.thaw() == graph
         assert rebuilt.name == graph.name
+        with pytest.raises(ParameterError, match=r"freeze\(\)"):
+            graph_payload(graph)
 
     def test_unknown_payload_kind(self):
         with pytest.raises(ValueError):
@@ -298,8 +299,7 @@ class TestPlumbing:
         graph = paper_figure1_graph()
         frozen = graph.freeze()
         raw = run(frozen, 3, 2, 2, method="greedy", jobs=2)
-        translated = run(graph, 3, 2, 2, method="greedy", backend="frozen",
-                         jobs=2)
+        translated = run(graph, 3, 2, 2, method="greedy", jobs=2)
         assert [
             frozen.labels_for(members) for members in raw.sets
         ] == translated.sets

@@ -29,53 +29,58 @@ def two_community_graph():
 
 
 class TestVertexDeletion:
+    """On the frozen graph; ``two_community_graph``'s ids are its labels."""
+
     def test_deletes_low_support_vertices(self):
-        g = two_community_graph()
+        g = two_community_graph().freeze()
         prep = vertex_deletion(g, d=3, s=2)
         # Community B supports only one layer, so s=2 kills it; A survives.
         assert prep.alive == {0, 1, 2, 3}
         assert prep.deleted == 5
 
     def test_support_counts(self):
-        g = two_community_graph()
+        g = two_community_graph().freeze()
         prep = vertex_deletion(g, d=3, s=1)
         assert prep.support[0] == 2
         assert prep.support[4] == 1
         assert 8 not in prep.alive
 
     def test_disabled_keeps_everything(self):
-        g = two_community_graph()
+        g = two_community_graph().freeze()
         prep = vertex_deletion(g, d=3, s=2, enabled=False)
         assert prep.alive == g.vertices()
         assert prep.deleted == 0
 
     def test_invalid_s(self):
-        with pytest.raises(ParameterError):
-            vertex_deletion(two_community_graph(), 2, 0)
-        with pytest.raises(ParameterError):
-            vertex_deletion(two_community_graph(), 2, 4)
+        with pytest.raises(ParameterError, match="s must be"):
+            vertex_deletion(two_community_graph().freeze(), 2, 0)
+        with pytest.raises(ParameterError, match="s must be"):
+            vertex_deletion(two_community_graph().freeze(), 2, 4)
+        with pytest.raises(ParameterError, match=r"freeze\(\)"):
+            vertex_deletion(two_community_graph(), 2, 2)
 
     def test_stats(self):
         stats = SearchStats()
-        vertex_deletion(two_community_graph(), 3, 2, stats=stats)
+        vertex_deletion(two_community_graph().freeze(), 3, 2, stats=stats)
         assert stats.vertices_deleted == 5
 
     def test_paper_example(self):
-        g = paper_figure1_graph()
-        prep = vertex_deletion(g, d=3, s=2)
+        g = paper_figure1_graph().freeze()
+        alive = g.labels_for(vertex_deletion(g, d=3, s=2).alive)
         # x and j never sit in any 3-core, so they are deleted.
-        assert "x" not in prep.alive
-        assert "j" not in prep.alive
-        assert set("abcdefghi") <= prep.alive
+        assert "x" not in alive
+        assert "j" not in alive
+        assert set("abcdefghi") <= alive
 
     @given(multilayer_graphs(max_vertices=9, max_layers=3),
            st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_deletion_is_lossless_for_candidates(self, graph, d):
         """No d-CC with |L| = s loses vertices to the preprocessing."""
+        frozen = graph.freeze()
         for s in range(1, graph.num_layers + 1):
-            prep = vertex_deletion(graph, d, s)
-            for layers, members in enumerate_candidates(graph, d, s):
+            prep = vertex_deletion(frozen, d, s)
+            for layers, members in enumerate_candidates(frozen, d, s):
                 assert members <= prep.alive
                 # And recomputing inside the alive set changes nothing.
                 assert members == coherent_core(
@@ -87,7 +92,7 @@ class TestVertexDeletion:
     @settings(max_examples=60, deadline=None)
     def test_fixed_point_support(self, graph, d):
         s = min(2, graph.num_layers)
-        prep = vertex_deletion(graph, d, s)
+        prep = vertex_deletion(graph.freeze(), d, s)
         for vertex in prep.alive:
             assert prep.support.get(vertex, 0) >= s
 

@@ -7,7 +7,7 @@ The contract under test, in order of importance:
    engine yields, for every query, results and counters bitwise
    identical to a fresh engine built from scratch over an identically
    mutated graph: cold and warm (repeats replay through the artifact
-   cache), across backends and worker pools, and through the
+   cache), inline and across worker pools, and through the
    async host and the socket protocol;
 2. **delta bookkeeping** — a mutation batch ticks ``mutation_version``
    exactly once, records the *net* delta (adds cancel queued removes),
@@ -368,12 +368,8 @@ STREAM_SCRIPT = [
 
 def engine_configs():
     return [
-        pytest.param(lambda g: DCCEngine(g, backend="dict", jobs=1),
-                     id="dict-inline"),
-        pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=1),
-                     id="frozen-inline"),
-        pytest.param(lambda g: DCCEngine(g, backend="frozen", jobs=2),
-                     id="frozen-pooled"),
+        pytest.param(lambda g: DCCEngine(g, jobs=1), id="inline"),
+        pytest.param(lambda g: DCCEngine(g, jobs=2), id="pooled"),
     ]
 
 
@@ -411,7 +407,7 @@ class TestEngineStreamEquivalence:
 
     def test_delta_rebind_patches_and_keeps_artifacts(self):
         graph = stream_graph(layers=4)
-        with DCCEngine(graph, backend="frozen", jobs=1) as engine:
+        with DCCEngine(graph, jobs=1) as engine:
             engine.search(d=2, s=2, k=2)
             add, remove = random_batch(random.Random(7), graph, layer=0)
             graph.apply_delta(add=add, remove=remove)
@@ -427,28 +423,27 @@ class TestEngineStreamEquivalence:
 
     def test_structural_delta_falls_back_to_full_rebind(self):
         graph = stream_graph()
-        with DCCEngine(graph, backend="frozen", jobs=1) as engine:
+        with DCCEngine(graph, jobs=1) as engine:
             engine.search(d=2, s=2, k=2)
             graph.apply_delta(add=[(0, 0, 99)])
             result = engine.search(d=2, s=2, k=2)
             status = engine.info()
         assert status["rebinds_full"] == 1
         assert status["rebinds_patched"] == 0
-        with DCCEngine(graph.copy(), backend="frozen", jobs=1) as fresh:
+        with DCCEngine(graph.copy(), jobs=1) as fresh:
             assert_identical(result, fresh.search(d=2, s=2, k=2))
 
     def test_pooled_workers_receive_deltas(self):
         graph = stream_graph()
         rng = random.Random(13)
-        with DCCEngine(graph, backend="frozen", jobs=2) as engine:
+        with DCCEngine(graph, jobs=2) as engine:
             engine.search(d=2, s=2, k=2)
             spawned_before = engine.info()["pool_spawned"]
             for _ in range(2):
                 add, remove = random_batch(rng, graph, layer=0)
                 graph.apply_delta(add=add, remove=remove)
                 result = engine.search(d=2, s=2, k=2)
-                with DCCEngine(graph.copy(), backend="frozen",
-                               jobs=2) as fresh:
+                with DCCEngine(graph.copy(), jobs=2) as fresh:
                     assert_identical(result, fresh.search(d=2, s=2, k=2))
             status = engine.info()
         if spawned_before:
@@ -465,7 +460,7 @@ class TestEngineStreamEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_randomised_stream_equivalence(self, graph, rng, script):
-        with DCCEngine(graph, backend="dict", jobs=1) as engine:
+        with DCCEngine(graph, jobs=1) as engine:
             for kind in script:
                 if kind == "update":
                     add, remove = random_batch(rng, graph, size=2)
@@ -473,8 +468,7 @@ class TestEngineStreamEquivalence:
                         graph.apply_delta(add=add, remove=remove)
                     continue
                 streamed = engine.search(d=2, s=1, k=2)
-                with DCCEngine(graph.copy(), backend="dict",
-                               jobs=1) as fresh:
+                with DCCEngine(graph.copy(), jobs=1) as fresh:
                     assert_identical(streamed, fresh.search(d=2, s=1, k=2))
 
 
@@ -665,6 +659,43 @@ class TestServerUpdateProtocol:
             assert answer["error_type"] == "ProtocolError"
         assert "update" in answers[-1]["error"]
         assert follow_up["ok"], "connection must survive bad updates"
+
+
+    def test_wrong_typed_update_edges_answer_typed_errors(self):
+        """A wrong-typed layer or vertex is rejected by the graph before
+        any edge of the batch applies, over the socket and through the
+        async host alike."""
+        graph = stream_graph()
+
+        async def run():
+            async with AsyncDCCHost(jobs=1) as host:
+                host.attach("g", graph)
+                version = graph.mutation_version
+                direct = []
+                for edge in (("0", 1, 2), (0.0, 1, 2), (True, 1, 99),
+                             (0, [1], 2)):
+                    with pytest.raises(ParameterError):
+                        await host.update("g", add=[(0, 3, 4), edge])
+                    direct.append(graph.mutation_version)
+                async with DCCServer(host, port=0) as server:
+                    reader, writer = await self._client(server.port)
+                    answers = [
+                        await self._ask(reader, writer, {
+                            "op": "update", "graph": "g",
+                            "add": [[0, 3, 4], edge]})
+                        for edge in (["0", 1, 2], [1.5, 1, 2],
+                                     [True, 1, 99], [0, [1], 2])
+                    ]
+                    writer.close()
+                return version, direct, answers, graph.mutation_version
+
+        version, direct, answers, after = asyncio.run(run())
+        assert direct == [version] * 4
+        for answer in answers:
+            assert answer["ok"] is False
+            assert answer["error_type"] == "ParameterError"
+        assert after == version
+        assert not graph.has_vertex(99)
 
 
 class TestSpecFileUpdates:

@@ -1,5 +1,8 @@
 """Tests for the top-down DCCS algorithm (TD-DCCS) and its machinery."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.core.refine import refine_core, refine_potential, split_layer_classes
 from repro.core.topdown import td_dccs
 from repro.graph import MultiLayerGraph, paper_figure1_graph
 from repro.utils.errors import ParameterError
+from tests import oracle
 from tests.strategies import multilayer_graphs
 
 
@@ -104,63 +108,65 @@ class TestTdDccs:
 
 class TestIndex:
     def test_index_partitions_vertices(self):
-        g = paper_figure1_graph()
+        g = paper_figure1_graph().freeze()
         index = CoreHierarchyIndex(g, d=3)
-        assert set(index.level_of) == g.vertices()
+        assert len(index) == g.num_vertices
+        assert all(v in index for v in g.vertices())
         total = sum(len(batch) for _, batch in index.levels)
         assert total == g.num_vertices
 
     def test_thresholds_monotone_along_levels(self):
-        g = paper_figure1_graph()
+        g = paper_figure1_graph().freeze()
         index = CoreHierarchyIndex(g, d=3)
         thresholds = [threshold for threshold, _ in index.levels]
         assert thresholds == sorted(thresholds)
 
     def test_scope_lemma8(self):
-        g = paper_figure1_graph()
+        g = paper_figure1_graph().freeze()
         index = CoreHierarchyIndex(g, d=3)
         for size in (1, 2, 3, 4):
-            scope = index.scope(size)
+            scope = set(np.flatnonzero(index.scope(size)).tolist())
             # Every d-CC on `size` layers lives inside the scope.
-            from itertools import combinations
             for layers in combinations(range(4), size):
                 core = coherent_core(g, layers, 3)
                 assert core <= scope
 
     def test_labels_cover_core_membership(self):
-        g = paper_figure1_graph()
+        g = paper_figure1_graph().freeze()
         index = CoreHierarchyIndex(g, d=3)
         # The dense block {a..i} is in every layer's 3-core at removal.
         for vertex in "abcdefghi":
-            assert len(index.label[vertex]) == 4
+            v = g.id_of(vertex)
+            assert sum(mask[v] for mask in index.label_masks) == 4
 
     @given(multilayer_graphs(max_vertices=8, max_layers=3),
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_reachable_scope_is_sound(self, graph, d):
         """Lemma 8 + Lemma 9 filters never exclude a d-CC member."""
-        from itertools import combinations
-        index = CoreHierarchyIndex(graph, d)
+        frozen = graph.freeze()
+        index = CoreHierarchyIndex(frozen, d)
+        everything = np.ones(frozen.num_vertices, dtype=bool)
         for size in range(1, graph.num_layers + 1):
             for layers in combinations(range(graph.num_layers), size):
-                core = coherent_core(graph, layers, d)
-                zone = index.reachable_scope(layers, graph.vertices())
-                assert core <= zone
+                core = coherent_core(frozen, layers, d)
+                zone = index.reachable_scope(layers, everything)
+                assert core <= set(np.flatnonzero(zone).tolist())
 
 
 class TestRefinement:
     def test_refine_potential_contains_descendant_cores(self):
-        g = paper_figure1_graph()
+        g = paper_figure1_graph().freeze()
         prep = vertex_deletion(g, 3, 2)
-        order = order_layers(prep.cores, descending=False)
+        cores, alive = prep.kernel_view()
+        order = order_layers(cores, descending=False)
         # Child {1, 2, 3} of the root (dropping position 0): all its
         # positions stay removable, so its level-2 descendants are the
         # three pairs inside it — all must live inside the potential set.
         positions = frozenset({1, 2, 3})
-        potential = refine_potential(
-            g, 3, 2, prep.alive, positions, order, prep.cores
-        )
-        from itertools import combinations
+        potential = set(np.flatnonzero(refine_potential(
+            g, 3, 2, alive, positions, order, cores
+        )).tolist())
         for pair in combinations(sorted(positions), 2):
             layers = sorted(order[p] for p in pair)
             assert coherent_core(g, layers, 3) <= set(potential)
@@ -173,14 +179,14 @@ class TestRefinement:
     @settings(max_examples=40, deadline=None)
     def test_refine_core_equals_dcc(self, graph, d):
         """RefineC output == plain dCC on the same potential (DESIGN §5.6)."""
-        from itertools import combinations
-        index = CoreHierarchyIndex(graph, d)
+        frozen = graph.freeze()
+        index = CoreHierarchyIndex(frozen, d)
         order = list(range(graph.num_layers))
-        everything = graph.vertices()
+        everything = np.ones(frozen.num_vertices, dtype=bool)
         for size in range(1, graph.num_layers + 1):
             for positions in combinations(range(graph.num_layers), size):
-                expected = coherent_core(graph, list(positions), d)
+                expected = oracle.coherent_core(graph, list(positions), d)
                 got = refine_core(
-                    graph, d, positions, everything, order, index
+                    frozen, d, positions, everything, order, index
                 )
                 assert got == expected

@@ -5,7 +5,7 @@ Run from anywhere (``python tools/check_docs.py``); CI runs it on every
 push, and ``tests/test_docs.py`` runs the same checks inside tier-1, so
 README/docs rot is caught even in a plain local test run.
 
-Checked documents: ``README.md`` and every ``docs/*.md``.  Four rules:
+Checked documents: ``README.md`` and every ``docs/*.md``.  Five rules:
 
 1. every relative markdown link target resolves to an existing file or
    directory (anchors stripped; ``http(s)``/``mailto`` links are out of
@@ -19,7 +19,11 @@ Checked documents: ``README.md`` and every ``docs/*.md``.  Four rules:
    not silently fall behind the bench suite;
 4. every ``*.md`` name in the Python sources (``src/``, ``benchmarks/``,
    ``tools/``, ``examples/`` and ``setup.py``) resolves: against the
-   repo root, the citing file's directory or ``docs/``.
+   repo root, the citing file's directory or ``docs/``;
+5. every ``--flag`` in the checked documents is an option of some
+   ``repro`` subcommand (``repro.cli.build_parser()``); a name followed
+   by ``(``, like the ``--freeze()-->`` arrows of a diagram, is not a
+   flag.
 """
 
 import glob
@@ -34,6 +38,7 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 PYTHON_DIRS = ("src", "benchmarks", "tools", "examples")
 PATH_SUFFIXES = (".py", ".md", ".txt", ".json", ".yml", ".yaml", ".toml")
+FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)(?![\w(-])")
 RESULTS_DIR = "benchmarks/results"
 
 
@@ -133,8 +138,34 @@ def check_md_names(path, text):
     return problems
 
 
+def cli_flags():
+    """Every option string of ``repro`` and of each of its subcommands."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.cli import build_parser
+
+    flags = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action.choices, dict):
+                parsers.extend(action.choices.values())
+    return flags
+
+
+def check_cli_flags(path, text, flags):
+    """Rule 5: every ``--flag`` must be an option of the CLI."""
+    return [
+        "{}: {} is not an option of any repro subcommand".format(
+            os.path.relpath(path, ROOT), flag)
+        for flag in FLAG.findall(text) if flag not in flags
+    ]
+
+
 def main():
     problems = []
+    flags = cli_flags()
     for path in checked_documents():
         if not os.path.exists(path):
             problems.append("missing document: {}".format(
@@ -145,6 +176,7 @@ def main():
             text = handle.read()
         problems += check_markdown_links(path, text)
         problems += check_code_span_paths(path, text)
+        problems += check_cli_flags(path, text, flags)
     problems += check_figure_benchmarks_mapped()
     for path in python_sources():
         with open(path) as handle:
