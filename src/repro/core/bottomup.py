@@ -36,7 +36,11 @@ ban would have cut in the literal reading.
 
 The search runs on a frozen graph (a ``MultiLayerGraph`` is frozen and
 answered in its labels) and keeps its tree's cores as frozensets of
-dense ids, peeled by the CSR kernels of :mod:`repro.core.dcc`.
+dense ids, peeled by the CSR kernels of :mod:`repro.core.dcc`.  With
+vertex deletion on, deletion, InitTopK and the tree run on the graph's
+d-core union
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), and the
+``k`` result sets are translated back at the end.
 """
 
 from repro.core.coverage import DiversifiedTopK
@@ -46,6 +50,7 @@ from repro.core.preprocess import order_layers, vertex_deletion
 from repro.core.result import result_from_topk
 from repro.core.stats import SearchStats
 from repro.graph.backend import answers_in_labels
+from repro.graph.kernels import parent_sets
 from repro.utils.timer import Timer
 
 
@@ -69,17 +74,18 @@ def bu_dccs(graph, d, s, k,
         stats = SearchStats()
     with Timer() as timer:
         prep = vertex_deletion(
-            graph, d, s, enabled=use_vertex_deletion, stats=stats
+            graph, d, s, enabled=use_vertex_deletion, stats=stats,
+            on_union=True,
         )
         topk = DiversifiedTopK(k)
         if use_init_topk:
             cores, alive = prep.kernel_view()
-            init_topk(graph, d, s, k, cores, topk=topk, within=alive,
+            init_topk(prep.graph, d, s, k, cores, topk=topk, within=alive,
                       stats=stats)
         order = order_layers(prep.cores, descending=True,
                              enabled=use_layer_sorting)
         search = _BottomUpSearch(
-            graph=graph,
+            graph=prep.graph,
             d=d,
             s=s,
             order=order,
@@ -90,7 +96,11 @@ def bu_dccs(graph, d, s, k,
             use_layer_pruning=use_layer_pruning,
         )
         search.run(prep.alive)
-    return result_from_topk(topk, "bottom-up", (d, s, k), stats, timer.elapsed)
+        result = result_from_topk(topk, "bottom-up", (d, s, k), stats, 0.0)
+        if prep.graph is not graph:
+            result.sets = parent_sets(prep.graph, result.sets)
+    result.elapsed = timer.elapsed
+    return result
 
 
 class _BottomUpSearch:

@@ -8,6 +8,12 @@ carries the ``1 - 1/e`` approximation guarantee (Theorem 2).
 Its cost is dominated by the ``binom(l, s)`` candidate computations and by
 keeping all of ``F`` in memory, which is exactly the scalability weakness
 the bottom-up and top-down algorithms remove.
+
+With vertex deletion on, deletion and the whole enumeration run on the
+graph's d-core union
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), so no
+mask or peel pays for the vertices outside every layer's d-core; the
+chosen sets are translated back at the end.
 """
 
 from repro.core.dcc import enumerate_candidates, validate_search_params
@@ -15,6 +21,7 @@ from repro.core.preprocess import vertex_deletion
 from repro.core.result import DCCSResult
 from repro.core.stats import SearchStats
 from repro.graph.backend import answers_in_labels
+from repro.graph.kernels import parent_sets
 from repro.utils.timer import Timer
 
 
@@ -40,12 +47,16 @@ def gd_dccs(graph, d, s, k, use_vertex_deletion=True, stats=None):
         stats = SearchStats()
     with Timer() as timer:
         prep = vertex_deletion(
-            graph, d, s, enabled=use_vertex_deletion, stats=stats
+            graph, d, s, enabled=use_vertex_deletion, stats=stats,
+            on_union=True,
         )
-        candidates = _generate_candidates(graph, d, s, prep, stats)
+        candidates = _generate_candidates(prep.graph, d, s, prep, stats)
         chosen = greedy_max_k_cover(candidates, k)
+        sets = [members for _, members in chosen]
+        if prep.graph is not graph:
+            sets = parent_sets(prep.graph, sets)
     result = DCCSResult(
-        sets=[members for _, members in chosen],
+        sets=sets,
         labels=[label for label, _ in chosen],
         algorithm="greedy",
         params=(d, s, k),

@@ -20,6 +20,15 @@ maintainer's arrays (:attr:`PreprocessResult.masks`), which the Lemma 1
 bounds, InitTopK and the peels consume directly; the sets and dict of
 :class:`PreprocessResult` are built only for the consumers that read
 them.
+
+The first round removes every vertex that lies in no layer's d-core,
+whatever ``s`` is.  The sequential searches therefore ask for the fixed
+point on the graph's d-core union
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), which
+the graph keeps per ``d``, and run their whole search in it
+(:attr:`PreprocessResult.graph`).  Deletion there charges the vertices
+the union leaves out exactly as a full-graph run would: they count as
+deleted, in a first round of their own when nothing else goes.
 """
 
 from functools import cached_property
@@ -35,6 +44,9 @@ class PreprocessResult:
 
     Attributes
     ----------
+    graph:
+        The frozen graph the masks index: the graph deletion ran for,
+        or its d-core union.
     alive:
         Vertices surviving deletion (all have ``Num(v) >= s``).
     cores:
@@ -51,12 +63,14 @@ class PreprocessResult:
         swaps in frozensets) replaces that view only, so it must keep
         describing the same vertices.
     deleted:
-        Number of vertices removed.
+        Number of vertices removed, those outside the union included.
     rounds:
-        Number of recomputation rounds until the fixed point.
+        Number of recomputation rounds until the fixed point, as a run
+        on the full graph counts them.
     """
 
-    def __init__(self, masks, deleted=0, rounds=0):
+    def __init__(self, graph, masks, deleted=0, rounds=0):
+        self.graph = graph
         self.masks = masks
         self.deleted = deleted
         self.rounds = rounds
@@ -92,7 +106,7 @@ def compute_support(cores):
     return support
 
 
-def vertex_deletion(graph, d, s, enabled=True, stats=None):
+def vertex_deletion(graph, d, s, enabled=True, stats=None, on_union=False):
     """Run the vertex-deletion fixed point (lines 1–7 of BU-DCCS, Fig. 7).
 
     With ``enabled=False`` (the No-VD ablation) the cores are computed once
@@ -103,13 +117,23 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None):
     full-graph d-core, which the graph peels once per ``d`` and then
     keeps (see :class:`~repro.graph.frozen.LayerCoreMemo`); every call
     charges the same counters either way.
+
+    With ``on_union=True`` and deletion enabled, the fixed point runs on
+    ``graph.core_union(d)``, and the result's masks index that graph
+    (:attr:`PreprocessResult.graph`).  The ``n - |union|`` vertices it
+    leaves out have no support, so a full-graph run deletes them in its
+    first round: they are added to ``deleted`` and
+    ``stats.vertices_deleted``, and ``rounds`` is at least 2 when there
+    are any.  Every other counter moves as on the full graph, since
+    each layer's d-core lies inside the union.
     """
     require_frozen(graph)
     if s < 1 or s > graph.num_layers:
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
         )
-    maintainer = ArrayCoreMaintainer(graph, d, stats=stats)
+    searched = graph.core_union(d) if enabled and on_union else graph
+    maintainer = ArrayCoreMaintainer(searched, d, stats=stats)
     deleted = rounds = 0
     while enabled:
         rounds += 1
@@ -120,11 +144,17 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None):
         deleted += len(doomed)
         if stats is not None:
             stats.vertices_deleted += len(doomed)
+    outside = graph.num_vertices - searched.num_vertices
+    if outside:
+        deleted += outside
+        rounds = max(rounds, 2)
+        if stats is not None:
+            stats.vertices_deleted += outside
     masks = maintainer.masks
     # Preps are shared (the engine caches them): nobody may write.
     for array in (masks.alive, masks.support, *masks.cores):
         array.flags.writeable = False
-    return PreprocessResult(masks=masks, deleted=deleted, rounds=rounds)
+    return PreprocessResult(searched, masks, deleted=deleted, rounds=rounds)
 
 
 def order_layers(cores, descending=True, enabled=True):

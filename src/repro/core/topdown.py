@@ -24,16 +24,19 @@ The recursion runs on a frozen graph (a ``MultiLayerGraph`` is frozen
 and answered in its labels), on the primitives of
 :mod:`repro.core.dcc`/:mod:`repro.core.refine` and the hierarchical
 index, and it keeps the potential sets as the vertex masks
-preprocessing's kernel view hands on.  :func:`td_dccs` also moves to
-the *survivor subgraph* once vertex deletion has removed a vertex: the
+preprocessing's kernel view hands on.  With vertex deletion on, deletion
+runs on the graph's d-core union
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), which
+the graph keeps per ``d``.  :func:`td_dccs` then moves to the *survivor
+subgraph* once deletion has removed a vertex of the graph it ran on: the
 frozen graph induced by the survivors
 (:func:`~repro.graph.kernels.np_induced_subgraph`), whose dense ids
-follow the input ids in ascending order.  InitTopK, the layer
+follow that graph's ids in ascending order.  InitTopK, the layer
 order, the index, the root d-CC and the recursion all run on it, so no
 kernel call pays for the deleted vertices, and the ``k`` result sets
-are translated back at the end.  Every peel stays within the survivors
-either way, so sets, labels and counters are those of a search on the
-input graph.
+are translated back at the end, through the union when there is one.
+Every peel stays within the survivors either way, so sets, labels and
+counters are those of a search on the input graph.
 """
 
 import numpy as np
@@ -47,7 +50,11 @@ from repro.core.refine import refine_core, refine_potential
 from repro.core.result import result_from_topk
 from repro.core.stats import SearchStats
 from repro.graph.backend import answers_in_labels
-from repro.graph.kernels import np_induced_subgraph, vertex_count
+from repro.graph.kernels import (
+    np_induced_subgraph,
+    parent_sets,
+    vertex_count,
+)
 from repro.utils.rng import make_rng
 from repro.utils.timer import Timer
 
@@ -74,9 +81,10 @@ def td_dccs(graph, d, s, k,
     rng = make_rng(seed)
     with Timer() as timer:
         prep = vertex_deletion(
-            graph, d, s, enabled=use_vertex_deletion, stats=stats
+            graph, d, s, enabled=use_vertex_deletion, stats=stats,
+            on_union=True,
         )
-        search_graph, cores, alive = _search_space(graph, prep)
+        search_graph, cores, alive = _search_space(prep)
         topk = DiversifiedTopK(k)
         if use_init_topk:
             init_topk(search_graph, d, s, k, cores, topk=topk, within=alive,
@@ -114,25 +122,25 @@ def td_dccs(graph, d, s, k,
         else:
             search.generate(root_positions, root_core, alive)
         result = result_from_topk(topk, "top-down", (d, s, k), stats, 0.0)
-        if search_graph is not graph:
-            # Built in ascending id order, as the kernels build theirs.
-            result.sets = [search_graph.labels_for(sorted(members))
-                           for members in result.sets]
+        if search_graph is not prep.graph:
+            result.sets = parent_sets(search_graph, result.sets)
+        if prep.graph is not graph:
+            result.sets = parent_sets(prep.graph, result.sets)
     result.elapsed = timer.elapsed
     return result
 
 
-def _search_space(graph, prep):
+def _search_space(prep):
     """``(graph, cores, alive)`` for the search after vertex deletion.
 
-    The prep's kernel view over ``graph``; once a vertex was deleted,
-    the survivor subgraph with the core masks indexed by the survivors
-    and an all-true alive mask.
+    The prep's kernel view over its graph; once a vertex of that graph
+    was deleted, the survivor subgraph with the core masks indexed by
+    the survivors and an all-true alive mask.
     """
     cores, alive = prep.kernel_view()
-    if not prep.deleted:
-        return graph, cores, alive
-    survivors = np_induced_subgraph(graph, alive)
+    if alive.all():
+        return prep.graph, cores, alive
+    survivors = np_induced_subgraph(prep.graph, alive)
     return (survivors, [core[alive] for core in cores],
             np.ones(survivors.num_vertices, dtype=np.bool_))
 

@@ -37,8 +37,8 @@ def compare_mimag(dataset_name, d, scale=1.0, seed=0, node_budget=20000):
     """One Fig. 29 block: MiMAG vs BU-DCCS on one dataset at one ``d``.
 
     Returns a dict with both algorithms' time, result size and the
-    precision/recall/F1 between the covers; the raw results ride along for
-    the Fig. 30/31 post-processing.
+    precision/recall/F1 between the covers, and the ``s`` and ``k`` BU ran
+    with; the raw results ride along for the Fig. 30/31 post-processing.
     """
     dataset = load(dataset_name, scale=scale, seed=seed)
     graph = dataset.graph
@@ -57,6 +57,8 @@ def compare_mimag(dataset_name, d, scale=1.0, seed=0, node_budget=20000):
     row = {
         "dataset": dataset_name,
         "d": d,
+        "s": setting["s"],
+        "k": setting["k"],
         "mimag_time_s": quasi.elapsed,
         "bu_time_s": dcc.elapsed,
         "mimag_size": quasi.cover_size,

@@ -16,7 +16,12 @@ A frozen graph is immutable: the mutation methods of
 :class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
 :meth:`FrozenMultiLayerGraph.thaw` when mutation is needed.  Being
 immutable, it keeps what the kernels derive from it: numpy views,
-degree vectors and each layer's d-cores (:class:`LayerCoreMemo`).
+degree vectors, each layer's d-cores and, per ``d``, the subgraph
+induced by the union of those cores
+(:meth:`FrozenMultiLayerGraph.core_union`), which the sequential
+searches run in (:class:`LayerCoreMemo` holds both).  A patched graph
+keeps the untouched layers' cores but no union, since a union depends
+on every layer.
 
 Vertex vocabulary
 -----------------
@@ -35,11 +40,17 @@ import threading
 
 import numpy as np
 
-from repro.graph.kernels import as_index_array, buffer_nbytes
+from repro.graph.kernels import (
+    as_index_array,
+    buffer_nbytes,
+    layer_core_entry,
+    np_induced_subgraph,
+)
 from repro.utils.errors import (
     FrozenGraphError,
     LayerIndexError,
     VertexError,
+    check_degree,
 )
 
 
@@ -57,7 +68,8 @@ class FrozenMultiLayerGraph:
     kernel:
         The peel tier, always ``"numpy"``; benchmark reports record it.
     core_memo:
-        The :class:`LayerCoreMemo` of every layer's full-graph d-cores.
+        The :class:`LayerCoreMemo` of every layer's full-graph d-cores
+        and of the d-core unions (:meth:`core_union`).
     """
 
     __slots__ = (
@@ -151,6 +163,45 @@ class FrozenMultiLayerGraph:
     def freeze(self, name=None):
         """Idempotent convenience — a frozen graph freezes to itself."""
         return self
+
+    def core_union(self, d):
+        """The frozen graph induced by the union of the layers' d-cores.
+
+        Vertex deletion's first round removes every vertex that lies in
+        no layer's d-core, whatever ``s`` is, so a search at degree
+        ``d`` reports nothing outside this union.  When the union holds
+        more than half of the vertices (or all of them), the graph
+        itself stands for it.  Otherwise it is
+        :func:`~repro.graph.kernels.np_induced_subgraph` of the union:
+        dense ids in ascending order, each labelled with its id here.
+        Each layer's d-core lies inside the union, so it is the
+        subgraph's d-core too, and the subgraph's own memo starts with
+        every layer's entry in its ids.  Built once per ``d`` and kept
+        in :attr:`core_memo`.
+        """
+        check_degree(d)
+        union = self.core_memo.union(d, lambda: self._build_core_union(d))
+        return self if union is None else union
+
+    def _build_core_union(self, d):
+        """:meth:`core_union`'s subgraph, or ``None`` for the graph."""
+        entries = [layer_core_entry(self, layer, d)
+                   for layer in self.layers()]
+        mask = np.zeros(self.num_vertices, dtype=np.bool_)
+        for members, _ in entries:
+            mask[members] = True
+        size = int(np.count_nonzero(mask))
+        if 2 * size > self.num_vertices or size == self.num_vertices:
+            return None
+        # The union's id of every union vertex: kept vertices before it.
+        union_id = (np.cumsum(mask) - 1).astype(np.int32)
+        cores = {}
+        for layer, (members, inside) in enumerate(entries):
+            ids = union_id[members]
+            ids.flags.writeable = False
+            cores[layer, d] = (ids, inside)
+        return np_induced_subgraph(self, mask,
+                                   core_memo=LayerCoreMemo(cores))
 
     def thaw(self, original_labels=True, name=None):
         """Rebuild a mutable :class:`MultiLayerGraph`.
@@ -433,7 +484,8 @@ class FrozenMultiLayerGraph:
         so host ``memory_budget_bytes`` admission control sees the same
         bytes either way.  The kernels' cached views share the CSR
         storage and are not double-counted; their owned per-layer
-        degree vectors and the :attr:`core_memo` entries are.
+        degree vectors, the :attr:`core_memo` entries and each kept
+        :meth:`core_union` subgraph (its own ``memory_bytes``) are.
         """
         total = 0
         for ptr, idx in zip(self._indptr, self._indices):
@@ -567,24 +619,31 @@ def _freeze_layers(graph, labels, vertex_id, layers, indptr, indices,
 
 
 class LayerCoreMemo:
-    """Each layer's full-graph d-core, kept per ``(layer, d)``.
+    """Each layer's full-graph d-core, kept per ``(layer, d)``, and the
+    d-core union of every ``d`` a search asked for.
 
     The core depends only on the layer and ``d``, and a frozen graph
     never changes, so the first full-graph peel
-    (:func:`repro.graph.kernels._full_layer_core`) stores it here and
+    (:func:`repro.graph.kernels.layer_core_entry`) stores it here and
     later ones read it.  An entry is two read-only int32 arrays, the
     core's ascending member ids and their degrees inside the core: 8
-    bytes per core vertex.  Entries are written whole and never changed,
-    so threads that fill one key race harmlessly.  ``hits``/``misses``
-    count lookups, ``kept``/``dropped`` the entries :meth:`carried`
-    passed to a patched graph or left behind; a lock keeps them exact,
-    and a patched graph continues its parent's.
+    bytes per core vertex.  Beside them, per ``d``, the
+    :meth:`~FrozenMultiLayerGraph.core_union` subgraph (``None`` when
+    the graph stands for it).  Entries are written whole and never
+    changed, so threads that fill one key race harmlessly.
+    ``hits``/``misses`` count layer-core lookups, ``kept``/``dropped``
+    the entries :meth:`carried` passed to a patched graph or left
+    behind; a lock keeps them exact, and a patched graph continues its
+    parent's.  A union depends on every layer, so no patched graph gets
+    one.
     """
 
-    __slots__ = ("_entries", "_lock", "hits", "misses", "kept", "dropped")
+    __slots__ = ("_entries", "_unions", "_lock", "hits", "misses", "kept",
+                 "dropped")
 
     def __init__(self, entries=None, hits=0, misses=0, kept=0, dropped=0):
         self._entries = {} if entries is None else entries
+        self._unions = {}
         self._lock = threading.Lock()
         self.hits, self.misses = hits, misses
         self.kept, self.dropped = kept, dropped
@@ -592,6 +651,20 @@ class LayerCoreMemo:
     def __reduce__(self):
         """A copied or pickled graph starts with an empty memo."""
         return LayerCoreMemo, ()
+
+    def union(self, d, build):
+        """The union entry at ``d``; ``build()`` makes it on a miss.
+
+        Threads that build the same ``d`` race harmlessly: the first
+        entry stored is the one every caller gets.
+        """
+        try:
+            return self._unions[d]
+        except KeyError:
+            pass
+        entry = build()
+        with self._lock:
+            return self._unions.setdefault(d, entry)
 
     def lookup(self, key, build):
         """The entry under ``key``; ``build()`` makes it on a miss."""
@@ -607,7 +680,7 @@ class LayerCoreMemo:
 
     def carried(self, touched_layers):
         """This memo for a graph patched on ``touched_layers``: the other
-        layers' entries, with the counters continued."""
+        layers' entries, with the counters continued, and no union."""
         touched = frozenset(touched_layers)
         with self._lock:
             entries = {key: entry for key, entry in self._entries.items()
@@ -618,6 +691,9 @@ class LayerCoreMemo:
                                  self.dropped + dropped)
 
     def nbytes(self):
-        """The bytes of every entry's two arrays."""
+        """The bytes of every entry's two arrays and of every union."""
         return sum(members.nbytes + degrees.nbytes
-                   for members, degrees in list(self._entries.values()))
+                   for members, degrees in list(self._entries.values())) \
+            + sum(union.memory_bytes()
+                  for union in list(self._unions.values())
+                  if union is not None)

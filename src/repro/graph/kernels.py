@@ -23,8 +23,11 @@ to a sequential FIFO peel; the property suites in
 ``tests/test_kernels.py`` and ``tests/test_backends.py`` hold them to
 the pure-Python reference peels of ``tests/oracle.py``.
 
-:func:`np_induced_subgraph` builds the survivor subgraph the top-down
-search runs on.
+:func:`np_induced_subgraph` builds the subgraphs the searches run on:
+a frozen graph's d-core union
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`) and
+top-down's survivor subgraph; :func:`parent_sets` translates their
+answers back.
 """
 
 import numpy as _np
@@ -323,17 +326,23 @@ def _peel_rounds(graph, layer_tuple, d, alive, frontier, degree_arrays,
     return peeled
 
 
+def layer_core_entry(graph, layer, d):
+    """``layer``'s d-core over the whole graph as the graph's memo entry
+    (:class:`~repro.graph.frozen.LayerCoreMemo`): ``(member ids, degrees
+    inside the core)``, read-only int32.  The first call for
+    ``(layer, d)`` peels it."""
+    return graph.core_memo.lookup(
+        (layer, d), lambda: _peel_layer_core(graph, layer, d))
+
+
 def _full_layer_core(graph, layer, d):
     """``layer``'s d-core over the whole graph: ``(core mask, degrees)``.
 
     ``degrees[v]`` is ``v``'s degree inside the core for every core
     vertex ``v`` and 0 elsewhere.  Callers write to both, so they are
-    fresh arrays built from the graph's memo entry
-    (:class:`~repro.graph.frozen.LayerCoreMemo`), which the first call
-    for ``(layer, d)`` peels.
+    fresh arrays built from :func:`layer_core_entry`.
     """
-    members, inside = graph.core_memo.lookup(
-        (layer, d), lambda: _peel_layer_core(graph, layer, d))
+    members, inside = layer_core_entry(graph, layer, d)
     core = _np.zeros(graph.num_vertices, dtype=_np.bool_)
     core[members] = True
     degrees = _np.zeros(graph.num_vertices, dtype=_np.int64)
@@ -494,14 +503,16 @@ def bit_rows(flags):
     return rows
 
 
-def np_induced_subgraph(graph, mask):
+def np_induced_subgraph(graph, mask, core_memo=None):
     """The frozen graph induced by the vertices of a vertex mask.
 
     The kept vertices get dense ids in ascending order of their ids in
     ``graph``, and each one's label is that id, so the subgraph's
-    ``labels_for`` translates its results back.  The relabelling is
-    monotone, so every CSR row stays sorted; one gather of the kept
-    rows per layer builds it.
+    ``labels_for`` translates its results back (:func:`parent_sets`).
+    The relabelling is monotone, so every CSR row stays sorted; one
+    gather of the kept rows per layer builds it.  ``core_memo`` is the
+    subgraph's :class:`~repro.graph.frozen.LayerCoreMemo`, an empty one
+    by default.
     """
     from repro.graph.frozen import FrozenMultiLayerGraph
 
@@ -524,5 +535,14 @@ def np_induced_subgraph(graph, mask):
         nonempty.append(indptr[1:] > indptr[:-1])
     return FrozenMultiLayerGraph(
         members.tolist(), indptrs, indices, edge_counts, bit_rows(nonempty),
-        name=graph.name,
+        name=graph.name, core_memo=core_memo,
     )
+
+
+def parent_sets(subgraph, sets):
+    """Vertex sets of an induced subgraph as ids of the graph it was
+    induced from (:func:`np_induced_subgraph`).
+
+    Each set is built in ascending id order, as the kernels build theirs.
+    """
+    return [subgraph.labels_for(sorted(members)) for members in sets]

@@ -145,5 +145,6 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     def test_figure_sweep_small(self, capsys):
-        assert main(["figure", "16", "--scale", "0.12"]) == 0
+        # Scale 0.05 keeps the whole sweep to about a second.
+        assert main(["figure", "16", "--scale", "0.05"]) == 0
         assert "cover" in capsys.readouterr().out

@@ -1,0 +1,300 @@
+"""The d-core union: the frozen graph keeps, per ``d``, the subgraph
+induced by its layers' d-cores, and the sequential searches run in it.
+
+* **answers and counters** — with vertex deletion on, greedy, bottom-up
+  and top-down run inside ``core_union(d)``; their sets, labels, cover
+  and every ``SearchStats`` counter, and the prep's ``deleted`` and
+  ``rounds``, equal the same search with ``core_union`` returning the
+  graph itself, on drawn graphs with int and string labels and on an
+  empty union, a union equal to the graph and a union of exactly half;
+* **the union itself** — the half rule, and a memo that starts with
+  every layer's d-core in the union's ids;
+* **lifecycle** — a patched graph, a copy, a pickle and a worker
+  payload start without unions; ``memory_bytes`` counts them; threads
+  that build the same ``d`` race harmlessly; the No-VD ablation,
+  ``exact_dccs`` and the engine path never build one.
+"""
+
+import contextlib
+import copy
+import pickle
+import threading
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.exact import exact_dccs
+from repro.core import search_dccs
+from repro.core.preprocess import vertex_deletion
+from repro.core.stats import SearchStats
+from repro.datasets import synthetic_multilayer
+from repro.graph import FrozenMultiLayerGraph, MultiLayerGraph
+from repro.graph.frozen import LayerCoreMemo
+from repro.graph.kernels import _peel_layer_core, parent_sets
+from repro.parallel.serialize import graph_payload, payload_graph
+
+from tests.strategies import labelled_multilayer_graphs, multilayer_graphs
+
+METHODS = ("greedy", "bottom-up", "top-down")
+
+
+def _itself(graph, d):
+    """``core_union`` as if every union held more than half the graph."""
+    return graph
+
+
+def _snapshot(result):
+    return (
+        [set(members) for members in result.sets],
+        list(result.labels),
+        result.cover_size,
+        result.stats.as_dict(),
+    )
+
+
+def _prep_snapshot(frozen, d, s, enabled):
+    """A prep asked for on the union, in the graph's ids, with its
+    counters."""
+    stats = SearchStats()
+    prep = vertex_deletion(frozen, d, s, enabled=enabled, stats=stats,
+                           on_union=True)
+    alive, cores = [prep.alive], prep.cores
+    if prep.graph is not frozen:
+        alive, cores = parent_sets(prep.graph, alive), \
+            parent_sets(prep.graph, cores)
+    return (set(alive[0]), [set(core) for core in cores], prep.deleted,
+            prep.rounds, stats.as_dict())
+
+
+def _runs(graph, d, s, k, method, use_vd):
+    """Snapshots of the search on ``graph`` and on its frozen form, and
+    the prep, as they are and with ``core_union`` returning the graph."""
+    frozen = graph.freeze()
+    runs = []
+    for patch in (False, True):
+        context = mock.patch.object(FrozenMultiLayerGraph, "core_union",
+                                    _itself) if patch \
+            else contextlib.nullcontext()
+        with context:
+            runs.append([
+                _snapshot(search_dccs(target, d, s, k, method=method,
+                                      seed=0, use_vertex_deletion=use_vd))
+                for target in (graph, frozen)
+            ] + [_prep_snapshot(frozen, d, s, use_vd)])
+    return runs
+
+
+def _relabelled(graph):
+    """``graph`` over string labels that sort like its int vertices."""
+    labelled = MultiLayerGraph(
+        graph.num_layers,
+        vertices=["v{:03d}".format(v) for v in sorted(graph.vertices())],
+    )
+    for layer, u, v in graph.all_edges():
+        labelled.add_edge(layer, "v{:03d}".format(u), "v{:03d}".format(v))
+    return labelled
+
+
+def _clique_and_path(clique, path, layers=2):
+    """A ``clique``-clique on every layer beside a ``path``-vertex path:
+    at ``d = clique - 1`` the union is the clique."""
+    graph = MultiLayerGraph(layers, vertices=range(clique + path))
+    for layer in range(layers):
+        for u in range(clique):
+            for v in range(u + 1, clique):
+                graph.add_edge(layer, u, v)
+        for u in range(clique, clique + path - 1):
+            graph.add_edge(layer, u, u + 1)
+    return graph
+
+
+def _small_graph():
+    """600 vertices, three layers, four planted 4-cores: the union holds
+    136 vertices at d=3 and 121 at d=4."""
+    return synthetic_multilayer(600, num_layers=3, num_communities=4,
+                                community_size=30, d=4, span=2,
+                                seed=5).graph
+
+
+class TestCounterParity:
+    """A search in the union answers and counts as one on the graph."""
+
+    @given(st.one_of(multilayer_graphs(max_vertices=10, max_layers=4),
+                     labelled_multilayer_graphs(max_vertices=10,
+                                                max_layers=4)),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_graphs(self, graph, data):
+        d = data.draw(st.integers(min_value=0, max_value=5))
+        s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        method = data.draw(st.sampled_from(METHODS))
+        use_vd = data.draw(st.booleans())
+        real, itself = _runs(graph, d, s, k, method, use_vd)
+        assert real == itself
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("case, d, union_size", [
+        ("empty", 9, 0),
+        ("graph", 1, 9),
+        ("half", 3, 4),
+        ("over half", 4, 5),
+    ])
+    def test_boundary_unions(self, labels, case, d, union_size):
+        graph = {
+            "empty": _clique_and_path(4, 5),
+            "graph": _clique_and_path(4, 5),
+            "half": _clique_and_path(4, 4),
+            "over half": _clique_and_path(5, 4),
+        }[case]
+        if labels == "str":
+            graph = _relabelled(graph)
+        frozen = graph.freeze()
+        union = frozen.core_union(d)
+        if 2 * union_size > frozen.num_vertices:
+            assert union is frozen
+        else:
+            assert union.num_vertices == union_size
+        for method in METHODS:
+            for s in range(1, graph.num_layers + 1):
+                for use_vd in (True, False):
+                    real, itself = _runs(graph, d, s, 2, method, use_vd)
+                    assert real == itself, (method, s, use_vd)
+
+    def test_outside_vertices_are_charged_in_a_round_of_their_own(self):
+        """Nothing in the union goes, so the union runs one round; a
+        full-graph run deletes the path in round 1 and stops in round 2."""
+        frozen = _clique_and_path(4, 4).freeze()
+        stats = SearchStats()
+        prep = vertex_deletion(frozen, 3, 2, stats=stats, on_union=True)
+        assert prep.graph is frozen.core_union(3) is not frozen
+        assert (prep.deleted, prep.rounds, stats.vertices_deleted) == \
+            (4, 2, 4)
+        assert prep.alive == set(range(4))
+
+
+class TestUnionGraph:
+    def test_memo_starts_with_the_cores_in_union_ids(self):
+        frozen = _small_graph()
+        for d in (3, 4):
+            union = frozen.core_union(d)
+            assert union.labels == sorted(
+                set().union(*(frozen.core_memo._entries[layer, d][0].tolist()
+                              for layer in frozen.layers())))
+            assert sorted(union.core_memo._entries) == [
+                (layer, d) for layer in frozen.layers()]
+            for layer in frozen.layers():
+                members, inside = union.core_memo._entries[layer, d]
+                assert not members.flags.writeable
+                peeled, peel_inside = _peel_layer_core(union, layer, d)
+                assert members.tolist() == peeled.tolist()
+                assert inside.tolist() == peel_inside.tolist()
+                assert parent_sets(union, [members.tolist()]) == [
+                    frozenset(frozen.core_memo._entries[layer, d][0]
+                              .tolist())]
+            # A union is its own union.
+            assert union.core_union(d) is union
+
+    def test_built_once_per_d(self):
+        frozen = _small_graph()
+        first = frozen.core_union(4)
+        with mock.patch.object(FrozenMultiLayerGraph, "_build_core_union",
+                               side_effect=AssertionError("rebuilt")):
+            assert frozen.core_union(4) is first
+            search_dccs(frozen, 4, 2, 3, method="bottom-up")
+
+    def test_no_vd_exact_and_engine_paths_keep_the_full_graph(self):
+        frozen = _small_graph()
+        for method in METHODS:
+            search_dccs(frozen, 4, 2, 2, method=method,
+                        use_vertex_deletion=False)
+            search_dccs(frozen, 4, 2, 2, method=method, jobs=1)
+        exact_dccs(frozen, 4, 2, 2)
+        assert frozen.core_memo._unions == {}
+
+
+class TestLifecycle:
+    def test_patched_graph_holds_no_union(self):
+        graph = _small_graph().thaw()
+        u, v = 0, 1
+        for layer in graph.layers():
+            frozen = graph.freeze()
+            for d in (3, 4):
+                search_dccs(frozen, d, 2, 3, method="greedy")
+            filled = sorted(frozen.core_memo._entries)
+            assert frozen.core_memo._unions
+            if graph.has_edge(layer, u, v):
+                graph.apply_delta(remove=[(layer, u, v)])
+            else:
+                graph.apply_delta(add=[(layer, u, v)])
+            patched = graph.freeze()
+            assert patched is not frozen
+            assert patched.core_memo._unions == {}
+            assert sorted(patched.core_memo._entries) == [
+                key for key in filled if key[0] != layer]
+            rebuilt = FrozenMultiLayerGraph.from_graph(graph)
+            for d in (3, 4):
+                assert patched.core_union(d) == rebuilt.core_union(d)
+        assert graph.freeze_patches == graph.num_layers
+
+    def test_copies_and_pickles_start_without_unions(self):
+        frozen = _small_graph()
+        union = frozen.core_union(4)
+        for copied in (copy.deepcopy(frozen),
+                       pickle.loads(pickle.dumps(frozen))):
+            assert copied == frozen
+            assert copied.core_memo._unions == {}
+            assert copied.core_memo._entries == {}
+            assert copied.core_union(4) == union
+
+    def test_memory_bytes_grows_by_the_union(self):
+        frozen = _small_graph()
+        # Fills the layer cores and degree vectors, but builds no union.
+        search_dccs(frozen, 4, 2, 2, method="greedy",
+                    use_vertex_deletion=False)
+        before = frozen.memory_bytes()
+        search_dccs(frozen, 4, 2, 2, method="greedy")
+        union = frozen.core_union(4)
+        assert union is not frozen
+        assert frozen.memory_bytes() - before == union.memory_bytes() > 0
+
+    def test_threads_building_one_d_race_harmlessly(self):
+        frozen = _small_graph()
+        build = FrozenMultiLayerGraph._build_core_union
+        start = threading.Barrier(2)
+        built, got = [], []
+
+        def slow_build(graph, d):
+            # Both threads miss before either stores its union.
+            start.wait(timeout=30)
+            union = build(graph, d)
+            built.append(union)
+            return union
+
+        def client():
+            got.append(frozen.core_union(4))
+
+        with mock.patch.object(FrozenMultiLayerGraph, "_build_core_union",
+                               slow_build):
+            workers = [threading.Thread(target=client) for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert got[0] is got[1] is frozen.core_union(4)
+        assert got[0] == built[0] == built[1]
+
+    def test_graph_payload_ships_no_union(self):
+        frozen = _small_graph()
+        frozen.core_union(4)
+        payload = graph_payload(frozen)
+        assert not any(isinstance(part, (FrozenMultiLayerGraph,
+                                         LayerCoreMemo))
+                       for part in payload)
+        shipped = payload_graph(pickle.loads(pickle.dumps(payload)))
+        assert shipped == frozen
+        assert shipped.core_memo._unions == {}
+        assert shipped.core_union(4) == frozen.core_union(4)

@@ -514,6 +514,10 @@ class TestLayerCoreMemo:
         for d in (1, 2, 3):
             search_dccs(frozen, d, s, 2, method=method, seed=0)
         filled = sorted(frozen.core_memo._entries)
+        # Each entry was peeled once; the hits depend on which searches
+        # read the entries again on the graph itself and which ran on a
+        # d-core union that holds its own copies.
+        hits = frozen.core_memo.hits
         if graph.has_edge(layer, u, v):
             graph.apply_delta(remove=[(layer, u, v)])
         else:
@@ -524,7 +528,7 @@ class TestLayerCoreMemo:
         assert sorted(patched.core_memo._entries) == kept
         memo = patched.core_memo
         assert (memo.hits, memo.misses, memo.kept, memo.dropped) == \
-            (0, len(filled), len(kept), len(filled) - len(kept))
+            (hits, len(filled), len(kept), len(filled) - len(kept))
         rebuilt = FrozenMultiLayerGraph.from_graph(graph)
         for d in (1, 2, 3):
             assert _snapshot(search_dccs(patched, d, s, 2, method=method,
@@ -961,11 +965,14 @@ class TestMaskPathEquivalence:
         k = data.draw(st.integers(min_value=1, max_value=3))
         method = data.draw(st.sampled_from(("bottom-up", "top-down")))
         charged = SearchStats()
-        prep = vertex_deletion(frozen, d, s, stats=charged)
+        # The searches ask for deletion on the d-core union, so the
+        # cached prep is the one over the union.
+        prep = vertex_deletion(frozen, d, s, stats=charged, on_union=True)
         prep.alive = frozenset(prep.alive)
         prep.cores = [frozenset(core) for core in prep.cores]
 
-        def cached(graph, d, s, enabled=True, stats=None):
+        def cached(graph, d, s, enabled=True, stats=None, on_union=False):
+            assert graph is frozen and enabled and on_union
             stats.merge(charged)
             return prep
 
@@ -1149,7 +1156,10 @@ class TestMemoryAccounting:
             assert graph.memory_bytes() - before == grown
         cores = [layer_core(graph, layer, d)
                  for layer in graph.layers() for d in (3, 4)]
-        assert graph.core_memo.nbytes() == 8 * sum(map(len, cores))
+        # The memo also holds the searches' d-core unions.
+        unions = [graph.core_union(d) for d in (3, 4)]
+        assert graph.core_memo.nbytes() == 8 * sum(map(len, cores)) + sum(
+            union.memory_bytes() for union in unions if union is not graph)
 
 
 class TestSyntheticGenerator:
