@@ -169,16 +169,21 @@ def median_times(dataset, points, rows, repeats=5, variants=None):
     A sweep times every search once, and one slow stretch of a busy host
     can push a single point past a timing floor.  Run order matters too:
     the first search at a given ``d`` on a graph pays the layer peels
-    that the frozen graph then keeps for every later one.  A floor
-    therefore asserts on medians of ``repeats`` samples: a point's time
-    in the sweep's ``rows`` is its first sample, and the rest come from
-    re-running only the searches the floor compares, in round-robin
-    order on the sweep's own (memoised, already frozen) graph, so a slow
-    stretch or a cold start hits every point alike.
+    and the d-core union, and the first at a given ``(d, s)`` its
+    vertex deletion, which the frozen graph then keeps for every later
+    one.  A floor therefore asserts on medians of ``repeats`` samples:
+    a point's time in the sweep's ``rows`` is its first sample, and the
+    rest come from re-running only the searches the floor compares, in
+    round-robin order on the sweep's own (memoised, already frozen)
+    graph, so a slow stretch or a cold start hits every point alike.
 
     ``variants`` maps an ablation's variant names to their search
     options; a point is then ``(method, d, s, k, variant)``, its first
     sample is the row of that variant, and its re-runs pass the options.
+    Like the ablation's own rows, each of those re-runs searches the
+    frozen graph with an empty memo, so every variant sample pays its
+    own layer peels and vertex deletion instead of reading what an
+    earlier search kept.
     """
     graph = load(dataset, scale=FIG_SCALES[dataset]).graph
     samples = {point: [] for point in points}
@@ -192,9 +197,12 @@ def median_times(dataset, points, rows, repeats=5, variants=None):
         for point in points:
             if len(samples[point]) < repeats:
                 method, d, s, k = point[:4]
-                options = {} if variants is None else variants[point[4]]
+                target, options = graph, {}
+                if variants is not None:
+                    target = graph.freeze().with_empty_memo()
+                    options = variants[point[4]]
                 samples[point].append(search_dccs(
-                    graph, d, s, k, method=method, seed=0,
+                    target, d, s, k, method=method, seed=0,
                     **options).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}

@@ -22,8 +22,9 @@ def test_fig28_preprocessing_ablation(benchmark):
 
     # Full preprocessing should not lose to the all-off variant on the
     # sum over datasets/regimes (individual points can be noisy), on
-    # medians of five: each regime runs "full" first, so its single shot
-    # also pays the layer peels that the later variants reuse.
+    # medians of five.  Every sample searches a graph with an empty
+    # memo, so each variant pays its own layer peels and vertex
+    # deletion rather than reading what an earlier search kept.
     totals = {"full": 0.0, "No-Pre": 0.0}
     for name in ("wiki", "english"):
         regimes = sorted({(r["algorithm"], r["d"], r["s"], r["k"])

@@ -674,10 +674,16 @@ class AsyncDCCHost:
             self._host.unpin(name)
 
     async def _serve_batch(self, name, batch):
-        """Lease the engine and run one drained batch, pipelined."""
+        """Lease the engine and run one drained batch, pipelined.
+
+        The lease is released in the pool call that collects the batch's
+        last request, before that request resolves: a client whose
+        search has returned may detach the graph at once.
+        """
         loop = asyncio.get_running_loop()
         self.batches_dispatched += 1
         engine = await loop.run_in_executor(None, self._lease, name)
+        leased = True
         try:
             handles = []
             for request in batch:
@@ -692,36 +698,57 @@ class AsyncDCCHost:
                                 **options),
                     )
                 except Exception as error:
-                    self._resolve_error(request, error)
-                    handles.append(None)
-                else:
-                    handles.append(handle)
+                    # Resolved in order below, so the last request
+                    # resolves after the release even when it failed.
+                    handle = error
+                handles.append(handle)
             await self._await_shards(handles)
-            for request, handle in zip(batch, handles):
-                if handle is None:
-                    continue
+            last = len(batch) - 1
+            for position, (request, handle) in enumerate(zip(batch,
+                                                             handles)):
                 try:
-                    result = await loop.run_in_executor(None, handle.collect)
+                    if position == last:
+                        leased = False
+                        result = await loop.run_in_executor(
+                            None, self._collect_and_release, name, handle)
+                    elif isinstance(handle, Exception):
+                        raise handle
+                    else:
+                        result = await loop.run_in_executor(
+                            None, handle.collect)
                 except Exception as error:
                     self._resolve_error(request, error)
                 else:
                     self._host.searches_served += 1
                     self._resolve(request, result)
         finally:
-            # Lease released: the engine is evictable again.
-            await loop.run_in_executor(None, self._release, name)
+            if leased:
+                await loop.run_in_executor(None, self._release, name)
+
+    def _collect_and_release(self, name, handle):
+        """Collect ``handle`` (a submission error re-raises), then release
+        the lease: the engine is evictable again."""
+        try:
+            if isinstance(handle, Exception):
+                raise handle
+            return handle.collect()
+        finally:
+            self._release(name)
 
     @staticmethod
     async def _await_shards(handles):
         """Await every in-flight shard future without consuming errors.
 
-        Failures (a worker exception, a crash cancelling siblings) are
-        deliberately *not* raised here — ``handle.collect()`` owns error
-        semantics.  Wrapper exceptions are touched after the wait so the
-        event loop never logs them as unretrieved.
+        A submission error in ``handles`` stands for a request with no
+        shards.  Failures (a worker exception, a crash cancelling
+        siblings) are deliberately *not* raised here —
+        ``handle.collect()`` owns error semantics.  Wrapper exceptions
+        are touched after the wait so the event loop never logs them as
+        unretrieved.
         """
         waitables = [future
-                     for handle in handles if handle is not None
+                     for handle in handles
+                     if not isinstance(handle, Exception)
                      for future in handle.waitables()]
         if not waitables:
             return

@@ -29,14 +29,27 @@ the graph keeps per ``d``, and run their whole search in it
 (:attr:`PreprocessResult.graph`).  Deletion there charges the vertices
 the union leaves out exactly as a full-graph run would: they count as
 deleted, in a first round of their own when nothing else goes.
+
+That fixed point depends only on the graph, ``d`` and ``s``, so the
+frozen graph keeps it too, per ``(d, s)``
+(:meth:`~repro.graph.frozen.LayerCoreMemo.fixed_point`): a
+:class:`KeptFixedPoint` of the read-only masks, ``deleted``, ``rounds``
+and the counters its build charged.  Every later call returns a fresh
+:class:`PreprocessResult` over the kept masks and charges the same
+counters again, so answers and ``SearchStats`` equal a run that
+recomputes it.  The No-VD ablation, ``exact_dccs`` and the engine path
+ask for the fixed point on the graph itself, which is never kept.
 """
 
 from functools import cached_property
+import threading
 
 from repro.core.maintain import ArrayCoreMaintainer
+from repro.core.stats import SearchStats
 from repro.graph.backend import require_frozen
+from repro.graph.frozen import count_once
 from repro.graph.kernels import vertex_count
-from repro.utils.errors import ParameterError
+from repro.utils.errors import ParameterError, check_degree
 
 
 class PreprocessResult:
@@ -67,13 +80,17 @@ class PreprocessResult:
     rounds:
         Number of recomputation rounds until the fixed point, as a run
         on the full graph counts them.
+    kept:
+        The :class:`KeptFixedPoint` whose masks this result reads, when
+        the frozen graph keeps the fixed point; ``None`` otherwise.
     """
 
-    def __init__(self, graph, masks, deleted=0, rounds=0):
+    def __init__(self, graph, masks, deleted=0, rounds=0, kept=None):
         self.graph = graph
         self.masks = masks
         self.deleted = deleted
         self.rounds = rounds
+        self.kept = kept
 
     @cached_property
     def alive(self):
@@ -125,14 +142,31 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None, on_union=False):
     first round: they are added to ``deleted`` and
     ``stats.vertices_deleted``, and ``rounds`` is at least 2 when there
     are any.  Every other counter moves as on the full graph, since
-    each layer's d-core lies inside the union.
+    each layer's d-core lies inside the union.  The graph keeps this
+    fixed point per ``(d, s)``: the first call builds it, and every call
+    returns a new result over its masks (:attr:`PreprocessResult.kept`)
+    and adds the counters the build charged to ``stats``.
     """
     require_frozen(graph)
     if s < 1 or s > graph.num_layers:
         raise ParameterError(
             "s must be in [1, {}], got {}".format(graph.num_layers, s)
         )
-    searched = graph.core_union(d) if enabled and on_union else graph
+    # Before the memo: a bool or float d must not hit an int d's entry.
+    check_degree(d)
+    if not (enabled and on_union):
+        return _fixed_point(graph, graph, d, s, enabled, stats)
+    kept = graph.core_memo.fixed_point(
+        d, s, lambda: _build_kept_fixed_point(graph, d, s))
+    if stats is not None:
+        stats.merge(kept.charged)
+    return PreprocessResult(graph.core_union(d), kept.masks,
+                            deleted=kept.deleted, rounds=kept.rounds,
+                            kept=kept)
+
+
+def _fixed_point(graph, searched, d, s, enabled, stats):
+    """The fixed point on ``searched``, ``graph`` or its d-core union."""
     maintainer = ArrayCoreMaintainer(searched, d, stats=stats)
     deleted = rounds = 0
     while enabled:
@@ -155,6 +189,72 @@ def vertex_deletion(graph, d, s, enabled=True, stats=None, on_union=False):
     for array in (masks.alive, masks.support, *masks.cores):
         array.flags.writeable = False
     return PreprocessResult(searched, masks, deleted=deleted, rounds=rounds)
+
+
+def _build_kept_fixed_point(graph, d, s):
+    """The fixed point on ``graph.core_union(d)``, as the graph keeps it."""
+    charged = SearchStats()
+    prep = _fixed_point(graph, graph.core_union(d), d, s, True, charged)
+    return KeptFixedPoint(prep.masks, prep.deleted, prep.rounds, charged)
+
+
+# Guards the one-time store of a kept fixed point's survivor space.
+_SURVIVORS_LOCK = threading.Lock()
+
+
+class KeptFixedPoint:
+    """A ``(d, s)``'s vertex-deletion fixed point as a frozen graph keeps it.
+
+    Attributes
+    ----------
+    masks:
+        The read-only :class:`~repro.core.maintain.CoreMasks` over the
+        graph's ``core_union(d)``.
+    deleted, rounds:
+        As in :class:`PreprocessResult`.
+    charged:
+        The :class:`~repro.core.stats.SearchStats` its build charged
+        (``dcc_calls``, one per layer, and ``vertices_deleted``); every
+        result over it adds them to the caller's counters.
+    survivors:
+        Top-down's search space after deletion, ``(graph, cores,
+        alive)`` over the survivor subgraph, or ``None`` until
+        :meth:`survivor_space` first builds it.
+    """
+
+    __slots__ = ("masks", "deleted", "rounds", "charged", "survivors")
+
+    def __init__(self, masks, deleted, rounds, charged):
+        self.masks = masks
+        self.deleted = deleted
+        self.rounds = rounds
+        self.charged = charged
+        self.survivors = None
+
+    def survivor_space(self, build):
+        """The kept survivor space; ``build()`` makes it on first use.
+
+        Threads that build it at once race harmlessly: the first space
+        stored is the one every caller gets.
+        """
+        if self.survivors is None:
+            space = build()
+            with _SURVIVORS_LOCK:
+                if self.survivors is None:
+                    self.survivors = space
+        return self.survivors
+
+    def memory_bytes(self, seen):
+        """The bytes of the masks and of the survivor space, counting
+        only the arrays not yet in ``seen`` (see
+        :func:`~repro.graph.frozen.count_once`)."""
+        masks = self.masks
+        total = count_once((masks.alive, masks.support, *masks.cores), seen)
+        if self.survivors is not None:
+            survivors, cores, alive = self.survivors
+            total += survivors.memory_bytes(seen) + count_once(
+                (*cores, alive), seen)
+        return total
 
 
 def order_layers(cores, descending=True, enabled=True):

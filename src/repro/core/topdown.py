@@ -27,16 +27,21 @@ index, and it keeps the potential sets as the vertex masks
 preprocessing's kernel view hands on.  With vertex deletion on, deletion
 runs on the graph's d-core union
 (:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), which
-the graph keeps per ``d``.  :func:`td_dccs` then moves to the *survivor
-subgraph* once deletion has removed a vertex of the graph it ran on: the
-frozen graph induced by the survivors
+the graph keeps per ``d``, and the graph keeps its fixed point per
+``(d, s)``.  :func:`td_dccs` then moves to the *survivor subgraph* once
+deletion has removed a vertex of the graph it ran on: the frozen graph
+induced by the survivors
 (:func:`~repro.graph.kernels.np_induced_subgraph`), whose dense ids
-follow that graph's ids in ascending order.  InitTopK, the layer
-order, the index, the root d-CC and the recursion all run on it, so no
-kernel call pays for the deleted vertices, and the ``k`` result sets
-are translated back at the end, through the union when there is one.
-Every peel stays within the survivors either way, so sets, labels and
-counters are those of a search on the input graph.
+follow that graph's ids in ascending order.  It depends only on ``d``
+and ``s`` too, so the first top-down search at a ``(d, s)`` builds it
+and the kept fixed point keeps it, with the core masks re-indexed to
+it (:meth:`~repro.core.preprocess.KeptFixedPoint.survivor_space`).
+InitTopK, the layer order, the index, the root d-CC and the recursion
+all run on it, so no kernel call pays for the deleted vertices, and the
+``k`` result sets are translated back at the end, through the union
+when there is one.  Every peel stays within the survivors either way,
+so sets, labels and counters are those of a search on the input graph.
+InitTopK and the index are built on every search.
 """
 
 import numpy as np
@@ -134,15 +139,25 @@ def _search_space(prep):
     """``(graph, cores, alive)`` for the search after vertex deletion.
 
     The prep's kernel view over its graph; once a vertex of that graph
-    was deleted, the survivor subgraph with the core masks indexed by
-    the survivors and an all-true alive mask.
+    was deleted, the survivor space kept with the prep's fixed point:
+    the survivor subgraph, the core masks indexed by the survivors and
+    an all-true alive mask.
     """
     cores, alive = prep.kernel_view()
     if alive.all():
         return prep.graph, cores, alive
-    survivors = np_induced_subgraph(prep.graph, alive)
-    return (survivors, [core[alive] for core in cores],
-            np.ones(survivors.num_vertices, dtype=np.bool_))
+    return prep.kept.survivor_space(
+        lambda: _survivor_space(prep.graph, cores, alive))
+
+
+def _survivor_space(graph, cores, alive):
+    """The survivor subgraph of ``alive`` and its read-only masks."""
+    survivors = np_induced_subgraph(graph, alive)
+    masks = [core[alive] for core in cores]
+    masks.append(np.ones(survivors.num_vertices, dtype=np.bool_))
+    for mask in masks:
+        mask.flags.writeable = False
+    return survivors, masks[:-1], masks[-1]
 
 
 class _TopDownSearch:

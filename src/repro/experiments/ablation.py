@@ -7,6 +7,13 @@ initialisation) and No-Pre (all three) — and compares BU-DCCS at small
 ablations of the pruning lemmas themselves (order-based pruning, the
 potential-set shortcut) and of the RefineC index that Fig. 28b of
 docs/experiments.md reports.
+
+A frozen graph keeps what its first searches derive (layer cores, the
+d-core union, the vertex-deletion fixed point), so a variant run after
+another on one graph would skip preprocessing that it did not ablate.
+Each variant therefore runs on the graph with an empty memo
+(:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.with_empty_memo`) and
+pays its own preprocessing.
 """
 
 from repro.core.api import search_dccs
@@ -43,10 +50,11 @@ PRUNING_VARIANTS_TD = {
 def _run_variants(graph, method, s, variants, seed=0, k=None, d=None):
     d = DEFAULTS["d"] if d is None else d
     k = DEFAULTS["k"] if k is None else k
+    frozen = graph.freeze()
     rows = []
     for variant, options in variants.items():
-        result = search_dccs(graph, d, s, k, method=method, seed=seed,
-                             **options)
+        result = search_dccs(frozen.with_empty_memo(), d, s, k,
+                             method=method, seed=seed, **options)
         rows.append(result_row(result, variant=variant, d=d, s=s, k=k))
     return rows
 

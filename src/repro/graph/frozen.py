@@ -16,12 +16,13 @@ A frozen graph is immutable: the mutation methods of
 :class:`~repro.utils.errors.FrozenGraphError`.  Convert back with
 :meth:`FrozenMultiLayerGraph.thaw` when mutation is needed.  Being
 immutable, it keeps what the kernels derive from it: numpy views,
-degree vectors, each layer's d-cores and, per ``d``, the subgraph
-induced by the union of those cores
-(:meth:`FrozenMultiLayerGraph.core_union`), which the sequential
-searches run in (:class:`LayerCoreMemo` holds both).  A patched graph
-keeps the untouched layers' cores but no union, since a union depends
-on every layer.
+degree vectors, each layer's d-cores, per ``d`` the subgraph induced by
+the union of those cores (:meth:`FrozenMultiLayerGraph.core_union`),
+which the sequential searches run in, and per ``(d, s)`` the
+vertex-deletion fixed point they start from
+(:class:`LayerCoreMemo` holds all three).  A patched graph keeps the
+untouched layers' cores but no union and no fixed point, since those
+depend on every layer.
 
 Vertex vocabulary
 -----------------
@@ -68,8 +69,9 @@ class FrozenMultiLayerGraph:
     kernel:
         The peel tier, always ``"numpy"``; benchmark reports record it.
     core_memo:
-        The :class:`LayerCoreMemo` of every layer's full-graph d-cores
-        and of the d-core unions (:meth:`core_union`).
+        The :class:`LayerCoreMemo` of every layer's full-graph d-cores,
+        of the d-core unions (:meth:`core_union`) and of the
+        vertex-deletion fixed points.
     """
 
     __slots__ = (
@@ -163,6 +165,15 @@ class FrozenMultiLayerGraph:
     def freeze(self, name=None):
         """Idempotent convenience — a frozen graph freezes to itself."""
         return self
+
+    def with_empty_memo(self):
+        """This graph over the same (immutable) arrays with an empty
+        :attr:`core_memo`: a search on it peels, builds and deletes
+        everything again, as on a newly frozen graph, without copying
+        the CSR."""
+        return type(self)(self.labels, self._indptr, self._indices,
+                          self._edge_counts, self._layer_masks,
+                          name=self.name)
 
     def core_union(self, d):
         """The frozen graph induced by the union of the layers' d-cores.
@@ -475,7 +486,7 @@ class FrozenMultiLayerGraph:
             "layers": self.num_layers,
         }
 
-    def memory_bytes(self):
+    def memory_bytes(self, seen=None):
         """Rough resident size: CSR arrays, label table, built caches.
 
         Honest for both storage forms: ``array.array`` buffers are
@@ -484,21 +495,22 @@ class FrozenMultiLayerGraph:
         so host ``memory_budget_bytes`` admission control sees the same
         bytes either way.  The kernels' cached views share the CSR
         storage and are not double-counted; their owned per-layer
-        degree vectors, the :attr:`core_memo` entries and each kept
-        :meth:`core_union` subgraph (its own ``memory_bytes``) are.
+        degree vectors and everything the :attr:`core_memo` keeps are
+        (:meth:`LayerCoreMemo.nbytes`).  Each array counts once: a kept
+        subgraph's memo shares its parent's arrays, and ``seen`` holds
+        those counted so far (:func:`count_once`).
         """
-        total = 0
-        for ptr, idx in zip(self._indptr, self._indices):
-            total += buffer_nbytes(ptr) + buffer_nbytes(idx)
+        if seen is None:
+            seen = set()
+        total = count_once((*self._indptr, *self._indices), seen)
         total += sys.getsizeof(self.labels)
         if type(self.labels) is not range:
             total += sum(sys.getsizeof(label) for label in self.labels)
         total += sys.getsizeof(self._ids)
         total += sys.getsizeof(self._layer_masks)
-        for degrees in self._np_degs:
-            if degrees is not None:
-                total += degrees.nbytes
-        total += self.core_memo.nbytes()
+        total += count_once([degrees for degrees in self._np_degs
+                             if degrees is not None], seen)
+        total += self.core_memo.nbytes(seen)
         for adj in self._adj_dicts:
             if adj is not None:
                 total += sys.getsizeof(adj)
@@ -618,9 +630,22 @@ def _freeze_layers(graph, labels, vertex_id, layers, indptr, indices,
         edge_counts[layer] = total // 2
 
 
+def count_once(arrays, seen):
+    """The bytes of those ``arrays`` whose ``id`` is not in ``seen``,
+    which then holds every one of them: within one ``memory_bytes``
+    walk, an array shared by two holders counts once."""
+    total = 0
+    for array in arrays:
+        if id(array) not in seen:
+            seen.add(id(array))
+            total += buffer_nbytes(array)
+    return total
+
+
 class LayerCoreMemo:
-    """Each layer's full-graph d-core, kept per ``(layer, d)``, and the
-    d-core union of every ``d`` a search asked for.
+    """Each layer's full-graph d-core, kept per ``(layer, d)``, the
+    d-core union of every ``d`` and the vertex-deletion fixed point of
+    every ``(d, s)`` a search asked for.
 
     The core depends only on the layer and ``d``, and a frozen graph
     never changes, so the first full-graph peel
@@ -629,21 +654,24 @@ class LayerCoreMemo:
     core's ascending member ids and their degrees inside the core: 8
     bytes per core vertex.  Beside them, per ``d``, the
     :meth:`~FrozenMultiLayerGraph.core_union` subgraph (``None`` when
-    the graph stands for it).  Entries are written whole and never
-    changed, so threads that fill one key race harmlessly.
-    ``hits``/``misses`` count layer-core lookups, ``kept``/``dropped``
-    the entries :meth:`carried` passed to a patched graph or left
-    behind; a lock keeps them exact, and a patched graph continues its
-    parent's.  A union depends on every layer, so no patched graph gets
-    one.
+    the graph stands for it), and per ``(d, s)`` the fixed point of
+    :func:`~repro.core.preprocess.vertex_deletion` on that union (a
+    :class:`~repro.core.preprocess.KeptFixedPoint`).  Entries are
+    written whole and never changed, so threads that fill one key race
+    harmlessly.  ``hits``/``misses`` count layer-core lookups,
+    ``kept``/``dropped`` the entries :meth:`carried` passed to a patched
+    graph or left behind; a lock keeps them exact, and a patched graph
+    continues its parent's.  A union or a fixed point depends on every
+    layer, so no patched graph gets one.
     """
 
-    __slots__ = ("_entries", "_unions", "_lock", "hits", "misses", "kept",
-                 "dropped")
+    __slots__ = ("_entries", "_unions", "_fixed_points", "_lock", "hits",
+                 "misses", "kept", "dropped")
 
     def __init__(self, entries=None, hits=0, misses=0, kept=0, dropped=0):
         self._entries = {} if entries is None else entries
         self._unions = {}
+        self._fixed_points = {}
         self._lock = threading.Lock()
         self.hits, self.misses = hits, misses
         self.kept, self.dropped = kept, dropped
@@ -653,18 +681,27 @@ class LayerCoreMemo:
         return LayerCoreMemo, ()
 
     def union(self, d, build):
-        """The union entry at ``d``; ``build()`` makes it on a miss.
+        """The union entry at ``d``; ``build()`` makes it on a miss."""
+        return self._keep(self._unions, d, build)
 
-        Threads that build the same ``d`` race harmlessly: the first
+    def fixed_point(self, d, s, build):
+        """The fixed-point entry at ``(d, s)``; ``build()`` makes it on
+        a miss."""
+        return self._keep(self._fixed_points, (d, s), build)
+
+    def _keep(self, table, key, build):
+        """``table[key]``, stored from ``build()`` on a miss.
+
+        Threads that build the same key race harmlessly: the first
         entry stored is the one every caller gets.
         """
         try:
-            return self._unions[d]
+            return table[key]
         except KeyError:
             pass
         entry = build()
         with self._lock:
-            return self._unions.setdefault(d, entry)
+            return table.setdefault(key, entry)
 
     def lookup(self, key, build):
         """The entry under ``key``; ``build()`` makes it on a miss."""
@@ -680,7 +717,8 @@ class LayerCoreMemo:
 
     def carried(self, touched_layers):
         """This memo for a graph patched on ``touched_layers``: the other
-        layers' entries, with the counters continued, and no union."""
+        layers' entries, with the counters continued, and no union or
+        fixed point."""
         touched = frozenset(touched_layers)
         with self._lock:
             entries = {key: entry for key, entry in self._entries.items()
@@ -690,10 +728,16 @@ class LayerCoreMemo:
                                  self.kept + len(entries),
                                  self.dropped + dropped)
 
-    def nbytes(self):
-        """The bytes of every entry's two arrays and of every union."""
-        return sum(members.nbytes + degrees.nbytes
-                   for members, degrees in list(self._entries.values())) \
-            + sum(union.memory_bytes()
-                  for union in list(self._unions.values())
-                  if union is not None)
+    def nbytes(self, seen=None):
+        """The bytes of every entry's two arrays, every union and every
+        fixed point, each array counted once (:func:`count_once`)."""
+        if seen is None:
+            seen = set()
+        total = count_once([array for entry in list(self._entries.values())
+                            for array in entry], seen)
+        for union in list(self._unions.values()):
+            if union is not None:
+                total += union.memory_bytes(seen)
+        for kept in list(self._fixed_points.values()):
+            total += kept.memory_bytes(seen)
+        return total

@@ -466,6 +466,28 @@ class TestLifecycle:
         assert live_pool_count() == pools_before
         assert result.sets  # the search actually ran
 
+    def test_detach_right_after_a_search_returns(self):
+        """The lease is released before the last request of a batch
+        resolves, so a caller that got its answer may detach at once,
+        whether the search succeeded or failed."""
+        graph = paper_figure1_graph()
+        loop = asyncio.new_event_loop()
+        host = AsyncDCCHost(jobs=1)
+        try:
+            for round_ in range(50):
+                host.attach("fig", graph)
+                if round_ % 10 == 9:
+                    with pytest.raises(ParameterError):
+                        loop.run_until_complete(
+                            host.search("fig", 3, 9, 2))
+                else:
+                    loop.run_until_complete(host.search("fig", 3, 2, 2))
+                host.detach("fig")
+                assert not host.is_attached("fig")
+        finally:
+            loop.run_until_complete(host.aclose())
+            loop.close()
+
     def test_registry_surface_delegates(self):
         graph = paper_figure1_graph()
 

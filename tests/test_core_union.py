@@ -1,5 +1,7 @@
-"""The d-core union: the frozen graph keeps, per ``d``, the subgraph
-induced by its layers' d-cores, and the sequential searches run in it.
+"""The d-core union and the kept fixed point: the frozen graph keeps,
+per ``d``, the subgraph induced by its layers' d-cores, in which the
+sequential searches run, and per ``(d, s)`` the vertex-deletion fixed
+point on it.
 
 * **answers and counters** — with vertex deletion on, greedy, bottom-up
   and top-down run inside ``core_union(d)``; their sets, labels, cover
@@ -9,10 +11,16 @@ induced by its layers' d-cores, and the sequential searches run in it.
   empty union, a union equal to the graph and a union of exactly half;
 * **the union itself** — the half rule, and a memo that starts with
   every layer's d-core in the union's ids;
+* **the kept fixed point** — a search that reads it answers and counts
+  as a cold one and as one that recomputes it, on drawn graphs with int
+  and string labels; each ``(d, s)`` is built once, its arrays and
+  top-down's survivor space are read-only, and threads that fill one
+  key race harmlessly;
 * **lifecycle** — a patched graph, a copy, a pickle and a worker
-  payload start without unions; ``memory_bytes`` counts them; threads
-  that build the same ``d`` race harmlessly; the No-VD ablation,
-  ``exact_dccs`` and the engine path never build one.
+  payload start without unions or fixed points; ``memory_bytes`` counts
+  every kept array once; threads that build the same ``d`` race
+  harmlessly; the No-VD ablation, ``exact_dccs`` and the engine path
+  build neither.
 """
 
 import contextlib
@@ -21,13 +29,15 @@ import pickle
 import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.preprocess as preprocess_module
 from repro.baselines.exact import exact_dccs
 from repro.core import search_dccs
-from repro.core.preprocess import vertex_deletion
+from repro.core.preprocess import KeptFixedPoint, vertex_deletion
 from repro.core.stats import SearchStats
 from repro.datasets import synthetic_multilayer
 from repro.graph import FrozenMultiLayerGraph, MultiLayerGraph
@@ -43,6 +53,12 @@ METHODS = ("greedy", "bottom-up", "top-down")
 def _itself(graph, d):
     """``core_union`` as if every union held more than half the graph."""
     return graph
+
+
+def _memo_bypassed():
+    """Every fixed point recomputed, none read from or kept in a memo."""
+    return mock.patch.object(LayerCoreMemo, "fixed_point",
+                             lambda memo, d, s, build: build())
 
 
 def _snapshot(result):
@@ -70,13 +86,16 @@ def _prep_snapshot(frozen, d, s, enabled):
 
 def _runs(graph, d, s, k, method, use_vd):
     """Snapshots of the search on ``graph`` and on its frozen form, and
-    the prep, as they are and with ``core_union`` returning the graph."""
+    the prep, as they are and with ``core_union`` returning the graph
+    (and the fixed point recomputed there, not read from the memo)."""
     frozen = graph.freeze()
     runs = []
     for patch in (False, True):
-        context = mock.patch.object(FrozenMultiLayerGraph, "core_union",
-                                    _itself) if patch \
-            else contextlib.nullcontext()
+        context = contextlib.ExitStack()
+        if patch:
+            context.enter_context(mock.patch.object(
+                FrozenMultiLayerGraph, "core_union", _itself))
+            context.enter_context(_memo_bypassed())
         with context:
             runs.append([
                 _snapshot(search_dccs(target, d, s, k, method=method,
@@ -213,6 +232,176 @@ class TestUnionGraph:
             search_dccs(frozen, 4, 2, 2, method=method, jobs=1)
         exact_dccs(frozen, 4, 2, 2)
         assert frozen.core_memo._unions == {}
+        assert frozen.core_memo._fixed_points == {}
+
+
+def _kept_snapshot(frozen, d, s, k, method):
+    """The search's snapshot, then its prep's ``deleted``, ``rounds`` and
+    counters, on ``frozen`` as it is."""
+    search = _snapshot(search_dccs(frozen, d, s, k, method=method, seed=0))
+    stats = SearchStats()
+    prep = vertex_deletion(frozen, d, s, stats=stats, on_union=True)
+    return search, prep.deleted, prep.rounds, stats.as_dict()
+
+
+class TestKeptFixedPoint:
+    """A search that reads the kept fixed point answers and counts as
+    one that computes it."""
+
+    @given(st.one_of(
+        multilayer_graphs(max_vertices=12, max_layers=4,
+                          edge_probability=0.6),
+        labelled_multilayer_graphs(max_vertices=12, max_layers=4,
+                                   edge_probability=0.6)),
+        st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_search_equals_cold_and_bypassed(self, graph, data):
+        d = data.draw(st.integers(min_value=0, max_value=6))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        frozen = graph.freeze()
+        for s in range(1, graph.num_layers + 1):
+            for method in METHODS:
+                cold = _kept_snapshot(frozen.with_empty_memo(), d, s, k,
+                                      method)
+                with _memo_bypassed():
+                    bypassed = _kept_snapshot(frozen, d, s, k, method)
+                warm = [_kept_snapshot(frozen, d, s, k, method)
+                        for _ in range(2)]
+                assert frozen.core_memo._fixed_points[d, s]
+                assert warm[0] == warm[1] == cold == bypassed, (s, method)
+                labelled = _snapshot(search_dccs(graph, d, s, k,
+                                                 method=method, seed=0))
+                assert labelled[1:] == cold[0][1:]
+                assert labelled[0] == [set(frozen.labels_for(members))
+                                       for members in cold[0][0]]
+
+    def test_each_entry_is_built_once(self):
+        frozen = _small_graph()
+        build = preprocess_module._build_kept_fixed_point
+        built = []
+
+        def counting(graph, d, s):
+            built.append((d, s))
+            return build(graph, d, s)
+
+        with mock.patch.object(preprocess_module,
+                               "_build_kept_fixed_point", counting):
+            for _ in range(3):
+                for d in (3, 4):
+                    for s in (1, 2, 3):
+                        for method in METHODS:
+                            search_dccs(frozen, d, s, 3, method=method)
+        assert sorted(built) == [(d, s) for d in (3, 4) for s in (1, 2, 3)]
+        assert sorted(frozen.core_memo._fixed_points) == sorted(built)
+
+    def test_hits_replay_the_counters_and_share_the_masks(self):
+        frozen = _small_graph()
+        charged = []
+        preps = []
+        for _ in range(3):
+            stats = SearchStats()
+            preps.append(vertex_deletion(frozen, 4, 2, stats=stats,
+                                         on_union=True))
+            charged.append(stats.as_dict())
+        kept = frozen.core_memo._fixed_points[4, 2]
+        assert charged[0] == charged[1] == charged[2] == \
+            kept.charged.as_dict()
+        assert charged[0]["dcc_calls"] == frozen.num_layers
+        assert charged[0]["vertices_deleted"] == kept.deleted > 0
+        first, second, _ = preps
+        assert first is not second and first.kept is second.kept is kept
+        assert first.masks is second.masks is kept.masks
+        assert first.graph is second.graph is frozen.core_union(4)
+        # A result's set views are its own (the engine reassigns them).
+        first.alive = frozenset()
+        assert second.alive and second.alive == set(
+            np.flatnonzero(kept.masks.alive).tolist())
+
+    def test_kept_arrays_are_read_only(self):
+        frozen = _small_graph()
+        for d in (3, 4):
+            search_dccs(frozen, d, 2, 3, method="top-down")
+            kept = frozen.core_memo._fixed_points[d, 2]
+            assert kept.survivors is not None
+            survivors, cores, alive = kept.survivors
+            assert survivors.num_vertices == int(
+                np.count_nonzero(kept.masks.alive)) > 0
+            assert alive.all()
+            masks = kept.masks
+            for array in (masks.alive, masks.support, *masks.cores, alive,
+                          *cores):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+
+    def test_survivor_space_is_built_once(self):
+        frozen = _small_graph()
+        search_dccs(frozen, 4, 2, 3, method="top-down")
+        space = frozen.core_memo._fixed_points[4, 2].survivors
+        with mock.patch("repro.core.topdown.np_induced_subgraph",
+                        side_effect=AssertionError("rebuilt")):
+            again = search_dccs(frozen, 4, 2, 3, method="top-down")
+        assert frozen.core_memo._fixed_points[4, 2].survivors is space
+        cold = search_dccs(frozen.with_empty_memo(), 4, 2, 3,
+                           method="top-down")
+        assert _snapshot(again) == _snapshot(cold)
+
+    def test_threads_filling_one_key_race_harmlessly(self):
+        frozen = _small_graph()
+        build = preprocess_module._build_kept_fixed_point
+        start = threading.Barrier(2)
+        built, got = [], []
+
+        def slow_build(graph, d, s):
+            # Both threads miss before either stores its fixed point.
+            start.wait(timeout=30)
+            kept = build(graph, d, s)
+            built.append(kept)
+            return kept
+
+        def client():
+            stats = SearchStats()
+            prep = vertex_deletion(frozen, 4, 2, stats=stats, on_union=True)
+            got.append((prep, stats.as_dict()))
+
+        with mock.patch.object(preprocess_module,
+                               "_build_kept_fixed_point", slow_build):
+            workers = [threading.Thread(target=client) for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert list(frozen.core_memo._fixed_points) == [(4, 2)]
+        kept = frozen.core_memo._fixed_points[4, 2]
+        (first, first_stats), (second, second_stats) = got
+        assert first.kept is second.kept is kept
+        assert first_stats == second_stats == kept.charged.as_dict() == \
+            built[0].charged.as_dict() == built[1].charged.as_dict()
+        assert (first.deleted, first.rounds, first.alive) == \
+            (second.deleted, second.rounds, second.alive)
+
+
+def _union_bytes(frozen, union):
+    """The bytes a kept union adds to ``frozen``: its own, less the
+    degree arrays its memo shares with the graph's."""
+    return union.memory_bytes() - sum(
+        inside.nbytes for key, (_, inside) in union.core_memo._entries.items()
+        if inside is frozen.core_memo._entries[key][1])
+
+
+def _kept_bytes(kept):
+    """The bytes a kept fixed point holds: its masks, and its survivor
+    space once top-down built it."""
+    masks = kept.masks
+    total = masks.alive.nbytes + masks.support.nbytes + sum(
+        core.nbytes for core in masks.cores)
+    if kept.survivors is not None:
+        survivors, cores, alive = kept.survivors
+        total += survivors.memory_bytes() + alive.nbytes + sum(
+            core.nbytes for core in cores)
+    return total
 
 
 class TestLifecycle:
@@ -225,6 +414,7 @@ class TestLifecycle:
                 search_dccs(frozen, d, 2, 3, method="greedy")
             filled = sorted(frozen.core_memo._entries)
             assert frozen.core_memo._unions
+            assert sorted(frozen.core_memo._fixed_points) == [(3, 2), (4, 2)]
             if graph.has_edge(layer, u, v):
                 graph.apply_delta(remove=[(layer, u, v)])
             else:
@@ -232,21 +422,29 @@ class TestLifecycle:
             patched = graph.freeze()
             assert patched is not frozen
             assert patched.core_memo._unions == {}
+            assert patched.core_memo._fixed_points == {}
             assert sorted(patched.core_memo._entries) == [
                 key for key in filled if key[0] != layer]
             rebuilt = FrozenMultiLayerGraph.from_graph(graph)
             for d in (3, 4):
                 assert patched.core_union(d) == rebuilt.core_union(d)
+                assert _snapshot(search_dccs(patched, d, 2, 3,
+                                             method="greedy")) == \
+                    _snapshot(search_dccs(rebuilt, d, 2, 3,
+                                          method="greedy"))
         assert graph.freeze_patches == graph.num_layers
 
     def test_copies_and_pickles_start_without_unions(self):
         frozen = _small_graph()
         union = frozen.core_union(4)
+        search_dccs(frozen, 4, 2, 3, method="top-down")
+        assert frozen.core_memo._fixed_points[4, 2].survivors is not None
         for copied in (copy.deepcopy(frozen),
                        pickle.loads(pickle.dumps(frozen))):
             assert copied == frozen
             assert copied.core_memo._unions == {}
             assert copied.core_memo._entries == {}
+            assert copied.core_memo._fixed_points == {}
             assert copied.core_union(4) == union
 
     def test_memory_bytes_grows_by_the_union(self):
@@ -258,7 +456,23 @@ class TestLifecycle:
         search_dccs(frozen, 4, 2, 2, method="greedy")
         union = frozen.core_union(4)
         assert union is not frozen
-        assert frozen.memory_bytes() - before == union.memory_bytes() > 0
+        # The union's memo shares each core's degree array with the
+        # graph's, which counts it already.
+        for layer in frozen.layers():
+            assert union.core_memo._entries[layer, 4][1] is \
+                frozen.core_memo._entries[layer, 4][1]
+        kept = frozen.core_memo._fixed_points
+        assert frozen.memory_bytes() - before == \
+            _union_bytes(frozen, union) + _kept_bytes(kept[4, 2]) > 0
+        # A new (d, s) entry, then top-down's survivor space in an
+        # existing one, each adds exactly what it holds.
+        for method, s in (("greedy", 3), ("top-down", 2)):
+            before = frozen.memory_bytes()
+            held = sum(map(_kept_bytes, kept.values()))
+            search_dccs(frozen, 4, s, 2, method=method)
+            assert frozen.memory_bytes() - before == \
+                sum(map(_kept_bytes, kept.values())) - held > 0
+        assert kept[4, 2].survivors is not None
 
     def test_threads_building_one_d_race_harmlessly(self):
         frozen = _small_graph()
@@ -290,11 +504,13 @@ class TestLifecycle:
     def test_graph_payload_ships_no_union(self):
         frozen = _small_graph()
         frozen.core_union(4)
+        search_dccs(frozen, 4, 2, 3, method="top-down")
         payload = graph_payload(frozen)
         assert not any(isinstance(part, (FrozenMultiLayerGraph,
-                                         LayerCoreMemo))
+                                         LayerCoreMemo, KeptFixedPoint))
                        for part in payload)
         shipped = payload_graph(pickle.loads(pickle.dumps(payload)))
         assert shipped == frozen
         assert shipped.core_memo._unions == {}
+        assert shipped.core_memo._fixed_points == {}
         assert shipped.core_union(4) == frozen.core_union(4)

@@ -70,6 +70,7 @@ from repro.graph import (
     MultiLayerGraph,
     paper_figure1_graph,
 )
+from repro.graph.frozen import LayerCoreMemo
 from repro.graph.kernels import (
     buffer_nbytes,
     np_induced_subgraph,
@@ -410,14 +411,6 @@ class TestFullLayerCore:
 METHODS = ("greedy", "bottom-up", "top-down")
 
 
-def _fresh_copy(frozen):
-    """The same frozen graph with an empty layer-core memo."""
-    return FrozenMultiLayerGraph(
-        frozen.labels, frozen._indptr, frozen._indices, frozen._edge_counts,
-        frozen._layer_masks, name=frozen.name,
-    )
-
-
 def _memo_graph():
     """Three layers, 3,000 vertices, six planted 5-cores."""
     return synthetic_multilayer(3000, num_layers=3, num_communities=6,
@@ -443,7 +436,7 @@ class TestLayerCoreMemo:
                 use_vertex_deletion=use_vd,
             ))
 
-        cold = [run(_fresh_copy(warm), d) for d in range(5)]
+        cold = [run(warm.with_empty_memo(), d) for d in range(5)]
         for d in range(5):
             run(warm, d)
         assert sorted(warm.core_memo._entries) == [
@@ -458,7 +451,7 @@ class TestLayerCoreMemo:
                     warm, layer, d)
                 assert warm.core_memo.hits == hits + 1
                 peeled, peel_degrees = kernels_module._full_layer_core(
-                    _fresh_copy(warm), layer, d)
+                    warm.with_empty_memo(), layer, d)
                 assert core.tolist() == peeled.tolist()
                 assert degrees[core].tolist() == \
                     peel_degrees[core].tolist()
@@ -494,7 +487,7 @@ class TestLayerCoreMemo:
         first = _frozen_prep(frozen, 5, 2)
         assert first.deleted > 0
         second = _frozen_prep(frozen, 5, 2)
-        cold = _frozen_prep(_fresh_copy(frozen), 5, 2)
+        cold = _frozen_prep(frozen.with_empty_memo(), 5, 2)
         for prep in (second, cold):
             assert prep.alive == first.alive
             assert prep.cores == first.cores
@@ -541,17 +534,28 @@ class TestLayerCoreMemo:
         """More threads than CPUs search one frozen graph at several d.
 
         Every answer equals the single-threaded cold one, the memo ends
-        with one entry per (layer, d), and its counters saw every lookup.
+        with one entry per (layer, d) and one fixed point per d, and its
+        counters saw every lookup.  Searches that find their fixed point
+        kept make no lookup, and how many threads build one before the
+        first is stored depends on the interleaving, so the lookups are
+        counted as they happen.
         """
         graph = _memo_graph()
         specs = [(d, method) for d in (2, 3, 5) for method in METHODS]
-        cold_graph = _fresh_copy(graph)
+        cold_graph = graph.with_empty_memo()
         expected = {
             (d, method): _snapshot(search_dccs(cold_graph, d, 2, 4,
                                                method=method, seed=0))
             for d, method in specs
         }
-        lookups = cold_graph.core_memo.hits + cold_graph.core_memo.misses
+        lookup = LayerCoreMemo.lookup
+        counted = []
+
+        def counting(memo, key, build):
+            if memo is graph.core_memo:
+                counted.append(key)
+            return lookup(memo, key, build)
+
         threads = min(4 * usable_cpus() + 1, 16)
         rounds = 3
         start = threading.Barrier(threads)
@@ -574,10 +578,11 @@ class TestLayerCoreMemo:
         # Switch threads often, so racing lookups interleave.
         sys.setswitchinterval(1e-6)
         try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=300)
+            with mock.patch.object(LayerCoreMemo, "lookup", counting):
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=300)
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
@@ -585,7 +590,8 @@ class TestLayerCoreMemo:
         memo = graph.core_memo
         assert sorted(memo._entries) == sorted(
             (layer, d) for layer in graph.layers() for d in (2, 3, 5))
-        assert memo.hits + memo.misses == threads * rounds * lookups
+        assert sorted(memo._fixed_points) == [(2, 2), (3, 2), (5, 2)]
+        assert memo.hits + memo.misses == len(counted) > 0
         assert memo.misses >= len(memo._entries)
 
 
@@ -896,10 +902,12 @@ class TestMaskPathEquivalence:
     @given(multilayer_graphs(max_vertices=8, max_layers=8), st.data())
     @settings(max_examples=30, deadline=None)
     def test_init_topk_identical(self, graph, data):
+        # k up to 8 exceeds C(l, s) on small layer counts, so seeds
+        # repeat a layer subset and reuse its peel.
         frozen = graph.freeze()
         d = data.draw(st.integers(min_value=0, max_value=3))
         s = data.draw(st.integers(min_value=1, max_value=frozen.num_layers))
-        k = data.draw(st.integers(min_value=1, max_value=3))
+        k = data.draw(st.integers(min_value=1, max_value=8))
         prep = _frozen_prep(frozen, d, s, enabled=data.draw(st.booleans()))
         runs = []
         for run, source in ((init_topk, frozen), (oracle.init_topk, graph)):
@@ -911,6 +919,34 @@ class TestMaskPathEquivalence:
             runs.append((topk.labelled_sets(), topk.cover_size,
                          stats.as_dict()))
         assert runs[0] == runs[1]
+
+    def test_init_topk_peels_each_layer_subset_once(self):
+        """Three layers hold C(3, 2) = 3 subsets, so six seeds repeat
+        one; each subset is peeled once, and the seeds, cover and
+        counters equal the reference's, which peels every seed."""
+        graph = _memo_graph()
+        frozen = graph.freeze()
+        prep = _frozen_prep(frozen, 5, 2)
+        peeled = []
+
+        def counting(graph, layers, d, within=None, stats=None):
+            peeled.append(tuple(layers))
+            return coherent_core(graph, layers, d, within=within,
+                                 stats=stats)
+
+        runs = []
+        for run, source in ((init_topk, frozen), (oracle.init_topk, graph)):
+            stats = SearchStats()
+            cores, alive = prep.kernel_view() if run is init_topk \
+                else (prep.cores, prep.alive)
+            with mock.patch("repro.core.initk.coherent_core", counting):
+                topk = run(source, 5, 2, 6, cores, within=alive,
+                           topk=DiversifiedTopK(6), stats=stats)
+            runs.append((topk.labelled_sets(), topk.cover_size,
+                         stats.as_dict()))
+        assert runs[0] == runs[1]
+        assert len(set(peeled)) == len(peeled) < 6
+        assert stats.dcc_calls == 6
 
     @given(multilayer_graphs(max_vertices=9, max_layers=4), st.data())
     @settings(max_examples=25, deadline=None)
@@ -1156,10 +1192,28 @@ class TestMemoryAccounting:
             assert graph.memory_bytes() - before == grown
         cores = [layer_core(graph, layer, d)
                  for layer in graph.layers() for d in (3, 4)]
-        # The memo also holds the searches' d-core unions.
+        # The memo also holds the searches' d-core unions, whose memos
+        # share the layer cores' degree arrays, and their vertex-deletion
+        # fixed points: masks, and top-down's survivor space.
         unions = [graph.core_union(d) for d in (3, 4)]
-        assert graph.core_memo.nbytes() == 8 * sum(map(len, cores)) + sum(
-            union.memory_bytes() for union in unions if union is not graph)
+        union_bytes = sum(
+            union.memory_bytes() - 4 * sum(
+                len(members) for members, _ in
+                union.core_memo._entries.values())
+            for union in unions if union is not graph)
+        kept = graph.core_memo._fixed_points
+        assert sorted(kept) == [(3, 2), (4, 2)]
+        kept_bytes = 0
+        for entry in kept.values():
+            masks = entry.masks
+            kept_bytes += masks.alive.nbytes + masks.support.nbytes + sum(
+                core.nbytes for core in masks.cores)
+            if entry.survivors is not None:
+                survivors, survivor_cores, everyone = entry.survivors
+                kept_bytes += survivors.memory_bytes() + everyone.nbytes \
+                    + sum(core.nbytes for core in survivor_cores)
+        assert graph.core_memo.nbytes() == \
+            8 * sum(map(len, cores)) + union_bytes + kept_bytes
 
 
 class TestSyntheticGenerator:
