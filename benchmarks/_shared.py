@@ -167,23 +167,19 @@ def median_times(dataset, points, rows, repeats=5, variants=None):
     """Median ``elapsed`` of each ``(method, d, s, k)`` search, re-timed.
 
     A sweep times every search once, and one slow stretch of a busy host
-    can push a single point past a timing floor.  Run order matters too:
-    the first search at a given ``d`` on a graph pays the layer peels
-    and the d-core union, and the first at a given ``(d, s)`` its
-    vertex deletion, which the frozen graph then keeps for every later
-    one.  A floor therefore asserts on medians of ``repeats`` samples:
-    a point's time in the sweep's ``rows`` is its first sample, and the
-    rest come from re-running only the searches the floor compares, in
-    round-robin order on the sweep's own (memoised, already frozen)
-    graph, so a slow stretch or a cold start hits every point alike.
+    can push a single point past a timing floor.  A floor therefore
+    asserts on medians of ``repeats`` samples: a point's time in the
+    sweep's ``rows`` is its first sample, and the rest come from
+    re-running only the searches the floor compares, in round-robin
+    order on the sweep's own (memoised, already frozen) graph, so a
+    slow stretch hits every point alike.  Like the sweep's rows, each
+    re-run searches that graph with an empty memo, so every sample pays
+    its own layer peels, vertex deletion and d-CC peels instead of
+    reading what an earlier search kept.
 
     ``variants`` maps an ablation's variant names to their search
     options; a point is then ``(method, d, s, k, variant)``, its first
     sample is the row of that variant, and its re-runs pass the options.
-    Like the ablation's own rows, each of those re-runs searches the
-    frozen graph with an empty memo, so every variant sample pays its
-    own layer peels and vertex deletion instead of reading what an
-    earlier search kept.
     """
     graph = load(dataset, scale=FIG_SCALES[dataset]).graph
     samples = {point: [] for point in points}
@@ -193,17 +189,15 @@ def median_times(dataset, points, rows, repeats=5, variants=None):
             point += (row["variant"],)
         if row["dataset"] == dataset and point in samples:
             samples[point].append(row["time_s"])
+    frozen = graph.freeze()
     for _ in range(repeats):
         for point in points:
             if len(samples[point]) < repeats:
                 method, d, s, k = point[:4]
-                target, options = graph, {}
-                if variants is not None:
-                    target = graph.freeze().with_empty_memo()
-                    options = variants[point[4]]
+                options = {} if variants is None else variants[point[4]]
                 samples[point].append(search_dccs(
-                    target, d, s, k, method=method, seed=0,
-                    **options).elapsed)
+                    frozen.with_empty_memo(), d, s, k, method=method,
+                    seed=0, **options).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}
 
@@ -216,8 +210,9 @@ def sample_medians(parameter, rows, methods, values, repeats=3):
     :func:`median_times`, a point's time in the sweep's ``rows`` is its
     first sample; the rest re-run only the compared searches, round
     robin, on the same sampled subgraphs, rebuilt by the sweep's own
-    sampler and frozen before any timer starts.  ``rows`` hold one row
-    per ``(algorithm, value)``.
+    sampler and frozen before any timer starts, and each re-run searches
+    a subgraph with an empty memo.  ``rows`` hold one row per
+    ``(algorithm, value)``.
     """
     sampler = p_subgraphs if parameter == "p" else q_subgraphs
     stack = load("stack", scale=FIG_SCALES["stack"]).graph
@@ -230,15 +225,14 @@ def sample_medians(parameter, rows, methods, values, repeats=3):
         if point in samples:
             samples[point].append(row["time_s"])
             params[point] = (row["d"], row["s"], row["k"])
-    for value in values:
-        graphs[value].freeze()
+    frozen = {value: graphs[value].freeze() for value in values}
     for _ in range(repeats):
         for point in points:
             if len(samples[point]) < repeats:
                 method, value = point
                 samples[point].append(search_dccs(
-                    graphs[value], *params[point], method=method,
-                    seed=0).elapsed)
+                    frozen[value].with_empty_memo(), *params[point],
+                    method=method, seed=0).elapsed)
     return {point: statistics.median(times)
             for point, times in samples.items()}
 

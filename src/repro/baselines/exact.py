@@ -33,10 +33,12 @@ def exact_dccs(graph, d, s, k, max_candidates=64, stats=None):
         stats = SearchStats()
     with Timer() as timer:
         prep = vertex_deletion(graph, d, s, stats=stats)
-        cores, alive = prep.kernel_view()
+        # The cores lie inside the alive set, so their Lemma 1 bounds
+        # hold each candidate, which the graph keeps.
+        cores, _ = prep.kernel_view()
         labelled = {}
         for label, members in enumerate_candidates(
-            graph, d, s, within=alive, cores=cores, stats=stats
+            graph, d, s, cores=cores, stats=stats
         ):
             stats.candidates_generated += 1
             if members and members not in labelled:

@@ -36,7 +36,10 @@ ban would have cut in the literal reading.
 
 The search runs on a frozen graph (a ``MultiLayerGraph`` is frozen and
 answered in its labels) and keeps its tree's cores as frozensets of
-dense ids, peeled by the CSR kernels of :mod:`repro.core.dcc`.  With
+dense ids, peeled by the CSR kernels of :mod:`repro.core.dcc`, or read
+from the d-CCs the graph keeps when a kept one lies inside the child's
+bound (:func:`~repro.core.dcc.kept_coherent_core` rebuilds it in the
+bound's iteration order, as the peel would).  With
 vertex deletion on, deletion, InitTopK and the tree run on the graph's
 d-core union
 (:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), and the
@@ -44,7 +47,13 @@ d-core union
 """
 
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import coherent_core, validate_search_params
+# ``coherent_core`` stays a name of this module: tracers wrap the peels
+# of each core module under it.
+from repro.core.dcc import (  # noqa: F401
+    coherent_core,
+    kept_coherent_core,
+    validate_search_params,
+)
 from repro.core.initk import init_topk
 from repro.core.preprocess import order_layers, vertex_deletion
 from repro.core.result import result_from_topk
@@ -162,12 +171,15 @@ class _BottomUpSearch:
         if not bound:
             # Lemma 1: empty bound, hence empty child d-CC.
             return child_positions, frozenset()
-        child = coherent_core(
+        # Below level s the bound may miss vertices of the full graph's
+        # d-CC that vertex deletion removed, so only level s keeps it.
+        child = kept_coherent_core(
             self.graph,
             self._layers_for(child_positions),
             self.d,
-            within=bound,
+            bound,
             stats=self.stats,
+            keep=len(child_positions) >= self.s,
         )
         return child_positions, child
 

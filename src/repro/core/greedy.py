@@ -14,7 +14,14 @@ graph's d-core union
 (:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.core_union`), so no
 mask or peel pays for the vertices outside every layer's d-core; the
 chosen sets are translated back at the end.
+
+The candidates are the graph's kept d-CCs
+(:func:`~repro.core.dcc.kept_coherent_core`), so a repeated search
+peels nothing, and they stay id arrays: the max-k-cover counts gains
+against a covered mask and builds frozensets for the chosen sets only.
 """
+
+import numpy as np
 
 from repro.core.dcc import enumerate_candidates, validate_search_params
 from repro.core.preprocess import vertex_deletion
@@ -68,7 +75,8 @@ def gd_dccs(graph, d, s, k, use_vertex_deletion=True, stats=None):
 
 
 def _generate_candidates(graph, d, s, prep, stats):
-    """Lines 4–7 of Fig. 2: one d-CC per size-``s`` layer subset.
+    """Lines 4–7 of Fig. 2: one d-CC per size-``s`` layer subset, as
+    its ascending ids.
 
     Delegates to :func:`~repro.core.dcc.enumerate_candidates` (sharing the
     preprocessed per-layer core masks), which applies the Lemma 1
@@ -77,7 +85,7 @@ def _generate_candidates(graph, d, s, prep, stats):
     cores, _ = prep.kernel_view()
     candidates = []
     for layer_subset, core in enumerate_candidates(
-        graph, d, s, cores=cores, stats=stats
+        graph, d, s, cores=cores, stats=stats, as_ids=True
     ):
         stats.candidates_generated += 1
         candidates.append((layer_subset, core))
@@ -85,28 +93,55 @@ def _generate_candidates(graph, d, s, prep, stats):
 
 
 def greedy_max_k_cover(candidates, k):
-    """Greedy max-k-cover over ``(label, vertex-set)`` pairs (lines 8–10).
+    """Greedy max-k-cover over ``(label, members)`` pairs (lines 8–10).
 
-    Repeatedly picks the candidate with the largest marginal cover gain.
-    Candidates with zero gain are only taken once nothing positive is left,
-    and empty candidates are never taken — a set that adds nothing cannot
-    help the cover, and returning fewer than ``k`` sets is more honest than
-    padding with duplicates.
+    Repeatedly picks the candidate with the largest marginal cover gain,
+    the first one in ``candidates`` order on a tie.  A set that adds
+    nothing cannot help the cover, and returning fewer than ``k`` sets is
+    more honest than padding with duplicates, so the selection stops
+    once no candidate gains.
+
+    Members are id arrays over dense ids, as the enumeration yields
+    them, or vertex sets.  Each round counts every candidate's gain
+    against a mask of the covered vertices in one pass over all their
+    ids.  Returns ``(label, frozenset)`` pairs: a set as it was, an
+    array's frozenset built from its ids in order.
     """
-    covered = set()
-    remaining = list(candidates)
+    candidates = list(candidates)
+    arrays = _id_arrays([members for _, members in candidates])
+    if not arrays:
+        return []
+    sizes = np.array([ids.size for ids in arrays], dtype=np.int64)
+    flat = np.concatenate(arrays)
+    bounds = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    covered = np.zeros(int(flat.max()) + 1 if flat.size else 0,
+                       dtype=np.bool_)
+    sums = np.zeros(flat.size + 1, dtype=np.int64)
     chosen = []
-    while remaining and len(chosen) < k:
-        best_index = -1
-        best_gain = -1
-        for index, (_, members) in enumerate(remaining):
-            gain = len(members - covered)
-            if gain > best_gain:
-                best_gain = gain
-                best_index = index
-        if best_gain <= 0:
+    while len(chosen) < k:
+        # A chosen set gains nothing once covered, so it cannot win again.
+        np.cumsum(covered[flat], out=sums[1:])
+        gains = sizes - (sums[bounds[1:]] - sums[bounds[:-1]])
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
             break
-        label, members = remaining.pop(best_index)
+        covered[arrays[best]] = True
+        label, members = candidates[best]
+        if isinstance(members, np.ndarray):
+            members = frozenset(members.tolist())
         chosen.append((label, members))
-        covered |= members
     return chosen
+
+
+def _id_arrays(family):
+    """Each member collection of ``family`` as an int64 id array: id
+    arrays as they are when all are, else every vertex numbered in
+    order of first appearance."""
+    if all(isinstance(members, np.ndarray) for members in family):
+        return [members.astype(np.int64, copy=False) for members in family]
+    numbers = {}
+    return [np.fromiter((numbers.setdefault(vertex, len(numbers))
+                         for vertex in members), dtype=np.int64,
+                        count=len(members))
+            for members in family]

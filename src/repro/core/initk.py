@@ -15,18 +15,20 @@ It runs on the core masks preprocessing leaves behind on a frozen
 graph: sizes are ``count_nonzero``, intersections ``&``, and the chosen
 intersection reaches the peel as a mask.
 
-The intersection is the AND of the chosen layers' cores, so a layer
-subset chosen again names the same peel.  Once the cover stops steering
-the choices, later seeds often repeat a subset (on the german stand-in
-at ``s = l - 2``, 8 of 10 seeds repeat the second), and each repeat
-reuses the d-CC peeled for it and charges its counters again.
+The intersection contains the chosen subset's d-CC, so the peel reads
+the one the graph keeps or keeps the one it finds
+(:func:`~repro.core.dcc.kept_coherent_core`).  Once the cover stops
+steering the choices, later seeds often repeat a subset (on the german
+stand-in at ``s = l - 2``, 8 of 10 seeds repeat the second), and each
+repeat reads that d-CC and charges its counters again.
 """
 
 import numpy as np
 
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import coherent_core
-from repro.core.stats import SearchStats
+# ``coherent_core`` stays a name of this module: tracers wrap the peels
+# of each core module under it.
+from repro.core.dcc import coherent_core, kept_coherent_core  # noqa: F401
 from repro.graph.backend import require_frozen
 
 
@@ -46,6 +48,11 @@ def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
     within:
         Optional vertex restriction (the preprocessing ``alive`` mask).
 
+    ``cores`` and ``within`` must hold every d-CC of a size-``s`` layer
+    subset (the full-graph cores, or a vertex-deletion fixed point's
+    cores and alive mask at this ``d`` and ``s``): the graph keeps the
+    seeds' d-CCs.
+
     Every choice compares sizes and breaks ties towards the lowest layer
     id.  Returns the (possibly new) :class:`DiversifiedTopK`.
     """
@@ -55,8 +62,6 @@ def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
     size = np.count_nonzero
     sizes = [size(core) for core in cores]
     layers = range(graph.num_layers)
-    # label -> (its d-CC, the counters its peel charged)
-    peeled = {}
     for _ in range(k):
         cover = topk.cover()
         covered = np.zeros(graph.num_vertices, dtype=np.bool_)
@@ -72,13 +77,7 @@ def init_topk(graph, d, s, k, cores, topk=None, within=None, stats=None):
             chosen.append(best)
             candidate = candidate & cores[best]
         label = tuple(sorted(chosen))
-        if label not in peeled:
-            charged = SearchStats()
-            peeled[label] = (coherent_core(graph, label, d, within=candidate,
-                                           stats=charged), charged)
-        core, charged = peeled[label]
-        if stats is not None:
-            stats.merge(charged)
+        core = kept_coherent_core(graph, label, d, candidate, stats=stats)
         accepted = topk.try_update(core, label=label)
         if stats is not None and accepted:
             stats.updates_accepted += 1

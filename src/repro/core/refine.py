@@ -32,7 +32,7 @@ procedure.
 
 import numpy as np
 
-from repro.core.dcc import coherent_core
+from repro.core.dcc import coherent_core, kept_coherent_core
 from repro.graph.backend import require_frozen
 
 
@@ -109,10 +109,14 @@ def refine_core(graph, d, positions, potential, order, index, stats=None):
     frozenset.  ``index=None`` falls back to the plain dCC procedure —
     the ``No-Index`` variant of
     :func:`repro.experiments.ablation.pruning_ablation`.
+
+    ``potential`` is a potential set ``U_{L'}`` of the top-down search,
+    which holds ``C^d_{L'}`` of the whole graph, and both cuts keep it,
+    so the result is that d-CC (``tests/test_topdown.py`` pins it) and
+    the graph keeps it (:func:`~repro.core.dcc.kept_coherent_core`).
     """
     require_frozen(graph)
     layers = tuple(sorted(order[p] for p in positions))
-    if index is None:
-        return coherent_core(graph, layers, d, within=potential, stats=stats)
-    zone = index.reachable_scope(layers, potential)
-    return coherent_core(graph, layers, d, within=zone, stats=stats)
+    zone = potential if index is None else \
+        index.reachable_scope(layers, potential)
+    return kept_coherent_core(graph, layers, d, zone, stats=stats)

@@ -41,13 +41,21 @@ all run on it, so no kernel call pays for the deleted vertices, and the
 ``k`` result sets are translated back at the end, through the union
 when there is one.  Every peel stays within the survivors either way,
 so sets, labels and counters are those of a search on the input graph.
-InitTopK and the index are built on every search.
+InitTopK and the index are built on every search, but the d-CCs of
+InitTopK's seeds, of the root and of every RefineC child are kept by
+the graph the search runs on
+(:func:`~repro.core.dcc.kept_coherent_core`), so a repeated search
+reads them instead of peeling.
 """
 
 import numpy as np
 
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import coherent_core, validate_search_params
+from repro.core.dcc import (
+    coherent_core,
+    kept_coherent_core,
+    validate_search_params,
+)
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
 from repro.core.preprocess import order_layers, vertex_deletion
@@ -116,8 +124,8 @@ def td_dccs(graph, d, s, k,
             use_potential_pruning=use_potential_pruning,
         )
         root_positions = frozenset(range(graph.num_layers))
-        root_core = coherent_core(
-            search_graph, graph.layers(), d, within=alive, stats=stats
+        root_core = kept_coherent_core(
+            search_graph, tuple(graph.layers()), d, alive, stats=stats
         )
         if s == graph.num_layers:
             # The root is the only candidate.

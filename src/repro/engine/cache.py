@@ -3,11 +3,13 @@
 A search session asks many related questions of one graph, and the
 expensive prefixes repeat: the per-layer d-core decomposition and its
 vertex-deletion fixed point depend only on ``(d, s, vertex-deletion
-flag)``, the InitTopK seeds add ``k``, the top-down hierarchy index and
-the root d-CC depend on the surviving vertex set.  :class:`ArtifactCache`
-memoises those artifacts per graph, keyed by their parameters.  Each
-layer's full-graph d-core is not among them: a frozen graph keeps those
-itself (:class:`~repro.graph.frozen.LayerCoreMemo`).
+flag)``, the InitTopK seeds add ``k``, and the top-down hierarchy index
+depends on the surviving vertex set.  :class:`ArtifactCache` memoises
+those artifacts per graph, keyed by their parameters.  Each layer's
+full-graph d-core and each layer subset's d-CC (top-down's root, the
+greedy candidates, the InitTopK seeds) are not among them: a frozen
+graph keeps those itself (:class:`~repro.graph.frozen.LayerCoreMemo`),
+and a patched graph keeps the ones whose layers a delta left alone.
 
 **The counter-replay contract.** Reported :class:`SearchStats` are part
 of this repo's bitwise-determinism guarantee, and a cache that silently
@@ -38,7 +40,6 @@ stay bitwise identical to cold ones across any eviction schedule
 import time
 from collections import OrderedDict
 
-from repro.core.dcc import coherent_core
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
 from repro.core.preprocess import vertex_deletion
@@ -98,9 +99,9 @@ class ArtifactCache:
         ``touched_layers`` names the layers whose edge sets the delta
         changed (the vertex set must be unchanged — structural deltas
         rebuild the whole session and never reach here).  Every artifact
-        (``preprocess``, ``init-topk``, ``index``, ``root-core``) depends
-        on every layer, so a touched layer drops them all; the layer
-        cores of untouched layers outlive the delta in the patched
+        (``preprocess``, ``init-topk``, ``index``) depends on every
+        layer, so a touched layer drops them all; the layer cores and
+        d-CCs of untouched layers outlive the delta in the patched
         frozen graph.
         """
         self.graph = graph
@@ -194,13 +195,3 @@ class ArtifactCache:
                                       stats=delta)
 
         return self._get(("index", d, s, vd_enabled), build)
-
-    def root_core(self, d, s, vd_enabled, prep):
-        """The all-layers d-CC the top-down search starts from."""
-        def build(delta):
-            return frozenset(coherent_core(
-                self.graph, self.graph.layers(), d,
-                within=prep.kernel_view()[1], stats=delta,
-            ))
-
-        return self._get(("root-core", d, s, vd_enabled), build)

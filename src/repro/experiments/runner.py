@@ -31,6 +31,13 @@ def measure_point(graph, d, s, k, methods, seed=0, jobs=None, engine=None,
     ``docs/experiments.md``.  Either way the one-time freeze is warmed
     up front: these rows compare *methods*, so the freeze cost must not
     land on whichever method runs first.
+
+    A sequential row searches the frozen graph with an empty memo
+    (:meth:`~repro.graph.frozen.FrozenMultiLayerGraph.with_empty_memo`):
+    the frozen graph keeps layer cores, unions, fixed points and d-CCs,
+    so a search after another would read what that one peeled, and
+    each row pays its own peels instead, as each run of the paper's
+    Section VI does.
     """
     if engine is not None:
         if engine.source_graph is not graph:
@@ -44,10 +51,11 @@ def measure_point(graph, d, s, k, methods, seed=0, jobs=None, engine=None,
             return engine.search(d, s, k, method=method, seed=seed,
                                  **options)
     else:
-        resolve_search_graph(graph)
+        frozen, _ = resolve_search_graph(graph)
 
         def run(method):
-            return search_dccs(graph, d, s, k, method=method, seed=seed,
+            target = graph if jobs is not None else frozen.with_empty_memo()
+            return search_dccs(target, d, s, k, method=method, seed=seed,
                                jobs=jobs, **options)
     rows = []
     for method in methods:

@@ -20,9 +20,10 @@ degree vectors, each layer's d-cores, per ``d`` the subgraph induced by
 the union of those cores (:meth:`FrozenMultiLayerGraph.core_union`),
 which the sequential searches run in, and per ``(d, s)`` the
 vertex-deletion fixed point they start from
-(:class:`LayerCoreMemo` holds all three).  A patched graph keeps the
-untouched layers' cores but no union and no fixed point, since those
-depend on every layer.
+(:class:`LayerCoreMemo` holds all three), and per layer subset and
+``d`` the d-CC a search peeled.  A patched graph keeps the untouched
+layers' cores and the d-CCs of the layer subsets the delta left alone,
+but no union and no fixed point, since those depend on every layer.
 
 Vertex vocabulary
 -----------------
@@ -36,6 +37,7 @@ graph themselves translate their answers back
 
 from array import array
 from bisect import bisect_left
+from collections import OrderedDict
 import sys
 import threading
 
@@ -70,8 +72,8 @@ class FrozenMultiLayerGraph:
         The peel tier, always ``"numpy"``; benchmark reports record it.
     core_memo:
         The :class:`LayerCoreMemo` of every layer's full-graph d-cores,
-        of the d-core unions (:meth:`core_union`) and of the
-        vertex-deletion fixed points.
+        of the d-core unions (:meth:`core_union`), of the
+        vertex-deletion fixed points and of the layer subsets' d-CCs.
     """
 
     __slots__ = (
@@ -87,6 +89,7 @@ class FrozenMultiLayerGraph:
         "_np_csrs",
         "_np_degs",
         "_vertex_set",
+        "_csr_bytes",
     )
 
     kernel = "numpy"
@@ -110,6 +113,7 @@ class FrozenMultiLayerGraph:
         self._np_csrs = [None] * len(indptr)
         self._np_degs = [None] * len(indptr)
         self._vertex_set = None
+        self._csr_bytes = csr_nbytes(indptr, indices)
 
     # ------------------------------------------------------------------
     # construction / conversion
@@ -147,7 +151,8 @@ class FrozenMultiLayerGraph:
         their CSR arrays with ``self`` (they are immutable); touched
         layers are rebuilt exactly as :meth:`from_graph` would build
         them, so the result is indistinguishable from a full re-freeze.
-        The :attr:`core_memo` keeps the untouched layers' entries.
+        The :attr:`core_memo` keeps the untouched layers' entries and
+        the d-CCs of the layer subsets that hold no touched layer.
         """
         labels = self.labels
         if type(labels) is range:
@@ -159,8 +164,8 @@ class FrozenMultiLayerGraph:
                   list(self._edge_counts), list(self._layer_masks))
         touched_layers = sorted(set(touched_layers))
         _freeze_layers(graph, labels, vertex_id, touched_layers, *arrays)
-        return type(self)(labels, *arrays, name=self.name,
-                          core_memo=self.core_memo.carried(touched_layers))
+        memo = self.core_memo.carried(touched_layers, csr_nbytes(*arrays[:2]))
+        return type(self)(labels, *arrays, name=self.name, core_memo=memo)
 
     def freeze(self, name=None):
         """Idempotent convenience — a frozen graph freezes to itself."""
@@ -486,6 +491,11 @@ class FrozenMultiLayerGraph:
             "layers": self.num_layers,
         }
 
+    def csr_nbytes(self):
+        """The bytes of the CSR arrays, the budget of the d-CCs the
+        :attr:`core_memo` keeps."""
+        return self._csr_bytes
+
     def memory_bytes(self, seen=None):
         """Rough resident size: CSR arrays, label table, built caches.
 
@@ -503,8 +513,9 @@ class FrozenMultiLayerGraph:
         if seen is None:
             seen = set()
         total = count_once((*self._indptr, *self._indices), seen)
+        # A range or an array('i') holds no label objects.
         total += sys.getsizeof(self.labels)
-        if type(self.labels) is not range:
+        if type(self.labels) is list:
             total += sum(sys.getsizeof(label) for label in self.labels)
         total += sys.getsizeof(self._ids)
         total += sys.getsizeof(self._layer_masks)
@@ -630,6 +641,21 @@ def _freeze_layers(graph, labels, vertex_id, layers, indptr, indices,
         edge_counts[layer] = total // 2
 
 
+# What a kept d-CC costs beyond its ids, as its budget counts it: the
+# ndarray header (112 bytes), the key tuples and the dict slot.
+SUBSET_ENTRY_OVERHEAD = 256
+
+
+def _subset_cost(ids):
+    """A kept d-CC's cost: its ids plus the per-entry overhead."""
+    return ids.nbytes + SUBSET_ENTRY_OVERHEAD
+
+
+def csr_nbytes(indptr, indices):
+    """The bytes of a graph's CSR buffers."""
+    return sum(map(buffer_nbytes, (*indptr, *indices)))
+
+
 def count_once(arrays, seen):
     """The bytes of those ``arrays`` whose ``id`` is not in ``seen``,
     which then holds every one of them: within one ``memory_bytes``
@@ -644,8 +670,9 @@ def count_once(arrays, seen):
 
 class LayerCoreMemo:
     """Each layer's full-graph d-core, kept per ``(layer, d)``, the
-    d-core union of every ``d`` and the vertex-deletion fixed point of
-    every ``(d, s)`` a search asked for.
+    d-core union of every ``d``, the vertex-deletion fixed point of
+    every ``(d, s)`` a search asked for and the d-CC of every layer
+    subset a search peeled over a bound known to contain it.
 
     The core depends only on the layer and ``d``, and a frozen graph
     never changes, so the first full-graph peel
@@ -656,22 +683,36 @@ class LayerCoreMemo:
     :meth:`~FrozenMultiLayerGraph.core_union` subgraph (``None`` when
     the graph stands for it), and per ``(d, s)`` the fixed point of
     :func:`~repro.core.preprocess.vertex_deletion` on that union (a
-    :class:`~repro.core.preprocess.KeptFixedPoint`).  Entries are
-    written whole and never changed, so threads that fill one key race
+    :class:`~repro.core.preprocess.KeptFixedPoint`).  Per ``(sorted
+    layer tuple, d)`` with ``d >= 1``, the d-CC ``C^d_L`` of the graph
+    as its ascending member ids, a read-only int32 array
+    (:func:`repro.core.dcc.kept_coherent_core` fills and reads them).
+    Those are bounded without a knob: their ids plus
+    :data:`SUBSET_ENTRY_OVERHEAD` bytes an entry never exceed the
+    graph's own CSR bytes (:meth:`FrozenMultiLayerGraph.csr_nbytes`),
+    and the oldest entries are dropped first.  Entries are written
+    whole and never changed, so threads that fill one key race
     harmlessly.  ``hits``/``misses`` count layer-core lookups,
     ``kept``/``dropped`` the entries :meth:`carried` passed to a patched
     graph or left behind; a lock keeps them exact, and a patched graph
     continues its parent's.  A union or a fixed point depends on every
-    layer, so no patched graph gets one.
+    layer, so no patched graph gets one; a d-CC depends on its own
+    layers only, so a patched graph keeps those whose layers the delta
+    left alone.
     """
 
-    __slots__ = ("_entries", "_unions", "_fixed_points", "_lock", "hits",
-                 "misses", "kept", "dropped")
+    __slots__ = ("_entries", "_unions", "_fixed_points", "_subsets",
+                 "_subset_bytes", "_lock", "hits", "misses", "kept",
+                 "dropped")
 
-    def __init__(self, entries=None, hits=0, misses=0, kept=0, dropped=0):
+    def __init__(self, entries=None, hits=0, misses=0, kept=0, dropped=0,
+                 subsets=()):
         self._entries = {} if entries is None else entries
         self._unions = {}
         self._fixed_points = {}
+        self._subsets = OrderedDict(subsets)
+        self._subset_bytes = sum(map(_subset_cost,
+                                     self._subsets.values()))
         self._lock = threading.Lock()
         self.hits, self.misses = hits, misses
         self.kept, self.dropped = kept, dropped
@@ -715,26 +756,59 @@ class LayerCoreMemo:
             self._entries.setdefault(key, entry)
         return entry
 
-    def carried(self, touched_layers):
+    def subset_core(self, key):
+        """The kept d-CC's ids under ``(layers, d)``, or ``None``."""
+        return self._subsets.get(key)
+
+    def keep_subset_core(self, key, ids, budget):
+        """Keep ``ids`` under ``key`` unless it is kept already, dropping
+        the oldest entries until every entry's cost fits in ``budget``
+        bytes (an entry that alone exceeds it is not kept)."""
+        cost = _subset_cost(ids)
+        with self._lock:
+            subsets = self._subsets
+            if key in subsets or cost > budget:
+                return
+            while self._subset_bytes + cost > budget:
+                _, dropped = subsets.popitem(last=False)
+                self._subset_bytes -= _subset_cost(dropped)
+            subsets[key] = ids
+            self._subset_bytes += cost
+
+    def carried(self, touched_layers, budget):
         """This memo for a graph patched on ``touched_layers``: the other
-        layers' entries, with the counters continued, and no union or
-        fixed point."""
+        layers' entries and d-CCs, with the counters continued, and no
+        union or fixed point.  The d-CCs are cut to the patched graph's
+        ``budget`` as :meth:`keep_subset_core` cuts them."""
         touched = frozenset(touched_layers)
         with self._lock:
             entries = {key: entry for key, entry in self._entries.items()
                        if key[0] not in touched}
             dropped = len(self._entries) - len(entries)
-            return LayerCoreMemo(entries, self.hits, self.misses,
-                                 self.kept + len(entries),
-                                 self.dropped + dropped)
+            subsets = [(key, ids) for key, ids in self._subsets.items()
+                       if touched.isdisjoint(key[0])]
+        spare = budget - sum(_subset_cost(ids) for _, ids in subsets)
+        while spare < 0:
+            spare += _subset_cost(subsets.pop(0)[1])
+        return LayerCoreMemo(entries, self.hits, self.misses,
+                             self.kept + len(entries),
+                             self.dropped + dropped, subsets)
+
+    def subset_nbytes(self):
+        """The kept d-CCs' cost as the budget counts it: their ids plus
+        :data:`SUBSET_ENTRY_OVERHEAD` bytes each."""
+        return self._subset_bytes
 
     def nbytes(self, seen=None):
-        """The bytes of every entry's two arrays, every union and every
-        fixed point, each array counted once (:func:`count_once`)."""
+        """The bytes of every entry's two arrays, every union, every
+        fixed point and every kept d-CC (its ids plus
+        :data:`SUBSET_ENTRY_OVERHEAD`), each array counted once
+        (:func:`count_once`)."""
         if seen is None:
             seen = set()
         total = count_once([array for entry in list(self._entries.values())
                             for array in entry], seen)
+        total += self._subset_bytes
         for union in list(self._unions.values()):
             if union is not None:
                 total += union.memory_bytes(seen)

@@ -30,6 +30,8 @@ top-down's survivor subgraph; :func:`parent_sets` translates their
 answers back.
 """
 
+from array import array
+
 import numpy as _np
 
 from repro.utils.errors import ParameterError
@@ -509,10 +511,11 @@ def np_induced_subgraph(graph, mask, core_memo=None):
     The kept vertices get dense ids in ascending order of their ids in
     ``graph``, and each one's label is that id, so the subgraph's
     ``labels_for`` translates its results back (:func:`parent_sets`).
-    The relabelling is monotone, so every CSR row stays sorted; one
-    gather of the kept rows per layer builds it.  ``core_memo`` is the
-    subgraph's :class:`~repro.graph.frozen.LayerCoreMemo`, an empty one
-    by default.
+    The labels are an ``array('i')``, 4 bytes a vertex, whose items
+    read back as Python ints.  The relabelling is monotone, so every
+    CSR row stays sorted; one gather of the kept rows per layer builds
+    it.  ``core_memo`` is the subgraph's
+    :class:`~repro.graph.frozen.LayerCoreMemo`, an empty one by default.
     """
     from repro.graph.frozen import FrozenMultiLayerGraph
 
@@ -533,8 +536,10 @@ def np_induced_subgraph(graph, mask, core_memo=None):
         indices.append(targets[kept])
         edge_counts.append(int(indptr[-1]) // 2)
         nonempty.append(indptr[1:] > indptr[:-1])
+    labels = array("i", [0]) * members.size
+    as_index_array(labels)[:] = members
     return FrozenMultiLayerGraph(
-        members.tolist(), indptrs, indices, edge_counts, bit_rows(nonempty),
+        labels, indptrs, indices, edge_counts, bit_rows(nonempty),
         name=graph.name, core_memo=core_memo,
     )
 

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from repro.core.api import METHOD_OPTIONS, check_options
 from repro.core.coverage import DiversifiedTopK
-from repro.core.dcc import coherent_core, validate_search_params
+from repro.core.dcc import kept_coherent_core, validate_search_params
 from repro.core.index import CoreHierarchyIndex
 from repro.core.initk import init_topk
 from repro.core.preprocess import order_layers, vertex_deletion
@@ -226,17 +226,13 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
                 stats.merge(delta)
         else:
             index = CoreHierarchyIndex(graph, d, within=alive, stats=stats)
-    if artifacts is not None:
-        root_core, delta = artifacts.root_core(d, s, vd, prep)
-        if stats is not None:
-            stats.merge(delta)
-    else:
-        root_core = coherent_core(graph, graph.layers(), d, within=alive,
-                                  stats=stats)
+    # The graph keeps the root d-CC (it depends only on d).
+    root_core = kept_coherent_core(graph, tuple(graph.layers()), d, alive,
+                                   stats=stats)
     if s == graph.num_layers:
         # The root is the only candidate; nothing to shard.
         return QueryPlan(query, {}, [], topk=topk, index=index,
-                         root_core=frozenset(root_core), root_only=True)
+                         root_core=root_core, root_only=True)
     context = _context(
         "top-down", d, s, k, cores, alive, order, init_sets,
         {
@@ -244,7 +240,7 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
             "use_potential_pruning": options["use_potential_pruning"],
             "use_index": options["use_index"],
         },
-        root_core=frozenset(root_core),
+        root_core=root_core,
         seed=options["seed"],
     )
     tasks = [
@@ -252,5 +248,5 @@ def plan_query(graph, query, workers=1, stats=None, artifacts=None):
         for index_, drop in enumerate(range(graph.num_layers))
     ]
     return QueryPlan(query, context, tasks, topk=topk, index=index,
-                     root_core=frozenset(root_core))
+                     root_core=root_core)
 

@@ -19,7 +19,7 @@ authoritative id order.
 """
 
 from repro.graph.backend import require_frozen
-from repro.graph.frozen import FrozenMultiLayerGraph
+from repro.graph.frozen import FrozenMultiLayerGraph, csr_nbytes
 
 
 def graph_payload(graph):
@@ -96,7 +96,8 @@ def apply_delta_payload(graph, payload):
         edge_counts[layer] = count
     for vid, mask in mask_updates:
         layer_masks[vid] = mask
+    memo = graph.core_memo.carried(layers_data, csr_nbytes(indptr, indices))
     return FrozenMultiLayerGraph(
         graph.labels, indptr, indices, edge_counts, layer_masks,
-        name=graph.name, core_memo=graph.core_memo.carried(layers_data),
+        name=graph.name, core_memo=memo,
     )

@@ -130,12 +130,13 @@ class ShardRunner:
     # ------------------------------------------------------------------
 
     def _greedy_chunk(self, subsets, stats):
-        """One chunk of the candidate family: ``(L, C^d_L)`` per subset.
+        """One chunk of the candidate family: ``(L, C^d_L)`` per subset,
+        each d-CC as its ascending ids.
 
         Byte-for-byte the per-subset work of the sequential
         ``enumerate_candidates`` loop (same Lemma 1 bound from the same
-        mask or set cores, same counter increments), so summed shard
-        stats equal the sequential run's.
+        mask or set cores, same counter increments, the same d-CCs the
+        graph keeps), so summed shard stats equal the sequential run's.
         """
         context = self.context
         d = context["d"]
@@ -143,7 +144,7 @@ class ShardRunner:
         candidates = []
         for subset in subsets:
             core = candidate_for_subset(self.graph, d, subset, cores,
-                                        stats=stats)
+                                        stats=stats, as_ids=True)
             stats.candidates_generated += 1
             candidates.append((subset, core))
         return candidates

@@ -1,7 +1,8 @@
-"""The d-core union and the kept fixed point: the frozen graph keeps,
-per ``d``, the subgraph induced by its layers' d-cores, in which the
-sequential searches run, and per ``(d, s)`` the vertex-deletion fixed
-point on it.
+"""The d-core union, the kept fixed point and the kept d-CCs: the
+frozen graph keeps, per ``d``, the subgraph induced by its layers'
+d-cores, in which the sequential searches run, per ``(d, s)`` the
+vertex-deletion fixed point on it, and per layer subset and ``d`` the
+d-CC a search peeled over a bound that contains it.
 
 * **answers and counters** — with vertex deletion on, greedy, bottom-up
   and top-down run inside ``core_union(d)``; their sets, labels, cover
@@ -16,16 +17,26 @@ point on it.
   and string labels; each ``(d, s)`` is built once, its arrays and
   top-down's survivor space are read-only, and threads that fill one
   key race harmlessly;
+* **the kept d-CCs** — a search that reads them answers and counts as a
+  cold one and as one that peels every d-CC, on drawn graphs with int
+  and string labels, for every method, with vertex deletion on and
+  off, sequential and at ``jobs=1``; a budget small enough to evict
+  changes nothing; a kept d-CC outside the caller's bound is peeled
+  again; a hit replays a peel's counters and its frozenset's order;
 * **lifecycle** — a patched graph, a copy, a pickle and a worker
-  payload start without unions or fixed points; ``memory_bytes`` counts
-  every kept array once; threads that build the same ``d`` race
+  payload start without unions or fixed points, and only a patched
+  graph keeps d-CCs (those of the layer subsets its delta left alone);
+  ``memory_bytes`` counts every kept array once and every kept d-CC;
+  threads that build the same ``d`` or keep the same d-CC race
   harmlessly; the No-VD ablation, ``exact_dccs`` and the engine path
-  build neither.
+  build neither a union nor a fixed point.
 """
 
+from array import array
 import contextlib
 import copy
 import pickle
+import sys
 import threading
 from unittest import mock
 
@@ -37,13 +48,19 @@ from hypothesis import strategies as st
 import repro.core.preprocess as preprocess_module
 from repro.baselines.exact import exact_dccs
 from repro.core import search_dccs
+from repro.core.dcc import coherent_core, kept_coherent_core
 from repro.core.preprocess import KeptFixedPoint, vertex_deletion
 from repro.core.stats import SearchStats
 from repro.datasets import synthetic_multilayer
 from repro.graph import FrozenMultiLayerGraph, MultiLayerGraph
-from repro.graph.frozen import LayerCoreMemo
-from repro.graph.kernels import _peel_layer_core, parent_sets
+from repro.graph.frozen import SUBSET_ENTRY_OVERHEAD, LayerCoreMemo
+from repro.graph.kernels import (
+    _peel_layer_core,
+    np_induced_subgraph,
+    parent_sets,
+)
 from repro.parallel.serialize import graph_payload, payload_graph
+from repro.utils.errors import ParameterError
 
 from tests.strategies import labelled_multilayer_graphs, multilayer_graphs
 
@@ -129,6 +146,24 @@ def _clique_and_path(clique, path, layers=2):
     return graph
 
 
+def _wrapped_clique():
+    """400 vertices, two layers, a 6-clique on both whose ids differ by
+    multiples of 64, beside paths: at d=5 its d-CC is the clique, and
+    any set of those ids collides in its hash table, so a frozenset's
+    iteration order follows the order it was built in."""
+    clique = [64 * i + 5 for i in range(6)]
+    graph = MultiLayerGraph(2, vertices=range(400))
+    for layer in range(2):
+        for u in clique:
+            for v in clique:
+                if u < v:
+                    graph.add_edge(layer, u, v)
+        for u in range(399):
+            if u not in clique and u + 1 not in clique:
+                graph.add_edge(layer, u, u + 1)
+    return graph.freeze()
+
+
 def _small_graph():
     """600 vertices, three layers, four planted 4-cores: the union holds
     136 vertices at d=3 and 121 at d=4."""
@@ -199,7 +234,7 @@ class TestUnionGraph:
         frozen = _small_graph()
         for d in (3, 4):
             union = frozen.core_union(d)
-            assert union.labels == sorted(
+            assert list(union.labels) == sorted(
                 set().union(*(frozen.core_memo._entries[layer, d][0].tolist()
                               for layer in frozen.layers())))
             assert sorted(union.core_memo._entries) == [
@@ -383,6 +418,289 @@ class TestKeptFixedPoint:
             (second.deleted, second.rounds, second.alive)
 
 
+def _subsets_bypassed():
+    """Every d-CC peeled, none read from or kept in a memo."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(
+        LayerCoreMemo, "subset_core", lambda memo, key: None))
+    stack.enter_context(mock.patch.object(
+        LayerCoreMemo, "keep_subset_core",
+        lambda memo, key, ids, budget: None))
+    return stack
+
+
+def _digest(result):
+    """Sets (in their iteration order), labels, cover and counters."""
+    return (
+        [list(members) for members in result.sets],
+        list(result.labels),
+        result.cover_size,
+        result.stats.as_dict(),
+    )
+
+
+def _memos(frozen):
+    """The memos a search on ``frozen`` fills: the graph's, its unions'
+    and their fixed points' survivor subgraphs'."""
+    memos = [frozen.core_memo]
+    for union in list(frozen.core_memo._unions.values()):
+        if union is not None:
+            memos.append(union.core_memo)
+    for keeper in [frozen] + [union for union in
+                              frozen.core_memo._unions.values()
+                              if union is not None]:
+        for kept in list(keeper.core_memo._fixed_points.values()):
+            if kept.survivors is not None:
+                memos.append(kept.survivors[0].core_memo)
+    return memos
+
+
+class TestKeptCoherentCores:
+    """A search that reads the kept d-CCs answers and counts as one that
+    peels them."""
+
+    @given(st.one_of(
+        multilayer_graphs(max_vertices=12, max_layers=4,
+                          edge_probability=0.6),
+        labelled_multilayer_graphs(max_vertices=12, max_layers=4,
+                                   edge_probability=0.6)),
+        st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_warm_search_equals_cold_and_bypassed(self, graph, data):
+        """On graphs this small the CSR budget holds a few d-CCs at most,
+        so the searches also run with room for every one."""
+        d = data.draw(st.integers(min_value=0, max_value=5))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        use_vd = data.draw(st.booleans())
+        roomy = data.draw(st.booleans())
+        # Searches at a larger s must not leave a d-CC that a later one
+        # at a smaller s reads wrongly, so the order of s is drawn.
+        order = data.draw(st.permutations(range(1, graph.num_layers + 1)))
+        budget = contextlib.ExitStack()
+        if roomy:
+            budget.enter_context(mock.patch.object(
+                FrozenMultiLayerGraph, "csr_nbytes", lambda graph: 10**9))
+        with budget:
+            self._check_warm_equals_cold(graph, d, k, use_vd, order)
+
+    def _check_warm_equals_cold(self, graph, d, k, use_vd, order):
+        frozen = graph.freeze()
+        for s in order:
+            for method in METHODS:
+                for jobs in (None, 1):
+                    def run(target):
+                        return _digest(search_dccs(
+                            target, d, s, k, method=method, seed=0,
+                            jobs=jobs, use_vertex_deletion=use_vd))
+
+                    cold = run(frozen.with_empty_memo())
+                    with _subsets_bypassed():
+                        bypassed = run(frozen)
+                    warm = [run(frozen) for _ in range(2)]
+                    assert warm[0] == warm[1] == cold == bypassed, \
+                        (s, method, jobs)
+                    labelled = run(graph)
+                    assert labelled[1:] == cold[1:]
+                    assert [set(members) for members in labelled[0]] == [
+                        set(frozen.labels_for(members))
+                        for members in cold[0]]
+        for memo in _memos(frozen):
+            assert memo.subset_nbytes() <= frozen.csr_nbytes()
+
+    def test_patched_graph_carries_the_untouched_subsets(self):
+        graph = _small_graph().thaw()
+        u, v = 0, 1
+        runs = [(method, d, s, jobs) for method in METHODS
+                for d in (3, 4) for s in (1, 2) for jobs in (None, 1)]
+        for layer in graph.layers():
+            frozen = graph.freeze()
+            for method, d, s, jobs in runs:
+                search_dccs(frozen, d, s, 3, method=method, jobs=jobs)
+            kept = dict(frozen.core_memo._subsets)
+            assert any(layer in layers for layers, _ in kept)
+            assert any(layer not in layers for layers, _ in kept)
+            if graph.has_edge(layer, u, v):
+                graph.apply_delta(remove=[(layer, u, v)])
+            else:
+                graph.apply_delta(add=[(layer, u, v)])
+            patched = graph.freeze()
+            assert patched is not frozen
+            carried = patched.core_memo._subsets
+            assert list(carried) == [key for key in kept
+                                     if layer not in key[0]]
+            rebuilt = FrozenMultiLayerGraph.from_graph(graph)
+            for (layers, d), ids in carried.items():
+                assert ids is kept[layers, d]
+                assert ids.tolist() == sorted(coherent_core(rebuilt, layers,
+                                                            d))
+            for method, d, s, jobs in runs:
+                assert _digest(search_dccs(patched, d, s, 3, method=method,
+                                           jobs=jobs)) == \
+                    _digest(search_dccs(rebuilt.with_empty_memo(), d, s, 3,
+                                        method=method, jobs=jobs))
+        assert graph.freeze_patches == graph.num_layers
+
+    def test_a_budget_that_evicts_changes_nothing(self):
+        frozen = _small_graph()
+        runs = [(method, d, s) for d in (3, 4) for s in (1, 2, 3)
+                for method in METHODS]
+        cold = {run: _digest(search_dccs(frozen.with_empty_memo(), run[1],
+                                         run[2], 3, method=run[0]))
+                for run in runs}
+        for run in runs:
+            search_dccs(frozen, run[1], run[2], 3, method=run[0])
+        unbounded = sum(len(memo._subsets) for memo in _memos(frozen))
+        # Room for two small d-CCs in each graph's memo.
+        budget = 2 * SUBSET_ENTRY_OVERHEAD + 200
+        small = frozen.with_empty_memo()
+        with mock.patch.object(FrozenMultiLayerGraph, "csr_nbytes",
+                               lambda graph: budget):
+            for _ in range(2):
+                for run in runs:
+                    assert _digest(search_dccs(small, run[1], run[2], 3,
+                                               method=run[0])) == cold[run]
+                    for memo in _memos(small):
+                        assert memo.subset_nbytes() <= budget
+        kept = sum(len(memo._subsets) for memo in _memos(small))
+        assert 0 < kept < unbounded
+
+    def test_bottom_up_keeps_only_its_level_s_children(self):
+        """At s=2 vertex deletion drops the block only layer 0 holds, so
+        bottom-up's level-1 child on layer 0 is smaller than that
+        layer's d-core; a later search at s=1 must not read it."""
+        graph = MultiLayerGraph(2, vertices=range(10))
+        for u in range(10):
+            for v in range(u + 1, 10):
+                graph.add_edge(0, u, v)
+                if v < 5:
+                    graph.add_edge(1, u, v)
+        frozen = graph.freeze()
+        runs = [("bottom-up", 2), ("greedy", 1), ("bottom-up", 1),
+                ("top-down", 1)]
+        with mock.patch.object(FrozenMultiLayerGraph, "csr_nbytes",
+                               lambda graph: 10**9):
+            for method, s in runs:
+                assert _digest(search_dccs(frozen, 3, s, 2,
+                                           method=method)) == \
+                    _digest(search_dccs(frozen.with_empty_memo(), 3, s, 2,
+                                        method=method))
+        assert frozen.core_union(3) is frozen
+        assert frozen.core_memo.subset_core(((0,), 3)).size == 10
+
+    def test_hits_replay_a_peel(self):
+        frozen = _wrapped_clique()
+        n = frozen.num_vertices
+        layers, d = (0, 1), 5
+        everyone = np.ones(n, dtype=bool)
+        first = kept_coherent_core(frozen, layers, d, everyone)
+        kept = frozen.core_memo.subset_core((layers, d))
+        assert kept.tolist() == sorted(first) and len(first) > 0
+        assert not kept.flags.writeable
+        # Bounds that contain the kept d-CC: a mask, and frozensets
+        # whose ids collide in their hash tables, so each iterates in an
+        # order of its own.
+        mask = np.zeros(n, dtype=bool)
+        mask[kept] = True
+        mask[::41] = True
+        ids = np.flatnonzero(mask).tolist()
+        sets = (frozenset(ids[::-1]), frozenset(ids[1::2] + ids[::2]))
+        assert all(list(bound) != sorted(bound) for bound in sets)
+        for bound in (mask,) + sets:
+            stats, peeled_stats = SearchStats(), SearchStats()
+            with mock.patch("repro.core.dcc.coherent_core",
+                            side_effect=AssertionError("peeled")):
+                got = kept_coherent_core(frozen, layers, d, bound,
+                                         stats=stats)
+            peeled = coherent_core(frozen, layers, d, within=bound,
+                                   stats=peeled_stats)
+            assert got == peeled and list(got) == list(peeled)
+            assert stats == peeled_stats
+            assert stats.peel_operations == len(ids) - len(kept) > 0
+        ids_form = kept_coherent_core(frozen, layers, d, mask, as_ids=True)
+        assert ids_form is kept
+
+    def test_a_kept_core_outside_the_bound_is_peeled_again(self):
+        frozen = _wrapped_clique()
+        layers, d = (0, 1), 5
+        everyone = np.ones(frozen.num_vertices, dtype=bool)
+        kept_coherent_core(frozen, layers, d, everyone)
+        kept = frozen.core_memo.subset_core((layers, d))
+        bound = everyone.copy()
+        bound[kept[0]] = False
+        for within in (bound, frozenset(np.flatnonzero(bound).tolist())):
+            stats, peeled_stats = SearchStats(), SearchStats()
+            got = kept_coherent_core(frozen, layers, d, within, stats=stats)
+            peeled = coherent_core(frozen.with_empty_memo(), layers, d,
+                                   within=within, stats=peeled_stats)
+            assert got == peeled and list(got) == list(peeled)
+            assert len(got) < len(kept)
+            assert stats == peeled_stats
+            # The peel over a bound that misses part of the d-CC is not
+            # the d-CC, and the kept one stays.
+            assert frozen.core_memo.subset_core((layers, d)) is kept
+
+    def test_a_mask_of_the_wrong_shape_fails_before_a_hit(self):
+        frozen = _wrapped_clique()
+        everyone = np.ones(frozen.num_vertices, dtype=bool)
+        kept_coherent_core(frozen, (0, 1), 5, everyone)
+        assert frozen.core_memo.subset_core(((0, 1), 5)) is not None
+        stats = SearchStats()
+        for wrong in (everyone[:-1], np.ones(frozen.num_vertices + 1,
+                                             dtype=bool)):
+            with pytest.raises(ParameterError, match="shape"):
+                kept_coherent_core(frozen, (0, 1), 5, wrong, stats=stats)
+        assert stats == SearchStats()
+
+    def test_memory_bytes_counts_every_kept_core(self):
+        frozen = _small_graph()
+        # Fills the layer cores, degree vectors and single-layer d-CCs.
+        search_dccs(frozen, 3, 1, 2, method="greedy",
+                    use_vertex_deletion=False)
+        before = frozen.memory_bytes()
+        held = dict(frozen.core_memo._subsets)
+        search_dccs(frozen, 3, 2, 2, method="greedy",
+                    use_vertex_deletion=False)
+        added = [ids for key, ids in frozen.core_memo._subsets.items()
+                 if key not in held]
+        assert added
+        grown = sum(ids.nbytes + SUBSET_ENTRY_OVERHEAD for ids in added)
+        assert frozen.memory_bytes() - before == grown
+        assert frozen.core_memo.subset_nbytes() == sum(
+            ids.nbytes + SUBSET_ENTRY_OVERHEAD
+            for ids in frozen.core_memo._subsets.values()) \
+            <= frozen.csr_nbytes()
+
+    def test_threads_keeping_one_core_race_harmlessly(self):
+        frozen = _small_graph()
+        start = threading.Barrier(2)
+        everyone = np.ones(frozen.num_vertices, dtype=bool)
+        got = []
+
+        def slow_peel(*args, **kwargs):
+            # Both threads miss before either keeps its d-CC.
+            start.wait(timeout=30)
+            return coherent_core(*args, **kwargs)
+
+        def client():
+            stats = SearchStats()
+            core = kept_coherent_core(frozen, (0, 1), 3, everyone,
+                                      stats=stats)
+            got.append((core, stats))
+
+        with mock.patch("repro.core.dcc.coherent_core", slow_peel):
+            workers = [threading.Thread(target=client) for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        (first, first_stats), (second, second_stats) = got
+        assert first == second and first_stats == second_stats
+        assert list(frozen.core_memo._subsets) == [((0, 1), 3)]
+        assert frozen.core_memo.subset_core(((0, 1), 3)).tolist() == \
+            sorted(first)
+
+
 def _union_bytes(frozen, union):
     """The bytes a kept union adds to ``frozen``: its own, less the
     degree arrays its memo shares with the graph's."""
@@ -438,13 +756,19 @@ class TestLifecycle:
         frozen = _small_graph()
         union = frozen.core_union(4)
         search_dccs(frozen, 4, 2, 3, method="top-down")
+        search_dccs(frozen, 4, 2, 3, method="greedy",
+                    use_vertex_deletion=False)
         assert frozen.core_memo._fixed_points[4, 2].survivors is not None
+        assert frozen.core_memo._subsets
         for copied in (copy.deepcopy(frozen),
-                       pickle.loads(pickle.dumps(frozen))):
+                       pickle.loads(pickle.dumps(frozen)),
+                       frozen.with_empty_memo()):
             assert copied == frozen
             assert copied.core_memo._unions == {}
             assert copied.core_memo._entries == {}
             assert copied.core_memo._fixed_points == {}
+            assert copied.core_memo._subsets == {}
+            assert copied.core_memo.subset_nbytes() == 0
             assert copied.core_union(4) == union
 
     def test_memory_bytes_grows_by_the_union(self):
@@ -505,6 +829,8 @@ class TestLifecycle:
         frozen = _small_graph()
         frozen.core_union(4)
         search_dccs(frozen, 4, 2, 3, method="top-down")
+        search_dccs(frozen, 4, 2, 3, method="greedy", jobs=1)
+        assert frozen.core_memo._subsets
         payload = graph_payload(frozen)
         assert not any(isinstance(part, (FrozenMultiLayerGraph,
                                          LayerCoreMemo, KeptFixedPoint))
@@ -513,4 +839,25 @@ class TestLifecycle:
         assert shipped == frozen
         assert shipped.core_memo._unions == {}
         assert shipped.core_memo._fixed_points == {}
+        assert shipped.core_memo._subsets == {}
         assert shipped.core_union(4) == frozen.core_union(4)
+
+    def test_induced_subgraph_labels_are_compact_ints(self):
+        frozen = _small_graph()
+        mask = np.zeros(frozen.num_vertices, dtype=bool)
+        mask[3::5] = True
+        sub = np_induced_subgraph(frozen, mask)
+        n = sub.num_vertices
+        ids = np.flatnonzero(mask).tolist()
+        assert list(sub.labels) == ids
+        assert all(type(label) is int for label in sub.labels)
+        assert sub.labels_for(range(n)) == frozenset(ids)
+        assert all(type(label) is int
+                   for label in sub.labels_for(range(n)))
+        assert parent_sets(sub, [range(n)]) == [frozenset(ids)]
+        # 4 bytes a label, with no label objects of their own.
+        assert sub.labels.itemsize == 4
+        assert sub.memory_bytes() == sub.csr_nbytes() + \
+            sys.getsizeof(sub.labels) + sys.getsizeof(None) + \
+            sys.getsizeof(sub._layer_masks)
+        assert sys.getsizeof(sub.labels) - sys.getsizeof(array("i")) == 4 * n

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,44 @@ class TestGreedyMaxKCover:
 
     def test_empty_candidates(self):
         assert greedy_max_k_cover([], 3) == []
+
+    @given(st.lists(st.frozensets(st.integers(min_value=0, max_value=12),
+                                  max_size=7), max_size=9),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_choose_as_set_differences_do(self, sets, k):
+        """Gains counted on a covered mask pick the same sets, in the
+        same order, as set differences, ties going to the earlier
+        candidate; id arrays come back as the frozensets their ids
+        build."""
+        candidates = list(enumerate(sets))
+        expected = _set_difference_cover(candidates, k)
+        assert greedy_max_k_cover(candidates, k) == expected
+        arrays = [(label, np.array(sorted(members), dtype=np.int32))
+                  for label, members in candidates]
+        chosen = greedy_max_k_cover(arrays, k)
+        assert [label for label, _ in chosen] == \
+            [label for label, _ in expected]
+        for (_, members), (label, _) in zip(chosen, expected):
+            rebuilt = frozenset(sorted(sets[label]))
+            assert members == rebuilt and list(members) == list(rebuilt)
+
+
+def _set_difference_cover(candidates, k):
+    """The max-k-cover as set differences over the remaining
+    candidates, the first largest gain winning."""
+    covered = set()
+    remaining = list(candidates)
+    chosen = []
+    while remaining and len(chosen) < k:
+        gains = [len(members - covered) for _, members in remaining]
+        best = gains.index(max(gains))
+        if gains[best] <= 0:
+            break
+        label, members = remaining.pop(best)
+        chosen.append((label, members))
+        covered |= members
+    return chosen
 
 
 class TestMaxKCoverExact:

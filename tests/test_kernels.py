@@ -939,7 +939,8 @@ class TestMaskPathEquivalence:
             stats = SearchStats()
             cores, alive = prep.kernel_view() if run is init_topk \
                 else (prep.cores, prep.alive)
-            with mock.patch("repro.core.initk.coherent_core", counting):
+            # InitTopK peels through the graph's kept d-CCs.
+            with mock.patch("repro.core.dcc.coherent_core", counting):
                 topk = run(source, 5, 2, 6, cores, within=alive,
                            topk=DiversifiedTopK(6), stats=stats)
             runs.append((topk.labelled_sets(), topk.cover_size,

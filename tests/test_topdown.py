@@ -174,6 +174,44 @@ class TestRefinement:
             g, sorted(order[p] for p in positions), 3
         ) <= set(potential)
 
+    @given(multilayer_graphs(max_vertices=10, max_layers=5,
+                             edge_probability=0.6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_refine_core_in_a_search_is_the_full_graph_dcc(self, graph,
+                                                           data):
+        """Every RefineC child of a top-down search, sequential or
+        sharded, is the d-CC of its layers over the whole graph the
+        search runs on, which lets that graph keep it."""
+        from unittest import mock
+
+        from repro.core import search_dccs
+
+        d = data.draw(st.integers(min_value=1, max_value=4))
+        s = data.draw(st.integers(min_value=1, max_value=graph.num_layers))
+        options = data.draw(st.fixed_dictionaries({
+            "use_vertex_deletion": st.booleans(),
+            "use_index": st.booleans(),
+            "use_potential_pruning": st.booleans(),
+        }))
+        checked = []
+
+        def pinned(graph, d, positions, potential, order, index,
+                   stats=None):
+            core = refine_core(graph, d, positions, potential, order, index,
+                               stats=stats)
+            layers = sorted(order[p] for p in positions)
+            assert core == coherent_core(graph.with_empty_memo(), layers, d)
+            checked.append(layers)
+            return core
+
+        for jobs in (None, 1):
+            with mock.patch("repro.core.topdown.refine_core", pinned):
+                search_dccs(graph.freeze().with_empty_memo(), d, s, 3,
+                            method="top-down", jobs=jobs, seed=0,
+                            **options)
+        # Every root child is a RefineC child.
+        assert checked or s == graph.num_layers
+
     @given(multilayer_graphs(max_vertices=8, max_layers=4),
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
