@@ -55,10 +55,11 @@ Design
   ``WorkerPool.submit_query``): the dispatcher submits on a pool
   thread, *awaits* the in-flight shard futures on the event loop
   (``asyncio.wrap_future``), and only then runs the cheap collect/merge
-  on a pool thread.  Worker-pool execution never holds a thread; inline
-  execution (``jobs=1`` engines) holds one thread per *active engine*
-  for the duration of the compute, which keeps the event loop live
-  either way.
+  on a pool thread.  Worker-pool execution (greedy's shards) never
+  holds a thread; in-process execution (bottom-up and top-down, which
+  run inside ``submit``, and greedy on ``jobs=1`` engines) holds one
+  thread per *active engine* for the duration of the compute, which
+  keeps the event loop live either way.
 * **Eviction safety.**  A dispatcher holds a :meth:`DCCHost.lease` on
   its graph while serving, so admission-control eviction (another graph
   being admitted under ``max_engines`` pressure) can never close a pool
@@ -278,10 +279,10 @@ class AsyncDCCHost:
         """The synchronous :class:`DCCHost` substrate being served."""
         return self._host
 
-    def attach(self, name, graph, **overrides):
+    def attach(self, name, graph, jobs=None):
         """Register a graph on the underlying host; returns ``self``."""
         with self._host_lock:
-            self._host.attach(name, graph, **overrides)
+            self._host.attach(name, graph, jobs=jobs)
         if self._results is not None:
             # A recycled name must never serve the previous graph's
             # answers — mutation_version alone cannot tell two distinct
@@ -689,9 +690,10 @@ class AsyncDCCHost:
             for request in batch:
                 d, s, k, method, options = request.spec
                 try:
-                    # Plan + shard submission on a pool thread: planning
-                    # runs real preprocessing, and the loop must stay
-                    # responsive to other graphs' clients meanwhile.
+                    # Start on a pool thread: greedy planning runs real
+                    # preprocessing and the tree searches run whole,
+                    # and the loop must stay responsive to other
+                    # graphs' clients meanwhile.
                     handle = await loop.run_in_executor(
                         None,
                         partial(engine.submit, d, s, k, method=method,

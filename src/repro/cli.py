@@ -116,7 +116,6 @@ def _cmd_info(args):
         status = engine.info()
     print("engine_workers: {}".format(status["workers"]))
     print("engine_pool_spawned: {}".format(status["pool_spawned"]))
-    print("engine_cache_enabled: {}".format(status["cache_enabled"]))
     print("engine_cache_entries: {}".format(status["cache_entries"]))
     # Streaming-update picture: how rebinds after graph mutations split
     # between CSR patching and full rebuilds, and what the selective
@@ -186,8 +185,9 @@ def _cmd_search(args):
     if args.jobs is not None:
         from repro.parallel import effective_jobs
 
-        # The pool is additionally capped by the shard count of the
-        # chosen method, so this is a ceiling, not a measurement.
+        # Only greedy's candidate chunks run on the pool (bottom-up and
+        # top-down run in process), so this is a ceiling, not a
+        # measurement.
         print("parallel: requested jobs={}, worker cap {}".format(
             args.jobs, effective_jobs(args.jobs)
         ))
@@ -774,10 +774,10 @@ def build_parser():
     search.add_argument("--method", default="auto",
                         choices=("auto", "greedy", "bottom-up", "top-down"))
     search.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the parallel "
-                             "search: 0 = one per usable CPU, N = "
-                             "exactly N "
-                             "(default: classic single-process search)")
+                        help="worker processes for greedy's candidate "
+                             "family: 0 = one per usable CPU, N = "
+                             "exactly N; answers equal the run without "
+                             "--jobs (default: single-process search)")
     search.set_defaults(fn=_cmd_search)
 
     batch = sub.add_parser(

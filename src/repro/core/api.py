@@ -11,13 +11,14 @@ conversion is cached on the graph) and the reported vertex sets are
 translated back to its labels (see :mod:`repro.graph.backend`).
 
 Finally it hides the *execution mode*: ``jobs=None`` (default) runs the
-classic single-process algorithms, while any other value wraps a
-short-lived :class:`repro.engine.DCCEngine` session around the call —
-the parallel search of :mod:`repro.parallel` over one shared graph.
-Parallel results are bitwise identical for every worker count (and, for
-the greedy method, identical to the sequential run as well); callers
-issuing many searches over one graph should hold a ``DCCEngine`` open
-themselves and amortise the pool across queries.
+single-process algorithms, while any other value wraps a short-lived
+:class:`repro.engine.DCCEngine` session around the call, whose worker
+pool greedy's candidate family fans out over (:mod:`repro.parallel`);
+bottom-up and top-down run their sequential algorithms in process
+either way.  Results are bitwise identical for every ``jobs`` value,
+``None`` included; callers issuing many searches over one graph should
+hold a ``DCCEngine`` open themselves and amortise the pool across
+queries.
 
 Every entry path — both execution modes here, the engine, the hosts and
 the socket server — checks a search's option names and values with
@@ -36,7 +37,7 @@ from repro.utils.errors import ParameterError
 
 _METHODS = ("auto", "greedy", "bottom-up", "top-down")
 
-# The full option vocabulary per method, with defaults.  A parallel
+# The full option vocabulary per method, with defaults.  An engine
 # query (:class:`repro.parallel.plan.Query`) always carries every option
 # of its method explicitly, so two queries that resolve to the same
 # search are equal no matter which defaults the caller spelled out.
@@ -149,7 +150,7 @@ def _engine_one_shot(graph, d, s, k, method, jobs, options):
     """Route one search through a short-lived :class:`DCCEngine`.
 
     ``search_dccs(..., jobs=N)`` *is* an engine session of length one:
-    the engine freezes the graph, spawns the pool, runs the parallel
+    the engine freezes the graph, spawns the pool (for greedy), runs the
     search and translates the results, and is closed before returning —
     which is exactly what makes its output bitwise identical to a warm
     engine serving the same query.  Imported lazily: the engine pulls in
@@ -181,16 +182,16 @@ def search_dccs(graph, d, s, k, method="auto", jobs=None, **options):
         ``"auto"`` (default), ``"greedy"``, ``"bottom-up"`` or
         ``"top-down"``.
     jobs:
-        ``None`` (default) runs the classic single-process algorithms.
-        Any other value routes through :mod:`repro.parallel`: ``0``
-        shards across one worker process per CPU this process may run
-        on (one usable CPU runs the shards inline, with no worker
-        processes), a positive integer across exactly that many.  For a
-        fixed ``seed``, results are bitwise identical — sets, labels and
-        aggregated counters — for every ``jobs`` value (``jobs=1``
-        executes the same parallel search inline).  The greedy method
-        additionally matches the sequential run exactly; the tree
-        searches are documented shard variants (see
+        ``None`` (default) runs the single-process algorithms.  Any
+        other value routes through a one-query
+        :class:`repro.engine.DCCEngine`: greedy's candidate family is
+        cut into chunks across one worker process per CPU this process
+        may run on for ``0`` (one usable CPU runs them inline, with no
+        worker processes), across exactly that many for a positive
+        integer; bottom-up and top-down run their sequential algorithms
+        in process.  For a fixed ``seed``, results are bitwise
+        identical — sets, labels and aggregated counters — for every
+        ``jobs`` value, ``None`` included (see
         :mod:`repro.parallel.search`).
     options:
         Forwarded to the chosen algorithm (preprocessing and pruning

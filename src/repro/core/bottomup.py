@@ -134,30 +134,6 @@ class _BottomUpSearch:
         """Line 10 of Fig. 7: BU-Gen from the empty layer set."""
         self._generate(positions=(), core=frozenset(root_vertices), banned=frozenset())
 
-    def run_subtree(self, position, root_vertices):
-        """Explore only the first-position subtree rooted at ``position``.
-
-        The shard entry point of the parallel subsystem
-        (:mod:`repro.parallel`): the prefix search tree partitions
-        cleanly by its root children — the subtree at ``position`` holds
-        exactly the layer subsets whose smallest search position is
-        ``position`` — so each shard replays the root-level handling of
-        :meth:`run` for its single child (Lemma 1 bound, level-``s``
-        offer, Lemma 2 expansion test) and then recurses as usual.
-        Lemma 4 bans start empty per shard: root-level bans cannot cross
-        shard boundaries.
-        """
-        child_positions, child = self._child_core(
-            (), frozenset(root_vertices), position
-        )
-        if len(child_positions) == self.s:
-            self._offer(child_positions, child)
-        elif not self.topk.is_full or self.topk.satisfies_replacement(child):
-            self._generate(child_positions, child, frozenset())
-        else:
-            # Lemma 2 at the root of the shard.
-            self.stats.candidates_pruned += 1
-
     # ------------------------------------------------------------------
 
     def _layers_for(self, positions):

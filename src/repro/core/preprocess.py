@@ -72,9 +72,7 @@ class PreprocessResult:
         :class:`~repro.core.maintain.CoreMasks` of the alive mask, the
         per-layer core masks and the support vector (read-only).  Each
         of ``alive``, ``cores`` and ``support`` is built from them on its
-        first read, once.  Assigning one (the engine's artifact cache
-        swaps in frozensets) replaces that view only, so it must keep
-        describing the same vertices.
+        first read, once.
     deleted:
         Number of vertices removed, those outside the union included.
     rounds:

@@ -244,31 +244,6 @@ class _TopDownSearch:
         dropped = self.rng.sample(removable, surplus)
         return frozenset(positions - set(dropped))
 
-    def generate_shard(self, root_positions, root_core, root_potential, drop):
-        """Explore only the root child obtained by dropping ``drop``.
-
-        The shard entry point of the parallel subsystem
-        (:mod:`repro.parallel`): at the root every position is removable,
-        so the tree partitions by which layer is shed first.  Each shard
-        replays the root-level handling of :meth:`generate` for its
-        single child — RefineU/RefineC, the level-``s`` offer, the
-        Lemma 5 potential test — and then recurses as usual.  The
-        cross-child Lemma 6 ordering cannot span shards and is skipped at
-        this level (it applies unchanged inside the shard).
-        """
-        child_positions, child_potential, child_core = self._make_child(
-            root_positions, root_potential, drop
-        )
-        if len(child_positions) == self.s:
-            self._offer(child_positions, child_core)
-        elif not self.topk.is_full or self.topk.satisfies_replacement(
-            self.topk.gain_size(child_potential)
-        ):
-            self.generate(child_positions, child_core, child_potential)
-        else:
-            # Lemma 5 at the root of the shard.
-            self.stats.candidates_pruned += 1
-
     # ------------------------------------------------------------------
 
     def generate(self, positions, core, potential):

@@ -9,13 +9,13 @@ worker pool whose processes hold the deserialized graph between queries
 cache with counter replay (:class:`~repro.engine.cache.ArtifactCache`).
 
 **Result contract.** ``engine.search(...)`` is bitwise identical — sets,
-labels and aggregated counters — to ``search_dccs(..., jobs=N)`` for any
-``N``, warm or cold, for a ``MultiLayerGraph`` or a frozen graph
-(property-tested in ``tests/test_engine.py``).  The engine searches
-exactly one graph object and always runs the parallel execution path of
-:mod:`repro.parallel`;
-the classic sequential algorithms remain reachable through
-``search_dccs(..., jobs=None)``.
+labels and aggregated counters — to ``search_dccs(..., jobs=None)`` for
+every method and every ``jobs`` value, warm or cold, for a
+``MultiLayerGraph`` or a frozen graph (property-tested in
+``tests/test_engine.py`` and ``tests/test_api.py``).  Bottom-up and
+top-down run their sequential algorithms in process on the engine's
+frozen graph; greedy queries fan out over the worker pool, whose merged
+answer equals the sequential ``gd_dccs`` (see :mod:`repro.parallel`).
 
 **Invalidation contract.** The engine snapshots its source graph's
 ``mutation_version`` at bind time and checks it twice per search: before
@@ -73,22 +73,19 @@ class DCCEngine:
         ``search_dccs``; a ``MultiLayerGraph`` is frozen once per
         session instead of once per call.
     jobs:
-        Persistent pool size with the usual semantics (``0`` = one
-        worker per CPU this process may run on, default; a process
-        confined to one CPU therefore runs inline); ``None`` is
-        accepted as an alias for ``1``, i.e. inline parallel execution
-        with no worker processes.
-        The pool spawns lazily; call :meth:`warm` to pay the spawn cost
-        up front.
-    cache_artifacts:
-        Switch the per-graph artifact cache off (``False``) for
-        memory-constrained sessions; results are identical either way.
-    cache_max_entries / cache_ttl:
-        Size and TTL bounds forwarded to the :class:`ArtifactCache`.
-        Both default to ``None`` — a standalone engine keeps the classic
-        unbounded cache; :class:`repro.host.DCCHost` passes bounds so
-        many resident engines cannot grow without limit.  Eviction never
-        changes results or counters (see the cache's docstring).
+        Size of the pool greedy queries fan out over, with the usual
+        semantics (``0`` = one worker per CPU this process may run on,
+        default; a process confined to one CPU therefore runs inline);
+        ``None`` is accepted as an alias for ``1``, i.e. inline
+        execution with no worker processes.  Bottom-up and top-down
+        never use the pool.  The pool spawns lazily; call :meth:`warm`
+        to pay the spawn cost up front.
+    cache_max_entries:
+        Entry cap forwarded to the :class:`ArtifactCache`.  ``None``
+        (default) keeps a standalone engine's cache unbounded;
+        :class:`repro.host.DCCHost` passes a cap so many resident
+        engines cannot grow without limit.  Eviction never changes
+        results or counters (see the cache's docstring).
 
     Use as a context manager (or call :meth:`close`) so the worker
     processes shut down deterministically; an abandoned engine's pool is
@@ -104,15 +101,12 @@ class DCCEngine:
             ])
     """
 
-    def __init__(self, graph, jobs=0, cache_artifacts=True,
-                 cache_max_entries=None, cache_ttl=None):
+    def __init__(self, graph, jobs=0, cache_max_entries=None):
         check_graph(graph)
         check_jobs(jobs)
         self._source = graph
         self._jobs = jobs
-        self._cache_enabled = cache_artifacts
         self._cache_max_entries = cache_max_entries
-        self._cache_ttl = cache_ttl
         self._closed = False
         self.searches_served = 0
         self.invalidations = 0
@@ -138,10 +132,8 @@ class DCCEngine:
         self._pending_overhead = overhead.elapsed
         self._version = self._source.mutation_version
         self._pool = WorkerPool(self._graph, self._jobs)
-        self._cache = ArtifactCache(
-            self._graph, max_entries=self._cache_max_entries,
-            ttl=self._cache_ttl,
-        ) if self._cache_enabled else None
+        self._cache = ArtifactCache(self._graph,
+                                    max_entries=self._cache_max_entries)
 
     def _rebind_if_stale(self):
         """Rebind when the source graph mutated; whether a rebind happened.
@@ -190,8 +182,7 @@ class DCCEngine:
         self._translate = translate
         self._pending_overhead += overhead.elapsed
         self._pool.apply_delta(search_graph, delta)
-        if self._cache is not None:
-            self._cache.rebind(search_graph, delta.touched_layers())
+        self._cache.rebind(search_graph, delta.touched_layers())
         self._version = self._source.mutation_version
         return True
 
@@ -248,15 +239,18 @@ class DCCEngine:
     def submit(self, d, s, k, method="auto", **options):
         """Start one search without blocking; a :class:`SearchHandle`.
 
-        The submission half of :meth:`search`: the query is validated,
-        planned (preprocessing runs now, on the caller's thread) and its
-        shard tasks handed to the worker pool — then control returns
-        while workers execute.  ``handle.collect()`` blocks for the
-        results and carries the full :meth:`search` delivery semantics,
-        staleness retry included; ``handle.waitables()`` exposes the
-        in-flight shard futures so an async caller can await completion
-        before collecting.  Handles of one engine must be collected in
-        submission order (the pipelining contract of the pool).
+        The submission half of :meth:`search`: the query is validated
+        and started on the caller's thread.  A greedy query is planned
+        (preprocessing runs now) and its shard tasks handed to the
+        worker pool, and control returns while workers execute; a
+        bottom-up or top-down query runs its whole sequential search
+        now, in process, so its handle has nothing in flight.
+        ``handle.collect()`` returns the result and carries the full
+        :meth:`search` delivery semantics, staleness retry included;
+        ``handle.waitables()`` exposes the in-flight shard futures so an
+        async caller can await completion before collecting.  Handles of
+        one engine must be collected in submission order (the
+        pipelining contract of the pool).
         """
         self._ensure_current()
         user_stats = check_stats(options.pop("stats", None))
@@ -265,7 +259,8 @@ class DCCEngine:
                             user_stats, self._version)
 
     def _start(self, d, s, k, method, options):
-        """Plan + submit one attempt; a :class:`PendingQuery`."""
+        """Start one attempt on a private stats object (see
+        :func:`~repro.parallel.search.start_query`)."""
         query = self._query_for(d, s, k, method, dict(options))
         return start_query(self._graph, query, self._pool,
                            stats=SearchStats(), artifacts=self._cache)
@@ -276,8 +271,8 @@ class DCCEngine:
         ``queries`` is an iterable of dicts with keys ``d``, ``s``,
         ``k`` and optionally ``method`` plus any ``search`` options.
         Results come back in input order, each bitwise identical to the
-        corresponding :meth:`search` call; shard tasks of query ``i+1``
-        are already queued while query ``i`` executes.
+        corresponding :meth:`search` call; greedy shard tasks of an
+        earlier query execute while later queries start.
         """
         self._ensure_current()
         parsed = []
@@ -325,10 +320,7 @@ class DCCEngine:
 
     def info(self):
         """Pool and cache status for monitoring (and ``repro info``)."""
-        cache_stats = self._cache.stats() if self._cache is not None else {
-            "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
-            "expirations": 0,
-        }
+        cache_stats = self._cache.stats()
         # The per-layer cores live in the frozen graph's memo, which a
         # patched graph continues.
         memo = self._graph.core_memo
@@ -340,12 +332,10 @@ class DCCEngine:
             "pool_queries_served": self._pool.queries_served,
             "pool_tasks_executed": self._pool.tasks_executed,
             "searches_served": self.searches_served,
-            "cache_enabled": self._cache is not None,
             "cache_entries": cache_stats["entries"],
             "cache_hits": cache_stats["hits"],
             "cache_misses": cache_stats["misses"],
             "cache_evictions": cache_stats["evictions"],
-            "cache_expirations": cache_stats["expirations"],
             "cache_layer_core_hits": memo.hits,
             "cache_layer_core_misses": memo.misses,
             "cache_invalidations_kept": memo.kept,
@@ -395,10 +385,11 @@ class SearchHandle:
     """One submitted search; :meth:`collect` finishes it.
 
     Returned by :meth:`DCCEngine.submit`.  Between submission and
-    collection the shard tasks are in flight on the engine's worker
-    pool; :meth:`waitables` exposes their futures so an async front-end
-    can await completion without parking a thread inside
-    :meth:`collect`.  Collection carries the engine's full delivery
+    collection a greedy query's shard tasks are in flight on the
+    engine's worker pool; :meth:`waitables` exposes their futures so an
+    async front-end can await completion without parking a thread inside
+    :meth:`collect`.  A bottom-up or top-down handle was answered at
+    submission and has none.  Collection carries the engine's full delivery
     semantics — label translation, overhead charging, the collect-time
     staleness re-check with its single retry (the retry resubmits and
     blocks, so after awaiting the first attempt's futures a rare
@@ -429,7 +420,7 @@ class SearchHandle:
         self._collected = False
 
     def waitables(self):
-        """In-flight shard futures (empty when execution is inline)."""
+        """In-flight shard futures (empty when nothing runs on workers)."""
         return self._pending.waitables()
 
     def collect(self):

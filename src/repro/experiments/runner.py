@@ -18,8 +18,9 @@ def measure_point(graph, d, s, k, methods, seed=0, jobs=None, engine=None,
     ``options`` are forwarded to :func:`repro.core.search_dccs` (pruning
     and preprocessing switches for the ablations).  ``jobs`` selects the
     execution mode the same way it does on ``search_dccs``:
-    ``None`` measures the sequential algorithms, anything else the
-    sharded parallel variants.
+    ``None`` measures the single-process searches, anything else a
+    one-query engine (greedy's candidate family on its pool; the same
+    answers either way).
 
     ``engine`` reuses a warm :class:`repro.engine.DCCEngine` that owns
     ``graph`` (``jobs`` is then the engine's own).  Timer

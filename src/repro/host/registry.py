@@ -31,7 +31,7 @@ to a fresh single-graph :class:`DCCEngine` — eviction can cost latency,
 never correctness (property-tested in ``tests/test_host.py``).
 
 Host-owned engines run with a *bounded* artifact cache
-(``cache_max_entries`` / ``cache_ttl`` forwarded to
+(``cache_max_entries`` forwarded to
 :class:`repro.engine.cache.ArtifactCache`), unlike a standalone engine,
 whose cache stays unbounded by default — one graph's parameter space is
 self-limiting, a fleet of them is not.
@@ -59,20 +59,19 @@ from repro.utils.errors import (
 DEFAULT_MAX_ENGINES = 4
 
 # Default artifact-cache entry cap for host-owned engines.  Each entry
-# is one preprocess fixed point / seed list / hierarchy index; a few
-# hundred covers any realistic parameter sweep over one graph.
+# is one greedy full-graph fixed point, one per (d, s, deletion flag);
+# a few hundred covers any realistic parameter sweep over one graph.
 DEFAULT_CACHE_MAX_ENTRIES = 256
 
 
 class _Registration:
-    """One attached graph plus its per-graph engine overrides."""
+    """One attached graph plus its per-graph pool size."""
 
-    __slots__ = ("graph", "jobs", "cache_artifacts")
+    __slots__ = ("graph", "jobs")
 
-    def __init__(self, graph, jobs, cache_artifacts):
+    def __init__(self, graph, jobs):
         self.graph = graph
         self.jobs = jobs
-        self.cache_artifacts = cache_artifacts
 
 
 class DCCHost:
@@ -87,12 +86,12 @@ class DCCHost:
         Optional global cap on summed resident ``memory_bytes()``; LRU
         sessions are evicted while the total exceeds it (the session
         being admitted is never the victim).
-    jobs / cache_artifacts:
-        Host-wide engine defaults, overridable per graph at
+    jobs:
+        Host-wide engine pool size, overridable per graph at
         :meth:`attach` time.
-    cache_max_entries / cache_ttl:
-        Artifact-cache bounds every host-owned engine runs with
-        (default: :data:`DEFAULT_CACHE_MAX_ENTRIES` entries, no TTL).
+    cache_max_entries:
+        Artifact-cache entry cap every host-owned engine runs with
+        (default: :data:`DEFAULT_CACHE_MAX_ENTRIES`).
 
     Use as a context manager (or call :meth:`close`) so every resident
     pool shuts down deterministically::
@@ -109,9 +108,7 @@ class DCCHost:
 
     def __init__(self, max_engines=DEFAULT_MAX_ENGINES,
                  memory_budget_bytes=None, jobs=0,
-                 cache_artifacts=True,
-                 cache_max_entries=DEFAULT_CACHE_MAX_ENTRIES,
-                 cache_ttl=None):
+                 cache_max_entries=DEFAULT_CACHE_MAX_ENTRIES):
         if isinstance(max_engines, bool) or not isinstance(max_engines, int) \
                 or max_engines < 1:
             raise ParameterError(
@@ -131,9 +128,7 @@ class DCCHost:
         self.max_engines = max_engines
         self.memory_budget_bytes = memory_budget_bytes
         self._jobs = jobs
-        self._cache_artifacts = cache_artifacts
         self._cache_max_entries = cache_max_entries
-        self._cache_ttl = cache_ttl
         self._registry = OrderedDict()
         self._resident = OrderedDict()  # name -> DCCEngine, LRU order
         self._pins = {}  # name -> lease count; pinned sessions never evict
@@ -146,12 +141,12 @@ class DCCHost:
     # registry
     # ------------------------------------------------------------------
 
-    def attach(self, name, graph, jobs=None, cache_artifacts=None):
+    def attach(self, name, graph, jobs=None):
         """Register ``graph`` under ``name``; no session is admitted yet.
 
-        Engine overrides left as ``None`` inherit the host-wide
-        defaults.  Names are unique — re-attaching a live name raises
-        (detach first, which also closes any resident session).
+        ``jobs`` left as ``None`` inherits the host-wide default.
+        Names are unique — re-attaching a live name raises (detach
+        first, which also closes any resident session).
         """
         self._check_open()
         if not isinstance(name, str) or not name:
@@ -163,18 +158,14 @@ class DCCHost:
                 "a graph named {!r} is already attached; detach it "
                 "first".format(name)
             )
-        # Validate the graph and overrides now, not at admission: a
+        # Validate the graph and override now, not at admission: a
         # poison registration discovered mid-eviction would already have
         # closed the LRU victim's warm pool for nothing.
         check_graph(graph)
         if jobs is not None:
             check_jobs(jobs)
         self._registry[name] = _Registration(
-            graph,
-            self._jobs if jobs is None else jobs,
-            self._cache_artifacts if cache_artifacts is None
-            else cache_artifacts,
-        )
+            graph, self._jobs if jobs is None else jobs)
         return self
 
     def detach(self, name):
@@ -243,9 +234,7 @@ class DCCHost:
         engine = DCCEngine(
             registration.graph,
             jobs=registration.jobs,
-            cache_artifacts=registration.cache_artifacts,
             cache_max_entries=self._cache_max_entries,
-            cache_ttl=self._cache_ttl,
         )
         self._resident[name] = engine
         self.admissions += 1
@@ -476,7 +465,6 @@ class DCCHost:
             "evictions": self.evictions,
             "searches_served": self.searches_served,
             "cache_max_entries": self._cache_max_entries,
-            "cache_ttl": self._cache_ttl,
             "engines": engines,
             "closed": self._closed,
         }

@@ -1,37 +1,22 @@
-"""Parallel DCCS orchestration: plan, execute, merge.
-
-The three algorithms shard along their natural seams (see
-:mod:`repro.parallel.plan` for the planning half):
+"""Engine query execution: greedy through the pool, the tree searches in
+process.
 
 * **greedy** — the candidate family is ``binom(l, s)`` independent d-CC
   computations; the layer subsets are cut into chunks (a few per worker,
-  so the queue stays balanced) and the classic greedy max-k-cover runs
-  over the concatenated family.  Sharding is invisible here: the output
-  *and* the summed counters are bitwise identical to the sequential
-  ``gd_dccs``.
-* **bottom-up** — one shard per root child of the prefix search tree
-  (the subtree at position ``p`` holds exactly the layer subsets whose
-  smallest search position is ``p``); each shard runs the full BU-Gen
-  recursion with a local top-k seeded from the InitTopK result sets, and
-  reports every locally accepted candidate.
-* **top-down** — one shard per root child (which layer is shed first),
-  same local-top-k scheme, with per-shard RNG streams for the Lemma 7
-  shortcut.
+  so the queue stays balanced; see :mod:`repro.parallel.plan`) and the
+  classic greedy max-k-cover runs over the concatenated family, in
+  subset order.  The output *and* the summed counters are bitwise
+  identical to the sequential ``gd_dccs`` for every worker count.
+* **bottom-up** and **top-down** — the sequential ``bu_dccs`` and
+  ``td_dccs`` of Figs. 7 and 11, run in process on the caller's graph
+  when the query starts.  Their pruning spans the whole search tree
+  through one evolving top-k, which is what Theorems 3 and 4 prove the
+  1/4 ratio for, so they are not split into shards; they reuse what the
+  frozen graph keeps (layer cores, core unions, deletion fixed points,
+  layer-subset d-CCs) and never touch the pool.
 
-The merge replays shard reports through one final
-:class:`DiversifiedTopK` — the *same* Update machinery as the sequential
-searches — strictly in shard order.  Shard *structure* never depends on
-the worker count, so for every method and every seed, ``jobs=N``
-returns bitwise identical sets, labels and aggregated counters for all
-``N`` (property-tested in ``tests/test_parallel.py``).
-
-What parallel mode does *not* promise is equality with the sequential
-tree searches: the cross-subtree pruning state (Lemmas 3/4/6 spanning
-root children, and the evolving shared top-k) cannot exist across
-isolated shards, so parallel bottom-up/top-down are documented variants
-that explore at least as much of the tree as their sequential
-counterparts and merge through identical selection logic.  Greedy has no
-cross-candidate search state, hence its exact-parity guarantee.
+So an engine answer equals ``search_dccs(..., jobs=None)`` for every
+method and every ``jobs`` value: sets, labels and counters.
 
 Execution happens through a caller-owned
 :class:`~repro.parallel.executor.WorkerPool`: :func:`start_query` and
@@ -40,58 +25,43 @@ Execution happens through a caller-owned
 whole session (``search_dccs(..., jobs=N)`` is a one-query engine).
 """
 
+from repro.core.bottomup import bu_dccs
 from repro.core.greedy import greedy_max_k_cover
-from repro.core.result import DCCSResult, result_from_topk
+from repro.core.result import DCCSResult
 from repro.core.stats import SearchStats
+from repro.core.topdown import td_dccs
 from repro.parallel.plan import plan_query
 from repro.utils.timer import Timer
 
-
-def _merge_shards(results, stats, topk):
-    """Replay shard reports, in shard order, through the final top-k."""
-    for _, candidates, shard_stats in results:
-        stats.merge(shard_stats)
-        for label, members in candidates:
-            topk.try_update(members, label=label)
+# The methods that run their sequential algorithm in process.
+IN_PROCESS = {"bottom-up": bu_dccs, "top-down": td_dccs}
 
 
-def _finish(graph, query, plan, results, stats):
-    """Merge one query's shard results into its :class:`DCCSResult`.
+def _finish(query, results, stats):
+    """Merge one greedy query's shard results into its :class:`DCCSResult`.
 
     ``elapsed`` is left at zero — the caller owns the clock, because
     what counts as "the query's time" differs between the one-shot path
     (plan + execute + merge) and a pipelined batch (windows overlap).
     """
-    d, s, k = query.d, query.s, query.k
-    if query.method == "greedy":
-        candidates = []
-        for _, chunk, shard_stats in results:
-            stats.merge(shard_stats)
-            candidates.extend(chunk)
-        chosen = greedy_max_k_cover(candidates, k)
-        result = DCCSResult(
-            sets=[members for _, members in chosen],
-            labels=[label for label, _ in chosen],
-            algorithm="greedy",
-            params=(d, s, k),
-            stats=stats,
-            elapsed=0.0,
-        )
-        stats.extra["candidate_family_size"] = len(candidates)
-        return result
-    topk = plan.topk
-    if plan.root_only:
-        # The root is the only candidate; nothing was sharded.
-        stats.candidates_generated += 1
-        if topk.try_update(plan.root_core, label=tuple(graph.layers())):
-            stats.updates_accepted += 1
-    else:
-        _merge_shards(results, stats, topk)
-    return result_from_topk(topk, query.method, (d, s, k), stats, 0.0)
+    candidates = []
+    for _, chunk, shard_stats in results:
+        stats.merge(shard_stats)
+        candidates.extend(chunk)
+    chosen = greedy_max_k_cover(candidates, query.k)
+    stats.extra["candidate_family_size"] = len(candidates)
+    return DCCSResult(
+        sets=[members for _, members in chosen],
+        labels=[label for label, _ in chosen],
+        algorithm="greedy",
+        params=(query.d, query.s, query.k),
+        stats=stats,
+        elapsed=0.0,
+    )
 
 
 class PendingQuery:
-    """One planned-and-submitted query awaiting collection.
+    """One planned-and-submitted greedy query awaiting collection.
 
     The future-style handle the submission/collection split hands out:
     :func:`start_query` plans a query and submits its shard tasks
@@ -102,19 +72,17 @@ class PendingQuery:
     execution.
     """
 
-    __slots__ = ("graph", "query", "plan", "handle", "stats", "planned")
+    __slots__ = ("query", "handle", "stats", "planned")
 
-    def __init__(self, graph, query, plan, handle, stats, planned):
-        self.graph = graph
+    def __init__(self, query, handle, stats, planned):
         self.query = query
-        self.plan = plan
         self.handle = handle
         self.stats = stats
         self.planned = planned
 
     def waitables(self):
         """The in-flight shard futures (empty for inline execution)."""
-        return () if self.handle is None else self.handle.waitables()
+        return self.handle.waitables()
 
     def finish(self, pool):
         """Collect and merge; the query's :class:`DCCSResult`.
@@ -125,40 +93,58 @@ class PendingQuery:
         queries overlap, which is the point of a batch.
         """
         with Timer() as merge_timer:
-            results = pool.collect(self.handle) \
-                if self.handle is not None else []
-            result = _finish(self.graph, self.query, self.plan, results,
+            result = _finish(self.query, pool.collect(self.handle),
                              self.stats)
         result.elapsed = self.planned + merge_timer.elapsed
         return result
 
 
-def start_query(graph, query, pool, stats=None, artifacts=None):
-    """Plan one query and submit its shards; a :class:`PendingQuery`.
+class AnsweredQuery:
+    """A query answered in process when it started: nothing in flight."""
 
-    Submission does not block on execution — workers start chewing while
-    the caller plans the next query (pipelining) or awaits the handle's
-    :meth:`~PendingQuery.waitables` (the async front-end).
+    __slots__ = ("result",)
+
+    def __init__(self, result):
+        self.result = result
+
+    def waitables(self):
+        return ()
+
+    def finish(self, pool):
+        return self.result
+
+
+def start_query(graph, query, pool, stats=None, artifacts=None):
+    """Start one query; a :class:`PendingQuery` or :class:`AnsweredQuery`.
+
+    A greedy query is planned and its shards submitted without blocking
+    on execution — workers start chewing while the caller plans the next
+    query (pipelining) or awaits the handle's
+    :meth:`~PendingQuery.waitables` (the async front-end).  A bottom-up
+    or top-down query runs its sequential algorithm here, charging
+    ``stats``, and comes back answered.
     """
     if stats is None:
         stats = SearchStats()
+    search = IN_PROCESS.get(query.method)
+    if search is not None:
+        return AnsweredQuery(search(graph, query.d, query.s, query.k,
+                                    stats=stats, **query.options_dict()))
     with Timer() as plan_timer:
         plan = plan_query(graph, query, workers=pool.workers, stats=stats,
                           artifacts=artifacts)
-        handle = pool.submit_query(query, plan.tasks, plan) \
-            if plan.tasks else None
-    return PendingQuery(graph, query, plan, handle, stats,
-                        plan_timer.elapsed)
+        handle = pool.submit_query(query, plan.tasks, plan)
+    return PendingQuery(query, handle, stats, plan_timer.elapsed)
 
 
 def execute_query_batch(graph, queries, pool, artifacts=None):
     """Pipeline a batch of queries through one warm pool.
 
-    Every query is planned and its shard tasks submitted *before* any
-    results are collected, so workers chew query ``i``'s shards while
-    the orchestrator preprocesses query ``i+1`` — and merging happens in
-    submission order, keeping each result bitwise identical to the
-    same query started and finished alone.
+    Every query is started *before* any results are collected, so
+    workers chew query ``i``'s shards while the orchestrator
+    preprocesses (or answers) query ``i+1`` — and merging happens in
+    submission order, keeping each result bitwise identical to the same
+    query started and finished alone.
     """
     staged = [start_query(graph, query, pool, artifacts=artifacts)
               for query in queries]

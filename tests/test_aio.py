@@ -457,7 +457,8 @@ class TestLifecycle:
         async def serve():
             async with AsyncDCCHost(jobs=2) as host:
                 host.attach("fig", paper_figure1_graph())
-                result = await host.search("fig", 3, 2, 2)
+                # Greedy: the one method whose shards reach the pool.
+                result = await host.search("fig", 3, 2, 2, method="greedy")
                 spawned = live_pool_count()
                 return result, spawned
 

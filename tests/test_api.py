@@ -426,8 +426,7 @@ class TestEveryEntryPath:
                     assert first[0] == "ok", first
                     for path, seen in outcomes.items():
                         assert seen == first, path
-                    if method == "greedy":
-                        assert sequential == first
+                    assert sequential == first
                     for path, results in kept.items():
                         if path.startswith("frozen "):
                             twin = kept[path[len("frozen "):]]
@@ -442,6 +441,52 @@ class TestEveryEntryPath:
         finally:
             loop.run_until_complete(close_serving())
             loop.close()
+
+
+def assert_same_answer(first, second, context):
+    """Sets in iteration order, labels, cover and every counter."""
+    assert [list(members) for members in first.sets] == \
+        [list(members) for members in second.sets], context
+    assert first.labels == second.labels, context
+    assert first.cover_size == second.cover_size, context
+    assert first.stats.as_dict() == second.stats.as_dict(), context
+
+
+class TestTreeSearchEntryPaths:
+    """Bottom-up and top-down answer as ``jobs=None`` on every engine path.
+
+    The drawn graphs of :class:`TestEveryEntryPath` are too small to
+    tell a root-sharded tree search from the sequential one; on these
+    configurations sharding made 17,004 dCC calls against 727 (top-down)
+    and 18 against 12 (bottom-up).
+    """
+
+    @pytest.mark.parametrize("dataset, scale, method, d, s, k", [
+        ("english", 0.1, "top-down", 3, 2, 2),
+        ("ppi", 0.5, "bottom-up", 2, 1, 2),
+    ])
+    def test_engine_paths_equal_the_sequential_search(
+            self, dataset, scale, method, d, s, k):
+        from repro.datasets import load
+
+        graph = load(dataset, scale=scale, seed=0).graph
+        sequential = search_dccs(graph, d, s, k, method=method, seed=5)
+
+        async def served():
+            async with AsyncDCCHost(jobs=2) as ahost:
+                ahost.attach("g", graph)
+                return await ahost.search("g", d, s, k, method=method,
+                                          seed=5)
+
+        with DCCEngine(graph, jobs=2) as engine:
+            paths = {
+                "jobs=1": search_dccs(graph, d, s, k, method=method,
+                                      seed=5, jobs=1),
+                "engine": engine.search(d, s, k, method=method, seed=5),
+                "async": asyncio.run(served()),
+            }
+        for path, result in paths.items():
+            assert_same_answer(sequential, result, path)
 
 
 class TestCrossAlgorithmConsistency:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_dccs
+from repro.core.api import search_dccs
 from repro.core.bottomup import bu_dccs
 from repro.core.dcc import is_coherent_dense
 from repro.core.greedy import gd_dccs
@@ -106,11 +107,14 @@ class TestBuDccs:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_theorem3_approximation_ratio(self, graph, d, k):
-        """BU cover >= 1/4 of the optimal cover (Theorem 3)."""
+        """BU cover >= 1/4 of the optimal cover (Theorem 3), on the
+        sequential path and on the engine path ``jobs=1``."""
         for s in range(1, graph.num_layers + 1):
             optimum = exact_dccs(graph, d, s, k, max_candidates=64)
-            result = bu_dccs(graph, d, s, k)
-            assert 4 * result.cover_size >= optimum.cover_size
+            for result in (bu_dccs(graph, d, s, k),
+                           search_dccs(graph, d, s, k, method="bottom-up",
+                                       jobs=1)):
+                assert 4 * result.cover_size >= optimum.cover_size
 
     @given(multilayer_graphs(max_vertices=8, max_layers=3))
     @settings(max_examples=30, deadline=None)

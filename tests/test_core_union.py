@@ -264,10 +264,21 @@ class TestUnionGraph:
         for method in METHODS:
             search_dccs(frozen, 4, 2, 2, method=method,
                         use_vertex_deletion=False)
-            search_dccs(frozen, 4, 2, 2, method=method, jobs=1)
+        search_dccs(frozen, 4, 2, 2, method="greedy", jobs=1)
         exact_dccs(frozen, 4, 2, 2)
         assert frozen.core_memo._unions == {}
         assert frozen.core_memo._fixed_points == {}
+        # Engine bottom-up and top-down run the sequential searches, so
+        # they build the union and keep the fixed point as jobs=None
+        # does.
+        for method in ("bottom-up", "top-down"):
+            engine_graph, sequential_graph = _small_graph(), _small_graph()
+            search_dccs(engine_graph, 4, 2, 2, method=method, jobs=1)
+            search_dccs(sequential_graph, 4, 2, 2, method=method)
+            for memo in (engine_graph.core_memo,
+                         sequential_graph.core_memo):
+                assert list(memo._unions) == [4], method
+                assert list(memo._fixed_points) == [(4, 2)], method
 
 
 def _kept_snapshot(frozen, d, s, k, method):

@@ -8,6 +8,7 @@ The contract under test, in order of importance:
    method, a ``MultiLayerGraph`` or a frozen graph, and warm-vs-cold
    pools/caches (the artifact
    cache replays captured stats deltas instead of skipping charges);
+   bottom-up and top-down run in process and never reach the pool;
 2. **invalidation** — mutating the underlying ``MultiLayerGraph`` after
    engine construction rebinds the session (frozen graph, cache, pool);
    a stale result is never returned.
@@ -153,22 +154,13 @@ class TestArtifactCache:
     def test_cache_hits_accumulate_across_queries(self):
         graph = paper_figure1_graph()
         with DCCEngine(graph, jobs=1) as engine:
-            engine.search(3, 2, 2, method="bottom-up")
+            engine.search(3, 2, 2, method="greedy")
             first = engine.info()
-            engine.search(3, 2, 2, method="bottom-up")
+            engine.search(3, 2, 2, method="greedy")
             second = engine.info()
         assert first["cache_misses"] > 0
         assert second["cache_hits"] > first["cache_hits"]
         assert second["cache_misses"] == first["cache_misses"]
-
-    def test_cache_disabled_engine_still_identical(self):
-        graph = paper_figure1_graph()
-        with DCCEngine(graph, jobs=1, cache_artifacts=False) as engine:
-            uncached = engine.search(3, 2, 2, method="top-down", seed=5)
-            assert engine.info()["cache_enabled"] is False
-        with DCCEngine(graph, jobs=1) as engine:
-            cached = engine.search(3, 2, 2, method="top-down", seed=5)
-        assert_identical(uncached, cached)
 
     def test_stats_delta_replay(self):
         # The unit-level version of warm == cold: a second lookup hands
@@ -191,7 +183,7 @@ class TestArtifactCache:
 
     def test_unbounded_by_default(self):
         cache = ArtifactCache(paper_figure1_graph().freeze())
-        assert cache.max_entries is None and cache.ttl is None
+        assert cache.max_entries is None
 
     def test_size_cap_discards_lru(self):
         graph = paper_figure1_graph().freeze()
@@ -206,29 +198,11 @@ class TestArtifactCache:
         cache.preprocess(2, 2, True)   # victim: rebuilt as a miss
         assert cache.misses == 4
 
-    def test_ttl_expiry_rebuilds_identically(self):
-        clock = [0.0]
-        graph = paper_figure1_graph().freeze()
-        cache = ArtifactCache(graph, ttl=5.0, clock=lambda: clock[0])
-        before, delta_before = cache.preprocess(3, 2, True)
-        clock[0] = 4.0
-        assert cache.preprocess(3, 2, True)[0] is before  # still fresh
-        clock[0] = 10.0
-        after, delta_after = cache.preprocess(3, 2, True)
-        assert cache.expirations == 1 and cache.misses == 2
-        assert after is not before
-        assert after.alive == before.alive
-        assert after.cores == before.cores
-        assert delta_after.as_dict() == delta_before.as_dict()
-
     def test_bound_validation(self):
         graph = paper_figure1_graph().freeze()
         for bad in (0, -1, True, "8"):
             with pytest.raises(ParameterError):
                 ArtifactCache(graph, max_entries=bad)
-        for bad in (0, -2.5):
-            with pytest.raises(ParameterError):
-                ArtifactCache(graph, ttl=bad)
 
 
 class TestCacheEviction:
@@ -236,41 +210,34 @@ class TestCacheEviction:
 
     @given(st.data())
     @settings(max_examples=3, deadline=None)
-    def test_warm_equals_cold_across_size_and_ttl_evictions(self, data):
+    def test_warm_equals_cold_across_size_evictions(self, data):
         graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
         d, s, k = data.draw(search_parameters(graph))
-        clock = [0.0]
+        # Greedy alternates between the fixed points of both deletion
+        # flags, so max_entries=1 evicts on every greedy lookup.
         queries = [
-            {"d": d, "s": s, "k": k, "method": method, "seed": 5}
-            for method in METHODS
+            {"d": d, "s": s, "k": k, "method": method, "seed": 5,
+             "use_vertex_deletion": vd}
+            for method in METHODS for vd in (True, False)
         ] * 2
         with DCCEngine(graph, jobs=1) as reference:
             cold = [reference.search(**dict(query)) for query in queries]
-        # max_entries=1 thrashes every artifact class; the crawling
-        # clock expires whatever survives the size cap.
-        with DCCEngine(graph, jobs=1, cache_max_entries=1,
-                       cache_ttl=0.5) as engine:
-            engine._cache._clock = lambda: clock[0]
-            evicted = []
-            for query in queries:
-                clock[0] += 0.4
-                evicted.append(engine.search(**dict(query)))
+        with DCCEngine(graph, jobs=1, cache_max_entries=1) as engine:
+            evicted = [engine.search(**dict(query)) for query in queries]
             churn = engine.info()
-        assert churn["cache_evictions"] + churn["cache_expirations"] > 0
+        assert churn["cache_evictions"] == 3
         for one, two in zip(cold, evicted):
             assert_identical(one, two, (d, s, k))
 
     def test_engine_forwards_bounds_to_its_cache(self):
-        with DCCEngine(paper_figure1_graph(), jobs=1, cache_max_entries=3,
-                       cache_ttl=60.0) as engine:
+        with DCCEngine(paper_figure1_graph(), jobs=1,
+                       cache_max_entries=3) as engine:
             assert engine._cache.max_entries == 3
-            assert engine._cache.ttl == 60.0
-            # Bounds survive a rebind — the fresh cache is bounded too.
+            # The cap survives a rebind — the fresh cache is bounded too.
             engine._source.add_vertex("fresh")
             engine.search(2, 1, 1)
             assert engine.invalidations == 1
             assert engine._cache.max_entries == 3
-            assert engine._cache.ttl == 60.0
 
 
 # ----------------------------------------------------------------------
@@ -305,11 +272,11 @@ class TestInvalidation:
     def test_mutation_clears_cached_artifacts(self):
         graph = self._ring()
         with DCCEngine(graph, jobs=1) as engine:
-            engine.search(2, 1, 2, method="bottom-up")
+            engine.search(2, 1, 2, method="greedy")
             before = engine.info()["cache_entries"]
             assert before > 0
             graph.add_edge(0, 0, 5)
-            engine.search(2, 1, 2, method="bottom-up")
+            engine.search(2, 1, 2, method="greedy")
             status = engine.info()
         # The rebind threw the old cache away: only the post-mutation
         # query's artifacts remain, all of them fresh misses.
@@ -598,11 +565,33 @@ class TestLifecycle:
         )
         graph = paper_figure1_graph()
         with DCCEngine(graph, jobs=4) as engine:
-            broken = engine.search(3, 2, 2, method="bottom-up", seed=5)
+            broken = engine.search(3, 2, 2, method="greedy")
             assert engine.info()["pool_inline_fallback"] is True
-        healthy = search_dccs(graph, 3, 2, 2, method="bottom-up", seed=5,
-                              jobs=1)
+        healthy = search_dccs(graph, 3, 2, 2, method="greedy", jobs=1)
         assert_identical(broken, healthy)
+
+    def test_tree_searches_spawn_no_worker(self):
+        # Bottom-up and top-down run in process: a multi-worker engine
+        # serving only them never spawns its pool, and every handle it
+        # returns has nothing in flight.
+        from repro.datasets import load
+
+        graph = load("english", scale=0.1, seed=0).graph
+        baseline = live_pool_count()
+        with DCCEngine(graph, jobs=4) as engine:
+            for method in ("bottom-up", "top-down"):
+                handle = engine.submit(3, 2, 2, method=method, seed=5)
+                assert handle.waitables() == ()
+                assert_identical(
+                    handle.collect(),
+                    search_dccs(graph, 3, 2, 2, method=method, seed=5),
+                    method)
+                engine.search_many([{"d": 2, "s": 3, "k": 2,
+                                     "method": method}])
+            status = engine.info()
+            assert status["pool_spawned"] is False
+            assert status["pool_queries_served"] == 0
+            assert live_pool_count() == baseline
 
 
 class TestOneCpuBudget:
@@ -732,4 +721,4 @@ class TestHarnessPlumbing:
         assert main(["info", "ppi", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "engine_workers" in out
-        assert "engine_cache_enabled: True" in out
+        assert "engine_cache_entries: 0" in out

@@ -186,7 +186,7 @@ class TestAdmissionControl:
         with DCCHost(jobs=1, cache_max_entries=2) as host:
             host.attach("a", paper_figure1_graph())
             for d in (1, 2, 3):
-                host.search("a", d, 2, 2, method="bottom-up")
+                host.search("a", d, 2, 2, method="greedy")
             status = host.engine("a").info()
             assert status["cache_entries"] <= 2
             assert status["cache_evictions"] > 0

@@ -5,15 +5,13 @@ The contract under test, in order of strength:
 1. **jobs invariance** — for every method and seed, on a
    ``MultiLayerGraph`` or a frozen graph,
    ``search_dccs(..., jobs=N)`` returns bitwise identical sets, labels,
-   cover sizes *and aggregated stats counters* for every ``N`` (the
-   shard structure is jobs-independent and the merge order canonical);
-2. **greedy parity** — the parallel greedy is additionally bitwise
-   identical, counters included, to the sequential :func:`gd_dccs`
-   (its candidate family has no cross-candidate search state);
-3. **validity** — parallel tree-search results are genuine d-CCs on
-   their reported layer subsets (the shard variants may legally explore
-   a different slice of the tree than the sequential searches, but may
-   never report an invalid set).
+   cover sizes *and aggregated stats counters* for every ``N``;
+2. **sequential parity** — every ``jobs`` value also equals the
+   single-process ``jobs=None`` run, counters included: greedy's
+   candidate family merges back in subset order, and bottom-up and
+   top-down run their sequential algorithms in process, so only greedy
+   reaches the pool (``tests/test_api.py::TestEveryEntryPath`` extends
+   this to the engine, the hosts, the socket and the CLI).
 
 Pool spawns are real in these tests (``jobs=4`` forks four workers), so
 hypothesis example counts are kept deliberately small.
@@ -26,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import is_coherent_dense, search_dccs
+from repro.core import search_dccs
 from repro.core.greedy import gd_dccs
 from repro.experiments.runner import measure_point
 from repro.graph import (
@@ -40,7 +38,6 @@ from repro.parallel import (
     effective_jobs,
     graph_payload,
     payload_graph,
-    shard_seed,
     usable_cpus,
 )
 from repro.utils.errors import ParameterError
@@ -131,8 +128,24 @@ class TestJobsInvariance:
 
 
 # ----------------------------------------------------------------------
-# 2. greedy parity with the sequential algorithm
+# 2. parity with the sequential algorithms
 # ----------------------------------------------------------------------
+
+
+class TestTreeSearchParity:
+    @given(st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_tree_searches_equal_sequential_for_every_jobs(self, data):
+        graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
+        d, s, k = data.draw(search_parameters(graph))
+        for source in (graph, FrozenMultiLayerGraph.from_graph(graph)):
+            for method in ("bottom-up", "top-down"):
+                sequential = run(source, d, s, k, method=method)
+                for jobs in (0, 1, 3):
+                    assert_identical(
+                        sequential,
+                        run(source, d, s, k, method=method, jobs=jobs),
+                        (source, method, jobs, d, s, k))
 
 
 class TestGreedyParity:
@@ -154,25 +167,6 @@ class TestGreedyParity:
             parallel.stats.extra["candidate_family_size"]
             == sequential.stats.extra["candidate_family_size"]
         )
-
-
-# ----------------------------------------------------------------------
-# 3. validity of the tree-search shard variants
-# ----------------------------------------------------------------------
-
-
-class TestParallelTreeSearchValidity:
-    @given(st.data())
-    @settings(max_examples=5, deadline=None)
-    def test_reported_sets_are_coherent_cores(self, data):
-        graph = data.draw(multilayer_graphs(max_vertices=8, max_layers=3))
-        d, s, k = data.draw(search_parameters(graph))
-        for method in ("bottom-up", "top-down"):
-            result = run(graph, d, s, k, method=method, jobs=2)
-            assert len(result.sets) <= k
-            for label, members in zip(result.labels, result.sets):
-                assert len(label) == s
-                assert is_coherent_dense(graph, members, label, d)
 
 
 # ----------------------------------------------------------------------
@@ -243,16 +237,6 @@ class TestGraphPayloadRoundTrip:
             payload_graph(("numpy", None))
 
 
-class TestShardSeeds:
-    def test_distinct_and_stable(self):
-        seeds = [shard_seed(7, index) for index in range(16)]
-        assert len(set(seeds)) == len(seeds)
-        assert seeds == [shard_seed(7, index) for index in range(16)]
-
-    def test_none_aliases_the_library_default(self):
-        assert shard_seed(None, 3) == shard_seed(0, 3)
-
-
 class TestPoolFallback:
     def test_spawn_failure_at_submit_falls_back_inline(self, monkeypatch):
         # CPython spawns pool workers lazily at submit(), so a sandbox
@@ -277,8 +261,8 @@ class TestPoolFallback:
             executor_module, "ProcessPoolExecutor", BrokenPool
         )
         graph = paper_figure1_graph()
-        broken = run(graph, 3, 2, 2, method="bottom-up", jobs=4)
-        healthy = run(graph, 3, 2, 2, method="bottom-up", jobs=1)
+        broken = run(graph, 3, 2, 2, method="greedy", jobs=4)
+        healthy = run(graph, 3, 2, 2, method="greedy", jobs=1)
         assert_identical(broken, healthy)
 
     def test_worker_exceptions_still_propagate(self, monkeypatch):
@@ -291,7 +275,7 @@ class TestPoolFallback:
 
         monkeypatch.setattr(worker_module.ShardRunner, "run", explode)
         with pytest.raises(ValueError):
-            run(paper_figure1_graph(), 3, 2, 2, method="bottom-up", jobs=1)
+            run(paper_figure1_graph(), 3, 2, 2, method="greedy", jobs=1)
 
 
 class TestPlumbing:

@@ -408,10 +408,10 @@ class TestEngineStreamEquivalence:
     def test_delta_rebind_patches_and_keeps_artifacts(self):
         graph = stream_graph(layers=4)
         with DCCEngine(graph, jobs=1) as engine:
-            engine.search(d=2, s=2, k=2)
+            engine.search(d=2, s=2, k=2, method="greedy")
             add, remove = random_batch(random.Random(7), graph, layer=0)
             graph.apply_delta(add=add, remove=remove)
-            engine.search(d=2, s=2, k=2)
+            engine.search(d=2, s=2, k=2, method="greedy")
             status = engine.info()
         assert status["rebinds_patched"] == 1
         assert status["rebinds_full"] == 0
@@ -436,15 +436,17 @@ class TestEngineStreamEquivalence:
     def test_pooled_workers_receive_deltas(self):
         graph = stream_graph()
         rng = random.Random(13)
+        # Greedy: the one method whose shards reach the pool.
         with DCCEngine(graph, jobs=2) as engine:
-            engine.search(d=2, s=2, k=2)
+            engine.search(d=2, s=2, k=2, method="greedy")
             spawned_before = engine.info()["pool_spawned"]
             for _ in range(2):
                 add, remove = random_batch(rng, graph, layer=0)
                 graph.apply_delta(add=add, remove=remove)
-                result = engine.search(d=2, s=2, k=2)
+                result = engine.search(d=2, s=2, k=2, method="greedy")
                 with DCCEngine(graph.copy(), jobs=2) as fresh:
-                    assert_identical(result, fresh.search(d=2, s=2, k=2))
+                    assert_identical(result, fresh.search(
+                        d=2, s=2, k=2, method="greedy"))
             status = engine.info()
         if spawned_before:
             # The pool was live across the mutations: the deltas were

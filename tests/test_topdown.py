@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_dccs
+from repro.core.api import search_dccs
 from repro.core.dcc import coherent_core, is_coherent_dense
 from repro.core.index import CoreHierarchyIndex
 from repro.core.preprocess import order_layers, vertex_deletion
@@ -99,11 +100,14 @@ class TestTdDccs:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
     def test_theorem4_approximation_ratio(self, graph, d, k):
-        """TD cover >= 1/4 of the optimal cover (Theorem 4)."""
+        """TD cover >= 1/4 of the optimal cover (Theorem 4), on the
+        sequential path and on the engine path ``jobs=1``."""
         for s in range(1, graph.num_layers + 1):
             optimum = exact_dccs(graph, d, s, k, max_candidates=64)
-            result = td_dccs(graph, d, s, k)
-            assert 4 * result.cover_size >= optimum.cover_size
+            for result in (td_dccs(graph, d, s, k),
+                           search_dccs(graph, d, s, k, method="top-down",
+                                       jobs=1)):
+                assert 4 * result.cover_size >= optimum.cover_size
 
 
 class TestIndex:
