@@ -11,7 +11,7 @@ and records cold vs amortised per-query latency for jobs ∈ {1, 2} under
 Two assertions always hold, on any machine:
 
 * results are bitwise identical (sets, labels, counters) between the
-  one-shot calls, ``engine.search`` and ``engine.search_many``;
+  one-shot calls and ``engine.search``;
 * at jobs=2 the warm engine completes the 16 queries in at most half
   the one-shot wall clock.  Unlike the parallel-scaling target this is
   safe to enforce even on a single-CPU host: the engine *removes* 15
@@ -51,7 +51,7 @@ def test_engine_reuse_report(benchmark):
         # flatter the amortisation exactly as much as a slow warm run
         # would damn it.
         for jobs in JOBS:
-            for mode in ("one-shot", "engine", "batch"):
+            for mode in ("one-shot", "engine"):
                 best = None
                 for _ in range(2):
                     start = perf_counter()
@@ -61,18 +61,12 @@ def test_engine_reuse_report(benchmark):
                                         jobs=jobs)
                             for _ in range(QUERIES)
                         ]
-                    elif mode == "engine":
+                    else:
                         with DCCEngine(graph, jobs=jobs) as engine:
                             results = [
                                 engine.search(D, S, K, method="greedy")
                                 for _ in range(QUERIES)
                             ]
-                    else:
-                        with DCCEngine(graph, jobs=jobs) as engine:
-                            results = engine.search_many([
-                                {"d": D, "s": S, "k": K,
-                                 "method": "greedy"}
-                            ] * QUERIES)
                     elapsed = perf_counter() - start
                     best = elapsed if best is None else min(best, elapsed)
                     outputs[(jobs, mode)] = results
@@ -91,20 +85,18 @@ def test_engine_reuse_report(benchmark):
         "one-shot = {} independent search_dccs(..., jobs=N) calls "
         "(pool spawn + preprocessing per call)".format(QUERIES),
         "engine   = one DCCEngine serving all {} (spawn + artifacts "
-        "amortised); batch = engine.search_many".format(QUERIES),
+        "amortised)".format(QUERIES),
         "",
-        "{:>5s}  {:>14s}  {:>14s}  {:>14s}  {:>12s}".format(
-            "jobs", "one-shot (s)", "engine (s)", "batch (s)",
-            "amortisation",
+        "{:>5s}  {:>14s}  {:>14s}  {:>12s}".format(
+            "jobs", "one-shot (s)", "engine (s)", "amortisation",
         ),
     ]
     for jobs in JOBS:
         cold = timings[(jobs, "one-shot")]
         warm = timings[(jobs, "engine")]
-        batch = timings[(jobs, "batch")]
         lines.append(
-            "{:>5d}  {:>14.3f}  {:>14.3f}  {:>14.3f}  {:>11.2f}x".format(
-                jobs, cold, warm, batch, cold / warm
+            "{:>5d}  {:>14.3f}  {:>14.3f}  {:>11.2f}x".format(
+                jobs, cold, warm, cold / warm
             )
         )
     lines.append("")

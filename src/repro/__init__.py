@@ -11,14 +11,16 @@ The package exposes:
   (greedy, bottom-up, top-down) with :func:`repro.search_dccs` as the
   one-call entry point;
 * :mod:`repro.engine` — the persistent search session
-  (:class:`repro.DCCEngine`): one graph, a warm worker pool, per-graph
-  artifact caching, and the ``search_many`` batch API;
+  (:class:`repro.DCCEngine`): one graph, a warm worker pool and
+  per-graph artifact caching;
 * :mod:`repro.host` — multi-graph hosting (:class:`repro.DCCHost`): a
   registry of engine sessions with LRU admission control and a global
   memory budget;
 * :mod:`repro.aio` — the async serving front-end
   (:class:`repro.AsyncDCCHost`): per-graph request queues, in-flight
-  coalescing and backpressure over a hosted registry;
+  coalescing and backpressure over a hosted registry, the one batch
+  path (``search_many``/``run_batch``) and the JSON-lines request
+  handler both ``repro serve`` transports share;
 * :mod:`repro.baselines` — the exact solver and the quasi-clique
   (MiMAG-style) comparison baseline;
 * :mod:`repro.metrics` — cover / similarity / recovery metrics;

@@ -7,13 +7,17 @@ cross-time :class:`ResultCache` above the coalescer, backpressure via
 :class:`~repro.utils.errors.QueueFullError`, and a graceful drain on
 ``aclose()`` — while the submission/collection split in the engine and
 worker pool lets dispatchers *await* shard futures instead of parking a
-thread per request.
+thread per request.  :meth:`AsyncDCCHost.search_many` (and its
+synchronous bridge :meth:`~AsyncDCCHost.run_batch`) is the one batch
+path: ``repro batch`` and ``repro host`` serve their files through it.
 
 :class:`DCCServer` lifts the JSON-lines protocol onto real sockets
 (``repro serve --port``) so many client connections multiplex over one
 host; ``repro serve`` without ``--port`` drives the same protocol over
-stdin/stdout.  ``docs/architecture.md`` documents the queueing,
-coalescing, caching and fault-containment design.
+stdin/stdout, through the same decoder and handler
+(:func:`decode_request`, :func:`answer_request`).
+``docs/architecture.md`` documents the queueing, coalescing, caching and
+fault-containment design.
 """
 
 from repro.aio.host import (
@@ -27,8 +31,9 @@ from repro.aio.server import (
     DEFAULT_BIND,
     DEFAULT_MAX_REQUEST_BYTES,
     DCCServer,
+    answer_request,
+    decode_request,
     format_response,
-    parse_update_edges,
     serving_stats,
 )
 
@@ -43,7 +48,8 @@ __all__ = [
     "LatencyRecorder",
     "MAX_BATCH",
     "ResultCache",
+    "answer_request",
+    "decode_request",
     "format_response",
-    "parse_update_edges",
     "serving_stats",
 ]

@@ -45,6 +45,11 @@ Design
   cache's watermark advances in the same step, and the graph's engine
   rebinds lazily on its next query — patching its CSR and keeping
   untouched per-layer artifacts when the recorded delta allows.
+* **The one batch path.**  :meth:`search_many` (and :meth:`run_batch`,
+  its bridge from synchronous code) is the only batch call in the
+  stack: it reads every spec with
+  :func:`~repro.host.spec.parse_request` before enqueuing any, and
+  ``repro batch`` and ``repro host`` serve their files through it.
 * **Per-request metrics.**  Queue depths, coalesce/cache hit counters
   and service-latency percentiles (accept to resolve, recorded through
   an injectable clock into a bounded window) are exposed via
@@ -98,6 +103,7 @@ from repro.aio.result_cache import (
 )
 from repro.core.api import check_stats
 from repro.host import DCCHost
+from repro.host.spec import UpdateRequest, parse_requests
 from repro.utils.errors import (
     FrozenGraphError,
     GraphError,
@@ -427,11 +433,16 @@ class AsyncDCCHost:
     async def search_many(self, specs):
         """Serve a batch of ``{"graph": ..., "d": ..., ...}`` specs.
 
-        The async analogue of :meth:`DCCHost.search_many`: every spec is
+        The one batch path (``repro batch`` and ``repro host`` run their
+        files through it, via :meth:`run_batch`): every spec is
         submitted concurrently (so duplicates coalesce and per-graph
         groups pipeline) and results come back in input order, each
         bitwise identical to the corresponding :meth:`search` call.
-        Specs are validated for shape before any of them is enqueued.
+        Every spec is read by :func:`~repro.host.spec.parse_request` and
+        its graph checked before any of them is enqueued, so a malformed
+        one raises :class:`~repro.utils.errors.ProtocolError` and an
+        unknown graph :class:`~repro.utils.errors.UnknownGraphError`
+        with nothing served.
 
         A spec may also be an ``{"op": "update", "graph": ..., "add":
         ..., "remove": ...}`` mutation (the batch-spec file shape); it
@@ -440,54 +451,31 @@ class AsyncDCCHost:
         answers against the mutated graph.  Its slot in the returned
         list holds the update receipt dict.
         """
-        parsed = []
-        for number, entry in enumerate(specs, 1):
-            entry = dict(entry)
-            name = entry.pop("graph", None)
-            if name is None:
-                raise ParameterError(
-                    "batch query {} ({!r}) is missing the \"graph\" key "
-                    "naming an attached graph".format(number, entry)
-                )
-            self._ensure_serving(name)
-            if entry.get("op") == "update":
-                parsed.append(("update", name,
-                               tuple(tuple(edge)
-                                     for edge in entry.get("add") or ()),
-                               tuple(tuple(edge)
-                                     for edge in entry.get("remove") or ())))
-                continue
-            try:
-                d = entry.pop("d")
-                s = entry.pop("s")
-                k = entry.pop("k")
-            except KeyError as missing:
-                raise ParameterError(
-                    "batch query {} is missing required key {}".format(
-                        number, missing
-                    )
-                ) from None
-            method = entry.pop("method", "auto")
-            parsed.append(("search", name, d, s, k, method, entry))
+        requests = parse_requests(specs)
+        for request in requests:
+            self._ensure_serving(request.graph)
         # gather() starts the coroutines in order and both search() and
         # update() enqueue before their first await, so the per-graph
         # FIFO sees the specs in input order — an update is a barrier at
         # exactly its list position.
         return await asyncio.gather(*(
-            self.update(item[1], add=item[2], remove=item[3])
-            if item[0] == "update"
-            else self.search(item[1], item[2], item[3], item[4],
-                             method=item[5], **item[6])
-            for item in parsed
+            self.update(request.graph, add=request.add,
+                        remove=request.remove)
+            if isinstance(request, UpdateRequest)
+            else self.search(request.graph, request.d, request.s,
+                             request.k, method=request.method,
+                             **request.options)
+            for request in requests
         ))
 
     def run_batch(self, specs):
         """Serve a batch from synchronous code; blocks for the results.
 
-        The bridge ``sweep(..., host=)`` uses: one ``asyncio.run`` per
-        call, with the dispatchers quiesced before the loop closes so
-        the host can be driven again (from the next call, or async).
-        Must not be called while an event loop is already running.
+        The bridge ``repro batch`` and ``repro host`` use: one
+        ``asyncio.run`` per call, with the dispatchers quiesced before
+        the loop closes so the host can be driven again (from the next
+        call, or async).  Must not be called while an event loop is
+        already running.
         """
         async def _serve_and_quiesce():
             try:

@@ -38,6 +38,17 @@ Responses carry ``seq`` (per-connection arrival number), the echoed
 ``error``/``error_type``.  Responses stream as requests complete —
 completion order is not arrival order; correlate by ``id``/``seq``.
 
+One request path
+----------------
+Both transports read a line with :func:`decode_request` and answer the
+request object it returns with :func:`answer_request`, which reads it
+through :func:`repro.host.spec.parse_request` — the parser every batch
+and spec file uses too.  So a malformed request answers the same
+``error_type`` (``ProtocolError`` for every shape fault), naming the
+same key or op, on the socket, over stdio, in an
+:meth:`~repro.aio.AsyncDCCHost.search_many` batch and in a ``repro
+host`` spec file.
+
 Fault containment, per connection
 ---------------------------------
 * a line that is not valid JSON, or not a JSON object, answers a typed
@@ -63,6 +74,7 @@ property-tested over real sockets in ``tests/test_server.py``.
 import asyncio
 import json
 
+from repro.host.spec import UpdateRequest, parse_request
 from repro.utils.errors import ProtocolError, RequestTooLargeError
 
 # Upper bound on one request line, in bytes.  Far above any legitimate
@@ -100,33 +112,6 @@ def format_response(number, request_id, result=None, error=None):
     return response
 
 
-def parse_update_edges(entry, field):
-    """The ``add``/``remove`` edge list of an update op, as tuples.
-
-    JSON has no tuples, so edges arrive as ``[layer, u, v]`` arrays;
-    anything else on the wire is a :class:`ProtocolError`, answered on
-    the request's own line.  Shared by both transports (``repro
-    serve``'s stdio loop and the socket server) so a malformed update
-    fails identically on either.
-    """
-    edges = entry.get(field) or []
-    if not isinstance(edges, list):
-        raise ProtocolError(
-            "update {!r} must be a list of [layer, u, v] triples, got "
-            "{!r}".format(field, edges)
-        )
-    parsed = []
-    for edge in edges:
-        if not isinstance(edge, list) or len(edge) != 3:
-            raise ProtocolError(
-                "update {!r} entries must be [layer, u, v] triples, got "
-                "{!r}".format(field, edge)
-            )
-        layer, u, v = edge
-        parsed.append((layer, u, v))
-    return tuple(parsed)
-
-
 def serving_stats(host, server=None):
     """The ``stats`` protocol payload: serving metrics, JSON-safe.
 
@@ -140,6 +125,61 @@ def serving_stats(host, server=None):
     if server is not None:
         payload["server"] = server.counters()
     return payload
+
+
+def decode_request(line):
+    """One request line (bytes or str) as its JSON object.
+
+    Raises :class:`json.JSONDecodeError` for a line that is not JSON and
+    :class:`ProtocolError` for JSON that is not an object.  Both are
+    value errors, which the transports answer on the line's own sequence
+    slot and count as malformed.
+    """
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", errors="replace")
+    entry = json.loads(line)
+    if not isinstance(entry, dict):
+        raise ProtocolError(
+            "request must be a JSON object, got {!r}".format(
+                type(entry).__name__
+            )
+        )
+    return entry
+
+
+async def answer_request(host, seq, entry, server=None):
+    """Serve one request object on ``host``; ``(ok, response payload)``.
+
+    ``entry`` is a dict from :func:`decode_request`; its ``"id"`` is
+    popped and echoed.  ``{"op": "stats"}`` answers
+    :func:`serving_stats` (with ``server``'s counters when a socket
+    server is in front); anything else is read by
+    :func:`~repro.host.spec.parse_request` and served as an update or a
+    search.  Every failure — a shape fault, a bad parameter, an engine
+    error — becomes an error payload, never an exception.
+    """
+    request_id = entry.pop("id", None)
+    try:
+        if entry.get("op") == "stats":
+            payload = {"seq": seq, "ok": True,
+                       "stats": serving_stats(host, server)}
+            if request_id is not None:
+                payload["id"] = request_id
+            return True, payload
+        request = parse_request(entry)
+        if isinstance(request, UpdateRequest):
+            receipt = await host.update(request.graph, add=request.add,
+                                        remove=request.remove)
+            payload = {"seq": seq, "ok": True, "update": receipt}
+            if request_id is not None:
+                payload["id"] = request_id
+            return True, payload
+        result = await host.search(request.graph, request.d, request.s,
+                                   request.k, method=request.method,
+                                   **request.options)
+    except Exception as error:
+        return False, format_response(seq, request_id, error=error)
+    return True, format_response(seq, request_id, result=result)
 
 
 async def _discard_line(reader):
@@ -372,13 +412,7 @@ class DCCServer:
             connection.seq += 1
             self.requests_received += 1
             try:
-                entry = json.loads(line.decode("utf-8", errors="replace"))
-                if not isinstance(entry, dict):
-                    raise ProtocolError(
-                        "request must be a JSON object, got {!r}".format(
-                            type(entry).__name__
-                        )
-                    )
+                entry = decode_request(line)
             except ValueError as error:
                 self.requests_malformed += 1
                 self.responses_failed += 1
@@ -394,65 +428,12 @@ class DCCServer:
 
     async def _answer(self, connection, seq, entry):
         """Serve one request object and write its response line."""
-        request_id = entry.pop("id", None)
-        try:
-            if entry.get("op") == "stats":
-                payload = {"seq": seq, "ok": True,
-                           "stats": serving_stats(self._ahost, self)}
-                if request_id is not None:
-                    payload["id"] = request_id
-                self.responses_ok += 1
-                await connection.send(payload)
-                return
-            if entry.get("op") == "update":
-                name = entry.get("graph")
-                if not isinstance(name, str) or not name:
-                    raise ProtocolError(
-                        "update op needs a \"graph\" key naming an "
-                        "attached graph"
-                    )
-                add = parse_update_edges(entry, "add")
-                remove = parse_update_edges(entry, "remove")
-                if not add and not remove:
-                    raise ProtocolError(
-                        "update op needs a non-empty \"add\" and/or "
-                        "\"remove\" edge list"
-                    )
-                receipt = await self._ahost.update(name, add=add,
-                                                   remove=remove)
-                payload = {"seq": seq, "ok": True, "update": receipt}
-                if request_id is not None:
-                    payload["id"] = request_id
-                self.responses_ok += 1
-                await connection.send(payload)
-                return
-            if "op" in entry:
-                raise ProtocolError(
-                    "unknown op {!r} (supported: \"stats\", "
-                    "\"update\")".format(entry["op"])
-                )
-            try:
-                name = entry.pop("graph")
-                d = entry.pop("d")
-                s = entry.pop("s")
-                k = entry.pop("k")
-            except KeyError as missing:
-                raise ProtocolError(
-                    "request is missing required key {}".format(missing)
-                ) from None
-            method = entry.pop("method", "auto")
-            result = await self._ahost.search(name, d, s, k, method=method,
-                                              **entry)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:
-            self.responses_failed += 1
-            await connection.send(format_response(seq, request_id,
-                                                  error=error))
-        else:
+        ok, payload = await answer_request(self._ahost, seq, entry, self)
+        if ok:
             self.responses_ok += 1
-            await connection.send(format_response(seq, request_id,
-                                                  result=result))
+        else:
+            self.responses_failed += 1
+        await connection.send(payload)
 
     # ------------------------------------------------------------------
     # status

@@ -9,13 +9,15 @@ Subcommands
 ``search``
     Run DCCS on a graph and print the reported d-CCs.
 ``batch``
-    Run a JSON file of queries through one persistent
-    :class:`~repro.engine.DCCEngine` (pool spawned once, artifacts
-    shared across the batch).
+    Run a JSON file of queries on one graph, whose engine is admitted
+    and warmed first (pool spawned once, artifacts shared across the
+    batch).
 ``host``
-    Run a JSON batch spec spanning *several* graphs through one
-    :class:`~repro.host.DCCHost` — named engine sessions admitted
-    lazily under a resident-engine cap and optional memory budget.
+    Run a JSON batch spec spanning *several* graphs — named engine
+    sessions admitted lazily under a resident-engine cap and optional
+    memory budget — with update entries applied at their position.
+    Both commands serve their files through
+    :meth:`~repro.aio.AsyncDCCHost.run_batch`, the one batch path.
 ``serve``
     Serve search requests interactively: the spec file declares the
     graphs, then JSON-lines requests flow through an
@@ -23,7 +25,9 @@ Subcommands
     duplicate coalescing, a cross-time result cache, bounded-queue
     backpressure).  By default the transport is stdin/stdout; with
     ``--port`` a :class:`~repro.aio.DCCServer` accepts many concurrent
-    socket connections over the same host.
+    socket connections over the same host.  Both transports answer a
+    line through the same decoder and handler
+    (:func:`~repro.aio.decode_request`, :func:`~repro.aio.answer_request`).
 ``datasets``
     Print the Fig. 12 stand-in/paper statistics table.
 ``figure``
@@ -206,9 +210,35 @@ def _cmd_search(args):
     return 0
 
 
+def _run_batch(graphs, specs, host_options, warm=False):
+    """Serve ``specs`` over the named graphs through one async host.
+
+    Returns the results in input order (an update's slot holds its
+    receipt) and the host's status taken before it closes.  ``warm``
+    admits every graph's engine and spawns its pool before the batch.
+    The queues hold the whole batch, so a long spec file is never
+    refused as backpressure.
+    """
+    import asyncio
+
+    from repro.aio import DEFAULT_MAX_PENDING, AsyncDCCHost
+
+    ahost = AsyncDCCHost(max_pending=max(DEFAULT_MAX_PENDING, len(specs)),
+                         **host_options)
+    try:
+        for name, graph in graphs.items():
+            ahost.attach(name, graph)
+            if warm:
+                ahost.host.engine(name).warm()
+        return ahost.run_batch(specs), ahost.host.info()
+    finally:
+        asyncio.run(ahost.aclose())
+
+
 def _cmd_batch(args):
-    """Serve a JSON batch of queries from one persistent engine."""
-    from repro.engine import DCCEngine
+    """Serve a JSON batch of queries on one graph (see :func:`_run_batch`)."""
+    from repro.host.spec import parse_requests
+    from repro.utils.errors import ProtocolError
     from repro.utils.timer import Timer
 
     graph = _load_graph(args.graph, args.scale, args.seed)
@@ -221,16 +251,24 @@ def _cmd_batch(args):
               "object with a \"queries\" list)".format(args.queries),
               file=sys.stderr)
         return 2
+    # Every entry is a search on the command's one graph.
+    specs = []
     for number, entry in enumerate(queries, 1):
-        if not isinstance(entry, dict):
-            print("{}: query {} is not a JSON object: {!r}".format(
-                args.queries, number, entry), file=sys.stderr)
-            return 2
+        if isinstance(entry, dict):
+            for key in ("graph", "op"):
+                if key in entry:
+                    raise ProtocolError(
+                        "query {}: a batch entry takes no {!r} key; every "
+                        "query runs on the command's graph".format(
+                            number, key)
+                    )
+            entry = dict(entry, graph=args.graph)
+        specs.append(entry)
+    parse_requests(specs)
     with Timer() as total:
-        with DCCEngine(graph, jobs=args.jobs) as engine:
-            engine.warm()
-            results = engine.search_many(queries)
-            status = engine.info()
+        results, host_status = _run_batch({args.graph: graph}, specs,
+                                          {"jobs": args.jobs}, warm=True)
+    status = host_status["engines"][args.graph]
     for number, (spec, result) in enumerate(zip(queries, results), 1):
         print(
             "[{}] {}: d={} s={} k={} -> {} d-CCs, cover {} vertices, "
@@ -252,8 +290,12 @@ def _cmd_batch(args):
 
 
 def _cmd_host(args):
-    """Serve a multi-graph JSON batch spec from one DCCHost."""
-    from repro.host import DCCHost, parse_host_spec
+    """Serve a multi-graph JSON batch spec (see :func:`_run_batch`).
+
+    An update entry applies at its list position, so every query after
+    it answers against the mutated graph.
+    """
+    from repro.host import parse_host_spec
     from repro.utils.timer import Timer
 
     with open(args.spec) as handle:
@@ -270,46 +312,15 @@ def _cmd_host(args):
     if budget is not None:
         host_options["memory_budget_bytes"] = budget
     with Timer() as total:
-        with DCCHost(**host_options) as host:
-            for name, source in graphs.items():
-                host.attach(
-                    name, _load_graph(source, args.scale, args.seed)
-                )
-            # Updates are sequence barriers: searches up to each one
-            # run as one pipelined search_many segment against the
-            # pre-update graph, then the mutation applies atomically
-            # and the next segment sees the new version.
-            results = []
-            segment = []
-
-            def flush():
-                if segment:
-                    results.extend(host.search_many(segment))
-                    del segment[:]
-
-            for entry in queries:
-                if entry.get("op") != "update":
-                    segment.append(entry)
-                    continue
-                flush()
-                target = host.graph(entry["graph"])
-                delta = target.apply_delta(
-                    add=entry.get("add") or (),
-                    remove=entry.get("remove") or (),
-                )
-                results.append((delta, target.mutation_version))
-            flush()
-            status = host.info()
+        loaded = {name: _load_graph(source, args.scale, args.seed)
+                  for name, source in graphs.items()}
+        results, status = _run_batch(loaded, queries, host_options)
     for number, (spec, result) in enumerate(zip(queries, results), 1):
         if spec.get("op") == "update":
-            delta, version = result
-            print(
-                "[{}] {}: update applied {} edge(s) -> version "
-                "{}".format(
-                    number, spec["graph"],
-                    0 if delta is None else delta.edge_count, version,
-                )
-            )
+            print("[{}] {}: update applied {} edge(s) -> version {}".format(
+                number, spec["graph"], result["applied"],
+                result["mutation_version"],
+            ))
             continue
         print(
             "[{}] {}: {} d={} s={} k={} -> {} d-CCs, cover {} vertices, "
@@ -386,7 +397,12 @@ def _cmd_serve(args):
     """
     import asyncio
 
-    from repro.aio import AsyncDCCHost, format_response, serving_stats
+    from repro.aio import (
+        AsyncDCCHost,
+        answer_request,
+        decode_request,
+        format_response,
+    )
     from repro.host import parse_host_spec
 
     with open(args.spec) as handle:
@@ -435,59 +451,12 @@ def _cmd_serve(args):
         tasks = set()
         served = [0, 0]  # ok, failed
 
-        def emit(response):
+        def emit(ok, response):
+            served[0 if ok else 1] += 1
             print(json.dumps(response), flush=True)
 
         async def answer(number, entry):
-            request_id = entry.pop("id", None)
-            try:
-                if entry.get("op") == "stats":
-                    payload = {"seq": number, "ok": True,
-                               "stats": serving_stats(host)}
-                    if request_id is not None:
-                        payload["id"] = request_id
-                    served[0] += 1
-                    emit(payload)
-                    return
-                if entry.get("op") == "update":
-                    from repro.aio import parse_update_edges
-                    from repro.utils.errors import ProtocolError
-
-                    name = entry.get("graph")
-                    if not isinstance(name, str) or not name:
-                        raise ProtocolError(
-                            "update op needs a \"graph\" key naming an "
-                            "attached graph"
-                        )
-                    add = parse_update_edges(entry, "add")
-                    remove = parse_update_edges(entry, "remove")
-                    if not add and not remove:
-                        raise ProtocolError(
-                            "update op needs a non-empty \"add\" and/or "
-                            "\"remove\" edge list"
-                        )
-                    receipt = await host.update(name, add=add,
-                                                remove=remove)
-                    payload = {"seq": number, "ok": True,
-                               "update": receipt}
-                    if request_id is not None:
-                        payload["id"] = request_id
-                    served[0] += 1
-                    emit(payload)
-                    return
-                name = entry.pop("graph")
-                d = entry.pop("d")
-                s = entry.pop("s")
-                k = entry.pop("k")
-                method = entry.pop("method", "auto")
-                result = await host.search(name, d, s, k, method=method,
-                                           **entry)
-            except Exception as error:
-                served[1] += 1
-                emit(format_response(number, request_id, error=error))
-            else:
-                served[0] += 1
-                emit(format_response(number, request_id, result=result))
+            emit(*await answer_request(host, number, entry))
 
         async with AsyncDCCHost(**host_options, **async_options) as host:
             for name, source in graphs.items():
@@ -507,12 +476,9 @@ def _cmd_serve(args):
                     continue
                 number += 1
                 try:
-                    entry = json.loads(line)
-                    if not isinstance(entry, dict):
-                        raise ValueError("request must be a JSON object")
+                    entry = decode_request(line)
                 except ValueError as error:
-                    served[1] += 1
-                    emit(format_response(number, None, error=error))
+                    emit(False, format_response(number, None, error=error))
                     continue
                 tasks.add(asyncio.ensure_future(answer(number, entry)))
                 tasks = {task for task in tasks if not task.done()}
@@ -782,7 +748,8 @@ def build_parser():
 
     batch = sub.add_parser(
         "batch", parents=[common],
-        help="run a JSON batch of queries through one persistent engine",
+        help="run a JSON batch of queries on one graph through one warm "
+             "engine",
     )
     batch.add_argument("graph", help="dataset name or graph file")
     batch.add_argument(
@@ -797,7 +764,7 @@ def build_parser():
 
     host = sub.add_parser(
         "host", parents=[common],
-        help="run a multi-graph JSON batch spec through one DCCHost",
+        help="run a multi-graph JSON batch spec through one host",
     )
     host.add_argument(
         "spec",

@@ -10,11 +10,12 @@ stats-delta replay so warm results stay bitwise identical to cold ones.
 Bottom-up and top-down run their sequential algorithms in process, so
 every engine answer equals ``search_dccs(..., jobs=None)``.
 
-This is the substrate the serving roadmap builds on: batching lives here
-(``engine.search_many``), and multi-graph hosting sits directly on the
-session boundary — :class:`repro.host.DCCHost` owns a registry of these
-engines under admission control, passing the cache cap
-(``cache_max_entries``) a standalone engine leaves off.  See
+This is the substrate the serving stack builds on: multi-graph hosting
+sits directly on the session boundary — :class:`repro.host.DCCHost` owns
+a registry of these engines under admission control, passing the cache
+cap (``cache_max_entries``) a standalone engine leaves off — and batches
+pipeline through :meth:`DCCEngine.submit` in the async host's
+dispatchers (:meth:`repro.aio.AsyncDCCHost.search_many`).  See
 ``docs/architecture.md`` for the lifecycle and invalidation contract.
 """
 

@@ -52,7 +52,7 @@ from repro.graph.backend import (
 )
 from repro.parallel.executor import WorkerPool, check_jobs
 from repro.parallel.plan import make_query
-from repro.parallel.search import execute_query_batch, start_query
+from repro.parallel.search import start_query
 from repro.utils.errors import (
     EngineClosedError,
     ParameterError,
@@ -95,10 +95,7 @@ class DCCEngine:
 
         with DCCEngine(graph, jobs=2) as engine:
             first = engine.search(d=3, s=2, k=2)
-            rest = engine.search_many([
-                {"d": 3, "s": 2, "k": 4},
-                {"d": 2, "s": 3, "k": 2, "method": "bottom-up"},
-            ])
+            wider = engine.search(d=3, s=2, k=4)
     """
 
     def __init__(self, graph, jobs=0, cache_max_entries=None):
@@ -265,48 +262,6 @@ class DCCEngine:
         return start_query(self._graph, query, self._pool,
                            stats=SearchStats(), artifacts=self._cache)
 
-    def search_many(self, queries):
-        """Pipeline a batch of query specs through the warm pool.
-
-        ``queries`` is an iterable of dicts with keys ``d``, ``s``,
-        ``k`` and optionally ``method`` plus any ``search`` options.
-        Results come back in input order, each bitwise identical to the
-        corresponding :meth:`search` call; greedy shard tasks of an
-        earlier query execute while later queries start.
-        """
-        self._ensure_current()
-        parsed = []
-        for entry in queries:
-            entry = dict(entry)
-            try:
-                d = entry.pop("d")
-                s = entry.pop("s")
-                k = entry.pop("k")
-            except KeyError as missing:
-                raise ParameterError(
-                    "batch query {!r} is missing required key {}".format(
-                        entry, missing
-                    )
-                ) from None
-            method = entry.pop("method", "auto")
-            check_stats(entry.pop("stats", None))
-            parsed.append((d, s, k, method, entry))
-        for _ in range(2):
-            # Validate (and re-validate after a rebind) before any query
-            # of the batch is submitted — a malformed spec must fail up
-            # front, not mid-pipeline with completed work in flight.
-            specs = [
-                self._query_for(d, s, k, method, dict(entry))
-                for d, s, k, method, entry in parsed
-            ]
-            results = execute_query_batch(self._graph, specs, self._pool,
-                                          artifacts=self._cache)
-            # On a mid-batch mutation every result of this batch came
-            # from the stale snapshot, so the whole batch retries.
-            if not self._rebind_if_stale():
-                return [self._deliver(result) for result in results]
-        raise StaleResultError()
-
     def memory_bytes(self):
         """Resident bytes of the session's search graph.
 
@@ -357,9 +312,8 @@ class DCCEngine:
     # ------------------------------------------------------------------
 
     def _query_for(self, d, s, k, method, options):
-        # Validate eagerly — search_many must reject a malformed spec
-        # before any query of its batch is submitted, not mid-pipeline
-        # with completed work in flight.
+        # Validate before anything starts: a malformed spec fails at
+        # submission, with no shard in flight.
         validate_search_params(self._graph, d, s, k)
         method = resolve_method(self._graph.num_layers, method, s, options)
         return make_query(method, d, s, k, **options)

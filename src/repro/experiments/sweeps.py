@@ -38,24 +38,19 @@ def _base(graph, s=None):
 
 
 def vary_small_s(dataset_name, methods=("greedy", "bottom-up"),
-                 s_values=None, scale=None, seed=0, host=None):
-    """Figs. 14 and 16: sweep the small-s range on one dataset.
-
-    ``host`` reuses a caller-owned :class:`repro.host.DCCHost` across
-    dataset rows — the graph is attached under ``dataset_name`` and its
-    engine session survives for the next figure over the same dataset.
-    """
+                 s_values=None, scale=None, seed=0):
+    """Figs. 14 and 16: sweep the small-s range on one dataset."""
     dataset = _dataset(dataset_name, scale, seed)
     values = RANGES["s_small"] if s_values is None else s_values
     rows = sweep(dataset.graph, "s", values, _base(dataset.graph),
-                 methods, seed=seed, host=host, graph_name=dataset_name)
+                 methods, seed=seed)
     for row in rows:
         row["dataset"] = dataset_name
     return rows
 
 
 def vary_large_s(dataset_name, methods=("greedy", "bottom-up", "top-down"),
-                 s_values=None, scale=None, seed=0, host=None):
+                 s_values=None, scale=None, seed=0):
     """Figs. 15 and 17: sweep the large-s range on one dataset."""
     dataset = _dataset(dataset_name, scale, seed)
     num_layers = dataset.graph.num_layers
@@ -65,14 +60,14 @@ def vary_large_s(dataset_name, methods=("greedy", "bottom-up", "top-down"),
             for offset in RANGES["s_large_offsets"]
         )
     rows = sweep(dataset.graph, "s", s_values, _base(dataset.graph),
-                 methods, seed=seed, host=host, graph_name=dataset_name)
+                 methods, seed=seed)
     for row in rows:
         row["dataset"] = dataset_name
     return rows
 
 
 def vary_d(dataset_name, large_s=False, d_values=None, methods=None,
-           scale=None, seed=0, host=None):
+           scale=None, seed=0):
     """Figs. 18–21: sweep ``d`` at small or large ``s``.
 
     The paper pairs GD with BU at small ``s`` (Figs. 18/20) and GD with TD
@@ -85,7 +80,7 @@ def vary_d(dataset_name, large_s=False, d_values=None, methods=None,
         else DEFAULTS["s_small"]
     values = RANGES["d"] if d_values is None else d_values
     rows = sweep(dataset.graph, "d", values, _base(dataset.graph, s=s),
-                 methods, seed=seed, host=host, graph_name=dataset_name)
+                 methods, seed=seed)
     for row in rows:
         row["dataset"] = dataset_name
         row["s"] = s
@@ -93,7 +88,7 @@ def vary_d(dataset_name, large_s=False, d_values=None, methods=None,
 
 
 def vary_k(dataset_name, large_s=False, k_values=None, methods=None,
-           scale=None, seed=0, host=None):
+           scale=None, seed=0):
     """Figs. 22–25: sweep ``k`` at small or large ``s``."""
     dataset = _dataset(dataset_name, scale, seed)
     if methods is None:
@@ -102,7 +97,7 @@ def vary_k(dataset_name, large_s=False, k_values=None, methods=None,
         else DEFAULTS["s_small"]
     values = RANGES["k"] if k_values is None else k_values
     rows = sweep(dataset.graph, "k", values, _base(dataset.graph, s=s),
-                 methods, seed=seed, host=host, graph_name=dataset_name)
+                 methods, seed=seed)
     for row in rows:
         row["dataset"] = dataset_name
         row["s"] = s

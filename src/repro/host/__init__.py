@@ -8,9 +8,12 @@ pool, and re-admission is cold but bitwise exact.  Host-owned engines
 run with bounded artifact caches; standalone engines stay unbounded by
 default.
 
-``repro host`` drives one from a JSON batch spec
-(:func:`~repro.host.spec.parse_host_spec`); ``docs/architecture.md``
-documents the admission-control and eviction policy.
+:func:`~repro.host.spec.parse_request` reads every search or update
+spec on every entry path; ``repro host`` validates a JSON batch spec
+with :func:`~repro.host.spec.parse_host_spec` and serves it through
+:meth:`repro.aio.AsyncDCCHost.run_batch` over one of these hosts.
+``docs/architecture.md`` documents the admission-control and eviction
+policy.
 """
 
 from repro.host.registry import (
@@ -18,11 +21,12 @@ from repro.host.registry import (
     DEFAULT_MAX_ENGINES,
     DCCHost,
 )
-from repro.host.spec import parse_host_spec
+from repro.host.spec import parse_host_spec, parse_request
 
 __all__ = [
     "DCCHost",
     "DEFAULT_MAX_ENGINES",
     "DEFAULT_CACHE_MAX_ENTRIES",
     "parse_host_spec",
+    "parse_request",
 ]

@@ -37,7 +37,8 @@ whose cache stays unbounded by default — one graph's parameter space is
 self-limiting, a fleet of them is not.
 
 Like the engine, a host is not thread-safe; it is the synchronous
-substrate the planned async front-end will wrap.
+substrate :class:`repro.aio.AsyncDCCHost` wraps, and batches (``repro
+batch``, ``repro host``) run through that async front-end.
 """
 
 from collections import OrderedDict
@@ -100,10 +101,10 @@ class DCCHost:
             host.attach("ppi", ppi_graph)
             host.attach("wiki", wiki_graph.freeze())
             a = host.search("ppi", d=3, s=2, k=2)
-            rest = host.search_many([
-                {"graph": "wiki", "d": 2, "s": 2, "k": 4},
-                {"graph": "ppi", "d": 3, "s": 2, "k": 2},
-            ])
+            b = host.search("wiki", d=2, s=2, k=4)
+
+    Batches go through :class:`repro.aio.AsyncDCCHost`, which serves
+    through a host like this one.
     """
 
     def __init__(self, max_engines=DEFAULT_MAX_ENGINES,
@@ -360,45 +361,6 @@ class DCCHost:
         self.searches_served += 1
         return result
 
-    def search_many(self, queries):
-        """Serve a batch of specs spanning any number of graphs.
-
-        ``queries`` is an iterable of dicts, each a
-        :meth:`DCCEngine.search_many` spec plus a ``"graph"`` key naming
-        an attached graph.  Results come back in input order, each
-        bitwise identical to the corresponding :meth:`search` call.
-        Specs are grouped by graph and each group pipelines through its
-        engine's batch API, so a mixed batch pays one admission per
-        distinct graph, not one per query — under a tight
-        ``max_engines`` this is also what keeps eviction churn at one
-        admission per group rather than per alternation.
-        """
-        self._check_open()
-        parsed = []
-        for number, entry in enumerate(queries, 1):
-            entry = dict(entry)
-            name = entry.pop("graph", None)
-            if name is None:
-                raise ParameterError(
-                    "batch query {} ({!r}) is missing the \"graph\" key "
-                    "naming an attached graph".format(number, entry)
-                )
-            if name not in self._registry:
-                raise UnknownGraphError(name, self._registry)
-            parsed.append((name, entry))
-        groups = OrderedDict()
-        for index, (name, entry) in enumerate(parsed):
-            groups.setdefault(name, []).append((index, entry))
-        results = [None] * len(parsed)
-        for name, members in groups.items():
-            batch = self.engine(name).search_many(
-                [entry for _, entry in members]
-            )
-            for (index, _), result in zip(members, batch):
-                results[index] = result
-        self.searches_served += len(parsed)
-        return results
-
     # ------------------------------------------------------------------
     # lifecycle / status
     # ------------------------------------------------------------------
@@ -424,35 +386,11 @@ class DCCHost:
             raise HostClosedError()
 
     def info(self):
-        """Registry, admission and per-session status for monitoring."""
-        engines = {}
-        for name, engine in self._resident.items():
-            status = engine.info()
-            engines[name] = {
-                "workers": status["workers"],
-                "pool_spawned": status["pool_spawned"],
-                "searches_served": status["searches_served"],
-                "cache_entries": status["cache_entries"],
-                "cache_hits": status["cache_hits"],
-                "cache_misses": status["cache_misses"],
-                "cache_evictions": status["cache_evictions"],
-                "memory_bytes": status["memory_bytes"],
-                "invalidations": status["invalidations"],
-                # Streaming-update picture: patch-vs-rebuild rebinds,
-                # what the selective artifact invalidation kept, and
-                # how the source's freeze() amortised.
-                "rebinds_patched": status["rebinds_patched"],
-                "rebinds_full": status["rebinds_full"],
-                "cache_layer_core_hits": status["cache_layer_core_hits"],
-                "cache_layer_core_misses":
-                    status["cache_layer_core_misses"],
-                "cache_invalidations_kept":
-                    status["cache_invalidations_kept"],
-                "cache_invalidations_dropped":
-                    status["cache_invalidations_dropped"],
-                "freeze_patches": status["freeze_patches"],
-                "freeze_rebuilds": status["freeze_rebuilds"],
-            }
+        """Registry, admission and per-session status for monitoring.
+
+        ``engines`` maps each resident session's name to its engine's
+        own :meth:`DCCEngine.info`, unchanged.
+        """
         return {
             "attached": len(self._registry),
             "attached_names": tuple(self._registry),
@@ -465,6 +403,7 @@ class DCCHost:
             "evictions": self.evictions,
             "searches_served": self.searches_served,
             "cache_max_entries": self._cache_max_entries,
-            "engines": engines,
+            "engines": {name: engine.info()
+                        for name, engine in self._resident.items()},
             "closed": self._closed,
         }

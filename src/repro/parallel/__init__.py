@@ -17,7 +17,9 @@ worker process and then serves any number of greedy queries, each
 crossing the process boundary as a tiny ``(method, d, s, k, options)``
 spec (:class:`~repro.parallel.plan.Query`).  A one-shot search wraps a
 short-lived engine; a long-lived :class:`repro.engine.DCCEngine` keeps
-its pool warm.
+its pool warm, and a batch pipelines through it in
+:class:`repro.aio.AsyncDCCHost`'s dispatchers, which start every query
+of a drained batch before collecting any.
 
 Layout
 ------
@@ -45,16 +47,11 @@ from repro.parallel.executor import (
     usable_cpus,
 )
 from repro.parallel.plan import Query, make_query, plan_query
-from repro.parallel.search import (
-    PendingQuery,
-    execute_query_batch,
-    start_query,
-)
+from repro.parallel.search import PendingQuery, start_query
 from repro.parallel.serialize import graph_payload, payload_graph
 from repro.parallel.worker import QueryRunnerCache, ShardRunner
 
 __all__ = [
-    "execute_query_batch",
     "start_query",
     "PendingQuery",
     "check_jobs",

@@ -19,10 +19,11 @@ So an engine answer equals ``search_dccs(..., jobs=None)`` for every
 method and every ``jobs`` value: sets, labels and counters.
 
 Execution happens through a caller-owned
-:class:`~repro.parallel.executor.WorkerPool`: :func:`start_query` and
-:func:`execute_query_batch` take the pool of a
-:class:`repro.engine.DCCEngine`, which amortises spawn cost across a
-whole session (``search_dccs(..., jobs=N)`` is a one-query engine).
+:class:`~repro.parallel.executor.WorkerPool`: :func:`start_query` takes
+the pool of a :class:`repro.engine.DCCEngine`, which amortises spawn
+cost across a whole session (``search_dccs(..., jobs=N)`` is a one-query
+engine).  Batches pipeline one level up: the async host's dispatcher
+starts every query of a drained batch before it collects any.
 """
 
 from repro.core.bottomup import bu_dccs
@@ -136,16 +137,3 @@ def start_query(graph, query, pool, stats=None, artifacts=None):
         handle = pool.submit_query(query, plan.tasks, plan)
     return PendingQuery(query, handle, stats, plan_timer.elapsed)
 
-
-def execute_query_batch(graph, queries, pool, artifacts=None):
-    """Pipeline a batch of queries through one warm pool.
-
-    Every query is started *before* any results are collected, so
-    workers chew query ``i``'s shards while the orchestrator
-    preprocesses (or answers) query ``i+1`` — and merging happens in
-    submission order, keeping each result bitwise identical to the same
-    query started and finished alone.
-    """
-    staged = [start_query(graph, query, pool, artifacts=artifacts)
-              for query in queries]
-    return [pending.finish(pool) for pending in staged]

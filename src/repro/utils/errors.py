@@ -180,13 +180,18 @@ class QueueFullError(GraphError, RuntimeError):
         )
 
 
-class ProtocolError(GraphError, ValueError):
-    """Raised when a serving-protocol request line is not a usable request.
+class ProtocolError(ParameterError):
+    """Raised when a request or batch entry is not a usable request.
 
-    The JSON-lines protocol (``repro serve`` over stdio or the socket
-    server) answers a malformed line with a per-line typed error
-    response instead of tearing the connection down; this is the type a
-    line that parses as JSON but is not a request object gets.
+    Every entry path reads a request through one parser
+    (:func:`repro.host.spec.parse_request`), so a shape fault — not a
+    JSON object, a missing ``graph``/``d``/``s``/``k``, an unknown
+    ``op``, an update edge that is not a ``[layer, u, v]`` list, an
+    update with no edges — raises this on the socket, over stdio, in an
+    async batch and in a spec file alike.  The JSON-lines protocol
+    answers it on the request's own line and keeps serving.  It is a
+    :class:`ParameterError`, so a caller that catches malformed
+    parameters catches a malformed request too.
     """
 
 

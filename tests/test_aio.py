@@ -62,12 +62,16 @@ def spec_call(host, spec):
 
 
 def sequential_baseline(graphs, specs, **host_options):
-    """Each spec's canonical result from a plain synchronous host."""
+    """Each spec's canonical result: one plain ``DCCHost.search`` each."""
     host_options.setdefault("jobs", 1)
     with DCCHost(**host_options) as host:
         for name, graph in graphs.items():
             host.attach(name, graph)
-        return host.search_many(specs)
+        results = []
+        for spec in specs:
+            entry = dict(spec)
+            results.append(host.search(entry.pop("graph"), **entry))
+        return results
 
 
 MIXED_SPECS = [

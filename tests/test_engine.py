@@ -2,11 +2,11 @@
 
 The contract under test, in order of importance:
 
-1. **session equivalence** — ``engine.search``, ``engine.search_many``
-   and one-shot ``search_dccs(..., jobs=N)`` return bitwise identical
-   sets, labels, cover sizes *and aggregated stats counters*, for every
-   method, a ``MultiLayerGraph`` or a frozen graph, and warm-vs-cold
-   pools/caches (the artifact
+1. **session equivalence** — ``engine.search``, a batch through
+   ``AsyncDCCHost.run_batch`` and one-shot ``search_dccs(..., jobs=N)``
+   return bitwise identical sets, labels, cover sizes *and aggregated
+   stats counters*, for every method, a ``MultiLayerGraph`` or a frozen
+   graph, and warm-vs-cold pools/caches (the artifact
    cache replays captured stats deltas instead of skipping charges);
    bottom-up and top-down run in process and never reach the pool;
 2. **invalidation** — mutating the underlying ``MultiLayerGraph`` after
@@ -25,14 +25,18 @@ from repro.aio import AsyncDCCHost
 from repro.cli import main
 from repro.core import search_dccs
 from repro.engine import ArtifactCache, DCCEngine
-from repro.experiments.runner import measure_point, sweep
+from repro.experiments.runner import measure_point
 from repro.graph import (
     FrozenMultiLayerGraph,
     MultiLayerGraph,
     paper_figure1_graph,
 )
 from repro.parallel import live_pool_count
-from repro.utils.errors import EngineClosedError, ParameterError
+from repro.utils.errors import (
+    EngineClosedError,
+    ParameterError,
+    ProtocolError,
+)
 from tests.strategies import multilayer_graphs, search_parameters
 
 METHODS = ("greedy", "bottom-up", "top-down")
@@ -64,35 +68,42 @@ class TestSessionEquivalence:
                                            jobs=2, seed=5)
                     cold = engine.search(d, s, k, method=method, seed=5)
                     warm = engine.search(d, s, k, method=method, seed=5)
-                    batch, = engine.search_many([
-                        {"d": d, "s": s, "k": k, "method": method,
-                         "seed": 5},
-                    ])
-                    for label, result in (("cold", cold), ("warm", warm),
-                                          ("batch", batch)):
+                    for label, result in (("cold", cold), ("warm", warm)):
                         assert_identical(
                             one_shot, result,
                             (source, method, label, d, s, k),
                         )
 
     def test_search_many_matches_individual_searches_in_order(self):
+        # The one batch path, AsyncDCCHost.search_many (run_batch from
+        # synchronous code), answers each spec as a lone engine search.
         graph = paper_figure1_graph()
         specs = [
             {"d": 3, "s": 2, "k": 2},
             {"d": 2, "s": 3, "k": 3, "method": "bottom-up"},
             {"d": 2, "s": 2, "k": 2, "method": "top-down", "seed": 7},
-            {"d": 3, "s": 2, "k": 2},  # repeat: warm cache, same answer
+            {"d": 3, "s": 2, "k": 2},  # repeat: coalesced, same answer
         ]
+        ahost = AsyncDCCHost(jobs=2)
+        ahost.attach("g", graph)
+        try:
+            batched = ahost.run_batch([dict(spec, graph="g")
+                                       for spec in specs])
+        finally:
+            asyncio.run(ahost.aclose())
         with DCCEngine(graph, jobs=2) as engine:
-            batched = engine.search_many(specs)
             singles = [engine.search(**spec) for spec in specs]
         assert len(batched) == len(specs)
         for spec, one, two in zip(specs, batched, singles):
             assert_identical(one, two, spec)
 
     def test_search_many_empty_batch(self):
-        with DCCEngine(paper_figure1_graph(), jobs=1) as engine:
-            assert engine.search_many([]) == []
+        ahost = AsyncDCCHost(jobs=1)
+        ahost.attach("g", paper_figure1_graph())
+        try:
+            assert ahost.run_batch([]) == []
+        finally:
+            asyncio.run(ahost.aclose())
 
     def test_prefrozen_graph_keeps_id_vocabulary(self):
         graph = paper_figure1_graph()
@@ -130,19 +141,22 @@ class TestSessionEquivalence:
                 engine.search(1, 1, 1, method="greedy", use_warp_drive=True)
 
     def test_search_many_validates_before_submitting(self):
-        # One bad spec must fail the batch up front — before any query
-        # is planned or submitted — not mid-pipeline with completed
-        # work in flight.
-        graph = paper_figure1_graph()
-        with DCCEngine(graph, jobs=1) as engine:
-            with pytest.raises(ParameterError):
-                engine.search_many([
-                    {"d": 3, "s": 2, "k": 2},
-                    {"d": 3, "s": 99, "k": 2},
+        # A malformed spec fails the batch up front — before any query
+        # of it is enqueued — not mid-pipeline with work in flight.  A
+        # bad parameter value fails its own slot, as a lone search.
+        ahost = AsyncDCCHost(jobs=1)
+        ahost.attach("g", paper_figure1_graph())
+        try:
+            with pytest.raises(ProtocolError, match="'s'"):
+                ahost.run_batch([
+                    {"graph": "g", "d": 3, "s": 2, "k": 2},
+                    {"graph": "g", "d": 3, "k": 2},
                 ])
-            assert engine.info()["pool_queries_served"] == 0
+            assert ahost.info()["requests_accepted"] == 0
             with pytest.raises(ParameterError):
-                engine.search_many([{"d": 3, "k": 2}])
+                ahost.run_batch([{"graph": "g", "d": 3, "s": 99, "k": 2}])
+        finally:
+            asyncio.run(ahost.aclose())
 
 
 # ----------------------------------------------------------------------
@@ -367,31 +381,6 @@ class TestInvalidation:
         assert served.sets != []  # the stale snapshot would report []
         assert_identical(served, fresh)
 
-    def test_mutation_mid_batch_retries_whole_batch(self, monkeypatch):
-        from repro.engine import session as session_module
-
-        graph = self._ring()
-        real = session_module.execute_query_batch
-        fired = []
-
-        def racy(search_graph, specs, pool, artifacts=None):
-            results = real(search_graph, specs, pool, artifacts=artifacts)
-            if not fired:
-                fired.append(True)
-                self._densify_corner(graph)
-            return results
-
-        monkeypatch.setattr(session_module, "execute_query_batch", racy)
-        with DCCEngine(graph, jobs=1) as engine:
-            first, second = engine.search_many([
-                {"d": 3, "s": 1, "k": 1},
-                {"d": 2, "s": 2, "k": 2},
-            ])
-            assert engine.invalidations == 1
-        assert first.sets != []
-        assert_identical(first, search_dccs(graph, 3, 1, 1, jobs=1))
-        assert_identical(second, search_dccs(graph, 2, 2, 2, jobs=1))
-
     def test_mutation_during_both_attempts_raises_never_stale(
             self, monkeypatch):
         # A writer outrunning the retry means neither attempt's results
@@ -517,7 +506,7 @@ class TestLifecycle:
         with pytest.raises(EngineClosedError):
             engine.search(1, 1, 1)
         with pytest.raises(EngineClosedError):
-            engine.search_many([{"d": 1, "s": 1, "k": 1}])
+            engine.submit(1, 1, 1)
 
     def test_abandoned_engine_pool_is_finalized(self):
         # The weakref.finalize safety net: an engine dropped without
@@ -586,8 +575,7 @@ class TestLifecycle:
                     handle.collect(),
                     search_dccs(graph, 3, 2, 2, method=method, seed=5),
                     method)
-                engine.search_many([{"d": 2, "s": 3, "k": 2,
-                                     "method": method}])
+                engine.search(2, 3, 2, method=method)
             status = engine.info()
             assert status["pool_spawned"] is False
             assert status["pool_queries_served"] == 0
@@ -655,39 +643,15 @@ class TestOneCpuBudget:
 
 
 class TestHarnessPlumbing:
-    def test_measure_point_with_engine_matches_one_shot_rows(self):
-        graph = MultiLayerGraph(2, vertices=range(30))
-        for i in range(29):
-            graph.add_edge(0, i, i + 1)
-            graph.add_edge(1, i, i + 1)
-        with DCCEngine(graph, jobs=2) as engine:
-            engine_rows = measure_point(graph, 1, 1, 2,
-                                        methods=["greedy"], engine=engine)
-        one_shot_rows = measure_point(graph, 1, 1, 2, methods=["greedy"],
-                                      jobs=2)
-        for warm, cold in zip(engine_rows, one_shot_rows):
-            assert warm["cover"] == cold["cover"]
-            assert warm["dcc_calls"] == cold["dcc_calls"]
-            assert warm["candidates"] == cold["candidates"]
-
     def test_measure_point_rejects_foreign_engine(self):
+        # The harness times the sequential searches only: an engine
+        # handed to it is an unknown search option, refused before any
+        # row is measured.
         graph = paper_figure1_graph()
-        other = paper_figure1_graph()
-        with DCCEngine(other, jobs=1) as engine:
-            with pytest.raises(ParameterError):
+        with DCCEngine(paper_figure1_graph(), jobs=1) as engine:
+            with pytest.raises(ParameterError, match="engine"):
                 measure_point(graph, 1, 1, 1, methods=["greedy"],
                               engine=engine)
-
-    def test_sweep_with_jobs_uses_one_session(self):
-        graph = paper_figure1_graph()
-        parallel_rows = sweep(graph, "k", (1, 2), {"d": 3, "s": 2, "k": 1},
-                              methods=("greedy",), jobs=2)
-        sequential_rows = sweep(graph, "k", (1, 2),
-                                {"d": 3, "s": 2, "k": 1},
-                                methods=("greedy",))
-        for par, seq in zip(parallel_rows, sequential_rows):
-            assert par["cover"] == seq["cover"]
-            assert par["dcc_calls"] == seq["dcc_calls"]
 
     def test_cli_batch(self, tmp_path, capsys):
         queries = tmp_path / "queries.json"

@@ -2,10 +2,11 @@
 
 The contract under test, in order of importance:
 
-1. **hosted equivalence** — ``host.search`` / ``host.search_many`` are
-   bitwise identical (sets, labels, cover, aggregated counters) to a
-   fresh single-graph :class:`DCCEngine` and to one-shot
-   ``search_dccs``, including across evictions and re-admission;
+1. **hosted equivalence** — ``host.search``, and a batch over a host
+   through ``AsyncDCCHost.run_batch``, are bitwise identical (sets,
+   labels, cover, aggregated counters) to a fresh single-graph
+   :class:`DCCEngine` and to one-shot ``search_dccs``, including across
+   evictions and re-admission;
 2. **admission control** — at most ``max_engines`` sessions are
    resident, LRU order decides the victim, eviction closes the victim's
    worker pool (no leaked processes), and a global memory budget evicts
@@ -15,10 +16,13 @@ The contract under test, in order of importance:
    documents before any graph is loaded.
 """
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aio import AsyncDCCHost
 from repro.cli import main
 from repro.core import search_dccs
 from repro.engine import DCCEngine
@@ -74,9 +78,15 @@ class TestHostedEquivalence:
             {"graph": "fig1", "d": 2, "s": 2, "k": 2, "method": "greedy"},
             {"graph": "ring", "d": 2, "s": 2, "k": 1},
         ]
+        ahost = AsyncDCCHost(max_engines=1, jobs=1)
+        ahost.attach("fig1", first).attach("ring", second)
+        try:
+            batched = ahost.run_batch(specs)
+            assert ahost.host.evictions >= 1
+        finally:
+            asyncio.run(ahost.aclose())
         with DCCHost(jobs=1) as host:
             host.attach("fig1", first).attach("ring", second)
-            batched = host.search_many(specs)
             singles = [
                 host.search(spec["graph"],
                             **{key: value for key, value in spec.items()
@@ -237,7 +247,6 @@ class TestLifecycle:
             lambda: host.attach("b", ring_graph()),
             lambda: host.engine("a"),
             lambda: host.search("a", 1, 1, 1),
-            lambda: host.search_many([]),
             lambda: host.detach("a"),
         ):
             with pytest.raises(HostClosedError):
@@ -268,16 +277,19 @@ class TestLifecycle:
             assert not host.is_attached("bad")
 
     def test_search_many_validates_names_before_serving(self):
-        with DCCHost(jobs=1) as host:
-            host.attach("a", paper_figure1_graph())
+        ahost = AsyncDCCHost(jobs=1)
+        ahost.attach("a", paper_figure1_graph())
+        try:
             with pytest.raises(UnknownGraphError):
-                host.search_many([
+                ahost.run_batch([
                     {"graph": "a", "d": 3, "s": 2, "k": 2},
                     {"graph": "nope", "d": 3, "s": 2, "k": 2},
                 ])
-            with pytest.raises(ParameterError):
-                host.search_many([{"d": 3, "s": 2, "k": 2}])
-            assert host.searches_served == 0
+            with pytest.raises(ParameterError, match="graph"):
+                ahost.run_batch([{"d": 3, "s": 2, "k": 2}])
+            assert ahost.host.searches_served == 0
+        finally:
+            asyncio.run(ahost.aclose())
 
     def test_info_reports_admission_picture(self):
         with DCCHost(max_engines=1, jobs=1) as host:
@@ -395,60 +407,3 @@ class TestHostSpec:
         out = capsys.readouterr().out
         assert "host_max_engines" in out
         assert "host_resident_engines: 1" in out
-
-
-# ----------------------------------------------------------------------
-# 5. sweep integration
-# ----------------------------------------------------------------------
-
-
-class TestSweepIntegration:
-    def test_sweep_reuses_one_host_across_dataset_rows(self):
-        from repro.experiments.runner import sweep
-
-        first, second = paper_figure1_graph(), ring_graph(16)
-        base = {"d": 2, "s": 2, "k": 2}
-        with DCCHost(jobs=1) as host:
-            rows_a = sweep(first, "k", (1, 2), base, ("greedy",),
-                           host=host, graph_name="fig1")
-            rows_b = sweep(second, "k", (1, 2), base, ("greedy",),
-                           host=host, graph_name="ring")
-            assert host.resident() == ("fig1", "ring")
-            assert host.admissions == 2
-        plain_a = sweep(first, "k", (1, 2), base, ("greedy",))
-        plain_b = sweep(second, "k", (1, 2), base, ("greedy",))
-        for hosted, plain in zip(rows_a + rows_b, plain_a + plain_b):
-            assert hosted["cover"] == plain["cover"]
-            assert hosted["dcc_calls"] == plain["dcc_calls"]
-
-    def test_sweep_disambiguates_name_collisions(self):
-        # The vary_* wrappers reuse the dataset name: the same dataset
-        # loaded at a different scale is a different graph object, and
-        # the sweep must derive a fresh registration rather than abort
-        # or silently serve the wrong graph.
-        from repro.experiments.runner import sweep
-
-        base = {"d": 2, "s": 1, "k": 1}
-        small, large = ring_graph(8), ring_graph(20)
-        with DCCHost(jobs=1) as host:
-            rows_small = sweep(small, "k", (1,), base, ("greedy",),
-                               host=host, graph_name="shared")
-            rows_large = sweep(large, "k", (1,), base, ("greedy",),
-                               host=host, graph_name="shared")
-            assert len(host.names()) == 2
-            assert host.graph("shared") is small
-        assert rows_small[0]["cover"] == 8
-        assert rows_large[0]["cover"] == 20
-
-    def test_vary_functions_accept_a_host(self):
-        from repro.experiments.sweeps import vary_small_s
-
-        with DCCHost(jobs=1) as host:
-            hosted = vary_small_s("ppi", s_values=(1, 2), scale=0.2,
-                                  host=host)
-            assert host.is_attached("ppi")
-            assert host.resident() == ("ppi",)
-        plain = vary_small_s("ppi", s_values=(1, 2), scale=0.2)
-        for one, two in zip(hosted, plain):
-            assert one["cover"] == two["cover"]
-            assert one["dcc_calls"] == two["dcc_calls"]

@@ -14,7 +14,10 @@ The contract under test, network-level:
 3. **metrics** — exact (not smoke) counter and latency-percentile
    values on a deterministic scripted workload driven through an
    injected tick clock, and agreement between the ``stats`` payload and
-   what ``repro info`` prints.
+   what ``repro info`` prints;
+4. **one error per input** — a malformed entry answers the same
+   ``ProtocolError``, naming the same key or op, on the socket, over
+   stdio, in an async batch and in ``repro host``/``repro batch`` files.
 
 Fault-injection coverage for the same tier (disconnects, malformed and
 oversized lines, drain-on-close) lives in ``tests/test_faults.py``.
@@ -66,12 +69,16 @@ def strip(response):
 
 
 def sequential_wire_baseline(graphs, specs, **host_options):
-    """Each spec's canonical wire payload from a synchronous host."""
+    """Each spec's canonical wire payload: one ``DCCHost.search`` each."""
     host_options.setdefault("jobs", 1)
     with DCCHost(**host_options) as host:
         for name, graph in graphs.items():
             host.attach(name, graph)
-        return [wire(result) for result in host.search_many(specs)]
+        payloads = []
+        for spec in specs:
+            entry = dict(spec)
+            payloads.append(wire(host.search(entry.pop("graph"), **entry)))
+        return payloads
 
 
 class LineClient:
@@ -390,6 +397,116 @@ class TestProtocol:
         assert stats["serving"]["requests_accepted"] >= 1
         assert "result_cache" in stats["serving"]
         assert "latency" in stats["serving"]
+
+
+# One malformed entry per row: ``(entry, needle, fits_batch)``.  Every
+# path must answer it with a ProtocolError whose message contains
+# ``needle`` (the key or op at fault).  ``fits_batch`` marks the entries
+# a ``repro batch`` file can hold: those take no "graph" or "op" key, so
+# the batch file gets the entry without its "graph".
+MALFORMED = {
+    "bogus-op": ({"op": "bogus", "graph": "fig", "d": 3, "s": 2, "k": 2},
+                 "'bogus'", False),
+    "no-graph": ({"d": 3, "s": 2, "k": 2}, "graph", False),
+    "no-d": ({"graph": "fig", "s": 2, "k": 2}, "'d'", True),
+    "no-s": ({"graph": "fig", "d": 3, "k": 2}, "'s'", True),
+    "no-k": ({"graph": "fig", "d": 3, "s": 2}, "'k'", True),
+    "array": ([1, 2], "JSON object", True),
+    "update-no-edges": ({"op": "update", "graph": "fig"}, '"add"', False),
+    "update-short-edge": ({"op": "update", "graph": "fig",
+                           "add": [[0, 1]]}, "[0, 1]", False),
+}
+
+
+@pytest.mark.network
+class TestOneRequestContract:
+    """One malformed entry, every entry path, one typed error.
+
+    The socket, ``repro serve`` over stdio, an async batch, a ``repro
+    host`` spec file and a ``repro batch`` file all read an entry
+    through the same parser, so each answers the same ``error_type``
+    and names the same key or op.
+    """
+
+    def over_socket(self, entry):
+        async def serve():
+            async with AsyncDCCHost(jobs=1) as host:
+                host.attach("fig", paper_figure1_graph())
+                async with DCCServer(host, port=0) as server:
+                    client = await LineClient.connect(server.port)
+                    response = await client.ask(entry)
+                    await client.close()
+                    return response
+
+        response = asyncio.run(serve())
+        assert not response["ok"], response
+        return response["error_type"], response["error"]
+
+    def over_stdio(self, entry, tmp_path, monkeypatch, capsys):
+        import io
+
+        from repro.cli import main
+
+        spec = tmp_path / "serve.json"
+        spec.write_text('{"graphs": {"fig": "figure1"}}')
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(entry)
+                                                     + "\n"))
+        assert main(["serve", str(spec), "--jobs", "1"]) == 0
+        response, = [json.loads(line)
+                     for line in capsys.readouterr().out.splitlines()]
+        assert not response["ok"], response
+        return response["error_type"], response["error"]
+
+    def in_batch(self, entry):
+        ahost = AsyncDCCHost(jobs=1)
+        ahost.attach("fig", paper_figure1_graph())
+        try:
+            with pytest.raises(Exception) as raised:
+                ahost.run_batch([entry])
+            assert ahost.info()["requests_accepted"] == 0
+        finally:
+            asyncio.run(ahost.aclose())
+        return type(raised.value).__name__, str(raised.value)
+
+    def from_cli(self, argv, capsys):
+        """The error the command raises, and that ``main`` exits 2 on it
+        with the message on stderr."""
+        from repro.cli import build_parser, main
+
+        args = build_parser().parse_args(argv)
+        with pytest.raises(Exception) as raised:
+            args.fn(args)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(raised.value) in captured.err
+        return type(raised.value).__name__, str(raised.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_every_path_answers_the_same_typed_error(
+            self, case, tmp_path, monkeypatch, capsys):
+        entry, needle, fits_batch = MALFORMED[case]
+        outcomes = {
+            "socket": self.over_socket(entry),
+            "stdio": self.over_stdio(entry, tmp_path, monkeypatch, capsys),
+            "async batch": self.in_batch(entry),
+        }
+        spec = tmp_path / "host.json"
+        spec.write_text(json.dumps({"graphs": {"fig": "figure1"},
+                                    "queries": [entry]}))
+        outcomes["repro host"] = self.from_cli(["host", str(spec)], capsys)
+        if fits_batch:
+            queries = tmp_path / "batch.json"
+            if isinstance(entry, dict):
+                entry = {key: value for key, value in entry.items()
+                         if key != "graph"}
+            queries.write_text(json.dumps([entry]))
+            outcomes["repro batch"] = self.from_cli(
+                ["batch", "figure1", str(queries), "--jobs", "1"], capsys)
+        for path, (error_type, message) in outcomes.items():
+            assert error_type == "ProtocolError", (case, path, message)
+            assert needle in message, (case, path, message)
 
 
 # ----------------------------------------------------------------------

@@ -144,9 +144,11 @@ def fresh_host_baseline(updates):
             add=[tuple(edge) for edge in update.get("add", [])],
             remove=[tuple(edge) for edge in update.get("remove", [])],
         )
+    query = dict(STREAM_QUERY)
+    name = query.pop("graph")
     with DCCHost() as host:
-        host.attach("quickstart", graph)
-        result = host.search_many([dict(STREAM_QUERY)])[0]
+        host.attach(name, graph)
+        result = host.search(name, **query)
     return comparable(format_response(0, None, result=result))
 
 
